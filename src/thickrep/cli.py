@@ -78,18 +78,9 @@ def _emit(report, json_out=None):
         sys.stdout.write(text)
 
 
-def _caps_from_arg(arg):
-    caps = Caps.default()
-    if arg:
-        for key, val in json.loads(arg).items():
-            if hasattr(caps, key):
-                setattr(caps, key, int(val))
-    return caps
-
-
 def cmd_check(args) -> int:
     rep = serialize.representation_from_json(_load_json(args.rep))
-    caps = _caps_from_arg(args.caps)
+    caps = Caps.default(args.caps)
     report = {"property": args.mode, "m": args.m, "label": rep.label}
     if args.mode == "thick":
         if args.method == "burnside":
@@ -278,7 +269,7 @@ def cmd_recheck(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    caps = _caps_from_arg(args.caps)
+    caps = Caps.default(args.caps)
     suite = run_suite(filter_substring=args.filter, seed=args.seed, caps=caps,
                       jobs=args.jobs)
     cert_paths = {}

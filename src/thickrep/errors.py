@@ -57,6 +57,10 @@ class CapExceeded(ThickRepError):
     pass
 
 
+class BadCaps(ThickRepError):
+    """A caps override names an unknown cap or gives a bad value."""
+
+
 class PreconditionFailed(ThickRepError):
     pass
 

@@ -14,10 +14,10 @@ import itertools
 import json
 import os
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from math import comb
 
-from .errors import BadM, CapExceeded, DimensionMismatch, PreconditionFailed, WrongField
+from .errors import BadCaps, BadM, CapExceeded, DimensionMismatch, PreconditionFailed, WrongField
 from .fields import GF, PrimeField, Rationals, linear_roots_fp, rational_roots
 from .linalg import (
     Matrix,
@@ -26,6 +26,7 @@ from .linalg import (
     charpoly,
     kernel,
     rank_of_rows,
+    vec_dot,
 )
 from . import exterior
 from .exterior import (
@@ -66,13 +67,28 @@ class Caps:
     isotypic_summands_max: int = 14
 
     @classmethod
-    def default(cls) -> "Caps":
+    def default(cls, overrides: str = "") -> "Caps":
+        """The built-in caps, updated from THICKREP_CAPS and then from
+        `overrides`; each is a JSON object mapping cap names to
+        non-negative integers.  Raises BadCaps on anything else, such as
+        an unknown name or a negative value."""
         caps = cls()
-        raw = os.environ.get("THICKREP_CAPS")
-        if raw:
-            for key, val in json.loads(raw).items():
-                if hasattr(caps, key):
-                    setattr(caps, key, int(val))
+        names = {f.name for f in fields(cls)}
+        for raw in (os.environ.get("THICKREP_CAPS", ""), overrides):
+            if not raw:
+                continue
+            try:
+                values = json.loads(raw)
+            except ValueError:
+                values = None
+            if not isinstance(values, dict):
+                raise BadCaps("caps %r are not a JSON object" % (raw,))
+            for key, val in values.items():
+                if key not in names:
+                    raise BadCaps("unknown cap %r" % (key,))
+                if type(val) is not int or val < 0:
+                    raise BadCaps("cap %s=%r is not a non-negative integer" % (key, val))
+                setattr(caps, key, val)
         return caps
 
 
@@ -232,11 +248,72 @@ def group_closure(r: Representation, cap: int):
     return list(seen.values())
 
 
-def all_submodules(r: Representation, caps: Caps | None = None):
-    """The complete lattice of invariant subspaces over a finite field.
+_NORTON_SEED = 1984
+_NORTON_TRIES = 8
 
-    Spin every projective point (every submodule is a finite sum of cyclic
-    ones), then close under pairwise sums; sorted by (dim, canonical basis).
+
+def _norton_irreducible(r: Representation) -> bool:
+    """Norton's irreducibility test (Parker 1984; Holt & Rees 1994).
+
+    Draw theta from the span of the generators and their pairwise products,
+    and look for an eigenvalue lambda in the field whose eigenspace is a
+    line.  If that line spins to the whole space under the generators, and
+    the line ker (theta - lambda)^T spins to the whole space under the
+    transposed generators, the module is irreducible: a proper submodule U
+    either contains the line, or theta - lambda is invertible on U and so
+    singular on V/U, whose dual U^perp then contains the transposed line.
+
+    Returns True when that proof succeeds, and False when a spin of an
+    eigenvector is proper (the module is reducible) or no theta among the
+    fixed number of tries has a one-dimensional eigenspace.  Irreducible
+    modules that are not absolutely irreducible always end in False, since
+    their eigenspaces over the field have dimension divisible by the degree
+    of the splitting extension.
+    """
+    f = r.field
+    n = r.dim
+    gens = r.generators
+    # products among the first three generators only, so that large Lie
+    # spanning sets add at most nine words
+    words = list(gens) + [a * b for a in gens[:3] for b in gens[:3]]
+    ident = Matrix.identity(f, n)
+    rng = random.Random(_NORTON_SEED)
+    for _ in range(_NORTON_TRIES):
+        coeffs = [f.random(rng) for _ in words]
+        # theta = sum of coeffs[k] * words[k], entry by entry
+        theta = Matrix(f, [
+            [vec_dot(f, coeffs, entries) for entries in zip(*rows)]
+            for rows in zip(*(w.rows for w in words))
+        ])
+        cp = charpoly(theta)
+        for lam in f.elements():
+            if cp(lam) != f.zero:
+                continue
+            shifted = theta - ident.scale(lam)
+            null = kernel(shifted)
+            if spin(r, null.basis_vectors()[:1]).dim < n:
+                return False
+            if null.dim != 1:
+                continue
+            # spinning needs only the matrices, and LIE mode skips the
+            # invertibility check that transposed group generators pass anyway
+            dual = Representation(f, n, LIE, [g.transpose() for g in gens])
+            coline = kernel(shifted.transpose())
+            return spin(dual, coline.basis_vectors()).dim == n
+    return False
+
+
+def all_submodules(r: Representation, caps: Caps | None = None):
+    """The complete lattice of invariant subspaces over a finite field;
+    sorted by (dim, canonical basis).
+
+    After the projective-point cap check, Norton's test (see
+    `_norton_irreducible`) tries to prove the module irreducible and then
+    returns [0, V] at once.  It falls through to the full enumeration when
+    it finds a proper spin (the module is reducible) or when none of its
+    fixed number of seeded tries finds a one-dimensional eigenspace, which
+    always happens for irreducible modules that are not absolutely
+    irreducible.
     """
     caps = caps or Caps.default()
     f = r.field
@@ -246,6 +323,17 @@ def all_submodules(r: Representation, caps: Caps | None = None):
     npts = projective_count(f.order, n)
     if npts > caps.submodule_points_cap:
         raise CapExceeded("projective point count %d exceeds cap" % npts)
+    if _norton_irreducible(r):
+        return [Subspace.zero(f, n), Subspace.full(f, n)]
+    return _enumerate_submodules(r, caps)
+
+
+def _enumerate_submodules(r: Representation, caps: Caps):
+    """The brute-force lattice: spin every projective point (every
+    submodule is a finite sum of cyclic ones), then close under pairwise
+    sums.  The fallback of `all_submodules`, and its oracle in the tests."""
+    f = r.field
+    n = r.dim
     subs = {}
     zero = Subspace.zero(f, n)
     subs[zero.mat.rows] = zero

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import astuple, dataclass, field as dc_field
 from math import comb
 
 from .errors import CapExceeded
@@ -263,8 +263,8 @@ _agreement_cache = {}
 def agreement_samples(seed, caps):
     """Seeded dim-4 two-generator samples over F_2 and F_3 with both
     thickness verdicts per degree; shared by the agreement and
-    implication/duality items."""
-    key = seed
+    implication/duality items, and cached on the seed and the caps."""
+    key = (seed, astuple(caps))
     if key in _agreement_cache:
         return _agreement_cache[key]
     samples = []
@@ -479,7 +479,7 @@ REGISTRY = [
 def run_item(item_id, seed=0, caps=None) -> ItemResult:
     caps = caps or Caps.default()
     fn = dict(REGISTRY)[item_id]
-    start = time.time()
+    start = time.perf_counter()
     try:
         details, certs = fn(seed, caps)
         status = VERIFIED
@@ -491,7 +491,7 @@ def run_item(item_id, seed=0, caps=None) -> ItemResult:
         details = {"cap": str(e)}
         certs = []
         status = SKIPPED
-    runtime_ms = int((time.time() - start) * 1000)
+    runtime_ms = int((time.perf_counter() - start) * 1000)
     return ItemResult(item_id, status, runtime_ms, details, certs)
 
 

@@ -184,6 +184,25 @@ def test_check_caps_flag_yields_unknown_exit(tmp_path, capsys):
     assert code == 2
 
 
+def test_bad_caps_exit_3(tmp_path, monkeypatch, capsys):
+    path = write_rep(tmp_path, "x.json", GF(2), [[[0, 1], [1, 0]]])
+    check = ["check", "--rep", path, "--mode", "thick", "--m", "1"]
+    verify = ["verify", "--filter", "characters-distinct-parts"]
+    for bad in ('{"pair_cpa": 1}', '{"group_cap": -5}', '{"pair_cap": 1.5}', '[1]', '{'):
+        assert main(check + ["--caps", bad]) == 3
+        assert main(verify + ["--caps", bad]) == 3
+        monkeypatch.setenv("THICKREP_CAPS", bad)
+        assert main(check) == 3
+        assert main(verify) == 3
+        monkeypatch.delenv("THICKREP_CAPS")
+    assert main(check + ["--caps", '{"pair_cap": 0}']) == 2  # zero is a valid cap
+    assert main(verify) == 0
+    # --caps is applied after THICKREP_CAPS
+    monkeypatch.setenv("THICKREP_CAPS", '{"pair_cap": 0}')
+    assert main(check) == 2
+    assert main(check + ["--caps", '{"pair_cap": 100}']) == 1
+
+
 def test_check_rejects_mismatched_method(tmp_path, capsys):
     path = write_rep(tmp_path, "x.json", GF(2), [[[0, 1], [1, 0]]])
     assert main(["check", "--rep", path, "--mode", "thick", "--method", "burnside"]) == 3

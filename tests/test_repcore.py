@@ -5,7 +5,10 @@ import pytest
 from thickrep.errors import CapExceeded, PreconditionFailed
 from thickrep.fields import GF, QQ
 from thickrep.linalg import Matrix, Subspace, random_invertible, unit_vector
+from thickrep.constructions import lie_generators
 from thickrep.repcore import (
+    _enumerate_submodules,
+    _norton_irreducible,
     Caps,
     GROUP,
     LIE,
@@ -109,6 +112,9 @@ def test_all_submodules_irreducible():
     r = group_rep(GF(2), [[[1, 1], [0, 1]], SWAP2])
     subs = all_submodules(r)
     assert [s.dim for s in subs] == [0, 2]
+    # the point cap is checked before Norton's test could decide the module
+    with pytest.raises(CapExceeded):
+        all_submodules(r, Caps(submodule_points_cap=2))
 
 
 def test_all_submodules_identity_rep():
@@ -129,6 +135,62 @@ def test_all_submodules_invariant_and_closed():
             for t in subs:
                 assert s.sum(t).mat.rows in keys
                 assert s.intersect(t).mat.rows in keys
+
+
+def _lattice_against_oracle(r):
+    """Check all_submodules against the brute-force lattice, and check that
+    Norton's test proves exactly the absolutely irreducible modules (its
+    fixed seed decides every module used below).  Returns the lattice."""
+    subs = all_submodules(r)
+    assert subs == _enumerate_submodules(r, Caps())
+    assert _norton_irreducible(r) == (burnside_dim(r) == r.dim * r.dim)
+    return subs
+
+
+def test_all_submodules_matches_oracle_on_agreement_samples():
+    # the first 20 reps per field of the seed-0 agreement samples
+    lattice_sizes = []
+    for q in (2, 3):
+        field = GF(q)
+        rng = random.Random(q)
+        for _ in range(20):
+            gens = [random_invertible(field, 4, rng) for _ in range(2)]
+            r = Representation(field, 4, GROUP, gens)
+            for m in (1, 2, 3):
+                lattice_sizes.append(len(_lattice_against_oracle(exterior_rep(r, m))))
+    assert lattice_sizes.count(2) > 0
+    assert len(lattice_sizes) - lattice_sizes.count(2) > 0
+
+
+def test_all_submodules_matches_oracle_over_gf4():
+    F4 = GF(2, 2)
+    rng = random.Random(404)
+    reps = [
+        Representation(F4, 3, GROUP, [random_invertible(F4, 3, rng) for _ in range(2)])
+        for _ in range(3)
+    ]
+    one, zero = F4.one, F4.zero
+    w = next(x for x in F4.elements() if x not in (zero, one))
+    upper = Matrix(F4, [[w, one, zero], [zero, one, w], [zero, zero, one]])
+    reps.append(Representation(F4, 3, GROUP, [upper]))
+    sizes = [len(_lattice_against_oracle(exterior_rep(r, m))) for r in reps for m in (1, 2)]
+    assert 2 in sizes and max(sizes) > 2
+
+
+def test_all_submodules_matches_oracle_lie_mode():
+    sl3 = Representation(GF(5), 3, LIE, lie_generators("sl", 3, GF(5)))
+    so4 = Representation(GF(3), 4, LIE, lie_generators("so_split", 4, GF(3)))
+    assert len(_lattice_against_oracle(exterior_rep(sl3, 1))) == 2
+    assert len(_lattice_against_oracle(exterior_rep(sl3, 2))) == 2
+    assert len(_lattice_against_oracle(exterior_rep(so4, 2))) > 2
+
+
+def test_all_submodules_not_absolutely_irreducible_falls_through():
+    # charpoly x^2 + x + 1 is irreducible over F_2: the module is
+    # irreducible, but splits over F_4, so Norton's test cannot decide it
+    r = group_rep(GF(2), [[[0, 1], [1, 1]]])
+    assert burnside_dim(r) == 2
+    assert [s.dim for s in _lattice_against_oracle(r)] == [0, 2]
 
 
 def test_commutant_absolutely_irreducible():
