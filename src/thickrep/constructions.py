@@ -17,7 +17,7 @@ from .errors import (
     FieldTooSmall,
     PreconditionFailed,
 )
-from .fields import GF, PrimeField, QQ, Rationals, linear_roots_fp, rational_roots
+from .fields import GF, PrimeField, QQ, _is_prime, poly_roots
 from .linalg import Matrix, Subspace, charpoly, kernel, random_invertible, unit_vector
 from .exterior import WedgeVector, is_decomposable, wedge_of_vectors
 from .repcore import (
@@ -55,7 +55,8 @@ def _check_window_subspace(rep, w: Subspace, m: int, witness_subset):
     if not w.contains_vector(probe.coords):
         raise ConstructionError("window subspace lost its decomposable witness")
     ok, _ = is_decomposable(probe)
-    assert ok
+    if not ok:
+        raise ConstructionError("window witness is not decomposable")
 
 
 @dataclass
@@ -196,21 +197,13 @@ def _product_indices(ell, m):
     return itertools.product(range(m), repeat=ell)
 
 
-def _field_roots(field, poly):
-    if isinstance(field, PrimeField):
-        return linear_roots_fp(poly)
-    if isinstance(field, Rationals):
-        return rational_roots(poly)
-    return []
-
-
 def _cramer_coefficients_nonzero(spec: BlockRepSpec, A: Matrix, B: Matrix):
     """Expand each shift-generator eigenvector in the eigenbasis of the
     second generator and test every coefficient against zero.  Skipped
     (checked=False) when b_ell does not split with distinct roots carrying
     full ell-th root sets disjoint from the shift eigenvalues."""
     f = spec.field
-    roots_b = _field_roots(f, charpoly(spec.b_ell))
+    roots_b = poly_roots(charpoly(spec.b_ell))
     if len(roots_b) != spec.m or any(mult != 1 for _, mult in roots_b):
         return False, False
     betas = [r for r, _ in roots_b]
@@ -253,17 +246,6 @@ def suggest_block_field(ell: int, m: int) -> PrimeField:
             continue
         if (p - 1) // ell >= 2 * m + 2:
             return GF(p)
-
-
-def _is_prime(p):
-    if p < 2:
-        return False
-    i = 2
-    while i * i <= p:
-        if p % i == 0:
-            return False
-        i += 1
-    return True
 
 
 def build_block_rep(ell: int, m: int, field=None, alphas=None, betas=None,
@@ -321,7 +303,7 @@ def block_eigenvectors(blocks):
     C = blocks[-1]
     for blk in reversed(blocks[:-1]):
         C = C * blk
-    roots = _field_roots(f, charpoly(C))
+    roots = poly_roots(charpoly(C))
     if len(roots) != m or any(mult != 1 for _, mult in roots):
         raise PreconditionFailed("product matrix lacks %d distinct eigenvalues" % m)
     X = _block_cycle(f, blocks)
@@ -427,7 +409,8 @@ def e1_wedge_subspace(field, n: int) -> Subspace:
         WedgeVector.basis_element(field, n, (1, j)).coords for j in range(2, n + 1)
     ]
     w = Subspace.from_vectors(field, comb(n, 2), vecs)
-    assert w.dim == n - 1
+    if w.dim != n - 1:
+        raise ConstructionError("e1 wedge subspace has dim %d, not %d" % (w.dim, n - 1))
     return w
 
 
@@ -519,7 +502,8 @@ def lie_generators(family: str, n: int, field=QQ):
                         )
                     )
         _verify_form_compat(out, J)
-        assert len(out) == half * (2 * half + 1)
+        if len(out) != half * (2 * half + 1):
+            raise ConstructionError("sp basis has %d elements" % len(out))
         return out
     if family == "so_split":
         S = split_orthogonal_form_matrix(field, n)
@@ -558,7 +542,8 @@ def lie_generators(family: str, n: int, field=QQ):
                     )
                 )
         _verify_form_compat(out, S)
-        assert len(out) == n * (n - 1) // 2
+        if len(out) != n * (n - 1) // 2:
+            raise ConstructionError("so basis has %d elements" % len(out))
         return out
     raise BadFamily("unknown family %r" % (family,))
 

@@ -13,6 +13,10 @@ class DivisionByZero(ThickRepError, ZeroDivisionError):
     pass
 
 
+class BadScalar(ThickRepError, ValueError):
+    """Scalar text that does not name an element of its field."""
+
+
 class NotMonic(ThickRepError):
     pass
 
@@ -86,4 +90,5 @@ class ScaleExceeded(ThickRepError):
 
 
 class ConstructionError(ThickRepError):
-    """A factory's built-in self-verification failed."""
+    """A built-in self-verification failed: a factory's output or an
+    internal witness did not check out."""

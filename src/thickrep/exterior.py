@@ -13,9 +13,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .errors import AmbientMismatch, BadM, DegreeOverflow, DimensionMismatch
-from .fields import PrimeField
-from .linalg import Matrix, Subspace, kernel
+from .errors import (
+    AmbientMismatch,
+    BadM,
+    ConstructionError,
+    DegreeOverflow,
+    DimensionMismatch,
+)
+from .linalg import Matrix, Subspace, det_rows, kernel
 
 DEFAULT_POINTS_CAP = 1_000_000
 
@@ -37,16 +42,6 @@ def _subset_index(n: int, m: int):
 def subset_rank(subset) -> int:
     """Colex position of an increasing 1-based subset."""
     return sum(comb(s - 1, t + 1) for t, s in enumerate(subset))
-
-
-@dataclass(frozen=True)
-class WedgeIndex:
-    n: int
-    subset: tuple
-
-    @property
-    def rank(self) -> int:
-        return subset_rank(self.subset)
 
 
 class WedgeVector:
@@ -128,45 +123,6 @@ class WedgeVector:
         return cls(field, n, m, coords)
 
 
-def _minor_det(field, rows):
-    """Determinant of a small matrix given as row tuples."""
-    n = len(rows)
-    if n == 0:
-        return field.one
-    if n == 1:
-        return rows[0][0]
-    f = field
-    if n == 2:
-        (a, b), (c, d) = rows
-        if f.native:
-            v = a * d - b * c
-            return v % f.p if isinstance(f, PrimeField) else v
-        return f.sub(f.mul(a, d), f.mul(b, c))
-    work = [list(r) for r in rows]
-    sign_flip = False
-    acc = f.one
-    for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if work[i][c] != f.zero:
-                pr = i
-                break
-        if pr is None:
-            return f.zero
-        if pr != c:
-            work[c], work[pr] = work[pr], work[c]
-            sign_flip = not sign_flip
-        piv = work[c][c]
-        acc = f.mul(acc, piv)
-        inv = f.inv(piv)
-        for i in range(c + 1, n):
-            t = work[i][c]
-            if t != f.zero:
-                t = f.mul(t, inv)
-                work[i] = [f.sub(x, f.mul(t, y)) for x, y in zip(work[i], work[c])]
-    return f.neg(acc) if sign_flip else acc
-
-
 def wedge_of_vectors(field, n, vectors) -> WedgeVector:
     """v_1 ^ ... ^ v_m; zero exactly when the vectors are dependent."""
     vectors = [tuple(v) for v in vectors]
@@ -179,7 +135,7 @@ def wedge_of_vectors(field, n, vectors) -> WedgeVector:
     coords = []
     for subset in colex_subsets(n, m):
         rows = [tuple(v[s - 1] for v in vectors) for s in subset]
-        coords.append(_minor_det(field, rows))
+        coords.append(det_rows(field, rows))
     return WedgeVector(field, n, m, coords)
 
 
@@ -192,12 +148,21 @@ def compound(a: Matrix, m: int) -> Matrix:
         raise BadM("m=%d out of range for n=%d" % (m, n))
     f = a.field
     subs = colex_subsets(n, m)
+    if m == 2:
+        # 2x2 minors straight from the rows, without building the submatrix
+        mul, sub = f.mul, f.sub
+        pairs = [(k - 1, l - 1) for k, l in subs]
+        rows = a.rows
+        return Matrix(f, [
+            [sub(mul(ri[k], rj[l]), mul(ri[l], rj[k])) for k, l in pairs]
+            for ri, rj in ((rows[i], rows[j]) for i, j in pairs)
+        ])
     out = []
     for S in subs:
         srows = [a.rows[i - 1] for i in S]
         orow = []
         for T in subs:
-            orow.append(_minor_det(f, [tuple(r[j - 1] for j in T) for r in srows]))
+            orow.append(det_rows(f, [tuple(r[j - 1] for j in T) for r in srows]))
         out.append(orow)
     return Matrix(f, out)
 
@@ -345,7 +310,8 @@ def is_decomposable(v: WedgeVector):
     witness = list(ann.basis_vectors())
     if v.m > 0:
         w = wedge_of_vectors(v.field, v.n, witness)
-        assert _proportional(v, w), "annihilator witness failed to reproduce v"
+        if not _proportional(v, w):
+            raise ConstructionError("annihilator witness failed to reproduce v")
     return True, witness
 
 
@@ -386,20 +352,16 @@ class RealizabilityResult:
     exhaustive: bool = False
 
 
-def _subspace_wedge_points(w: Subspace, n, m, coeff_iter):
+def subspace_wedge_points(w: Subspace, n, m, coeff_iter):
+    """The wedge vectors sum(c_i * basis_i) of w, one per coefficient tuple."""
     f = w.field
     basis = w.basis_vectors()
+    zero, neg, axpy = f.zero, f.neg, f.axpy
     for coeffs in coeff_iter:
-        v = [f.zero] * w.ambient
+        v = [zero] * w.ambient
         for c, row in zip(coeffs, basis):
-            if c == f.zero:
-                continue
-            if f.native:
-                v = [x + c * y for x, y in zip(v, row)]
-            else:
-                v = [f.add(x, f.mul(c, y)) for x, y in zip(v, row)]
-        if isinstance(f, PrimeField):
-            v = [x % f.p for x in v]
+            if c != zero:
+                v = axpy(v, neg(c), row)
         yield WedgeVector(f, n, m, v)
 
 
@@ -420,23 +382,19 @@ def realizable_search(
     d = w.dim
     if d == 0:
         return RealizabilityResult("NotRealizable", exhaustive=True)
-    if f.finite:
-        npts = projective_count(f.order, d)
-        if npts <= points_cap:
-            scanned = 0
-            for v in _subspace_wedge_points(w, n, m, projective_coefficients(f, d)):
-                scanned += 1
-                ok, wit = is_decomposable(v)
-                if ok:
-                    return RealizabilityResult(
-                        "Realizable", v, wit, scanned, exhaustive=True
-                    )
-            return RealizabilityResult("NotRealizable", scanned=scanned, exhaustive=True)
-        coeff_iter = _heuristic_coefficients(f, d, seed, rational_trials)
-    else:
-        coeff_iter = _heuristic_coefficients(f, d, seed, rational_trials)
+    if f.finite and projective_count(f.order, d) <= points_cap:
+        scanned = 0
+        for v in subspace_wedge_points(w, n, m, projective_coefficients(f, d)):
+            scanned += 1
+            ok, wit = is_decomposable(v)
+            if ok:
+                return RealizabilityResult(
+                    "Realizable", v, wit, scanned, exhaustive=True
+                )
+        return RealizabilityResult("NotRealizable", scanned=scanned, exhaustive=True)
+    coeff_iter = _heuristic_coefficients(f, d, seed, rational_trials)
     scanned = 0
-    for v in _subspace_wedge_points(w, n, m, coeff_iter):
+    for v in subspace_wedge_points(w, n, m, coeff_iter):
         scanned += 1
         if v.is_zero():
             continue
@@ -461,7 +419,4 @@ def _heuristic_coefficients(field, d, seed, trials):
             yield coeffs
     rng = _random.Random(seed)
     for _ in range(trials):
-        if f.finite:
-            yield tuple(f.random(rng) for _ in range(d))
-        else:
-            yield tuple(f.random(rng) for _ in range(d))
+        yield tuple(f.random(rng) for _ in range(d))

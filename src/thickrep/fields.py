@@ -3,6 +3,11 @@
 Field objects carry the arithmetic; scalar values themselves are plain
 Python objects (`fractions.Fraction` for the rationals, canonical residues
 in ``[0, p)`` for a prime field).  All operations are exact.
+
+Besides scalar ``add``/``sub``/``mul``/``neg``/``inv``/``div`` every field
+has the three row operations that all elimination in the package runs on:
+``dot(u, v)``, ``axpy(w, t, row)`` = w - t*row and ``scale(c, row)``, each
+returning canonical values.
 """
 
 from __future__ import annotations
@@ -12,6 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
+    BadScalar,
+    ConstructionError,
     DivisionByZero,
     FieldMismatch,
     NotMonic,
@@ -30,7 +37,6 @@ class Rationals:
     kind = "Q"
     finite = False
     char = 0
-    native = True  # values support +, -, * directly
 
     zero = Fraction(0)
     one = Fraction(1)
@@ -60,6 +66,15 @@ class Rationals:
     def reduce(self, a):
         return a
 
+    def dot(self, u, v):
+        return sum(a * b for a, b in zip(u, v))
+
+    def axpy(self, w, t, row):
+        return [x - t * y for x, y in zip(w, row)]
+
+    def scale(self, c, row):
+        return [c * x for x in row]
+
     def from_int(self, i):
         return Fraction(i)
 
@@ -72,7 +87,12 @@ class Rationals:
         return str(Fraction(a))
 
     def parse(self, s: str):
-        return Fraction(s)
+        try:
+            return Fraction(s)
+        except ZeroDivisionError:
+            raise DivisionByZero("zero denominator in %r" % (s,)) from None
+        except (TypeError, ValueError):
+            raise BadScalar("not a rational number: %r" % (s,)) from None
 
     def random(self, rng, span=5):
         return Fraction(rng.randint(-span, span))
@@ -142,7 +162,6 @@ class PrimeField:
 
     kind = "Fp"
     finite = True
-    native = True
 
     def __init__(self, p: int):
         if not _is_prime(p):
@@ -176,6 +195,17 @@ class PrimeField:
     def reduce(self, a):
         return a % self.p
 
+    def dot(self, u, v):
+        return sum(a * b for a, b in zip(u, v)) % self.p
+
+    def axpy(self, w, t, row):
+        p = self.p
+        return [(x - t * y) % p for x, y in zip(w, row)]
+
+    def scale(self, c, row):
+        p = self.p
+        return [(c * x) % p for x in row]
+
     def from_int(self, i):
         return i % self.p
 
@@ -192,7 +222,10 @@ class PrimeField:
         return str(a % self.p)
 
     def parse(self, s: str):
-        return int(s) % self.p
+        try:
+            return int(s) % self.p
+        except (TypeError, ValueError):
+            raise BadScalar("not an integer residue: %r" % (s,)) from None
 
     def random(self, rng):
         return rng.randrange(self.p)
@@ -222,7 +255,6 @@ class ExtensionField:
 
     kind = "Fq"
     finite = True
-    native = False
 
     def __init__(self, p: int, modulus):
         # modulus: monic coefficients low-first, degree k >= 2
@@ -230,7 +262,8 @@ class ExtensionField:
         self.char = p
         self.base = GF(p)
         self.modulus = tuple(c % p for c in modulus)
-        assert self.modulus[-1] == 1
+        if self.modulus[-1] != 1:
+            raise NotMonic("the modulus must be monic")
         self.k = len(self.modulus) - 1
         self.order = p**self.k
         self.zero = (0,) * self.k
@@ -274,10 +307,28 @@ class ExtensionField:
         for b in self.elements():
             if self.mul(a, b) == self.one:
                 return b
-        raise AssertionError("no inverse found; modulus not irreducible?")
+        raise WrongField("%r has no inverse: the modulus is reducible" % (a,))
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
+
+    def reduce(self, a):
+        return a
+
+    def dot(self, u, v):
+        add, mul = self.add, self.mul
+        s = self.zero
+        for a, b in zip(u, v):
+            s = add(s, mul(a, b))
+        return s
+
+    def axpy(self, w, t, row):
+        sub, mul = self.sub, self.mul
+        return [sub(x, mul(t, y)) for x, y in zip(w, row)]
+
+    def scale(self, c, row):
+        mul = self.mul
+        return [mul(c, x) for x in row]
 
     def from_int(self, i):
         return tuple([i % self.p] + [0] * (self.k - 1))
@@ -418,7 +469,7 @@ class Poly:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field, coeffs):
-        c = [field.reduce(x) if field.native else x for x in coeffs]
+        c = [field.reduce(x) for x in coeffs]
         while c and c[-1] == field.zero:
             c.pop()
         self.field = field
@@ -564,7 +615,8 @@ def poly_factor_fp(f: Poly):
             factors.setdefault(Poly.x_minus(field, r), 0)
             factors[Poly.x_minus(field, r)] += 1
             rem, r0 = rem.divmod(Poly.x_minus(field, r))
-            assert r0.is_zero()
+            if not r0.is_zero():
+                raise ConstructionError("root %r left a remainder" % (r,))
     d = 2
     while 2 * d <= rem.degree:
         # one full pass removes every irreducible factor of degree d
@@ -594,6 +646,25 @@ def linear_roots_fp(f: Poly):
         if fac.degree == 1:
             # x + c -> root -c
             out.append((f.field.neg(fac.coeffs[0]), mult))
+    return out
+
+
+def poly_roots(f: Poly):
+    """Roots of f in its field with multiplicities, as (root, mult) pairs."""
+    field = f.field
+    if isinstance(field, PrimeField):
+        return linear_roots_fp(f)
+    if isinstance(field, Rationals):
+        return rational_roots(f)
+    out = []
+    for a in field.elements():
+        mult = 0
+        rem = f
+        while rem.degree >= 1 and rem(a) == field.zero:
+            rem, _ = rem.divmod(Poly.x_minus(field, a))
+            mult += 1
+        if mult:
+            out.append((a, mult))
     return out
 
 

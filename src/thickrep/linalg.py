@@ -9,7 +9,7 @@ when their canonical bases are identical.
 from __future__ import annotations
 
 from .errors import AmbientMismatch, DivisionByZero, NotSquare
-from .fields import Poly, PrimeField
+from .fields import Poly
 
 
 class Matrix:
@@ -68,36 +68,9 @@ class Matrix:
         return "Matrix[%s]" % body
 
     def __mul__(self, other):
-        f = self.field
+        dot = self.field.dot
         cols = list(zip(*other.rows))
-        if f.native:
-            if isinstance(f, PrimeField):
-                p = f.p
-                return Matrix(
-                    f,
-                    [
-                        [sum(a * b for a, b in zip(row, col)) % p for col in cols]
-                        for row in self.rows
-                    ],
-                )
-            return Matrix(
-                f,
-                [
-                    [sum(a * b for a, b in zip(row, col)) for col in cols]
-                    for row in self.rows
-                ],
-            )
-        add, mul, zero = f.add, f.mul, f.zero
-        out = []
-        for row in self.rows:
-            orow = []
-            for col in cols:
-                s = zero
-                for a, b in zip(row, col):
-                    s = add(s, mul(a, b))
-                orow.append(s)
-            out.append(orow)
-        return Matrix(f, out)
+        return Matrix(self.field, [[dot(row, col) for col in cols] for row in self.rows])
 
     def __add__(self, other):
         f = self.field
@@ -125,7 +98,7 @@ class Matrix:
 
     def scale(self, c):
         f = self.field
-        return Matrix(f, [[f.mul(c, a) for a in r] for r in self.rows])
+        return Matrix(f, [f.scale(c, r) for r in self.rows])
 
     def transpose(self):
         return Matrix(self.field, list(zip(*self.rows)))
@@ -142,20 +115,8 @@ class Matrix:
 
     def apply(self, v):
         """Matrix times column vector."""
-        f = self.field
-        if f.native:
-            if isinstance(f, PrimeField):
-                p = f.p
-                return tuple(sum(a * b for a, b in zip(row, v)) % p for row in self.rows)
-            return tuple(sum(a * b for a, b in zip(row, v)) for row in self.rows)
-        add, mul = f.add, f.mul
-        out = []
-        for row in self.rows:
-            s = f.zero
-            for a, b in zip(row, v):
-                s = add(s, mul(a, b))
-            out.append(s)
-        return tuple(out)
+        dot = self.field.dot
+        return tuple([dot(row, v) for row in self.rows])
 
     def rank(self):
         return rref(self)[1]
@@ -187,7 +148,7 @@ def _rref_rows(field, rows, ncols):
     nrows = len(rows)
     pivots = []
     r = 0
-    native_p = field.p if isinstance(field, PrimeField) else None
+    axpy = field.axpy
     for c in range(ncols):
         pr = None
         for i in range(r, nrows):
@@ -200,24 +161,14 @@ def _rref_rows(field, rows, ncols):
             rows[r], rows[pr] = rows[pr], rows[r]
         pivval = rows[r][c]
         if pivval != field.one:
-            inv = field.inv(pivval)
-            if native_p is not None:
-                rows[r] = [(inv * x) % native_p for x in rows[r]]
-            else:
-                rows[r] = [field.mul(inv, x) for x in rows[r]]
+            rows[r] = field.scale(field.inv(pivval), rows[r])
         prow = rows[r]
         for i in range(nrows):
             if i == r:
                 continue
             t = rows[i][c]
             if t != zero:
-                if native_p is not None:
-                    rows[i] = [(x - t * y) % native_p for x, y in zip(rows[i], prow)]
-                elif field.native:
-                    rows[i] = [x - t * y for x, y in zip(rows[i], prow)]
-                else:
-                    mul, sub = field.mul, field.sub
-                    rows[i] = [sub(x, mul(t, y)) for x, y in zip(rows[i], prow)]
+                rows[i] = axpy(rows[i], t, prow)
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -240,14 +191,24 @@ def rank_of_rows(field, rows, ncols):
 
 
 def det(m: Matrix):
-    """Determinant by field Gaussian elimination."""
+    """Determinant of a square matrix."""
     if not m.is_square():
         raise NotSquare("determinant of a non-square matrix")
-    f = m.field
-    n = m.nrows
+    return det_rows(m.field, m.rows)
+
+
+def det_rows(f, rows):
+    """Determinant of a square matrix given as row sequences, by Gaussian
+    elimination; sizes 0, 1 and 2 are expanded directly."""
+    n = len(rows)
     if n == 0:
         return f.one
-    rows = [list(r) for r in m.rows]
+    if n == 1:
+        return rows[0][0]
+    if n == 2:
+        (a, b), (c, d) = rows
+        return f.sub(f.mul(a, d), f.mul(b, c))
+    rows = [list(r) for r in rows]
     sign_flip = False
     acc = f.one
     for c in range(n):
@@ -267,8 +228,7 @@ def det(m: Matrix):
         for i in range(c + 1, n):
             t = rows[i][c]
             if t != f.zero:
-                t = f.mul(t, inv)
-                rows[i] = [f.sub(x, f.mul(t, y)) for x, y in zip(rows[i], rows[c])]
+                rows[i] = f.axpy(rows[i], f.mul(t, inv), rows[c])
     return f.neg(acc) if sign_flip else acc
 
 
@@ -292,36 +252,12 @@ def charpoly(m: Matrix) -> Poly:
         ts = [f.one, f.neg(d)]
         v = C
         for _ in range(r):
-            s = f.zero
-            for a, b in zip(R, v):
-                s = f.add(s, f.mul(a, b))
-            ts.append(f.neg(s))
+            ts.append(f.neg(f.dot(R, v)))
             # v <- M v with M the leading r x r block
-            v = [
-                _dot(f, rows[i][:r], v)
-                for i in range(r)
-            ]
-        newc = []
-        for i in range(r + 2):
-            s = f.zero
-            for j in range(len(c)):
-                k = i - j
-                if 0 <= k < len(ts):
-                    s = f.add(s, f.mul(ts[k], c[j]))
-            newc.append(s)
-        c = newc
+            v = [f.dot(rows[i][:r], v) for i in range(r)]
+        # c <- the product of c and ts; len(ts) == r + 2 > len(c)
+        c = [f.dot(c, ts[i::-1]) for i in range(r + 2)]
     return Poly(f, list(reversed(c)))
-
-
-def _dot(f, u, v):
-    if f.native:
-        if isinstance(f, PrimeField):
-            return sum(a * b for a, b in zip(u, v)) % f.p
-        return sum(a * b for a, b in zip(u, v))
-    s = f.zero
-    for a, b in zip(u, v):
-        s = f.add(s, f.mul(a, b))
-    return s
 
 
 def solve_linear(m: Matrix, rhs):
@@ -415,37 +351,16 @@ class Subspace:
         )
 
     def contains_vector(self, v):
-        f = self.field
         if len(v) != self.ambient:
             raise AmbientMismatch("vector length mismatch")
-        w = list(v)
-        zero = f.zero
-        for row, pc in zip(self.mat.rows, self.pivots):
-            t = w[pc]
-            if t != zero:
-                if f.native:
-                    w = [x - t * y for x, y in zip(w, row)]
-                    if isinstance(f, PrimeField):
-                        w = [x % f.p for x in w]
-                else:
-                    w = [f.sub(x, f.mul(t, y)) for x, y in zip(w, row)]
-        return all(x == zero for x in w)
+        zero = self.field.zero
+        return all(
+            x == zero for x in _reduce(self.field, self.mat.rows, self.pivots, v)
+        )
 
     def reduce_vector(self, v):
         """Residual of v after reduction against the basis (zero iff v in span)."""
-        f = self.field
-        w = list(v)
-        zero = f.zero
-        for row, pc in zip(self.mat.rows, self.pivots):
-            t = w[pc]
-            if t != zero:
-                if f.native:
-                    w = [x - t * y for x, y in zip(w, row)]
-                    if isinstance(f, PrimeField):
-                        w = [x % f.p for x in w]
-                else:
-                    w = [f.sub(x, f.mul(t, y)) for x, y in zip(w, row)]
-        return tuple(w)
+        return tuple(_reduce(self.field, self.mat.rows, self.pivots, v))
 
     def contains(self, other: "Subspace"):
         self._check(other)
@@ -507,20 +422,7 @@ class RowBasis:
         return len(self.rows)
 
     def reduce(self, v):
-        f = self.field
-        w = list(v)
-        zero = f.zero
-        native_p = f.p if isinstance(f, PrimeField) else None
-        for row, pc in zip(self.rows, self.pivots):
-            t = w[pc]
-            if t != zero:
-                if native_p is not None:
-                    w = [(x - t * y) % native_p for x, y in zip(w, row)]
-                elif f.native:
-                    w = [x - t * y for x, y in zip(w, row)]
-                else:
-                    w = [f.sub(x, f.mul(t, y)) for x, y in zip(w, row)]
-        return w
+        return _reduce(self.field, self.rows, self.pivots, v)
 
     def insert(self, v) -> bool:
         """Add v to the span; returns True when the dimension grows."""
@@ -532,12 +434,12 @@ class RowBasis:
             return False
         inv = f.inv(w[pc])
         if inv != f.one:
-            w = [f.mul(inv, x) for x in w]
+            w = f.scale(inv, w)
         # eliminate the new pivot from the existing rows
         for k, row in enumerate(self.rows):
             t = row[pc]
             if t != zero:
-                self.rows[k] = [f.sub(x, f.mul(t, y)) for x, y in zip(row, w)]
+                self.rows[k] = f.axpy(row, t, w)
         at = next((k for k, p in enumerate(self.pivots) if p > pc), len(self.pivots))
         self.rows.insert(at, w)
         self.pivots.insert(at, pc)
@@ -550,6 +452,18 @@ class RowBasis:
             Matrix(self.field, [tuple(r) for r in self.rows]),
             tuple(self.pivots),
         )
+
+
+def _reduce(field, rows, pivots, v):
+    """Residual of v after elimination against RREF rows with the given
+    pivot columns, as a list; zero exactly when v lies in their span."""
+    axpy, zero = field.axpy, field.zero
+    w = list(v)
+    for row, pc in zip(rows, pivots):
+        t = w[pc]
+        if t != zero:
+            w = axpy(w, t, row)
+    return w
 
 
 def subspace_algebra(a: Subspace, b: Subspace, op: str):
@@ -576,11 +490,7 @@ def vec_sub(f, u, v):
 
 
 def vec_scale(f, c, u):
-    return tuple(f.mul(c, a) for a in u)
-
-
-def vec_dot(f, u, v):
-    return _dot(f, u, v)
+    return tuple(f.scale(c, u))
 
 
 def vec_is_zero(f, u):

@@ -17,8 +17,16 @@ import random
 from dataclasses import dataclass, field as dc_field, fields
 from math import comb
 
-from .errors import BadCaps, BadM, CapExceeded, DimensionMismatch, PreconditionFailed, WrongField
-from .fields import GF, PrimeField, Rationals, linear_roots_fp, rational_roots
+from .errors import (
+    BadCaps,
+    BadM,
+    CapExceeded,
+    ConstructionError,
+    DimensionMismatch,
+    PreconditionFailed,
+    WrongField,
+)
+from .fields import GF, Rationals, poly_roots
 from .linalg import (
     Matrix,
     RowBasis,
@@ -26,7 +34,6 @@ from .linalg import (
     charpoly,
     kernel,
     rank_of_rows,
-    vec_dot,
 )
 from . import exterior
 from .exterior import (
@@ -282,7 +289,7 @@ def _norton_irreducible(r: Representation) -> bool:
         coeffs = [f.random(rng) for _ in words]
         # theta = sum of coeffs[k] * words[k], entry by entry
         theta = Matrix(f, [
-            [vec_dot(f, coeffs, entries) for entries in zip(*rows)]
+            [f.dot(coeffs, entries) for entries in zip(*rows)]
             for rows in zip(*(w.rows for w in words))
         ])
         cp = charpoly(theta)
@@ -418,37 +425,6 @@ def commutant(r: Representation):
     return len(basis), basis
 
 
-def _split_roots(f, poly):
-    """Roots-with-multiplicity of a charpoly if it splits completely
-    into linear factors over the field, else None."""
-    if isinstance(f, PrimeField):
-        roots = linear_roots_fp(poly)
-    elif isinstance(f, Rationals):
-        roots = rational_roots(poly)
-    else:
-        roots = [
-            (a, _root_multiplicity(poly, a))
-            for a in f.elements()
-            if poly(a) == f.zero
-        ]
-        roots = [(a, m) for a, m in roots if m]
-    total = sum(mult for _, mult in roots)
-    if total != poly.degree:
-        return None
-    return roots
-
-
-def _root_multiplicity(poly, a):
-    from .fields import Poly
-
-    mult = 0
-    rem = poly
-    while rem.degree >= 1 and rem(a) == rem.field.zero:
-        rem, _ = rem.divmod(Poly.x_minus(rem.field, a))
-        mult += 1
-    return mult
-
-
 def isotypic_decomposition(r: Representation, seed: int = 0, max_tries: int = 8):
     """Eigenspace decomposition from a random commutant element.
 
@@ -471,8 +447,10 @@ def isotypic_decomposition(r: Representation, seed: int = 0, max_tries: int = 8)
         elem = Matrix.zero(f, n, n)
         for b in cbasis:
             elem = elem + b.scale(f.random(rng))
-        roots = _split_roots(f, charpoly(elem))
-        if roots is None or len(roots) != cdim:
+        cp = charpoly(elem)
+        roots = poly_roots(cp)
+        # the charpoly must split, with one root per commutant dimension
+        if sum(mult for _, mult in roots) != cp.degree or len(roots) != cdim:
             continue
         eig = []
         ok = True
@@ -570,7 +548,8 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     for i in range(k):
         num *= q ** (n - i) - 1
         den *= q ** (i + 1) - 1
-    assert num % den == 0
+    if num % den:
+        raise ConstructionError("Gaussian binomial quotient is not integral")
     return num // den
 
 
@@ -692,7 +671,8 @@ def _certificate_from_pair(r, m, v1: Subspace, v2: Subspace) -> NotThickCertific
     w1 = spin(ext, [x.coords])
     w2 = perp(w1, n, m)
     y = wedge_of_vectors(f, n, v2.basis_vectors())
-    assert w2.contains_vector(y.coords), "failing pair did not yield a perp witness"
+    if not w2.contains_vector(y.coords):
+        raise ConstructionError("failing pair did not yield a perp witness")
     return NotThickCertificate(
         field=f, n=n, m=m, w1=w1, w2=w2,
         witness1=tuple(v1.basis_vectors()),
@@ -843,7 +823,8 @@ def _criterion_spin_route(r, ext, m, caps: Caps, seed: int) -> ThicknessReport:
         r2 = _subspace_realizability(w2, n, n - m, caps, seed)
         if r2.status == "Realizable":
             ok, wit1 = is_decomposable(WedgeVector(f, n, m, x.coords))
-            assert ok
+            if not ok:
+                raise ConstructionError("realizable point has no wedge witness")
             cert = NotThickCertificate(
                 field=f, n=n, m=m, w1=w1, w2=w2,
                 witness1=tuple(wit1), witness2=tuple(r2.witness_vectors),
@@ -884,9 +865,16 @@ def _rational_candidate_subspaces(f, n, m, caps: Caps, seed: int):
 
 def verify_not_thick_certificate(r: Representation, cert: NotThickCertificate) -> bool:
     """Independent re-check of a refutation using exterior/linalg operations:
-    invariance of both sides, the perp relation, and both wedge witnesses."""
+    invariance of both sides, the perp relation, and both wedge witnesses.
+    A certificate of the wrong shape does not verify."""
     f, n, m = cert.field, cert.n, cert.m
-    if f != r.field or n != r.dim:
+    if f != r.field or n != r.dim or not 0 < m < n:
+        return False
+    if len(cert.witness1) != m or len(cert.witness2) != n - m:
+        return False
+    if any(len(v) != n for v in (*cert.witness1, *cert.witness2)):
+        return False
+    if cert.w1.ambient != comb(n, m) or cert.w2.ambient != comb(n, n - m):
         return False
     lift = compound if r.mode == GROUP else derivation
     for g in r.generators:
@@ -935,6 +923,6 @@ def r_number_bounds(n: int, m: int) -> RNumberBounds:
         exact = n // (n - m)
     elif n == 5 and m in (2, 3):
         exact = 4
-    if exact is not None:
-        assert lower <= exact <= upper
+    if exact is not None and not lower <= exact <= upper:
+        raise ConstructionError("r-number %d outside [%d, %d]" % (exact, lower, upper))
     return RNumberBounds(n, m, lower, upper, exact)

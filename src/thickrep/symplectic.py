@@ -30,6 +30,7 @@ from .exterior import (
     projective_coefficients,
     projective_count,
     subset_rank,
+    subspace_wedge_points,
     wedge_of_vectors,
     wedge_product,
 )
@@ -51,14 +52,7 @@ class SymplecticSpace:
         return 2 * self.n
 
     def omega(self, u, v):
-        f = self.field
-        jv = self.form.apply(v)
-        if f.native:
-            return f.reduce(sum(a * b for a, b in zip(u, jv)))
-        s = f.zero
-        for a, b in zip(u, jv):
-            s = f.add(s, f.mul(a, b))
-        return s
+        return self.field.dot(u, self.form.apply(v))
 
     def lie_algebra(self):
         return lie_generators("sp", self.n, self.field)
@@ -381,14 +375,10 @@ def ker_perp_realizability_check(
         report.scan_prong_ran = True
         bad = 0
         count = 0
-        basis = kp.basis_vectors()
-        for coeffs in projective_coefficients(f, kp.dim):
+        points = projective_coefficients(f, kp.dim)
+        for v in subspace_wedge_points(kp, N, N - m, points):
             count += 1
-            v = [f.zero] * kp.ambient
-            for c, row in zip(coeffs, basis):
-                if c != f.zero:
-                    v = [f.add(a, f.mul(c, b)) for a, b in zip(v, row)]
-            ok, _ = is_decomposable(WedgeVector(f, N, N - m, v))
+            ok, _ = is_decomposable(v)
             if ok:
                 bad += 1
         report.scan_points = count

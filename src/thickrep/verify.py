@@ -1,7 +1,7 @@
 """The verification suite: one item per family of verified claims.
 
 Each item is a pure function of (seed, caps) returning an ItemResult with
-status Verified / Refuted / Skipped / Unknown, timing, details, and any
+status Verified / Refuted / Skipped / Error, timing, details, and any
 refutation certificates produced along the way.  The CLI `verify`
 subcommand and the acceptance tests both drive this registry.
 """
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 import time
+import traceback
 from dataclasses import astuple, dataclass, field as dc_field
 from math import comb
 
@@ -74,6 +75,7 @@ VERIFIED = "Verified"
 REFUTED = "Refuted"
 SKIPPED = "Skipped"
 UNKNOWN = "Unknown"
+ERROR = "Error"
 
 
 @dataclass
@@ -491,6 +493,15 @@ def run_item(item_id, seed=0, caps=None) -> ItemResult:
         details = {"cap": str(e)}
         certs = []
         status = SKIPPED
+    except Exception as e:
+        # one crashing item must not abort the rest of the suite
+        details = {
+            "error": type(e).__name__,
+            "message": str(e),
+            "traceback": traceback.format_exc(),
+        }
+        certs = []
+        status = ERROR
     runtime_ms = int((time.perf_counter() - start) * 1000)
     return ItemResult(item_id, status, runtime_ms, details, certs)
 
@@ -506,7 +517,10 @@ def run_suite(filter_substring="", seed=0, caps=None, jobs=1) -> SuiteReport:
             results = [futures[iid].result() for iid in ids]
     else:
         results = [run_item(iid, seed, caps) for iid in ids]
-    overall = VERIFIED if all(
-        r.status == VERIFIED for r in results if r.status != SKIPPED
-    ) else REFUTED
+    if any(r.status == ERROR for r in results):
+        overall = ERROR
+    elif all(r.status == VERIFIED for r in results if r.status != SKIPPED):
+        overall = VERIFIED
+    else:
+        overall = REFUTED
     return SuiteReport(results, overall)

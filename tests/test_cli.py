@@ -1,7 +1,7 @@
 import json
 
 from thickrep.cli import main
-from thickrep.fields import GF
+from thickrep.fields import GF, QQ
 from thickrep.linalg import Matrix
 from thickrep.repcore import GROUP, Representation
 from thickrep import serialize
@@ -207,3 +207,51 @@ def test_check_rejects_mismatched_method(tmp_path, capsys):
     path = write_rep(tmp_path, "x.json", GF(2), [[[0, 1], [1, 0]]])
     assert main(["check", "--rep", path, "--mode", "thick", "--method", "burnside"]) == 3
     assert main(["check", "--rep", path, "--mode", "dense", "--method", "criterion"]) == 3
+
+
+def _f3_certificate(tmp_path):
+    path = write_rep(
+        tmp_path, "tri3.json", GF(3), [[[1, 1, 0], [0, 1, 0], [0, 0, 1]]]
+    )
+    report_path = tmp_path / "report.json"
+    main(["check", "--rep", path, "--mode", "thick", "--m", "1",
+          "--method", "criterion", "--json-out", str(report_path)])
+    return json.loads(report_path.read_text())["certificate"]
+
+
+def test_recheck_wrong_shape_does_not_verify(tmp_path, capsys):
+    cert = _f3_certificate(tmp_path)
+    assert cert["n"] == 3 and cert["m"] == 1
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(serialize.dumps(cert))
+    assert main(["recheck", "--certificate", str(cert_path)]) == 0
+    capsys.readouterr()
+    # C(3,1) == C(3,2), so only the witness counts tell m = 1 from m = 2
+    tampered = [
+        dict(cert, witness1=[]),
+        dict(cert, m=2),
+        dict(cert, m=0),
+        dict(cert, m=3),
+        dict(cert, witness2=cert["witness2"][:1]),
+        dict(cert, witness1=[v + ["0"] for v in cert["witness1"]]),
+    ]
+    for bad in tampered:
+        cert_path.write_text(serialize.dumps(bad))
+        assert main(["recheck", "--certificate", str(cert_path)]) == 1, bad
+        assert json.loads(capsys.readouterr().out)["verifies"] is False
+
+
+def test_malformed_scalar_exit_3(tmp_path, capsys):
+    for field, bad in ((QQ, "1/0"), (QQ, "x"), (GF(3), "1/2"), (GF(3), "1.0")):
+        path = write_rep(tmp_path, "rep.json", field, [[[1, 1], [0, 1]]])
+        data = json.loads(open(path).read())
+        data["generators"][0][0][1] = bad
+        with open(path, "w") as fh:
+            fh.write(serialize.dumps(data))
+        assert main(["check", "--rep", path, "--mode", "thick", "--m", "1"]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+    cert = _f3_certificate(tmp_path)
+    cert["witness1"][0][0] = "1/0"
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(serialize.dumps(cert))
+    assert main(["recheck", "--certificate", str(cert_path)]) == 3

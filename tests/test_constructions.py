@@ -210,3 +210,15 @@ def test_window_block_witness_dims_match_r_number():
     res = build_block_rep(3, 2, GF(13), alphas=(1, 5), betas=(8, 12), seed=1)
     b = r_number_bounds(6, 2)
     assert res.w.dim == b.exact == b.lower
+
+
+def test_block_rep_over_quadratic_extension():
+    # the eigenvalues of b_ell are found in GF(9) itself, so the Cramer
+    # coefficient check runs there as over a prime field
+    F9 = GF(3, 2)
+    res = build_block_rep(2, 2, F9)
+    assert res.cramer_checked and res.cramer_nonzero
+    assert burnside_dim(res.rep) == 16
+    assert res.w.dim == 2 and res.y.dim == 4
+    pairs = block_eigenvectors([Matrix.identity(F9, 2), res.spec.b_ell])
+    assert len(pairs) == 4

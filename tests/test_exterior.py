@@ -5,7 +5,7 @@ import pytest
 
 from thickrep.errors import DegreeOverflow
 from thickrep.fields import GF, QQ
-from thickrep.linalg import Matrix, Subspace, random_invertible, unit_vector
+from thickrep.linalg import Matrix, Subspace, det_rows, random_invertible, unit_vector
 from thickrep.exterior import (
     WedgeVector,
     colex_subsets,
@@ -285,3 +285,17 @@ def test_low_codim_spot_check_flags_only():
                     flagged += 1
     # the closed-field statement can fail over F_q; just record
     assert flagged >= 0
+
+
+def test_compound_m2_matches_determinant_minors():
+    rng = random.Random(12)
+    for field in (QQ, GF(2), GF(3), GF(2, 2)):
+        for n in (4, 5):
+            a = Matrix(field, [[field.random(rng) for _ in range(n)] for _ in range(n)])
+            subs = colex_subsets(n, 2)
+            minors = [
+                [det_rows(field, [[a.rows[i - 1][j - 1] for j in T] for i in S])
+                 for T in subs]
+                for S in subs
+            ]
+            assert compound(a, 2).rows == Matrix(field, minors).rows

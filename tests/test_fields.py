@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -180,3 +181,46 @@ def test_canonical_scalar_ordering():
     ordered = sorted(vals, key=QQ.sort_key)
     assert ordered == [Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(2)]
     assert sorted([4, 0, 2], key=GF(5).sort_key) == [0, 2, 4]
+
+
+ROW_FIELDS = (QQ, GF(2), GF(3), GF(7), GF(2, 2), GF(3, 2))
+
+
+def _canonical(field, x):
+    if field.finite:
+        return x in set(field.elements())
+    return type(x) is Fraction
+
+
+def test_row_kernel_matches_elementwise_definitions():
+    rng = random.Random(5)
+    for field in ROW_FIELDS:
+        for _ in range(30):
+            n = rng.randint(1, 6)
+            u = [field.random(rng) for _ in range(n)]
+            v = [field.random(rng) for _ in range(n)]
+            t = field.random(rng)
+            expect = field.zero
+            for a, b in zip(u, v):
+                expect = field.add(expect, field.mul(a, b))
+            assert field.dot(u, v) == expect
+            assert field.axpy(u, t, v) == [
+                field.sub(x, field.mul(t, y)) for x, y in zip(u, v)
+            ]
+            assert field.scale(t, v) == [field.mul(t, x) for x in v]
+            outputs = [field.dot(u, v)] + field.axpy(u, t, v) + field.scale(t, v)
+            assert all(_canonical(field, x) for x in outputs)
+
+
+def test_no_per_field_branches_in_elimination_modules():
+    # every elimination goes through the field's row operations
+    import thickrep.exterior
+    import thickrep.linalg
+    import thickrep.symplectic
+
+    for mod in (thickrep.linalg, thickrep.exterior, thickrep.symplectic):
+        with open(mod.__file__, encoding="utf-8") as fh:
+            src = fh.read()
+        assert ".native" not in src
+        assert "native_p" not in src
+        assert not re.search(r"isinstance\([^)]*PrimeField", src), mod.__name__

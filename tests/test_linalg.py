@@ -147,7 +147,7 @@ def test_charpoly_similarity_invariance():
 
 def test_det_matches_charpoly_constant():
     rng = random.Random(3)
-    for field in (QQ, GF(7)):
+    for field in (QQ, GF(7), GF(2, 2)):
         for _ in range(20):
             n = rng.randint(1, 4)
             m = Matrix(field, [[field.random(rng) for _ in range(n)] for _ in range(n)])

@@ -1,6 +1,6 @@
 from thickrep import verify
 from thickrep.repcore import Caps
-from thickrep.verify import SKIPPED, VERIFIED, run_item
+from thickrep.verify import ERROR, SKIPPED, VERIFIED, run_item, run_suite
 
 
 def test_agreement_samples_not_reused_across_caps(monkeypatch):
@@ -10,3 +10,22 @@ def test_agreement_samples_not_reused_across_caps(monkeypatch):
     capped = run_item(item, caps=Caps(pair_cap=1))
     assert capped.status == SKIPPED
     assert "cap" in capped.details
+
+
+def _crash(seed, caps):
+    raise KeyError("boom")
+
+
+def test_crashing_item_reports_error(monkeypatch):
+    registry = [
+        (iid, _crash if iid == "characters-gl2-wedge-identities" else fn)
+        for iid, fn in verify.REGISTRY
+    ]
+    monkeypatch.setattr(verify, "REGISTRY", registry)
+    for jobs in (1, 2):
+        suite = run_suite(filter_substring="characters", jobs=jobs)
+        statuses = [item.status for item in suite.items]
+        assert statuses == [VERIFIED, ERROR, VERIFIED, VERIFIED]
+        details = suite.items[1].details
+        assert details["error"] == "KeyError" and "boom" in details["message"]
+        assert suite.overall == ERROR
