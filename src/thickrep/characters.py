@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .errors import BadN, NonIntegralMultiplicity, ScaleExceeded
+from .errors import BadN, ConstructionError, NonIntegralMultiplicity, ScaleExceeded
 
 MN_DEGREE_CAP = 8  # Murnaghan-Nakayama memo guard
 
@@ -47,7 +47,8 @@ def hook_dimension(lam) -> int:
     for i, row in enumerate(lam):
         for j in range(row):
             prod *= row - j + conj[j] - i - 1
-    assert factorial(d) % prod == 0
+    if factorial(d) % prod:
+        raise ConstructionError("hook product %d does not divide %d!" % (prod, d))
     return factorial(d) // prod
 
 
@@ -117,7 +118,8 @@ def sym_char(lam) -> ClassFunction:
         raise ScaleExceeded("degree %d beyond the implemented range" % d)
     values = tuple(_mn_value(lam, mu) for mu in partitions(d))
     chi = ClassFunction(d, values)
-    assert chi.degree == hook_dimension(lam)
+    if chi.degree != hook_dimension(lam):
+        raise ConstructionError("degree of %s disagrees with the hook formula" % (lam,))
     return chi
 
 
@@ -205,7 +207,8 @@ def _lp_square_substitute(a: dict) -> dict:
 def weight_char_2var(high: int, low: int) -> dict:
     """Character of the irreducible 2-variable weight (high, low): the
     homogeneous sum x^high y^low + x^(high-1) y^(low+1) + ... + x^low y^high."""
-    assert high >= low
+    if high < low:
+        raise BadN("weight (%d, %d) has high < low" % (high, low))
     return {(high - t, low + t): 1 for t in range(high - low + 1)}
 
 
@@ -238,7 +241,7 @@ def gl2_wedge_identity(a: int, b: int, shift: int = 0) -> bool:
 
 def distinct_parts_coeffs(n: int):
     """Coefficients of prod_(i=1..n) (1 + x^i); for n >= 3 the documented
-    positivity margins are asserted before returning."""
+    positivity margins are checked before returning."""
     if n < 1:
         raise BadN("n must be at least 1")
     coeffs = [1]
@@ -248,10 +251,12 @@ def distinct_parts_coeffs(n: int):
             new[j + i] += c
         coeffs = new
     top = n * (n + 1) // 2
-    assert len(coeffs) == top + 1
-    if n >= 3:
-        assert all(c >= 1 for c in coeffs)
-        assert all(coeffs[i] >= 2 for i in range(3, top - 2))
+    if len(coeffs) != top + 1:
+        raise ConstructionError("%d coefficients for degree %d" % (len(coeffs), top))
+    if n >= 3 and not (
+        all(c >= 1 for c in coeffs) and all(coeffs[i] >= 2 for i in range(3, top - 2))
+    ):
+        raise ConstructionError("positivity margins fail at n=%d" % n)
     return coeffs
 
 

@@ -8,6 +8,7 @@ UTF-8 JSON; every run is reproducible from --seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -309,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--caps", default="")
     p.add_argument("--json-out", default="")
-    p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("construct", help="build a representation family")
     p.add_argument("kind", choices=["companion", "block", "e1wedge", "lie"])
@@ -324,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", default="sp")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json-out", default="")
-    p.set_defaults(fn=cmd_construct)
 
     p = sub.add_parser("exterior", help="exterior-algebra operations")
     p.add_argument("op", choices=["compound", "wedge", "perp", "decomposable", "realizable"])
@@ -334,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="JSON input file")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json-out", default="")
-    p.set_defaults(fn=cmd_exterior)
 
     p = sub.add_parser("characters", help="symmetric-group and weight characters")
     p.add_argument("op", choices=["char", "wedge-square", "gl2", "partitions", "plethysm"])
@@ -345,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--kind", default="sym2", choices=["sym2", "wedge2"])
     p.add_argument("--json-out", default="")
-    p.set_defaults(fn=cmd_characters)
 
     p = sub.add_parser("symplectic", help="contraction kernels and their perps")
     p.add_argument("op", choices=["kernel", "ker-perp"])
@@ -355,18 +352,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json-out", default="")
-    p.set_defaults(fn=cmd_symplectic)
 
     p = sub.add_parser("rnumber", help="bounds for minimal invariant realizable dims")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--json-out", default="")
-    p.set_defaults(fn=cmd_rnumber)
 
     p = sub.add_parser("recheck", help="independently re-verify a certificate")
     p.add_argument("--certificate", required=True)
     p.add_argument("--json-out", default="")
-    p.set_defaults(fn=cmd_recheck)
 
     p = sub.add_parser("verify", help="run the verification suite")
     p.add_argument("--filter", default="")
@@ -375,19 +369,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--cert-dir", default="")
     p.add_argument("--json-out", default="")
-    p.set_defaults(fn=cmd_verify)
 
     return top
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return 3 if e.code not in (0, None) else 0
+    # looked up at call time, so that a wrapper installed on the module is used
+    fn = globals()["cmd_" + args.command]
     try:
-        return args.fn(args)
+        return fn(args)
     except (ThickRepError, OSError, ValueError, KeyError) as e:
         if isinstance(e, CapExceeded):
             print("cap exceeded: %s" % e, file=sys.stderr)

@@ -61,6 +61,10 @@ class CapExceeded(ThickRepError):
     pass
 
 
+class MalformedInput(ThickRepError, ValueError):
+    """A JSON input does not have the documented structure."""
+
+
 class BadCaps(ThickRepError):
     """A caps override names an unknown cap or gives a bad value."""
 

@@ -21,6 +21,7 @@ from .errors import (
     ConstructionError,
     DivisionByZero,
     FieldMismatch,
+    MalformedInput,
     NotMonic,
     ScaleExceeded,
     WrongField,
@@ -412,6 +413,8 @@ def field_to_json(field) -> dict:
 
 
 def field_from_json(data: dict):
+    if not isinstance(data, dict):
+        raise MalformedInput("a field must be a JSON object, got %r" % (data,))
     kind = data.get("kind")
     if kind == "Q":
         return QQ

@@ -187,7 +187,8 @@ def _algebra_closure_dim(field, gens, n, want_full_early=True):
 
 
 def _reduction_prime(gens):
-    """A prime not dividing any generator-entry denominator."""
+    """A prime not dividing any generator-entry denominator, or None when
+    every candidate divides one."""
     from fractions import Fraction
 
     den = 1
@@ -197,10 +198,7 @@ def _reduction_prime(gens):
                 d = Fraction(x).denominator
                 if den % d:
                     den = den * d
-    for p in (10007, 10009, 10037, 10039, 10061):
-        if den % p:
-            return p
-    raise RuntimeError("no reduction prime available")
+    return next((p for p in (10007, 10009, 10037, 10039, 10061) if den % p), None)
 
 
 def _reduce_matrix_mod(m: Matrix, p: int) -> Matrix:
@@ -222,12 +220,12 @@ def burnside_dim(r: Representation) -> int:
     equals dim^2 exactly when the representation is absolutely irreducible.
 
     Over the rationals a single mod-p closure is tried first: full rank mod p
-    forces full rank over Q, and only non-full outcomes fall through to the
-    exact computation.
+    forces full rank over Q, and only non-full outcomes, or generators with
+    no reduction prime, fall through to the exact computation.
     """
     n = r.dim
-    if isinstance(r.field, Rationals):
-        p = _reduction_prime(r.generators)
+    p = _reduction_prime(r.generators) if isinstance(r.field, Rationals) else None
+    if p is not None:
         modgens = [_reduce_matrix_mod(g, p) for g in r.generators]
         if _algebra_closure_dim(GF(p), modgens, n) == n * n:
             return n * n
@@ -312,14 +310,16 @@ def _norton_irreducible(r: Representation) -> bool:
 
 def all_submodules(r: Representation, caps: Caps | None = None):
     """The complete lattice of invariant subspaces over a finite field;
-    sorted by (dim, canonical basis).
+    sorted by (dim, canonical basis).  Raises CapExceeded when the
+    projective point count exceeds `submodule_points_cap` or the lattice
+    has more than `lattice_cap` elements.
 
     After the projective-point cap check, Norton's test (see
     `_norton_irreducible`) tries to prove the module irreducible and then
-    returns [0, V] at once.  It falls through to the full enumeration when
-    it finds a proper spin (the module is reducible) or when none of its
-    fixed number of seeded tries finds a one-dimensional eigenspace, which
-    always happens for irreducible modules that are not absolutely
+    returns [0, V] at once.  It falls through to `_enumerate_submodules`
+    when it finds a proper spin (the module is reducible) or when none of
+    its fixed number of seeded tries finds a one-dimensional eigenspace,
+    which always happens for irreducible modules that are not absolutely
     irreducible.
     """
     caps = caps or Caps.default()
@@ -330,38 +330,64 @@ def all_submodules(r: Representation, caps: Caps | None = None):
     npts = projective_count(f.order, n)
     if npts > caps.submodule_points_cap:
         raise CapExceeded("projective point count %d exceeds cap" % npts)
-    if _norton_irreducible(r):
+    if caps.lattice_cap >= 2 and _norton_irreducible(r):
         return [Subspace.zero(f, n), Subspace.full(f, n)]
     return _enumerate_submodules(r, caps)
 
 
 def _enumerate_submodules(r: Representation, caps: Caps):
-    """The brute-force lattice: spin every projective point (every
-    submodule is a finite sum of cyclic ones), then close under pairwise
-    sums.  The fallback of `all_submodules`, and its oracle in the tests."""
+    """The lattice as the join-closure of the cyclic submodules.
+
+    Every submodule is a finite sum of cyclic ones, spin(v).  One spin per
+    projective G-orbit finds them all in group mode: the generated group G
+    lies in GL_n(F_q), so it is finite and each g^-1 is a power of g.  For
+    g in G and c != 0, spin(v) is invariant and contains c.g.v, and
+    v = c^-1.g^-1.(c.g.v) lies in spin(c.g.v); so the two spins are equal.
+    The walk over the canonical projective points therefore spins only
+    points not yet marked, and then marks the whole orbit of each by
+    applying the generators and scaling the first nonzero entry to 1.  Lie
+    generators need not be invertible, so in Lie mode nothing is marked
+    and every point is spun.
+
+    The closure adds one cyclic submodule C at a time: when L contains 0
+    and is closed under sums, L u {X + C : X in L} is the closure of
+    L u {C}.  CapExceeded comes as soon as the lattice has more than
+    `lattice_cap` elements.
+    """
     f = r.field
     n = r.dim
-    subs = {}
-    zero = Subspace.zero(f, n)
-    subs[zero.mat.rows] = zero
+    zero, one = f.zero, f.one
+    movers = r.generators if r.mode == GROUP else ()
+    done = set()
+    cyclic = {}
     for v in projective_coefficients(f, n):
+        if v in done:
+            continue
         w = spin(r, [v])
-        subs.setdefault(w.mat.rows, w)
-    frontier = list(subs.values())
-    allsubs = list(subs.values())
-    while frontier:
-        added = []
-        for a in frontier:
-            for b in allsubs:
-                s = a.sum(b)
-                if s.mat.rows not in subs:
-                    subs[s.mat.rows] = s
-                    added.append(s)
-                    if len(subs) > caps.lattice_cap:
-                        raise CapExceeded("submodule lattice exceeded cap")
-        allsubs = list(subs.values())
-        frontier = added
-    return sorted(subs.values(), key=Subspace.key)
+        cyclic.setdefault(w.mat.rows, w)
+        orbit = [v]
+        while orbit:
+            u = orbit.pop()
+            for g in movers:
+                x = g.apply(u)
+                lead = next(c for c in x if c != zero)
+                if lead != one:
+                    x = tuple(f.scale(f.inv(lead), x))
+                if x not in done:
+                    done.add(x)
+                    orbit.append(x)
+    bottom = Subspace.zero(f, n)
+    lattice = {bottom.mat.rows: bottom}
+    for c in sorted(cyclic.values(), key=Subspace.key):
+        if c.mat.rows in lattice:
+            continue
+        for x in list(lattice.values()):
+            s = x.sum(c)
+            if s.mat.rows not in lattice:
+                lattice[s.mat.rows] = s
+                if len(lattice) > caps.lattice_cap:
+                    raise CapExceeded("submodule lattice exceeded cap")
+    return sorted(lattice.values(), key=Subspace.key)
 
 
 def _is_diagonal(m: Matrix) -> bool:

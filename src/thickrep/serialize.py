@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import ThickRepError
+from .errors import MalformedInput, ThickRepError
 from .fields import field_from_json, field_to_json
 from .linalg import Matrix, Subspace
 from .repcore import (
@@ -32,6 +32,10 @@ def matrix_to_json(m: Matrix):
 
 
 def matrix_from_json(field, data) -> Matrix:
+    if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+        raise MalformedInput("a matrix must be a list of rows")
+    if len({len(row) for row in data}) > 1:
+        raise MalformedInput("matrix rows differ in length")
     return Matrix(field, [[field.parse(x) for x in row] for row in data])
 
 
@@ -63,14 +67,21 @@ def representation_to_json(r: Representation):
 
 
 def representation_from_json(data) -> Representation:
+    """The rep of a JSON object; raises MalformedInput unless `dim` is an
+    integer and `generators` a list of dim x dim matrices."""
+    if not isinstance(data, dict):
+        raise MalformedInput("a representation must be a JSON object")
     field = field_from_json(data["field"])
     mode = data.get("mode", GROUP)
     if mode not in (GROUP, LIE):
         raise ThickRepError("unknown mode %r" % (mode,))
+    dim = data["dim"]
+    if type(dim) is not int:
+        raise MalformedInput("dim must be an integer, got %r" % (dim,))
+    if not isinstance(data["generators"], list):
+        raise MalformedInput("generators must be a list of matrices")
     gens = [matrix_from_json(field, g) for g in data["generators"]]
-    return Representation(
-        field, int(data["dim"]), mode, gens, label=data.get("label", "")
-    )
+    return Representation(field, dim, mode, gens, label=data.get("label", ""))
 
 
 def certificate_to_json(r: Representation, cert: NotThickCertificate):
@@ -97,7 +108,7 @@ def certificate_to_json(r: Representation, cert: NotThickCertificate):
 
 def certificate_from_json(data):
     """Returns (representation, certificate)."""
-    if data.get("kind") != "not_thick_certificate":
+    if not isinstance(data, dict) or data.get("kind") != "not_thick_certificate":
         raise ThickRepError("not a thickness refutation certificate")
     field = field_from_json(data["field"])
     n = int(data["n"])

@@ -139,7 +139,7 @@ def item_characters_gl2_wedge_identities(seed, caps):
 def item_characters_distinct_parts(seed, caps):
     details = {}
     for n in range(3, 13):
-        coeffs = distinct_parts_coeffs(n)  # asserts the margins internally
+        coeffs = distinct_parts_coeffs(n)  # checks the margins internally
         top = n * (n + 1) // 2
         _check(len(coeffs) == top + 1, details, "length_n%d" % n)
     _check(
@@ -325,7 +325,7 @@ def item_symplectic_suite(seed, caps):
     for n in (2, 3):
         sp = SymplecticSpace(n, QQ)
         for m in range(2, n + 1):
-            k = ker_fm(sp, m)  # dimension identity asserted inside
+            k = ker_fm(sp, m)  # dimension identity checked inside
             details["ker_dim_2n%d_m%d" % (2 * n, m)] = k.dim
             _check(
                 contraction_is_equivariant(sp, m),

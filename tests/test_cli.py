@@ -255,3 +255,49 @@ def test_malformed_scalar_exit_3(tmp_path, capsys):
     cert_path = tmp_path / "cert.json"
     cert_path.write_text(serialize.dumps(cert))
     assert main(["recheck", "--certificate", str(cert_path)]) == 3
+
+
+def test_malformed_rep_structure_exit_3(tmp_path, capsys):
+    path = write_rep(tmp_path, "rep.json", GF(3), [[[1, 1], [0, 1]]])
+    good = json.loads(open(path).read())
+    bad_reps = [
+        dict(good, generators=5),
+        dict(good, generators=[[["1", "1"], ["0"]]]),
+        dict(good, dim="2"),
+        dict(good, dim=2.0),
+        dict(good, field="F3"),
+        dict(good, generators=[["1", "1", "0", "1"]]),
+        [good],
+    ]
+    for bad in bad_reps:
+        with open(path, "w") as fh:
+            fh.write(serialize.dumps(bad))
+        assert main(["check", "--rep", path, "--mode", "thick", "--m", "1"]) == 3, bad
+        assert "Traceback" not in capsys.readouterr().err
+
+
+def test_burnside_without_reduction_prime(tmp_path, capsys):
+    # the denominators are the primes the mod-p shortcut would reduce by,
+    # so only the exact closure over Q can decide
+    a = [["1/10007", "1/10009"], ["1/10037", "1/10039"]]
+    b = [["1/10061", "0"], ["0", "1"]]
+    rep = {"field": {"kind": "Q"}, "dim": 2, "mode": "group", "generators": [a, b]}
+    path = tmp_path / "rep.json"
+    path.write_text(serialize.dumps(rep))
+    code = main(["check", "--rep", str(path), "--mode", "irreducible",
+                 "--method", "burnside"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0 and out["verdict"] == "Yes"
+
+
+def test_main_dispatches_through_module_attribute(monkeypatch):
+    # the parser is built once, and a wrapper installed on the module later
+    # still sees every call
+    import thickrep.cli as cli
+
+    calls = []
+    assert main(["rnumber", "--n", "3", "--m", "1"]) == 0
+    monkeypatch.setattr(cli, "cmd_rnumber", lambda args: calls.append(args.n) or 0)
+    assert main(["rnumber", "--n", "4", "--m", "2"]) == 0
+    assert main(["rnumber", "--n", "5", "--m", "2"]) == 0
+    assert calls == [4, 5]

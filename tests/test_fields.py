@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import random
 import re
 from fractions import Fraction
@@ -224,3 +226,13 @@ def test_no_per_field_branches_in_elimination_modules():
         assert ".native" not in src
         assert "native_p" not in src
         assert not re.search(r"isinstance\([^)]*PrimeField", src), mod.__name__
+
+
+def test_no_assert_statements_in_package():
+    # correctness checks must survive python -O, which strips assert
+    import thickrep
+
+    for path in sorted(pathlib.Path(thickrep.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, "%s: assert at lines %s" % (path.name, lines)

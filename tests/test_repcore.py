@@ -6,6 +6,8 @@ from thickrep.errors import CapExceeded, PreconditionFailed
 from thickrep.fields import GF, QQ
 from thickrep.linalg import Matrix, Subspace, random_invertible, unit_vector
 from thickrep.constructions import lie_generators
+from thickrep.exterior import projective_coefficients, projective_count
+from thickrep import repcore
 from thickrep.repcore import (
     _enumerate_submodules,
     _norton_irreducible,
@@ -45,6 +47,7 @@ def group_rep(field, mats, label=""):
 
 SWAP2 = [[0, 1], [1, 0]]
 ROT = [[0, -1], [1, 0]]
+DIAG_1122 = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]]
 
 
 def test_exterior_rep_m1_is_identity_functor():
@@ -137,12 +140,37 @@ def test_all_submodules_invariant_and_closed():
                 assert s.intersect(t).mat.rows in keys
 
 
+def _brute_force_lattice(r):
+    """The oracle: spin every projective point (every submodule is a sum of
+    cyclic ones), then close under pairwise sums until nothing is new."""
+    f, n = r.field, r.dim
+    zero = Subspace.zero(f, n)
+    subs = {zero.mat.rows: zero}
+    for v in projective_coefficients(f, n):
+        w = spin(r, [v])
+        subs.setdefault(w.mat.rows, w)
+    frontier = list(subs.values())
+    while frontier:
+        allsubs = list(subs.values())
+        added = []
+        for a in frontier:
+            for b in allsubs:
+                s = a.sum(b)
+                if s.mat.rows not in subs:
+                    subs[s.mat.rows] = s
+                    added.append(s)
+        frontier = added
+    return sorted(subs.values(), key=Subspace.key)
+
+
 def _lattice_against_oracle(r):
-    """Check all_submodules against the brute-force lattice, and check that
-    Norton's test proves exactly the absolutely irreducible modules (its
-    fixed seed decides every module used below).  Returns the lattice."""
-    subs = all_submodules(r)
-    assert subs == _enumerate_submodules(r, Caps())
+    """Check all_submodules and its enumeration fallback against the
+    brute-force lattice, and check that Norton's test proves exactly the
+    absolutely irreducible modules (its fixed seed decides every module
+    used below).  Returns the lattice."""
+    subs = _brute_force_lattice(r)
+    assert all_submodules(r) == subs
+    assert _enumerate_submodules(r, Caps()) == subs
     assert _norton_irreducible(r) == (burnside_dim(r) == r.dim * r.dim)
     return subs
 
@@ -191,6 +219,38 @@ def test_all_submodules_not_absolutely_irreducible_falls_through():
     r = group_rep(GF(2), [[[0, 1], [1, 1]]])
     assert burnside_dim(r) == 2
     assert [s.dim for s in _lattice_against_oracle(r)] == [0, 2]
+
+
+def test_submodules_one_spin_per_projective_orbit(monkeypatch):
+    # diag(1, 1, 2, 2) over F5: every submodule is U + W with U, W inside the
+    # two eigenplanes, so 8 * 8 = 64 of them; a point with both parts
+    # nonzero has a projective orbit of size 4, the order of 2 in F5*
+    r = group_rep(GF(5), [DIAG_1122])
+    spins = []
+
+    def counting_spin(rep, seeds):
+        spins.append(seeds)
+        return spin(rep, seeds)
+
+    monkeypatch.setattr(repcore, "spin", counting_spin)
+    subs = _enumerate_submodules(r, Caps())
+    # 6 + 6 points inside the eigenplanes, 144 / 4 mixed orbits
+    assert len(spins) == 48 < projective_count(5, 4) == 156
+    monkeypatch.undo()
+    assert len(subs) == 64
+    assert subs == _brute_force_lattice(r)
+    assert all_submodules(r) == subs
+
+
+def test_submodules_lattice_cap_is_exact():
+    # a uniserial module: its 4 submodules are all cyclic, so no sum is new
+    jordan = group_rep(GF(3), [[[1, 1, 0], [0, 1, 1], [0, 0, 1]]])
+    diag = group_rep(GF(5), [DIAG_1122])
+    irreducible = group_rep(GF(2), [[[1, 1], [0, 1]], SWAP2])
+    for r, size in ((jordan, 4), (diag, 64), (irreducible, 2)):
+        assert len(all_submodules(r, Caps(lattice_cap=size))) == size
+        with pytest.raises(CapExceeded):
+            all_submodules(r, Caps(lattice_cap=size - 1))
 
 
 def test_commutant_absolutely_irreducible():
