@@ -186,20 +186,6 @@ def _lp_mul(a: dict, b: dict) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def _lp_sub(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, 0) - v
-    return {k: v for k, v in out.items() if v}
-
-
-def _lp_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, 0) + v
-    return {k: v for k, v in out.items() if v}
-
-
 def _lp_square_substitute(a: dict) -> dict:
     return {(2 * i, 2 * j): c for (i, j), c in a.items()}
 
@@ -222,7 +208,7 @@ def gl2_wedge_identity(a: int, b: int, shift: int = 0) -> bool:
     if a < 0:
         raise BadN("a must be nonnegative")
     ch = weight_char_2var(a + b, b)
-    lhs = _lp_sub(_lp_mul(ch, ch), _lp_square_substitute(ch))
+    lhs = _poly_sub(_lp_mul(ch, ch), _lp_square_substitute(ch))
     half = {}
     for k, v in lhs.items():
         if v % 2:
@@ -235,7 +221,7 @@ def gl2_wedge_identity(a: int, b: int, shift: int = 0) -> bool:
         low = 2 * b + 2 * k - 1
         if high < low:
             return False
-        rhs = _lp_add(rhs, weight_char_2var(high, low))
+        rhs = _poly_add(rhs, weight_char_2var(high, low))
     return half == rhs
 
 

@@ -6,6 +6,7 @@ realizability before it leaves the factory.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from math import comb
@@ -146,7 +147,7 @@ class BlockRepResult:
     cramer_nonzero: bool
 
 
-def block_rep(spec: BlockRepSpec, b_rest_identity: bool = True, b_rest=None) -> BlockRepResult:
+def block_rep(spec: BlockRepSpec) -> BlockRepResult:
     """The block construction: a block cyclic shift with diagonal corner, and
     a second generator carrying b_ell; returns the representation together
     with its two distinguished invariant realizable subspaces."""
@@ -154,11 +155,7 @@ def block_rep(spec: BlockRepSpec, b_rest_identity: bool = True, b_rest=None) -> 
     ell, m, n = spec.ell, spec.m, spec.n
     ident = Matrix.identity(f, m)
     A = _block_cycle(f, [ident] * (ell - 1) + [Matrix.diagonal(f, spec.alphas)])
-    if b_rest is None:
-        if not b_rest_identity:
-            raise PreconditionFailed("pass b_rest when not using identity tail")
-        b_rest = [ident] * (ell - 1)
-    B = _block_cycle(f, list(b_rest) + [spec.b_ell])
+    B = _block_cycle(f, [ident] * (ell - 1) + [spec.b_ell])
     rep = Representation(f, n, GROUP, [A, B], label="block_%dx%d" % (ell, m))
 
     # W: wedge of each block
@@ -176,7 +173,7 @@ def block_rep(spec: BlockRepSpec, b_rest_identity: bool = True, b_rest=None) -> 
 
     # Y: one basis index from each block
     yvecs = []
-    for picks in _product_indices(ell, m):
+    for picks in itertools.product(range(m), repeat=ell):
         idx = [t * m + p for t, p in enumerate(picks)]
         yvecs.append(
             wedge_of_vectors(f, n, [unit_vector(f, n, j) for j in idx]).coords
@@ -189,12 +186,6 @@ def block_rep(spec: BlockRepSpec, b_rest_identity: bool = True, b_rest=None) -> 
 
     cramer_checked, cramer_nonzero = _cramer_coefficients_nonzero(spec, A, B)
     return BlockRepResult(rep, w, y, spec, cramer_checked, cramer_nonzero)
-
-
-def _product_indices(ell, m):
-    import itertools
-
-    return itertools.product(range(m), repeat=ell)
 
 
 def _cramer_coefficients_nonzero(spec: BlockRepSpec, A: Matrix, B: Matrix):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import (
     BadScalar,
@@ -681,11 +682,11 @@ def rational_roots(f: Poly):
     # clear denominators to primitive integer form
     den = 1
     for c in f.coeffs:
-        den = den * Fraction(c).denominator // _gcd(den, Fraction(c).denominator)
+        den = den * Fraction(c).denominator // gcd(den, Fraction(c).denominator)
     ints = [int(Fraction(c) * den) for c in f.coeffs]
     g = 0
     for c in ints:
-        g = _gcd(g, abs(c))
+        g = gcd(g, abs(c))
     ints = [c // g for c in ints]
     lead, const = ints[-1], next((c for c in ints if c != 0))
     cands = set()
@@ -705,12 +706,6 @@ def rational_roots(f: Poly):
             if mult:
                 out.append((r, mult))
     return out
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n):

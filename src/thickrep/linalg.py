@@ -8,6 +8,8 @@ when their canonical bases are identical.
 
 from __future__ import annotations
 
+from bisect import bisect
+
 from .errors import AmbientMismatch, DivisionByZero, NotSquare
 from .fields import Poly
 
@@ -103,9 +105,6 @@ class Matrix:
     def transpose(self):
         return Matrix(self.field, list(zip(*self.rows)))
 
-    def stack(self, other):
-        return Matrix(self.field, self.rows + other.rows)
-
     def trace(self):
         f = self.field
         t = f.zero
@@ -119,7 +118,7 @@ class Matrix:
         return tuple([dot(row, v) for row in self.rows])
 
     def rank(self):
-        return rref(self)[1]
+        return rank_of_rows(self.field, self.rows, self.ncols)
 
     def is_invertible(self):
         return self.is_square() and self.rank() == self.nrows
@@ -129,65 +128,25 @@ class Matrix:
         n = self.nrows
         if not self.is_square():
             raise NotSquare("inverse of a non-square matrix")
-        aug = Matrix(
-            f,
-            [
-                tuple(self.rows[i]) + tuple(Matrix.identity(f, n).rows[i])
-                for i in range(n)
-            ],
-        )
-        red, rank, _ = rref(aug)
-        if rank < n:
+        ident = Matrix.identity(f, n).rows
+        red, _, pivots = rref(Matrix(f, [a + e for a, e in zip(self.rows, ident)]))
+        # [A | I] always has rank n; A is invertible exactly when its own
+        # columns hold every pivot
+        if pivots != tuple(range(n)):
             raise DivisionByZero("matrix is singular")
         return Matrix(f, [row[n:] for row in red.rows])
 
 
-def _rref_rows(field, rows, ncols):
-    """In-place RREF of a list of row lists; returns (rank, pivots)."""
-    zero = field.zero
-    nrows = len(rows)
-    pivots = []
-    r = 0
-    axpy = field.axpy
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c] != zero:
-                pr = i
-                break
-        if pr is None:
-            continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-        pivval = rows[r][c]
-        if pivval != field.one:
-            rows[r] = field.scale(field.inv(pivval), rows[r])
-        prow = rows[r]
-        for i in range(nrows):
-            if i == r:
-                continue
-            t = rows[i][c]
-            if t != zero:
-                rows[i] = axpy(rows[i], t, prow)
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return r, pivots
-
-
 def rref(m: Matrix):
     """Reduced row-echelon form; returns (rref matrix, rank, pivot columns)."""
-    rows = [list(r) for r in m.rows]
-    rank, pivots = _rref_rows(m.field, rows, m.ncols)
-    return Matrix(m.field, rows), rank, tuple(pivots)
+    basis = RowBasis.spanning(m.field, m.ncols, m.rows)
+    zero_rows = [[m.field.zero] * m.ncols] * (m.nrows - basis.dim)
+    return Matrix(m.field, basis.rows + zero_rows), basis.dim, tuple(basis.pivots)
 
 
 def rank_of_rows(field, rows, ncols):
     """Rank of a collection of row vectors, without building a Matrix."""
-    work = [list(r) for r in rows]
-    rank, _ = _rref_rows(field, work, ncols)
-    return rank
+    return RowBasis.spanning(field, ncols, rows).dim
 
 
 def det(m: Matrix):
@@ -303,12 +262,11 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, field, ambient, vectors):
-        rows = [list(v) for v in vectors]
+        rows = list(vectors)
         for r in rows:
             if len(r) != ambient:
                 raise AmbientMismatch("vector length %d != %d" % (len(r), ambient))
-        rank, pivots = _rref_rows(field, rows, ambient)
-        return cls(field, ambient, Matrix(field, rows[:rank]), tuple(pivots))
+        return RowBasis.spanning(field, ambient, rows).to_subspace()
 
     @classmethod
     def zero(cls, field, ambient):
@@ -321,9 +279,6 @@ class Subspace:
     @property
     def dim(self):
         return self.mat.nrows
-
-    def codim(self):
-        return self.ambient - self.dim
 
     def basis_vectors(self):
         return self.mat.rows
@@ -357,10 +312,6 @@ class Subspace:
         return all(
             x == zero for x in _reduce(self.field, self.mat.rows, self.pivots, v)
         )
-
-    def reduce_vector(self, v):
-        """Residual of v after reduction against the basis (zero iff v in span)."""
-        return tuple(_reduce(self.field, self.mat.rows, self.pivots, v))
 
     def contains(self, other: "Subspace"):
         self._check(other)
@@ -407,7 +358,8 @@ class Subspace:
 
 
 class RowBasis:
-    """Incrementally maintained reduced row-echelon basis of a row span."""
+    """Incrementally maintained reduced row-echelon basis of a row span: the
+    one echelon routine behind every RREF, rank and subspace here."""
 
     __slots__ = ("field", "ncols", "rows", "pivots")
 
@@ -417,40 +369,51 @@ class RowBasis:
         self.rows = []
         self.pivots = []
 
+    @classmethod
+    def spanning(cls, field, ncols, rows):
+        """The basis of the span of rows; stops once it is all of k^ncols."""
+        basis = cls(field, ncols)
+        for v in rows:
+            if basis.insert(v) and len(basis.rows) == ncols:
+                break
+        return basis
+
     @property
     def dim(self):
         return len(self.rows)
 
-    def reduce(self, v):
-        return _reduce(self.field, self.rows, self.pivots, v)
-
     def insert(self, v) -> bool:
         """Add v to the span; returns True when the dimension grows."""
         f = self.field
-        w = self.reduce(v)
-        zero = f.zero
-        pc = next((i for i, x in enumerate(w) if x != zero), None)
-        if pc is None:
+        zero, axpy = f.zero, f.axpy
+        rows, pivots = self.rows, self.pivots
+        w = v
+        for row, pc in zip(rows, pivots):
+            t = w[pc]
+            if t != zero:
+                w = axpy(w, t, row)
+        pc = 0
+        for x in w:
+            if x != zero:
+                break
+            pc += 1
+        else:
             return False
-        inv = f.inv(w[pc])
-        if inv != f.one:
-            w = f.scale(inv, w)
+        # a fresh list either way: the caller keeps v
+        w = f.scale(f.inv(x), w) if x != f.one else list(w)
         # eliminate the new pivot from the existing rows
-        for k, row in enumerate(self.rows):
+        for k, row in enumerate(rows):
             t = row[pc]
             if t != zero:
-                self.rows[k] = f.axpy(row, t, w)
-        at = next((k for k, p in enumerate(self.pivots) if p > pc), len(self.pivots))
-        self.rows.insert(at, w)
-        self.pivots.insert(at, pc)
+                rows[k] = axpy(row, t, w)
+        at = bisect(pivots, pc)
+        rows.insert(at, w)
+        pivots.insert(at, pc)
         return True
 
     def to_subspace(self) -> Subspace:
         return Subspace(
-            self.field,
-            self.ncols,
-            Matrix(self.field, [tuple(r) for r in self.rows]),
-            tuple(self.pivots),
+            self.field, self.ncols, Matrix(self.field, self.rows), tuple(self.pivots)
         )
 
 
@@ -477,25 +440,6 @@ def subspace_algebra(a: Subspace, b: Subspace, op: str):
     if op == "direct_sum_is_ambient":
         return a.direct_sum_is_ambient(b)
     raise ValueError("unknown op %r" % (op,))
-
-
-# vector helpers (plain tuples)
-
-def vec_add(f, u, v):
-    return tuple(f.add(a, b) for a, b in zip(u, v))
-
-
-def vec_sub(f, u, v):
-    return tuple(f.sub(a, b) for a, b in zip(u, v))
-
-
-def vec_scale(f, c, u):
-    return tuple(f.scale(c, u))
-
-
-def vec_is_zero(f, u):
-    z = f.zero
-    return all(a == z for a in u)
 
 
 def unit_vector(f, n, i):

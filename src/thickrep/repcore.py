@@ -35,7 +35,6 @@ from .linalg import (
     kernel,
     rank_of_rows,
 )
-from . import exterior
 from .exterior import (
     compound,
     derivation,
@@ -169,7 +168,7 @@ def _flatten(m: Matrix):
     return tuple(x for row in m.rows for x in row)
 
 
-def _algebra_closure_dim(field, gens, n, want_full_early=True):
+def _algebra_closure_dim(field, gens, n):
     basis = RowBasis(field, n * n)
     ident = Matrix.identity(field, n)
     basis.insert(_flatten(ident))
@@ -181,7 +180,7 @@ def _algebra_closure_dim(field, gens, n, want_full_early=True):
             prod = mat * g
             if basis.insert(_flatten(prod)):
                 queue.append(prod)
-        if want_full_early and basis.dim == full:
+        if basis.dim == full:
             return full
     return basis.dim
 
@@ -765,12 +764,11 @@ def is_m_thick_criterion(r: Representation, m: int, caps: Caps | None = None,
     subs = None
     route = None
     if f.finite:
-        if projective_count(f.order, nn) <= caps.submodule_points_cap:
-            try:
-                subs = all_submodules(ext, caps)
-                route = "lattice"
-            except CapExceeded:
-                subs = None
+        try:
+            subs = all_submodules(ext, caps)
+            route = "lattice"
+        except CapExceeded:
+            subs = None
     else:
         dec = isotypic_decomposition(ext, seed=seed)
         if dec is not None and len(dec) <= caps.isotypic_summands_max:
@@ -902,16 +900,10 @@ def verify_not_thick_certificate(r: Representation, cert: NotThickCertificate) -
         return False
     if cert.w1.ambient != comb(n, m) or cert.w2.ambient != comb(n, n - m):
         return False
-    lift = compound if r.mode == GROUP else derivation
-    for g in r.generators:
-        gm = lift(g, m)
-        for v in cert.w1.basis_vectors():
-            if not cert.w1.contains_vector(gm.apply(v)):
-                return False
-        gnm = lift(g, n - m)
-        for v in cert.w2.basis_vectors():
-            if not cert.w2.contains_vector(gnm.apply(v)):
-                return False
+    if not is_invariant(exterior_rep(r, m), cert.w1):
+        return False
+    if not is_invariant(exterior_rep(r, n - m), cert.w2):
+        return False
     if perp(cert.w1, n, m) != cert.w2:
         return False
     x = wedge_of_vectors(f, n, cert.witness1)

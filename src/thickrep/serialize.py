@@ -44,6 +44,8 @@ def vector_to_json(field, v):
 
 
 def vector_from_json(field, data):
+    if not isinstance(data, list):
+        raise MalformedInput("a vector must be a list of scalars")
     return tuple(field.parse(x) for x in data)
 
 
@@ -52,8 +54,12 @@ def subspace_to_json(s: Subspace):
 
 
 def subspace_from_json(field, data) -> Subspace:
-    rows = [[field.parse(x) for x in row] for row in data["basis"]]
-    return Subspace.from_vectors(field, int(data["ambient"]), rows)
+    """The span of `basis` in k^ambient; raises MalformedInput unless data is
+    an object with an integer `ambient` and a matrix `basis`."""
+    if not isinstance(data, dict) or type(data.get("ambient")) is not int:
+        raise MalformedInput("a subspace must be an object with an integer ambient")
+    basis = matrix_from_json(field, data["basis"])
+    return Subspace.from_vectors(field, data["ambient"], basis.rows)
 
 
 def representation_to_json(r: Representation):
@@ -107,24 +113,34 @@ def certificate_to_json(r: Representation, cert: NotThickCertificate):
 
 
 def certificate_from_json(data):
-    """Returns (representation, certificate)."""
+    """Returns (representation, certificate); raises MalformedInput unless
+    `n` and `m` are integers, `generators`, `witness1` and `witness2` are
+    lists, and `pair`, when present, is a list of two subspaces."""
     if not isinstance(data, dict) or data.get("kind") != "not_thick_certificate":
         raise ThickRepError("not a thickness refutation certificate")
     field = field_from_json(data["field"])
-    n = int(data["n"])
+    n, m = data["n"], data["m"]
+    if type(n) is not int or type(m) is not int:
+        raise MalformedInput("n and m must be integers")
+    for key in ("generators", "witness1", "witness2"):
+        if not isinstance(data[key], list):
+            raise MalformedInput("%s must be a list" % key)
+    pair = data.get("pair")
+    if pair is not None and not (isinstance(pair, list) and len(pair) == 2):
+        raise MalformedInput("pair must be a list of two subspaces")
     gens = [matrix_from_json(field, g) for g in data["generators"]]
     rep = Representation(field, n, data.get("mode", GROUP), gens)
     cert = NotThickCertificate(
         field=field,
         n=n,
-        m=int(data["m"]),
+        m=m,
         w1=subspace_from_json(field, data["w1"]),
         w2=subspace_from_json(field, data["w2"]),
         witness1=tuple(vector_from_json(field, v) for v in data["witness1"]),
         witness2=tuple(vector_from_json(field, v) for v in data["witness2"]),
         pair=(
-            tuple(subspace_from_json(field, p) for p in data["pair"])
-            if "pair" in data
+            tuple(subspace_from_json(field, p) for p in pair)
+            if pair is not None
             else None
         ),
     )

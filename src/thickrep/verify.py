@@ -12,7 +12,6 @@ import random
 import time
 import traceback
 from dataclasses import astuple, dataclass, field as dc_field
-from math import comb
 
 from .errors import CapExceeded
 from .fields import GF, QQ
@@ -109,7 +108,7 @@ class SuiteReport:
         }
 
 
-def _check(condition, details, key, ok_value=True):
+def _check(condition, details, key):
     details[key] = bool(condition)
     if not condition:
         raise AssertionError("check failed: %s" % key)
@@ -189,9 +188,7 @@ def item_wedge2_gl4_f2_not_thick(seed, caps):
     details["elements_scanned"] = len(elems)
     _check(meets == len(elems), details, "every_translate_meets_w")
     # the scan refutes 3-thickness of the 6-dimensional wedge-square action
-    rep6 = Representation(
-        F2, 6, GROUP, [compound(g, 2) for g in r4.generators], label="wedge2_gl4_f2"
-    )
+    rep6 = exterior_rep(r4, 2)
     cert = _certificate_from_pair(rep6, 3, w, w)
     _check(verify_not_thick_certificate(rep6, cert), details, "certificate_reverifies")
     return details, [

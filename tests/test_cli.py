@@ -276,6 +276,46 @@ def test_malformed_rep_structure_exit_3(tmp_path, capsys):
         assert "Traceback" not in capsys.readouterr().err
 
 
+def test_malformed_certificate_structure_exit_3(tmp_path, capsys):
+    path = write_rep(
+        tmp_path, "jordan.json", GF(2), [[[1, 1, 0], [0, 1, 1], [0, 0, 1]]]
+    )
+    report_path = tmp_path / "report.json"
+    assert main(["check", "--rep", path, "--mode", "thick", "--m", "1",
+                 "--method", "criterion", "--json-out", str(report_path)]) == 1
+    cert = json.loads(report_path.read_text())["certificate"]
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(serialize.dumps(cert))
+    assert main(["recheck", "--certificate", str(cert_path)]) == 0
+    w1 = cert["w1"]
+    bad_certs = [
+        dict(cert, w1=5),
+        dict(cert, w1=dict(w1, basis=5)),
+        dict(cert, w1=dict(w1, basis=[5])),
+        dict(cert, w1=dict(w1, ambient=None)),
+        dict(cert, w2=[w1]),
+        dict(cert, witness1=5),
+        dict(cert, witness1=[5]),
+        dict(cert, witness2=None),
+        dict(cert, pair=5),
+        dict(cert, pair=[w1]),
+        dict(cert, m=None),
+        dict(cert, n=None),
+        dict(cert, generators=5),
+    ]
+    for bad in bad_certs:
+        cert_path.write_text(serialize.dumps(bad))
+        assert main(["recheck", "--certificate", str(cert_path)]) == 3, bad
+    # the subspace reader is shared with `exterior perp|realizable`
+    for bad in (5, {"ambient": 3, "basis": 5}, {"ambient": "3", "basis": []}):
+        sub_path = tmp_path / "sub.json"
+        sub_path.write_text(json.dumps(bad))
+        for op in ("perp", "realizable"):
+            assert main(["exterior", op, "--field", "F2", "--n", "3", "--m", "1",
+                         "--input", str(sub_path)]) == 3, (op, bad)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_burnside_without_reduction_prime(tmp_path, capsys):
     # the denominators are the primes the mod-p shortcut would reduce by,
     # so only the exact closure over Q can decide

@@ -3,15 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from thickrep.errors import AmbientMismatch, NotSquare
+from thickrep.errors import AmbientMismatch, DivisionByZero, NotSquare
 from thickrep.fields import GF, QQ, Poly
 from thickrep.linalg import (
     Matrix,
+    RowBasis,
     Subspace,
     charpoly,
     det,
     kernel,
     random_invertible,
+    rank_of_rows,
     rref,
     subspace_algebra,
     unit_vector,
@@ -20,6 +22,65 @@ from thickrep.linalg import (
 
 def M(field, rows):
     return Matrix.from_ints(field, rows)
+
+
+def _rref_rows(field, rows, ncols):
+    """Batch Gauss-Jordan, column by column: the oracle for RowBasis.
+    In-place RREF of a list of row lists; returns (rank, pivots)."""
+    zero = field.zero
+    nrows = len(rows)
+    pivots = []
+    r = 0
+    axpy = field.axpy
+    for c in range(ncols):
+        pr = None
+        for i in range(r, nrows):
+            if rows[i][c] != zero:
+                pr = i
+                break
+        if pr is None:
+            continue
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+        pivval = rows[r][c]
+        if pivval != field.one:
+            rows[r] = field.scale(field.inv(pivval), rows[r])
+        prow = rows[r]
+        for i in range(nrows):
+            if i == r:
+                continue
+            t = rows[i][c]
+            if t != zero:
+                rows[i] = axpy(rows[i], t, prow)
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return r, pivots
+
+
+def _echelon_samples():
+    """(field, rows, ncols): seeded tall, wide, square, rank-deficient,
+    zero and empty matrices over Q, GF(2), GF(3) and GF(4)."""
+    rng = random.Random(23)
+    for field in (QQ, GF(2), GF(3), GF(2, 2)):
+        rand = lambda r, c: [[field.random(rng) for _ in range(c)] for _ in range(r)]
+        yield field, [], 4
+        yield field, [[] for _ in range(3)], 0
+        yield field, [[field.zero] * 4 for _ in range(3)], 4
+        for _ in range(12):
+            for nr, nc in ((7, 3), (3, 7), (5, 5), (1, 6), (6, 1)):
+                yield field, rand(nr, nc), nc
+            # rank at most k: combinations of k random rows
+            k, nc = rng.randint(1, 3), rng.randint(4, 6)
+            basis = rand(k, nc)
+            rows = []
+            for coeffs in rand(rng.randint(k + 1, 7), k):
+                v = [field.zero] * nc
+                for c, b in zip(coeffs, basis):
+                    v = field.axpy(v, field.neg(c), b)
+                rows.append(v)
+            yield field, rows, nc
 
 
 def test_rref_swap():
@@ -163,3 +224,63 @@ def test_inverse():
         for _ in range(10):
             m = random_invertible(field, 3, rng)
             assert m * m.inverse() == Matrix.identity(field, 3)
+
+
+def test_singular_inverse_raises():
+    F4 = GF(2, 2)
+    a = next(x for x in F4.elements() if x not in (F4.zero, F4.one))
+    singular = [
+        M(QQ, [[1, 1], [1, 1]]),
+        M(GF(3), [[1, 2, 0], [2, 1, 0], [0, 0, 0]]),
+        Matrix(F4, [[a, F4.one], [F4.mul(a, a), a]]),
+        M(F4, [[1, 1, 0], [0, 1, 1], [1, 0, 1]]),
+    ]
+    for m in singular:
+        with pytest.raises(DivisionByZero):
+            m.inverse()
+    rng = random.Random(8)
+    for field in (QQ, GF(3), F4):
+        for _ in range(30):
+            n = rng.randint(1, 3)
+            m = Matrix(field, [[field.random(rng) for _ in range(n)] for _ in range(n)])
+            if m.rank() < n:
+                with pytest.raises(DivisionByZero):
+                    m.inverse()
+            else:
+                assert m * m.inverse() == Matrix.identity(field, n)
+
+
+def test_echelon_routines_match_batch_oracle():
+    for field, rows, nc in _echelon_samples():
+        work = [list(r) for r in rows]
+        rank, pivots = _rref_rows(field, work, nc)
+        label = (field.kind, rows)
+        if rows:
+            # a Matrix takes its column count from its rows
+            m = Matrix(field, rows)
+            assert rref(m) == (Matrix(field, work), rank, tuple(pivots)), label
+            free = [c for c in range(nc) if c not in pivots]
+            null = []
+            for fc in free:
+                v = [field.zero] * nc
+                v[fc] = field.one
+                for i, pc in enumerate(pivots):
+                    v[pc] = field.neg(work[i][fc])
+                null.append(v)
+            _rref_rows(field, null, nc)
+            k = kernel(m)
+            assert k.mat == Matrix(field, null) and k.ambient == nc, label
+        assert rank_of_rows(field, rows, nc) == rank, label
+        sub = Subspace.from_vectors(field, nc, rows)
+        assert sub.mat == Matrix(field, work[:rank]), label
+        assert sub.pivots == tuple(pivots), label
+        # one row at a time: insert reports growth exactly when the
+        # oracle rank of the prefix grows, and keeps no caller's list
+        basis = RowBasis(field, nc)
+        for i, r in enumerate(rows):
+            v = list(r)
+            before = _rref_rows(field, [list(x) for x in rows[:i]], nc)[0]
+            after = _rref_rows(field, [list(x) for x in rows[: i + 1]], nc)[0]
+            assert basis.insert(v) == (after > before), label
+            v[:] = [field.one] * nc
+        assert basis.to_subspace() == sub, label

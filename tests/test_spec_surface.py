@@ -1,7 +1,10 @@
 """Cross-module behaviors: the symplectic exterior square through the
 repcore machinery, certificate surfaces, and environment-driven caps."""
 
+import ast
+import importlib
 import json
+import pathlib
 
 from thickrep.fields import GF, QQ
 from thickrep.linalg import Matrix
@@ -141,3 +144,27 @@ def test_rational_pairing_prong():
     report = ker_perp_realizability_check(SymplecticSpace(2, QQ), 2, trials=10, seed=1)
     assert report.nonzero_pairings == 10
     assert report.scan_prong_ran and report.scan_prong_pass  # dim-1 perp, exact
+
+
+def test_traced_layers_resolve_in_package():
+    # the benchmark's traced run wraps these names; a deleted or renamed one
+    # fails here rather than in that run
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    layers = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "SPAN_LAYERS" for t in node.targets)
+    )
+    assert len(layers) == 38
+    for dotted in layers:
+        module, *attrs = dotted.split(".")
+        owner = importlib.import_module("thickrep." + module)
+        for name in attrs[:-1]:
+            owner = getattr(owner, name)
+        # the tracer patches a method on the class that defines it
+        if isinstance(owner, type):
+            assert attrs[-1] in vars(owner), dotted
+        else:
+            assert hasattr(owner, attrs[-1]), dotted
