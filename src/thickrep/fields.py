@@ -148,14 +148,25 @@ def _int_nth_root(v: int, n: int):
     return lo if lo**n == v else None
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson & Webster 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    i = 2
-    while i * i <= p:
-        if p % i == 0:
+    """Deterministic Miller-Rabin; raises WrongField for p >= _MR_BOUND,
+    where the fixed bases no longer decide primality."""
+    if p >= _MR_BOUND:
+        raise WrongField("primality of p >= %d is not decided" % _MR_BOUND)
+    if p < 2 or any(p % a == 0 for a in _MR_BASES):
+        return p in _MR_BASES
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2^s with d odd
+    d = (p - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x != 1 and all(pow(x, 1 << i, p) != p - 1 for i in range(s)):
             return False
-        i += 1
     return True
 
 
@@ -420,7 +431,10 @@ def field_from_json(data: dict):
     if kind == "Q":
         return QQ
     if kind == "Fp":
-        return GF(int(data["p"]))
+        p = data.get("p")
+        if type(p) is not int:
+            raise MalformedInput("field.p must be a JSON integer, got %r" % (p,))
+        return GF(p)
     raise WrongField("unknown field kind %r" % (kind,))
 
 

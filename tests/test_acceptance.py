@@ -3,9 +3,16 @@
 Each test drives the corresponding reproduction-suite item, asserts it
 verifies, enforces the stated runtime budget, and prints one line.
 All arithmetic is exact, so every equality below is exact equality.
+The items that emit certificates must write them byte for byte as the
+files under tests/golden/, which `thickrep verify --cert-dir` wrote.
 """
 
+import os
+
+from thickrep import serialize
 from thickrep.verify import VERIFIED, run_item
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 
 def _run(item_id, budget_s):
@@ -15,6 +22,13 @@ def _run(item_id, budget_s):
     assert result.status == VERIFIED, result.details
     assert result.runtime_ms < budget_s * 1000, "over budget: %dms" % result.runtime_ms
     return result
+
+
+def _assert_golden_certificates(result, names):
+    assert [name for name, _ in result.certificates] == names
+    for name, payload in result.certificates:
+        with open(os.path.join(GOLDEN, name + ".json"), encoding="utf-8", newline="") as fh:
+            assert serialize.dumps(payload) == fh.read(), name
 
 
 def test_criterion_01_sym_group_wedge_square_decomposition():
@@ -43,6 +57,7 @@ def test_criterion_05_wedge_square_gl4_f2_not_thick():
     assert r.details["elements_scanned"] == 20160
     assert r.details["certificate_reverifies"]
     assert r.certificates, "refutation certificate must be emitted"
+    _assert_golden_certificates(r, ["wedge2_gl4_f2_m3"])
 
 
 def test_criterion_06_block_rep_f13():
@@ -50,6 +65,7 @@ def test_criterion_06_block_rep_f13():
     assert r.details["burnside_16"]
     assert r.details["w1_is_block_wedge_span"]
     assert r.details["certificate_reverifies"]
+    _assert_golden_certificates(r, ["block_rep_f13_m2"])
 
 
 def test_criterion_07_companion_and_block_witnesses():
@@ -88,6 +104,7 @@ def test_criterion_11_so_split_examples():
     assert r.details["so5_wedge2_burnside_100"]
     assert r.details["so4_wedge2_two_3dim_factors"]
     assert r.details["so4_not_thick_m2"]
+    _assert_golden_certificates(r, ["so4_wedge2_m2"])
 
 
 def test_criterion_12_eigenstructure_suite():

@@ -276,6 +276,20 @@ def test_malformed_rep_structure_exit_3(tmp_path, capsys):
         assert "Traceback" not in capsys.readouterr().err
 
 
+def test_field_p_must_be_json_integer(tmp_path, capsys):
+    path = write_rep(tmp_path, "rep.json", GF(13), [[[1, 1], [0, 1]]])
+    good = json.loads(open(path).read())
+    assert good["field"] == {"kind": "Fp", "p": 13}
+    bad_fields = [
+        {"kind": "Fp", "p": p} for p in ({}, [], "13", 2.0, 1.5, True, None, 13.0)
+    ] + [{"kind": "Fp"}]
+    for field in bad_fields:
+        with open(path, "w") as fh:
+            fh.write(serialize.dumps(dict(good, field=field)))
+        assert main(["check", "--rep", path, "--mode", "irreducible"]) == 3, field
+        assert "Traceback" not in capsys.readouterr().err
+
+
 def test_malformed_certificate_structure_exit_3(tmp_path, capsys):
     path = write_rep(
         tmp_path, "jordan.json", GF(2), [[[1, 1, 0], [0, 1, 1], [0, 0, 1]]]

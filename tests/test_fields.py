@@ -2,8 +2,9 @@ import ast
 import pathlib
 import random
 import re
+import time
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -11,7 +12,10 @@ from thickrep.errors import DivisionByZero, FieldMismatch, NotMonic, WrongField,
 from thickrep.fields import (
     GF,
     QQ,
+    PrimeField,
     Poly,
+    _MR_BOUND,
+    _is_prime,
     field_from_json,
     field_to_json,
     nth_roots,
@@ -236,3 +240,43 @@ def test_no_assert_statements_in_package():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, "%s: assert at lines %s" % (path.name, lines)
+
+
+def _is_prime_by_trial_division(p):
+    if p < 2:
+        return False
+    i = 2
+    while i * i <= p:
+        if p % i == 0:
+            return False
+        i += 1
+    return True
+
+
+def test_miller_rabin_matches_trial_division():
+    for p in range(-3, 10_000):
+        assert _is_prime(p) == _is_prime_by_trial_division(p), p
+
+
+def test_miller_rabin_rejects_pseudoprimes():
+    composites = {
+        2047: (23, 89),  # strong pseudoprime to base 2
+        3215031751: (151, 751, 28351),  # strong pseudoprime to bases 2, 3, 5, 7
+        41041: (7, 11, 13, 41),  # Carmichael number
+    }
+    for n, factors in composites.items():
+        assert n == prod(factors)
+        assert not _is_prime(n), n
+        with pytest.raises(WrongField):
+            GF(n)
+
+
+def test_large_prime_field_builds_fast():
+    t0 = time.perf_counter()
+    f = PrimeField(2**61 - 1)
+    assert time.perf_counter() - t0 < 1.0
+    assert f.mul(f.inv(3), 3) == 1
+    # beyond the bound the fixed bases decide nothing, so p is refused
+    for p in (_MR_BOUND, 2**89 - 1):
+        with pytest.raises(WrongField):
+            GF(p)

@@ -104,6 +104,121 @@ def test_group_closure_gl2_f2():
         group_closure(r, cap=3)
 
 
+# The walks that `_orbits` replaced, kept as oracles: the frontier BFS of
+# group_closure, the `_subspace_orbit` + `claimed` partition of the
+# definition decider, and the `done` marking of the submodule enumeration.
+
+
+def _closure_by_frontier(r, cap):
+    ident = Matrix.identity(r.field, r.dim)
+    seen = {ident.rows: ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for mat in frontier:
+            for g in r.generators:
+                prod = mat * g
+                if prod.rows not in seen:
+                    seen[prod.rows] = prod
+                    nxt.append(prod)
+                    if len(seen) > cap:
+                        raise CapExceeded("group closure exceeded %d" % cap)
+        frontier = nxt
+    return list(seen.values())
+
+
+def _subspace_orbit(r, start):
+    seen = {start.mat.rows: start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for g in r.generators:
+                img = repcore._apply_to_subspace(g, w)
+                if img.mat.rows not in seen:
+                    seen[img.mat.rows] = img
+                    nxt.append(img)
+        frontier = nxt
+    return list(seen.values())
+
+
+def _subspace_orbits_by_claiming(r, m):
+    orbits = []
+    claimed = set()
+    for v1 in enumerate_subspaces(r.field, r.dim, m):
+        if v1.mat.rows in claimed:
+            continue
+        orbit = _subspace_orbit(r, v1)
+        orbits.append(orbit)
+        for w in orbit:
+            claimed.add(w.mat.rows)
+    return orbits
+
+
+def _spun_points_by_marking(r):
+    f = r.field
+    zero, one = f.zero, f.one
+    done = set()
+    spun = []
+    for v in projective_coefficients(f, r.dim):
+        if v in done:
+            continue
+        spun.append(v)
+        orbit = [v]
+        while orbit:
+            u = orbit.pop()
+            for g in r.generators:
+                x = g.apply(u)
+                lead = next(c for c in x if c != zero)
+                if lead != one:
+                    x = tuple(f.scale(f.inv(lead), x))
+                if x not in done:
+                    done.add(x)
+                    orbit.append(x)
+    return spun
+
+
+def _agreement_reps(count):
+    """The first `count` reps per field of the seed-0 agreement samples."""
+    reps = []
+    for q in (2, 3):
+        field = GF(q)
+        rng = random.Random(q)
+        for _ in range(count):
+            gens = [random_invertible(field, 4, rng) for _ in range(2)]
+            reps.append(Representation(field, 4, GROUP, gens))
+    return reps
+
+
+def test_group_closure_matches_frontier_oracle():
+    cyc3 = [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
+    swap3 = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
+    trans3 = [[1, 1, 0], [0, 1, 0], [0, 0, 1]]
+    groups = (
+        (group_rep(GF(2), [[[1, 1], [0, 1]], SWAP2]), 6),
+        (group_rep(GF(2), [cyc3, swap3, trans3]), 168),
+        (group_rep(GF(3), [[[1, 1], [0, 1]], SWAP2]), 48),
+    )
+    for r, order in groups:
+        elems = group_closure(r, cap=order)
+        assert len(elems) == order
+        assert elems == _closure_by_frontier(r, order)
+        with pytest.raises(CapExceeded):
+            group_closure(r, cap=order - 1)
+
+
+def test_definition_orbits_match_claiming_oracle():
+    for r in _agreement_reps(20):
+        moves = [lambda w, g=g: repcore._apply_to_subspace(g, w) for g in r.generators]
+        for m in (1, 2, 3):
+            orbits = repcore._orbits(enumerate_subspaces(r.field, 4, m), moves)
+            assert orbits == _subspace_orbits_by_claiming(r, m)
+            report = is_m_thick_definition(r, m)
+            assert report.log["orbits"] == len(orbits)
+            if report.verdict == THICK:
+                assert report.log["orbit_sizes"] == sorted(len(o) for o in orbits)
+
+
 def test_all_submodules_swap_f2():
     r = group_rep(GF(2), [SWAP2])
     subs = all_submodules(r)
@@ -176,16 +291,10 @@ def _lattice_against_oracle(r):
 
 
 def test_all_submodules_matches_oracle_on_agreement_samples():
-    # the first 20 reps per field of the seed-0 agreement samples
     lattice_sizes = []
-    for q in (2, 3):
-        field = GF(q)
-        rng = random.Random(q)
-        for _ in range(20):
-            gens = [random_invertible(field, 4, rng) for _ in range(2)]
-            r = Representation(field, 4, GROUP, gens)
-            for m in (1, 2, 3):
-                lattice_sizes.append(len(_lattice_against_oracle(exterior_rep(r, m))))
+    for r in _agreement_reps(20):
+        for m in (1, 2, 3):
+            lattice_sizes.append(len(_lattice_against_oracle(exterior_rep(r, m))))
     assert lattice_sizes.count(2) > 0
     assert len(lattice_sizes) - lattice_sizes.count(2) > 0
 
@@ -236,6 +345,7 @@ def test_submodules_one_spin_per_projective_orbit(monkeypatch):
     subs = _enumerate_submodules(r, Caps())
     # 6 + 6 points inside the eigenplanes, 144 / 4 mixed orbits
     assert len(spins) == 48 < projective_count(5, 4) == 156
+    assert [v for seeds in spins for v in seeds] == _spun_points_by_marking(r)
     monkeypatch.undo()
     assert len(subs) == 64
     assert subs == _brute_force_lattice(r)
