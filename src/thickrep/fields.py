@@ -13,6 +13,7 @@ returning canonical values.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -209,7 +210,7 @@ class PrimeField:
         return a % self.p
 
     def dot(self, u, v):
-        return sum(a * b for a, b in zip(u, v)) % self.p
+        return sum(map(operator.mul, u, v)) % self.p
 
     def axpy(self, w, t, row):
         p = self.p
@@ -408,11 +409,11 @@ def GF(p: int, k: int = 1):
         return _prime_fields[p]
     if k != 2:
         raise WrongField("only quadratic extensions are provided")
+    GF(p)  # refuses p = 0, 1 and composites with WrongField
     if p == 2:
         return ExtensionField(2, (1, 1, 1))  # x^2 + x + 1
-    # x^2 - s for the first quadratic nonresidue s
-    squares = {pow(x, 2, p) for x in range(1, p)}
-    s = next(x for x in range(2, p) if x not in squares)
+    # x^2 - s for the first quadratic nonresidue s, by Euler's criterion
+    s = next(x for x in itertools.count(2) if pow(x, (p - 1) // 2, p) == p - 1)
     return ExtensionField(p, (-s % p, 0, 1))
 
 

@@ -10,6 +10,7 @@ field scope and fall back to Unknown rather than overreach.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import os
@@ -257,11 +258,18 @@ def _orbits(points, moves, cap=None):
 
 
 def group_closure(r: Representation, cap: int):
-    """All elements of the generated matrix group, by breadth-first products."""
+    """All elements of the generated matrix group, by breadth-first products.
+
+    The walk runs on row tuples: row i of a*g is g^T applied to row i of a,
+    and each generator computes its image of a distinct row only once."""
     if r.mode != GROUP:
         raise PreconditionFailed("group closure needs group mode")
+    moves = [
+        lambda a, image=functools.cache(g.transpose().apply): tuple(map(image, a))
+        for g in r.generators
+    ]
     ident = Matrix.identity(r.field, r.dim)
-    return _orbits([ident], [lambda a, g=g: a * g for g in r.generators], cap)[0]
+    return [Matrix(r.field, a) for a in _orbits([ident.rows], moves, cap)[0]]
 
 
 _NORTON_SEED = 1984

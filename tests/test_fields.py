@@ -189,12 +189,12 @@ def test_canonical_scalar_ordering():
     assert sorted([4, 0, 2], key=GF(5).sort_key) == [0, 2, 4]
 
 
-ROW_FIELDS = (QQ, GF(2), GF(3), GF(7), GF(2, 2), GF(3, 2))
+ROW_FIELDS = (QQ, GF(2), GF(3), GF(7), GF(2**61 - 1), GF(2, 2), GF(3, 2))
 
 
 def _canonical(field, x):
     if field.finite:
-        return x in set(field.elements())
+        return x in field.elements()
     return type(x) is Fraction
 
 
@@ -280,3 +280,27 @@ def test_large_prime_field_builds_fast():
     for p in (_MR_BOUND, 2**89 - 1):
         with pytest.raises(WrongField):
             GF(p)
+
+
+def test_quadratic_extension_refuses_non_primes():
+    for p in (0, 1, 9):
+        with pytest.raises(WrongField):
+            GF(p, 2)
+
+
+def test_quadratic_extension_modulus_matches_squares_oracle():
+    for p in range(3, 200):
+        if not _is_prime(p):
+            continue
+        squares = {pow(x, 2, p) for x in range(1, p)}
+        s = next(x for x in range(2, p) if x not in squares)
+        assert GF(p, 2).modulus == (-s % p, 0, 1)
+
+
+def test_large_quadratic_extension_builds_fast():
+    t0 = time.perf_counter()
+    p = 2**61 - 1
+    f = GF(p, 2)
+    assert time.perf_counter() - t0 < 1.0
+    s = f.mul((0, 1), (0, 1))[0]  # x^2 = s, a quadratic nonresidue
+    assert pow(s, (p - 1) // 2, p) == p - 1

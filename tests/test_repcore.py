@@ -190,14 +190,23 @@ def _agreement_reps(count):
     return reps
 
 
+CYC3 = [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
+SWAP3 = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
+TRANS3 = [[1, 1, 0], [0, 1, 0], [0, 0, 1]]
+
+
 def test_group_closure_matches_frontier_oracle():
-    cyc3 = [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
-    swap3 = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
-    trans3 = [[1, 1, 0], [0, 1, 0], [0, 0, 1]]
+    F4 = GF(2, 2)
+    w, one, zero = (0, 1), F4.one, F4.zero
+    gl2_f4 = Representation(
+        F4, 2, GROUP, [Matrix(F4, [[w, zero], [zero, one]]), Matrix(F4, [[one, one], [one, zero]])]
+    )
     groups = (
         (group_rep(GF(2), [[[1, 1], [0, 1]], SWAP2]), 6),
-        (group_rep(GF(2), [cyc3, swap3, trans3]), 168),
+        (group_rep(GF(2), [CYC3, SWAP3, TRANS3]), 168),
         (group_rep(GF(3), [[[1, 1], [0, 1]], SWAP2]), 48),
+        (gl2_f4, 180),
+        (group_rep(QQ, [CYC3, [[-1, 0, 0], [0, 1, 0], [0, 0, 1]]]), 24),
     )
     for r, order in groups:
         elems = group_closure(r, cap=order)
@@ -205,6 +214,24 @@ def test_group_closure_matches_frontier_oracle():
         assert elems == _closure_by_frontier(r, order)
         with pytest.raises(CapExceeded):
             group_closure(r, cap=order - 1)
+    infinite = group_rep(QQ, [[[1, 1], [0, 1]]])
+    for closure in (group_closure, _closure_by_frontier):
+        with pytest.raises(CapExceeded):
+            closure(infinite, 50)
+
+
+def test_group_closure_multiplies_no_matrices(monkeypatch):
+    r = group_rep(GF(2), [CYC3, SWAP3, TRANS3])
+    calls = []
+    mul = Matrix.__mul__
+
+    def counting_mul(a, b):
+        calls.append(None)
+        return mul(a, b)
+
+    monkeypatch.setattr(Matrix, "__mul__", counting_mul)
+    assert len(group_closure(r, cap=168)) == 168
+    assert calls == []
 
 
 def test_definition_orbits_match_claiming_oracle():
