@@ -19,8 +19,8 @@ from .errors import (
     PreconditionFailed,
 )
 from .fields import GF, PrimeField, QQ, _is_prime, poly_roots
-from .linalg import Matrix, Subspace, charpoly, kernel, random_invertible, unit_vector
-from .exterior import WedgeVector, is_decomposable, wedge_of_vectors
+from .linalg import Matrix, Subspace, charpoly, kernel, random_invertible
+from .exterior import WedgeVector, is_decomposable
 from .repcore import (
     GROUP,
     Representation,
@@ -84,12 +84,8 @@ def companion_pair(field, n: int, a, b) -> CompanionPairResult:
     for m in range(1, n):
         vecs = []
         for i in range(n):
-            idx = [(i + t) % n for t in range(m)]
-            vecs.append(
-                wedge_of_vectors(
-                    field, n, [unit_vector(field, n, j) for j in idx]
-                ).coords
-            )
+            subset = tuple(sorted((i + t) % n + 1 for t in range(m)))
+            vecs.append(WedgeVector.basis_element(field, n, subset).coords)
         w = Subspace.from_vectors(field, comb(n, m), vecs)
         if w.dim != n:
             raise ConstructionError("window subspace has dim %d != %d" % (w.dim, n))
@@ -161,10 +157,8 @@ def block_rep(spec: BlockRepSpec) -> BlockRepResult:
     # W: wedge of each block
     wvecs = []
     for t in range(ell):
-        idx = list(range(t * m, (t + 1) * m))
-        wvecs.append(
-            wedge_of_vectors(f, n, [unit_vector(f, n, j) for j in idx]).coords
-        )
+        subset = tuple(range(t * m + 1, (t + 1) * m + 1))
+        wvecs.append(WedgeVector.basis_element(f, n, subset).coords)
     w = Subspace.from_vectors(f, comb(n, m), wvecs)
     if w.dim != ell:
         raise ConstructionError("block wedge subspace has wrong dimension")
@@ -174,10 +168,8 @@ def block_rep(spec: BlockRepSpec) -> BlockRepResult:
     # Y: one basis index from each block
     yvecs = []
     for picks in itertools.product(range(m), repeat=ell):
-        idx = [t * m + p for t, p in enumerate(picks)]
-        yvecs.append(
-            wedge_of_vectors(f, n, [unit_vector(f, n, j) for j in idx]).coords
-        )
+        subset = tuple(t * m + p + 1 for t, p in enumerate(picks))
+        yvecs.append(WedgeVector.basis_element(f, n, subset).coords)
     y = Subspace.from_vectors(f, comb(n, ell), yvecs)
     if y.dim != m**ell:
         raise ConstructionError("cross-block subspace has wrong dimension")

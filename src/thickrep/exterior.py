@@ -352,7 +352,7 @@ class RealizabilityResult:
     exhaustive: bool = False
 
 
-def subspace_wedge_points(w: Subspace, n, m, coeff_iter):
+def _subspace_wedge_points(w: Subspace, n, m, coeff_iter):
     """The wedge vectors sum(c_i * basis_i) of w, one per coefficient tuple."""
     f = w.field
     basis = w.basis_vectors()
@@ -371,10 +371,13 @@ def realizable_search(
 ) -> RealizabilityResult:
     """Search w <= Lambda^m k^n for a nonzero decomposable vector.
 
+    The one place realizability is decided.  Zero and lines are exact over
+    every field: a line is realizable iff its basis vector is decomposable.
     Over a finite field with the projective point count of w within the
-    cap the scan is exhaustive and the answer exact.  Over the rationals
-    the search is heuristic: basis vectors, small-coefficient grids, then
-    seeded random combinations; it never reports NotRealizable.
+    cap the scan is exhaustive and the answer exact.  Otherwise (the
+    rationals, or past the cap) the search is heuristic: basis vectors,
+    small-coefficient grids, then seeded random combinations; it never
+    reports NotRealizable.
     """
     if w.ambient != comb(n, m):
         raise AmbientMismatch("ambient %d is not C(%d,%d)" % (w.ambient, n, m))
@@ -382,9 +385,15 @@ def realizable_search(
     d = w.dim
     if d == 0:
         return RealizabilityResult("NotRealizable", exhaustive=True)
+    if d == 1:
+        v = WedgeVector(f, n, m, w.basis_vectors()[0])
+        ok, wit = is_decomposable(v)
+        if ok:
+            return RealizabilityResult("Realizable", v, wit, 1, exhaustive=True)
+        return RealizabilityResult("NotRealizable", scanned=1, exhaustive=True)
     if f.finite and projective_count(f.order, d) <= points_cap:
         scanned = 0
-        for v in subspace_wedge_points(w, n, m, projective_coefficients(f, d)):
+        for v in _subspace_wedge_points(w, n, m, projective_coefficients(f, d)):
             scanned += 1
             ok, wit = is_decomposable(v)
             if ok:
@@ -394,7 +403,7 @@ def realizable_search(
         return RealizabilityResult("NotRealizable", scanned=scanned, exhaustive=True)
     coeff_iter = _heuristic_coefficients(f, d, seed, rational_trials)
     scanned = 0
-    for v in subspace_wedge_points(w, n, m, coeff_iter):
+    for v in _subspace_wedge_points(w, n, m, coeff_iter):
         scanned += 1
         if v.is_zero():
             continue

@@ -317,11 +317,12 @@ class ExtensionField:
     def inv(self, a):
         if a == self.zero:
             raise DivisionByZero("inverse of zero")
-        # fields used here are tiny; scan is fine
-        for b in self.elements():
-            if self.mul(a, b) == self.one:
-                return b
-        raise WrongField("%r has no inverse: the modulus is reducible" % (a,))
+        # Fermat: a^(q-1) = 1, so a^(q-2) is the inverse if the modulus is
+        # irreducible; the product check catches one that is not
+        b = self._pow(a, self.order - 2)
+        if self.mul(a, b) != self.one:
+            raise WrongField("%r has no inverse: the modulus is reducible" % (a,))
+        return b
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -377,9 +378,13 @@ class ExtensionField:
         )
 
     def _pow(self, a, n):
+        """a^n by square-and-multiply."""
         out = self.one
-        for _ in range(n):
-            out = self.mul(out, a)
+        while n:
+            if n & 1:
+                out = self.mul(out, a)
+            a = self.mul(a, a)
+            n >>= 1
         return out
 
     def __repr__(self):
@@ -658,21 +663,11 @@ def poly_factor_fp(f: Poly):
     return out
 
 
-def linear_roots_fp(f: Poly):
-    """Roots in F_p of f with multiplicities, as a list of (root, mult)."""
-    out = []
-    for fac, mult in poly_factor_fp(f.monic()):
-        if fac.degree == 1:
-            # x + c -> root -c
-            out.append((f.field.neg(fac.coeffs[0]), mult))
-    return out
-
-
 def poly_roots(f: Poly):
-    """Roots of f in its field with multiplicities, as (root, mult) pairs."""
+    """Roots of f in its field with multiplicities, as (root, mult) pairs.
+
+    Over a finite field this scans the elements in their canonical order."""
     field = f.field
-    if isinstance(field, PrimeField):
-        return linear_roots_fp(f)
     if isinstance(field, Rationals):
         return rational_roots(f)
     out = []

@@ -39,13 +39,11 @@ from .linalg import (
 from .exterior import (
     compound,
     derivation,
-    is_decomposable,
     perp,
     projective_coefficients,
     projective_count,
     realizable_search,
     wedge_of_vectors,
-    WedgeVector,
 )
 
 GROUP = "group"
@@ -695,27 +693,6 @@ def _certificate_from_pair(r, m, v1: Subspace, v2: Subspace) -> NotThickCertific
     )
 
 
-def _subspace_realizability(w: Subspace, n, m, caps: Caps, seed: int):
-    """Realizability of a subspace of Lambda^m, with the exactly decidable
-    small cases resolved directly: dim 0 is never realizable and a line is
-    realizable iff its basis vector is decomposable."""
-    from .exterior import RealizabilityResult
-
-    f = w.field
-    if w.dim == 0:
-        return RealizabilityResult("NotRealizable", exhaustive=True)
-    if w.dim == 1:
-        v = WedgeVector(f, n, m, w.basis_vectors()[0])
-        ok, wit = is_decomposable(v)
-        if ok:
-            return RealizabilityResult("Realizable", v, wit, 1, exhaustive=True)
-        return RealizabilityResult("NotRealizable", scanned=1, exhaustive=True)
-    return realizable_search(
-        w, n, m, points_cap=caps.points_cap, seed=seed,
-        rational_trials=caps.rational_trials,
-    )
-
-
 def _pair_certificate(r, m, w1, r1, w2, r2) -> NotThickCertificate:
     return NotThickCertificate(
         field=r.field, n=r.dim, m=m, w1=w1, w2=w2,
@@ -778,11 +755,17 @@ def is_m_thick_criterion(r: Representation, m: int, caps: Caps | None = None,
     if subs is not None:
         unresolved = 0
         for w1 in subs:
-            r1 = _subspace_realizability(w1, n, m, caps, seed)
+            r1 = realizable_search(
+                w1, n, m, points_cap=caps.points_cap, seed=seed,
+                rational_trials=caps.rational_trials,
+            )
             if r1.status == "NotRealizable":
                 continue
             w2 = perp(w1, n, m)
-            r2 = _subspace_realizability(w2, n, n - m, caps, seed)
+            r2 = realizable_search(
+                w2, n, n - m, points_cap=caps.points_cap, seed=seed,
+                rational_trials=caps.rational_trials,
+            )
             if r1.status == "Realizable" and r2.status == "Realizable":
                 cert = _pair_certificate(r, m, w1, r1, w2, r2)
                 return ThicknessReport(
@@ -833,14 +816,17 @@ def _criterion_spin_route(r, ext, m, caps: Caps, seed: int) -> ThicknessReport:
             continue
         seen.add(w1.mat.rows)
         w2 = perp(w1, n, m)
-        r2 = _subspace_realizability(w2, n, n - m, caps, seed)
+        r2 = realizable_search(
+            w2, n, n - m, points_cap=caps.points_cap, seed=seed,
+            rational_trials=caps.rational_trials,
+        )
         if r2.status == "Realizable":
-            ok, wit1 = is_decomposable(WedgeVector(f, n, m, x.coords))
-            if not ok:
-                raise ConstructionError("realizable point has no wedge witness")
+            # x is the wedge of v1, so v1 is the annihilator of x: its
+            # canonical basis is the W1 witness
             cert = NotThickCertificate(
                 field=f, n=n, m=m, w1=w1, w2=w2,
-                witness1=tuple(wit1), witness2=tuple(r2.witness_vectors),
+                witness1=tuple(v1.basis_vectors()),
+                witness2=tuple(r2.witness_vectors),
             )
             return ThicknessReport(
                 m=m, verdict=NOT_THICK, method="criterion", mode=r.mode,

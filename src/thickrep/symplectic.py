@@ -10,7 +10,7 @@ the code never trusts displayed index ranges.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from math import comb
 
 from .errors import (
@@ -22,15 +22,11 @@ from .errors import (
 )
 from .linalg import Matrix, RowBasis, Subspace, kernel, rank_of_rows, solve_linear
 from .exterior import (
-    WedgeVector,
     colex_subsets,
     derivation,
-    is_decomposable,
     perp,
-    projective_coefficients,
-    projective_count,
+    realizable_search,
     subset_rank,
-    subspace_wedge_points,
     wedge_of_vectors,
     wedge_product,
 )
@@ -320,19 +316,18 @@ class KerPerpReport:
     scan_prong_ran: bool = False
     scan_prong_pass: bool = False
     scan_points: int = 0
-    details: dict = dc_field(default_factory=dict)
 
 
 def ker_perp_realizability_check(
     sp: SymplecticSpace, m: int, trials: int = 200, seed: int = 0,
-    scan_points_cap: int = 200_000,
 ) -> KerPerpReport:
     """Check both prongs of non-realizability for perp(ker of contraction).
 
     (a) For seeded random codim-m subspaces W, the top wedge of W pairs
     nontrivially with the wedge of an isotropic transversal of W, which
     lies in the contraction kernel; so no wedge of a codim-m subspace can
-    land in the perp.  (b) Where the projective scan is finite, assert
+    land in the perp.  (b) Where `realizable_search` can decide the perp
+    exactly (a line, or a finite field within its points cap), assert
     directly that no point of the perp is decomposable.
     """
     if not 1 < m <= sp.n:
@@ -363,25 +358,9 @@ def ker_perp_realizability_check(
     report.pairing_prong_pass = good == trials
 
     kp = perp(kf, N, m)
-    if kp.dim == 0:
-        report.scan_prong_ran = True
-        report.scan_prong_pass = True
-    elif kp.dim == 1:
-        report.scan_prong_ran = True
-        ok, _ = is_decomposable(WedgeVector(f, N, N - m, kp.basis_vectors()[0]))
-        report.scan_prong_pass = not ok
-        report.scan_points = 1
-    elif f.finite and projective_count(f.order, kp.dim) <= scan_points_cap:
-        report.scan_prong_ran = True
-        bad = 0
-        count = 0
-        points = projective_coefficients(f, kp.dim)
-        for v in subspace_wedge_points(kp, N, N - m, points):
-            count += 1
-            ok, _ = is_decomposable(v)
-            if ok:
-                bad += 1
-        report.scan_points = count
-        report.scan_prong_pass = bad == 0
-        report.details["decomposable_points"] = bad
+    if kp.dim <= 1 or f.finite:
+        res = realizable_search(kp, N, N - m)
+        report.scan_prong_ran = res.exhaustive
+        report.scan_prong_pass = res.status == "NotRealizable"
+        report.scan_points = res.scanned
     return report

@@ -124,6 +124,21 @@ def test_exterior_ops(tmp_path, capsys):
     assert code == 1
 
 
+def test_exterior_realizable_decides_a_rational_line(tmp_path, capsys):
+    # colex order on 2-subsets of 4: 12, 13, 23, 14, 24, 34
+    for basis, code_want, status in (
+        (["1", "0", "0", "0", "0", "1"], 1, "NotRealizable"),  # e12 + e34
+        (["1", "0", "0", "0", "0", "0"], 0, "Realizable"),  # e12
+    ):
+        path = tmp_path / "line.json"
+        path.write_text(json.dumps({"ambient": 6, "basis": [basis]}))
+        code = main(["exterior", "realizable", "--field", "Q", "--n", "4", "--m", "2",
+                     "--input", str(path)])
+        out = json.loads(capsys.readouterr().out)
+        assert code == code_want
+        assert out["status"] == status and out["exhaustive"] and out["scanned"] == 1
+
+
 def test_characters_commands(capsys):
     assert main(["characters", "wedge-square", "--partition", "3,2"]) == 0
     out = json.loads(capsys.readouterr().out)

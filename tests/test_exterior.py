@@ -253,12 +253,44 @@ def test_realizable_search_full_space_f2():
 
 
 def test_realizable_search_rational_never_notrealizable():
-    v = WedgeVector.basis_element(QQ, 4, (1, 2)).add(
-        WedgeVector.basis_element(QQ, 4, (3, 4))
-    )
-    w = Subspace.from_vectors(QQ, 6, [v.coords])
+    # a(e12 + e34) + b(e13 - e24) has Pluecker form a^2 + b^2, so this plane
+    # holds no nonzero decomposable vector over Q; the heuristic scan of a
+    # plane cannot prove that and must say Unknown
+    basis = [
+        WedgeVector.basis_element(QQ, 4, (1, 2)).add(
+            WedgeVector.basis_element(QQ, 4, (3, 4))
+        ),
+        WedgeVector.basis_element(QQ, 4, (1, 3)).add(
+            WedgeVector.basis_element(QQ, 4, (2, 4)).scale(QQ.from_int(-1))
+        ),
+    ]
+    w = Subspace.from_vectors(QQ, 6, [v.coords for v in basis])
     res = realizable_search(w, 4, 2)
-    assert res.status == "Unknown"
+    assert res.status == "Unknown" and not res.exhaustive
+    # a line is decided exactly over every field, the rationals included
+    line = Subspace.from_vectors(QQ, 6, [basis[0].coords])
+    res = realizable_search(line, 4, 2)
+    assert res.status == "NotRealizable"
+    assert res.exhaustive and res.scanned == 1
+
+
+def test_realizable_search_line_is_exact_over_every_field():
+    rng = random.Random(8)
+    for field in (QQ, GF(2), GF(3), GF(2, 2)):
+        for n, m in ((4, 2), (5, 2), (5, 3)):
+            for _ in range(6):
+                v = WedgeVector(field, n, m, [
+                    field.random(rng) if rng.random() < 0.5 else field.zero
+                    for _ in range(comb(n, m))
+                ])
+                if v.is_zero():
+                    continue
+                line = Subspace.from_vectors(field, comb(n, m), [v.coords])
+                res = realizable_search(line, n, m, points_cap=0)
+                ok, wit = is_decomposable(WedgeVector(field, n, m, line.basis_vectors()[0]))
+                assert res.exhaustive and res.scanned == 1
+                assert res.status == ("Realizable" if ok else "NotRealizable")
+                assert res.witness_vectors == wit
 
 
 def test_low_codim_spot_check_flags_only():

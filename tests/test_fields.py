@@ -12,6 +12,7 @@ from thickrep.errors import DivisionByZero, FieldMismatch, NotMonic, WrongField,
 from thickrep.fields import (
     GF,
     QQ,
+    ExtensionField,
     PrimeField,
     Poly,
     _MR_BOUND,
@@ -20,6 +21,7 @@ from thickrep.fields import (
     field_to_json,
     nth_roots,
     poly_factor_fp,
+    poly_roots,
     rational_roots,
     scalar,
     scalar_arith,
@@ -117,6 +119,31 @@ def test_factor_product_roundtrip_random():
             assert prod == f
 
 
+def test_poly_roots_fp_match_linear_factors():
+    # oracle: the linear factors x - r of the factorization, in root order
+    rng = random.Random(909)
+    for p in (2, 3, 5, 13):
+        F = GF(p)
+        for _ in range(20):
+            deg = rng.randint(1, 6)
+            f = Poly(F, [rng.randrange(p) for _ in range(deg)] + [1])
+            linear = sorted(
+                (F.neg(g.coeffs[0]), mult)
+                for g, mult in poly_factor_fp(f) if g.degree == 1
+            )
+            assert poly_roots(f) == linear
+
+
+def test_poly_roots_rootless_quartic_over_large_prime():
+    p = 10007
+    F = GF(p)
+    s, s2 = [x for x in range(2, p) if pow(x, (p - 1) // 2, p) == p - 1][:2]
+    f = _poly(F, [-s, 0, 1]) * _poly(F, [-s2, 0, 1])
+    t0 = time.perf_counter()
+    assert poly_roots(f) == []
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_nth_roots_examples():
     F5 = GF(5)
     assert nth_roots(scalar(F5, 4), 2) == [scalar(F5, 2), scalar(F5, 3)]
@@ -180,6 +207,33 @@ def test_extension_field_basics():
         if a == F9.zero:
             continue
         assert F9.mul(a, F9.inv(a)) == F9.one
+
+
+def _inverse_by_scan(field, a):
+    return next(b for b in field.elements() if field.mul(a, b) == field.one)
+
+
+def test_extension_inverse_matches_scan_oracle():
+    for field in (GF(2, 2), GF(3, 2), GF(5, 2)):
+        for a in field.nonzero_elements():
+            assert field.inv(a) == _inverse_by_scan(field, a)
+        with pytest.raises(DivisionByZero):
+            field.inv(field.zero)
+
+
+def test_extension_inverse_refuses_a_reducible_modulus():
+    F = ExtensionField(3, (2, 0, 1))  # x^2 - 1 = (x - 1)(x + 1)
+    assert F.inv(F.one) == F.one
+    with pytest.raises(WrongField):
+        F.inv((1, 1))
+
+
+def test_large_quadratic_extension_inverts_fast():
+    f = GF(2**61 - 1, 2)
+    t0 = time.perf_counter()
+    b = f.inv((0, 1))
+    assert f.mul((0, 1), b) == f.one
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_canonical_scalar_ordering():

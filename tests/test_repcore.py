@@ -6,7 +6,12 @@ from thickrep.errors import CapExceeded, PreconditionFailed
 from thickrep.fields import GF, QQ
 from thickrep.linalg import Matrix, Subspace, random_invertible, unit_vector
 from thickrep.constructions import lie_generators
-from thickrep.exterior import projective_coefficients, projective_count
+from thickrep.exterior import (
+    is_decomposable,
+    projective_coefficients,
+    projective_count,
+    wedge_of_vectors,
+)
 from thickrep import repcore
 from thickrep.repcore import (
     _enumerate_submodules,
@@ -507,6 +512,35 @@ def test_criterion_not_thick_reducible():
     rep = is_m_thick_criterion(r, 1)
     assert rep.verdict == NOT_THICK
     assert verify_not_thick_certificate(r, rep.certificate)
+
+
+def test_criterion_spin_route_witness_is_candidate_annihilator():
+    # a tiny submodule points cap forces the spin route; its W1 witness is
+    # the candidate V1, which is the annihilator of its own wedge
+    rng = random.Random(31)
+    field = GF(3)
+    caps = Caps(submodule_points_cap=3)
+    refuted = 0
+    for _ in range(4):
+        gens = []
+        for _ in range(2):
+            a, c = (random_invertible(field, 2, rng) for _ in range(2))
+            b = [[field.random(rng) for _ in range(2)] for _ in range(2)]
+            gens.append(Matrix(field, [
+                list(a.rows[0]) + b[0], list(a.rows[1]) + b[1],
+                [0, 0] + list(c.rows[0]), [0, 0] + list(c.rows[1]),
+            ]))
+        r = Representation(field, 4, GROUP, gens)
+        for m in (1, 2, 3):
+            rep = is_m_thick_criterion(r, m, caps)
+            assert rep.log["route"] == "spin"
+            assert rep.verdict == NOT_THICK
+            cert = rep.certificate
+            ok, ann = is_decomposable(wedge_of_vectors(field, 4, cert.witness1))
+            assert ok and tuple(ann) == cert.witness1
+            assert verify_not_thick_certificate(r, cert)
+            refuted += 1
+    assert refuted == 12
 
 
 def test_criterion_definition_agreement_seeded():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from math import comb
 
@@ -6,7 +7,14 @@ import pytest
 from thickrep.errors import CodimMismatch, CodimTooLarge, PreconditionFailed
 from thickrep.fields import GF, QQ
 from thickrep.linalg import Subspace, rank_of_rows, unit_vector
-from thickrep.exterior import WedgeVector, is_decomposable, perp, wedge_of_vectors
+from thickrep.exterior import (
+    WedgeVector,
+    is_decomposable,
+    perp,
+    projective_coefficients,
+    projective_count,
+    wedge_of_vectors,
+)
 from thickrep.symplectic import (
     SymplecticSpace,
     contraction_is_equivariant,
@@ -191,3 +199,36 @@ def test_ker_perp_exhaustive_f3():
     sp = SymplecticSpace(2, GF(3))
     report = ker_perp_realizability_check(sp, 2, trials=10, seed=0)
     assert report.scan_prong_ran and report.scan_prong_pass
+
+
+def _scan_prong_oracle(sp, m, points_cap=200_000):
+    """The scan prong as its own projective scan: dim 0 and 1 directly,
+    otherwise every projective point of the perp within the cap, counting
+    all decomposable points instead of stopping at the first."""
+    f = sp.field
+    N = sp.dim
+    kp = perp(ker_fm(sp, m), N, m)
+    if kp.dim == 0:
+        return {"scan_prong_ran": True, "scan_prong_pass": True, "scan_points": 0}
+    if kp.dim == 1:
+        ok, _ = is_decomposable(WedgeVector(f, N, N - m, kp.basis_vectors()[0]))
+        return {"scan_prong_ran": True, "scan_prong_pass": not ok, "scan_points": 1}
+    if not f.finite or projective_count(f.order, kp.dim) > points_cap:
+        return {"scan_prong_ran": False, "scan_prong_pass": False, "scan_points": 0}
+    bad = count = 0
+    for coeffs in projective_coefficients(f, kp.dim):
+        v = [f.zero] * kp.ambient
+        for c, row in zip(coeffs, kp.basis_vectors()):
+            v = f.axpy(v, f.neg(c), row)
+        count += 1
+        bad += is_decomposable(WedgeVector(f, N, N - m, v))[0]
+    return {"scan_prong_ran": True, "scan_prong_pass": bad == 0, "scan_points": count}
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(5), QQ], ids=repr)
+def test_ker_perp_scan_prong_matches_projective_scan_oracle(field):
+    for n, m in ((2, 2), (3, 2), (3, 3)):
+        sp = SymplecticSpace(n, field)
+        report = ker_perp_realizability_check(sp, m, trials=3, seed=1)
+        expect = dataclasses.replace(report, **_scan_prong_oracle(sp, m))
+        assert report == expect
