@@ -16,7 +16,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import (
     BadScalar,
@@ -69,14 +69,48 @@ class Rationals:
     def reduce(self, a):
         return a
 
+    # The row operations work on integer numerators and denominators and
+    # build one Fraction per result, so each pays one gcd; zero terms are
+    # skipped.  Fraction arithmetic would pay a gcd per product and sum.
+
     def dot(self, u, v):
-        return sum(a * b for a, b in zip(u, v))
+        # the products summed over a running common denominator
+        num, den = 0, 1
+        for a, b in zip(u, v):
+            an = a.numerator
+            if an:
+                bn = b.numerator
+                if bn:
+                    d = a.denominator * b.denominator
+                    if den % d:
+                        num = num * d + an * bn * den
+                        den *= d
+                    else:
+                        num += an * bn * (den // d)
+        return Fraction(num, den)
 
     def axpy(self, w, t, row):
-        return [x - t * y for x, y in zip(w, row)]
+        tn = t.numerator
+        if not tn:
+            return list(w)
+        td = t.denominator
+        out = []
+        for x, y in zip(w, row):
+            yn = y.numerator
+            if yn:
+                # x - t*y = (xn*td*yd - tn*yn*xd) / (xd*td*yd)
+                d = y.denominator * td
+                xd = x.denominator
+                x = Fraction(x.numerator * d - tn * yn * xd, xd * d)
+            out.append(x)
+        return out
 
     def scale(self, c, row):
-        return [c * x for x in row]
+        cn, cd = c.numerator, c.denominator
+        return [
+            Fraction(cn * x.numerator, cd * x.denominator) if x.numerator else x
+            for x in row
+        ]
 
     def from_int(self, i):
         return Fraction(i)
@@ -683,49 +717,73 @@ def poly_roots(f: Poly):
 
 
 def rational_roots(f: Poly):
-    """Rational roots of f over Q with multiplicities."""
+    """Rational roots of f over Q with multiplicities, in canonical order.
+
+    With c_0..c_d the primitive integer coefficients of the squarefree part
+    f / gcd(f, f'), y = c_d*x gives a monic integer polynomial h whose
+    integer roots y are the roots y / c_d of f.  Nothing is factored.
+    """
     field = f.field
     if not isinstance(field, Rationals):
         raise WrongField("rational_roots requires the rational field")
     if f.is_zero():
         raise ZeroInput("zero polynomial")
-    # clear denominators to primitive integer form
-    den = 1
-    for c in f.coeffs:
-        den = den * Fraction(c).denominator // gcd(den, Fraction(c).denominator)
-    ints = [int(Fraction(c) * den) for c in f.coeffs]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
-    ints = [c // g for c in ints]
-    lead, const = ints[-1], next((c for c in ints if c != 0))
-    cands = set()
-    for r in _divisors(abs(const)):
-        for s in _divisors(abs(lead)):
-            cands.add(Fraction(r, s))
-            cands.add(Fraction(-r, s))
-    cands.add(Fraction(0))
+    a, b = f, Poly(field, [c * i for i, c in enumerate(f.coeffs)][1:])
+    while not b.is_zero():
+        a, b = b, a.divmod(b)[1].monic()
+    # the squarefree part f / gcd(f, f') in primitive integer form
+    g = f.divmod(a)[0].coeffs
+    den = lcm(*(c.denominator for c in g))
+    ints = [c.numerator * (den // c.denominator) for c in g]
+    content = gcd(*ints)
+    ints = [c // content for c in ints]
+    lead, d = ints[-1], len(ints) - 1
+    h = [c * lead ** (d - 1 - i) for i, c in enumerate(ints[:-1])] + [1]
     out = []
-    for r in sorted(cands, key=field.sort_key):
-        if f(r) == 0:
-            mult = 0
-            rem = f
-            while not rem.is_zero() and rem(r) == 0 and rem.degree >= 1:
-                rem, _ = rem.divmod(Poly.x_minus(field, r))
-                mult += 1
-            if mult:
-                out.append((r, mult))
+    for r in sorted((Fraction(y, lead) for y in _integer_roots(h)), key=field.sort_key):
+        mult = 0
+        rem = f
+        while rem.degree >= 1 and rem(r) == 0:
+            rem, _ = rem.divmod(Poly.x_minus(field, r))
+            mult += 1
+        if mult:
+            out.append((r, mult))
     return out
 
 
-def _divisors(n):
-    if n == 0:
-        return [1]
+def _integer_roots(h):
+    """Candidates for the integer roots of a squarefree monic integer
+    polynomial h (low degree first): every root is among them.
+
+    At the first prime p where every root of h mod p is simple, each root
+    lifts by Newton steps r <- r - h(r)/h'(r), squaring the modulus, to the
+    one p-adic root above it (von zur Gathen & Gerhard, *Modern Computer
+    Algebra*, ch. 15).  An integer root lies within the Cauchy bound
+    B = 1 + max |h_i|, so once the modulus exceeds 2B it is the symmetric
+    residue of its lift.
+    """
+    dh = [i * c for i, c in enumerate(h)][1:]
+
+    def ev(coeffs, x, m):
+        out = 0
+        for c in reversed(coeffs):
+            out = (out * x + c) % m
+        return out
+
+    # h is squarefree over Q, so only the finitely many primes dividing
+    # its discriminant are skipped
+    for p in itertools.count(2):
+        if not _is_prime(p):
+            continue
+        roots = [r for r in range(p) if ev(h, r, p) == 0]
+        if all(ev(dh, r, p) for r in roots):
+            break
+    bound = 1 + max((abs(c) for c in h[:-1]), default=0)
     out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            out.append(n // i)
-        i += 1
-    return sorted(set(out))
+    for r in roots:
+        m = p
+        while m <= 2 * bound:
+            m *= m
+            r = (r - ev(h, r, m) * pow(ev(dh, r, m), -1, m)) % m
+        out.append(r - m if 2 * r > m else r)
+    return out

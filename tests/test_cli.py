@@ -370,3 +370,30 @@ def test_main_dispatches_through_module_attribute(monkeypatch):
     assert main(["rnumber", "--n", "4", "--m", "2"]) == 0
     assert main(["rnumber", "--n", "5", "--m", "2"]) == 0
     assert calls == [4, 5]
+
+
+def test_check_rational_rep_with_large_charpoly_constant(tmp_path, capsys):
+    # P diag(1, 2, 3) P^-1 with large entries in P: the charpoly constant of
+    # a random commutant element is near 10**17, which trial division of
+    # its divisors took about a minute to factor
+    import time
+
+    from thickrep.repcore import isotypic_decomposition
+
+    p = Matrix.from_ints(QQ, [[1, 10**9 + 7, 3], [0, 1, 10**8 + 9], [0, 0, 1]])
+    g = p * Matrix.diagonal(QQ, [QQ.from_int(i) for i in (1, 2, 3)]) * p.inverse()
+    rep = Representation(QQ, 3, GROUP, [g], "conjugated-diagonal")
+    t0 = time.perf_counter()
+    lines = isotypic_decomposition(rep)
+    assert time.perf_counter() - t0 < 2.0
+    assert lines is not None and [w.dim for w in lines] == [1, 1, 1]
+    path = tmp_path / "rep.json"
+    path.write_text(serialize.dumps(serialize.representation_to_json(rep)))
+    report_path = tmp_path / "report.json"
+    code = main(["check", "--rep", str(path), "--mode", "thick", "--method",
+                 "criterion", "--m", "1", "--json-out", str(report_path)])
+    assert code == 1
+    report = json.loads(report_path.read_text())
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(serialize.dumps(report["certificate"]))
+    assert main(["recheck", "--certificate", str(cert_path)]) == 0

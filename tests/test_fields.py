@@ -181,6 +181,94 @@ def test_rational_roots_of_poly():
     assert rational_roots(f) == [(Fraction(1), 1)]
 
 
+def _divisors(n):
+    if n == 0:
+        return [1]
+    out = []
+    i = 1
+    while i * i <= n:
+        if n % i == 0:
+            out.append(i)
+            out.append(n // i)
+        i += 1
+    return sorted(set(out))
+
+
+def _rational_roots_by_divisors(f):
+    """The rational root test: every root is r/s with r dividing the lowest
+    nonzero coefficient and s the leading one of the primitive integer form.
+    The oracle for the Hensel root finder; it factors by trial division."""
+    den = 1
+    for c in f.coeffs:
+        den = den * c.denominator // gcd(den, c.denominator)
+    ints = [int(c * den) for c in f.coeffs]
+    g = 0
+    for c in ints:
+        g = gcd(g, c)
+    ints = [c // g for c in ints]
+    lead, const = ints[-1], next(c for c in ints if c != 0)
+    cands = {Fraction(0)}
+    for r in _divisors(abs(const)):
+        for s in _divisors(abs(lead)):
+            cands.update((Fraction(r, s), Fraction(-r, s)))
+    out = []
+    for r in sorted(cands, key=QQ.sort_key):
+        mult = 0
+        rem = f
+        while rem.degree >= 1 and rem(r) == 0:
+            rem, _ = rem.divmod(Poly.x_minus(QQ, r))
+            mult += 1
+        if mult:
+            out.append((r, mult))
+    return out
+
+
+def test_rational_roots_match_divisor_scan():
+    # a rational constant times linear factors with rational roots,
+    # irreducible quadratics and random factors, some repeated
+    rng = random.Random(2024)
+
+    def q():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+    for _ in range(150):
+        f = Poly(QQ, [q() or Fraction(1)])
+        target = rng.randint(1, 8)
+        while f.degree < target:
+            k = rng.random()
+            if k < 0.5:
+                fac = Poly(QQ, [-q(), Fraction(rng.randint(1, 4))])
+            elif k < 0.8:
+                fac = _poly(QQ, [rng.randint(1, 7), rng.randint(-3, 3), 1])
+            else:
+                fac = Poly(QQ, [q() for _ in range(rng.randint(2, 4))] + [Fraction(1)])
+            f = f * fac * (fac if rng.random() < 0.2 else _poly(QQ, [1]))
+        assert rational_roots(f) == _rational_roots_by_divisors(f), f
+
+
+def test_rational_roots_edge_cases():
+    assert rational_roots(_poly(QQ, [5])) == []
+    assert rational_roots(_poly(QQ, [0, 0, 0, 1])) == [(Fraction(0), 3)]
+    # -6x^3 + x^2 + x = -x(3x + 1)(2x - 1)
+    f = _poly(QQ, [0, 1, 1, -6])
+    assert rational_roots(f) == [(Fraction(-1, 3), 1), (Fraction(0), 1), (Fraction(1, 2), 1)]
+    assert rational_roots(_poly(QQ, [2, 0, 1])) == []
+    with pytest.raises(ZeroInput):
+        rational_roots(Poly(QQ, []))
+    with pytest.raises(WrongField):
+        rational_roots(_poly(GF(5), [1, 1]))
+
+
+def test_rational_roots_of_large_constant_without_factoring():
+    # (x - 1)(x - 2)(x - (10**9 + 7) * (10**8 + 9)): the divisor scan
+    # would trial-divide a constant near 2 * 10**17
+    big = (10**9 + 7) * (10**8 + 9)
+    f = _poly(QQ, [-1, 1]) * _poly(QQ, [-2, 1]) * _poly(QQ, [-big, 1])
+    t0 = time.perf_counter()
+    assert rational_roots(f) == [(Fraction(1), 1), (Fraction(2), 1), (Fraction(big), 1)]
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_field_json_roundtrip():
     for f in (QQ, GF(5)):
         assert field_from_json(field_to_json(f)) == f
@@ -249,27 +337,43 @@ ROW_FIELDS = (QQ, GF(2), GF(3), GF(7), GF(2**61 - 1), GF(2, 2), GF(3, 2))
 def _canonical(field, x):
     if field.finite:
         return x in field.elements()
-    return type(x) is Fraction
+    return type(x) is Fraction and x.denominator > 0 and gcd(x.numerator, x.denominator) == 1
+
+
+def _row_entry(field, rng):
+    # over Q: denominators up to 12, signs, and zeros the kernel skips
+    if field is QQ:
+        if rng.random() < 0.3:
+            return field.zero
+        return Fraction(rng.randint(-12, 12), rng.randint(1, 12))
+    return field.random(rng)
 
 
 def test_row_kernel_matches_elementwise_definitions():
+    # over Q the elementwise definitions are the Fraction-operator forms
+    # sum(a * b), [x - t * y] and [c * x]: the oracle for the integer kernel
     rng = random.Random(5)
     for field in ROW_FIELDS:
-        for _ in range(30):
-            n = rng.randint(1, 6)
-            u = [field.random(rng) for _ in range(n)]
-            v = [field.random(rng) for _ in range(n)]
-            t = field.random(rng)
-            expect = field.zero
-            for a, b in zip(u, v):
-                expect = field.add(expect, field.mul(a, b))
-            assert field.dot(u, v) == expect
-            assert field.axpy(u, t, v) == [
-                field.sub(x, field.mul(t, y)) for x, y in zip(u, v)
-            ]
-            assert field.scale(t, v) == [field.mul(t, x) for x in v]
-            outputs = [field.dot(u, v)] + field.axpy(u, t, v) + field.scale(t, v)
-            assert all(_canonical(field, x) for x in outputs)
+        for _ in range(100):
+            n = rng.randint(0, 12)
+            u = [_row_entry(field, rng) for _ in range(n)]
+            v = [_row_entry(field, rng) for _ in range(n)]
+            for t in (_row_entry(field, rng), field.zero):
+                expect = field.zero
+                for a, b in zip(u, v):
+                    expect = field.add(expect, field.mul(a, b))
+                assert field.dot(u, v) == expect
+                assert field.axpy(u, t, v) == [
+                    field.sub(x, field.mul(t, y)) for x, y in zip(u, v)
+                ]
+                assert field.scale(t, v) == [field.mul(t, x) for x in v]
+                outputs = [field.dot(u, v)] + field.axpy(u, t, v) + field.scale(t, v)
+                assert all(_canonical(field, x) for x in outputs)
+
+
+def test_rational_dot_of_empty_rows_is_a_fraction():
+    assert type(QQ.dot([], [])) is Fraction and QQ.dot([], []) == 0
+    assert QQ.axpy([], Fraction(1, 2), []) == [] and QQ.scale(Fraction(3), []) == []
 
 
 def test_no_per_field_branches_in_elimination_modules():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from thickrep.errors import AmbientMismatch, DivisionByZero, NotSquare
-from thickrep.fields import GF, QQ, Poly
+from thickrep.fields import GF, QQ, Poly, Rationals
 from thickrep.linalg import (
     Matrix,
     RowBasis,
@@ -57,6 +57,36 @@ def _rref_rows(field, rows, ncols):
         if r == nrows:
             break
     return r, pivots
+
+
+def _kernel_rows(field, red, pivots, ncols):
+    """Canonical kernel basis read off a batch RREF: one vector per free
+    column, reduced again by the oracle."""
+    null = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [field.zero] * ncols
+        v[fc] = field.one
+        for i, pc in enumerate(pivots):
+            v[pc] = field.neg(red[i][fc])
+        null.append(v)
+    _rref_rows(field, null, ncols)
+    return null
+
+
+class _FractionRowsQQ(Rationals):
+    """The rationals with row operations written as Fraction operators, one
+    gcd per term: the oracle for the integer-numerator kernel."""
+
+    def dot(self, u, v):
+        return sum(a * b for a, b in zip(u, v))
+
+    def axpy(self, w, t, row):
+        return [x - t * y for x, y in zip(w, row)]
+
+    def scale(self, c, row):
+        return [c * x for x in row]
 
 
 def _echelon_samples():
@@ -250,6 +280,39 @@ def test_singular_inverse_raises():
                 assert m * m.inverse() == Matrix.identity(field, n)
 
 
+def test_rational_echelon_matches_fraction_arithmetic_oracle():
+    # entries with denominators up to 12, negatives and zeros: the batch
+    # oracle runs on Fraction arithmetic, the package on its row kernel
+    rng = random.Random(41)
+    oracle = _FractionRowsQQ()
+
+    def entry():
+        if rng.random() < 0.25:
+            return Fraction(0)
+        return Fraction(rng.randint(-12, 12), rng.randint(1, 12))
+
+    for _ in range(60):
+        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [[entry() for _ in range(nc)] for _ in range(nr)]
+        work = [list(r) for r in rows]
+        rank, pivots = _rref_rows(oracle, work, nc)
+        red = rref(Matrix(QQ, rows))
+        assert red == (Matrix(QQ, work), rank, tuple(pivots)), rows
+        assert all(type(x) is Fraction for r in red[0].rows for x in r)
+        null = _kernel_rows(oracle, work, pivots, nc)
+        assert kernel(Matrix(QQ, rows)).mat == Matrix(QQ, null), rows
+        # inverse of the leading square block: the right half of RREF [A | I]
+        n = min(nr, nc)
+        a = [r[:n] for r in rows[:n]]
+        aug = [r + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(a)]
+        _, aug_pivots = _rref_rows(oracle, aug, 2 * n)
+        if aug_pivots[:n] == list(range(n)):
+            assert Matrix(QQ, a).inverse() == Matrix(QQ, [r[n:] for r in aug]), a
+        else:
+            with pytest.raises(DivisionByZero):
+                Matrix(QQ, a).inverse()
+
+
 def test_echelon_routines_match_batch_oracle():
     for field, rows, nc in _echelon_samples():
         work = [list(r) for r in rows]
@@ -259,16 +322,8 @@ def test_echelon_routines_match_batch_oracle():
             # a Matrix takes its column count from its rows
             m = Matrix(field, rows)
             assert rref(m) == (Matrix(field, work), rank, tuple(pivots)), label
-            free = [c for c in range(nc) if c not in pivots]
-            null = []
-            for fc in free:
-                v = [field.zero] * nc
-                v[fc] = field.one
-                for i, pc in enumerate(pivots):
-                    v[pc] = field.neg(work[i][fc])
-                null.append(v)
-            _rref_rows(field, null, nc)
             k = kernel(m)
+            null = _kernel_rows(field, work, pivots, nc)
             assert k.mat == Matrix(field, null) and k.ambient == nc, label
         assert rank_of_rows(field, rows, nc) == rank, label
         sub = Subspace.from_vectors(field, nc, rows)
