@@ -18,7 +18,7 @@ from .errors import (
     FieldTooSmall,
     PreconditionFailed,
 )
-from .fields import GF, PrimeField, QQ, _is_prime, poly_roots
+from .fields import GF, PrimeField, QQ, _is_prime, check_scan, has_all_nth_roots, poly_roots
 from .linalg import Matrix, Subspace, charpoly, kernel, random_invertible
 from .exterior import WedgeVector, is_decomposable
 from .repcore import (
@@ -77,9 +77,7 @@ def companion_pair(field, n: int, a, b) -> CompanionPairResult:
     A = _block_cycle(field, one_blocks + [Matrix(field, [[a]])])
     B = _block_cycle(field, one_blocks + [Matrix(field, [[b]])])
     rep = Representation(field, n, GROUP, [A, B], label="companion_pair_n%d" % n)
-    roots_available = (
-        len(field.nth_roots(a, n)) == n and len(field.nth_roots(b, n)) == n
-    )
+    roots_available = has_all_nth_roots(field, a, n) and has_all_nth_roots(field, b, n)
     windows = {}
     for m in range(1, n):
         vecs = []
@@ -237,8 +235,8 @@ def build_block_rep(ell: int, m: int, field=None, alphas=None, betas=None,
     irreducible, retrying the random basis of the second generator with
     fresh seeds up to max_tries."""
     field = field or suggest_block_field(ell, m)
-    powers = [x for x in sorted(field.nonzero_elements(), key=field.sort_key)
-              if len(field.nth_roots(x, ell)) == ell]
+    check_scan(field)
+    powers = [x for x in field.nonzero_elements() if has_all_nth_roots(field, x, ell)]
     if alphas is None:
         alphas = tuple(powers[:m])
     if betas is None:
@@ -336,7 +334,8 @@ def generic_diagonalizable(field, v, avoid, seed: int = 0):
     avoid = set(avoid)
     rng = random.Random(seed)
     if f.finite:
-        pool = [x for x in sorted(f.nonzero_elements(), key=f.sort_key) if x not in avoid]
+        check_scan(f)
+        pool = [x for x in f.nonzero_elements() if x not in avoid]
         if len(pool) < n:
             raise FieldTooSmall(
                 "need %d eigenvalues outside the excluded set, have %d"

@@ -20,9 +20,8 @@ from .errors import (
     DegreeOverflow,
     DimensionMismatch,
 )
+from .fields import DEFAULT_POINTS_CAP
 from .linalg import Matrix, Subspace, det_rows, kernel
-
-DEFAULT_POINTS_CAP = 1_000_000
 
 
 @lru_cache(maxsize=None)
@@ -132,6 +131,16 @@ def wedge_of_vectors(field, n, vectors) -> WedgeVector:
             raise DimensionMismatch("vector of length %d in k^%d" % (len(v), n))
     if m > n:
         raise DimensionMismatch("cannot wedge %d vectors in k^%d" % (m, n))
+    if m == 1:
+        return WedgeVector(field, n, 1, vectors[0])
+    if m == 2:
+        # 2x2 minors straight from the two vectors, as in `compound`
+        a, b = vectors
+        mul, sub = field.mul, field.sub
+        return WedgeVector(field, n, 2, [
+            sub(mul(a[k - 1], b[l - 1]), mul(a[l - 1], b[k - 1]))
+            for k, l in colex_subsets(n, 2)
+        ])
     coords = []
     for subset in colex_subsets(n, m):
         rows = [tuple(v[s - 1] for v in vectors) for s in subset]
@@ -334,13 +343,47 @@ def projective_count(q: int, dim: int) -> int:
     return (q**dim - 1) // (q - 1) if dim > 0 else 0
 
 
+def field_tuples(field, length):
+    """Every `length`-tuple of elements of a finite field, in lexicographic
+    canonical order, lazily: `itertools.product` would first materialise
+    the elements, which a large prime field cannot afford."""
+    if length == 0:
+        yield ()
+        return
+    for head in field_tuples(field, length - 1):
+        for x in field.elements():
+            yield head + (x,)
+
+
 def projective_coefficients(field, dim):
-    """Canonical enumeration of projective points of k^dim: leading 1 first."""
-    elems = tuple(sorted(field.elements(), key=field.sort_key))
+    """Canonical enumeration of projective points of k^dim: leading 1 first,
+    then the tails in lexicographic order.  Lazy."""
     for lead in range(dim):
         prefix = (field.zero,) * lead + (field.one,)
-        for tail in itertools.product(elems, repeat=dim - lead - 1):
+        for tail in field_tuples(field, dim - lead - 1):
             yield prefix + tail
+
+
+def projective_images(g: Matrix):
+    """g(v) for every v of `projective_coefficients(field, n)`, in that
+    order, by linearity: g(v + c*e_k) = g(v) + c*g(e_k), so each point
+    costs one `axpy` from the image of its prefix instead of n dot
+    products.  The images are not normalised."""
+    f = g.field
+    axpy, zero = f.axpy, f.zero
+    cols = list(zip(*g.rows))  # cols[k] = g(e_k)
+    minus = f.neg(f.one)
+    negcols = [f.scale(minus, c) for c in cols]  # axpy subtracts
+    out = []
+    for lead in range(len(cols)):
+        level = [cols[lead]]
+        for col in negcols[lead + 1:]:
+            level = [
+                w if c == zero else axpy(w, c, col)
+                for w in level for c in f.elements()
+            ]
+        out.extend(level)
+    return out
 
 
 @dataclass

@@ -33,6 +33,20 @@ from .errors import (
 # guard for monic-poly enumeration in trial-division factoring
 _ENUMERATION_CAP = 2_000_000
 
+# the most elements a scan over a finite field may walk; past it the scan
+# raises ScaleExceeded instead of stalling (also the default points cap of
+# `exterior.realizable_search`)
+DEFAULT_POINTS_CAP = 1_000_000
+
+
+def check_scan(field):
+    """Raise ScaleExceeded when the finite field has more elements than a
+    scan over them may walk."""
+    if field.order > DEFAULT_POINTS_CAP:
+        raise ScaleExceeded(
+            "scanning %d field elements exceeds %d" % (field.order, DEFAULT_POINTS_CAP)
+        )
+
 
 class Rationals:
     """The field of rational numbers.  Values are Fraction instances."""
@@ -258,6 +272,7 @@ class PrimeField:
         return i % self.p
 
     def elements(self):
+        """Every element, lazily and in canonical order."""
         return range(self.p)
 
     def nonzero_elements(self):
@@ -278,10 +293,14 @@ class PrimeField:
     def random(self, rng):
         return rng.randrange(self.p)
 
+    def power(self, a, n):
+        return pow(a, n, self.p)
+
     def nth_roots(self, a, n: int):
         a = a % self.p
         if a == 0:
             raise ZeroInput("nth_roots of zero")
+        check_scan(self)
         return [x for x in range(1, self.p) if pow(x, n, self.p) == a]
 
     def __repr__(self):
@@ -353,7 +372,7 @@ class ExtensionField:
             raise DivisionByZero("inverse of zero")
         # Fermat: a^(q-1) = 1, so a^(q-2) is the inverse if the modulus is
         # irreducible; the product check catches one that is not
-        b = self._pow(a, self.order - 2)
+        b = self.power(a, self.order - 2)
         if self.mul(a, b) != self.one:
             raise WrongField("%r has no inverse: the modulus is reducible" % (a,))
         return b
@@ -383,8 +402,10 @@ class ExtensionField:
         return tuple([i % self.p] + [0] * (self.k - 1))
 
     def elements(self):
-        for tup in itertools.product(range(self.p), repeat=self.k):
-            yield tup
+        """Every element in canonical order; raises ScaleExceeded past the
+        scan bound."""
+        check_scan(self)
+        return itertools.product(range(self.p), repeat=self.k)
 
     def nonzero_elements(self):
         for e in self.elements():
@@ -407,11 +428,11 @@ class ExtensionField:
         if a == self.zero:
             raise ZeroInput("nth_roots of zero")
         return sorted(
-            (x for x in self.nonzero_elements() if self._pow(x, n) == a),
+            (x for x in self.nonzero_elements() if self.power(x, n) == a),
             key=self.sort_key,
         )
 
-    def _pow(self, a, n):
+    def power(self, a, n):
         """a^n by square-and-multiply."""
         out = self.one
         while n:
@@ -519,6 +540,18 @@ def scalar_arith(a: Scalar, b: Scalar, op: str) -> Scalar:
 
 def nth_roots(a: Scalar, n: int):
     return [Scalar(a.field, r) for r in a.field.nth_roots(a.value, n)]
+
+
+def has_all_nth_roots(field, a, n: int) -> bool:
+    """Whether a != 0 has n distinct n-th roots in the field.
+
+    Over a finite field of order q no element is scanned: F_q^* is cyclic
+    of order q - 1, so a has n distinct n-th roots exactly when n divides
+    q - 1 and a^((q-1)/n) = 1."""
+    if not field.finite:
+        return len(field.nth_roots(a, n)) == n
+    q = field.order
+    return (q - 1) % n == 0 and field.power(a, (q - 1) // n) == field.one
 
 
 class Poly:

@@ -34,14 +34,16 @@ from .linalg import (
     Subspace,
     charpoly,
     kernel,
-    rank_of_rows,
 )
 from .exterior import (
+    complement_sign_row,
     compound,
     derivation,
+    field_tuples,
     perp,
     projective_coefficients,
     projective_count,
+    projective_images,
     realizable_search,
     wedge_of_vectors,
 )
@@ -255,6 +257,14 @@ def _orbits(points, moves, cap=None):
     return orbits
 
 
+def _projective(f, x):
+    """The nonzero vector x scaled so that its first nonzero entry is 1, as
+    a tuple: the canonical point of its line."""
+    zero = f.zero
+    lead = next(c for c in x if c != zero)
+    return tuple(x) if lead == f.one else tuple(f.scale(f.inv(lead), x))
+
+
 def group_closure(r: Representation, cap: int):
     """All elements of the generated matrix group, by breadth-first products.
 
@@ -361,9 +371,12 @@ def _enumerate_submodules(r: Representation, caps: Caps):
     g in G and c != 0, spin(v) is invariant and contains c.g.v, and
     v = c^-1.g^-1.(c.g.v) lies in spin(c.g.v); so the two spins are equal.
     So only the first point of each orbit of `_orbits` on the canonical
-    projective points is spun; a move applies a generator and scales the
-    first nonzero entry to 1.  Lie generators need not be invertible, so in
-    Lie mode there are no moves and every point is its own orbit.
+    projective points is spun.  The points are listed once and indexed; each
+    generator becomes a permutation of the indices, from its images of all
+    points by linearity (`projective_images`), each scaled to its first
+    nonzero entry 1 and looked up once, and the orbits are walked on
+    indices.  Lie generators need not be invertible, so in Lie mode there
+    are no moves and every point is its own orbit.
 
     The closure adds one cyclic submodule C at a time: when L contains 0
     and is closed under sums, L u {X + C : X in L} is the closure of
@@ -372,17 +385,15 @@ def _enumerate_submodules(r: Representation, caps: Caps):
     """
     f = r.field
     n = r.dim
-    zero, one = f.zero, f.one
-
-    def normalised(x):
-        lead = next(c for c in x if c != zero)
-        return x if lead == one else tuple(f.scale(f.inv(lead), x))
-
-    movers = r.generators if r.mode == GROUP else ()
-    moves = [lambda u, g=g: normalised(g.apply(u)) for g in movers]
+    points = list(projective_coefficients(f, n))
+    index = {v: i for i, v in enumerate(points)}
+    perms = [
+        [index[_projective(f, x)] for x in projective_images(g)]
+        for g in (r.generators if r.mode == GROUP else ())
+    ]
     cyclic = {}
-    for orbit in _orbits(projective_coefficients(f, n), moves):
-        w = spin(r, [orbit[0]])
+    for orbit in _orbits(range(len(points)), [p.__getitem__ for p in perms]):
+        w = spin(r, [points[orbit[0]]])
         cyclic.setdefault(w.mat.rows, w)
     bottom = Subspace.zero(f, n)
     lattice = {bottom.mat.rows: bottom}
@@ -588,12 +599,11 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
 
 
 def enumerate_subspaces(field, n: int, k: int):
-    """All k-dim subspaces of k^n over a finite field, via canonical RREF
-    profiles: pivot columns in lex order, then free entries."""
+    """All k-dim subspaces of k^n over a finite field, lazily, via canonical
+    RREF profiles: pivot columns in lex order, then free entries."""
     if k == 0:
         yield Subspace.zero(field, n)
         return
-    elems = tuple(sorted(field.elements(), key=field.sort_key))
     zero, one = field.zero, field.one
     for pivots in itertools.combinations(range(n), k):
         pivset = set(pivots)
@@ -603,7 +613,7 @@ def enumerate_subspaces(field, n: int, k: int):
             for j in range(pivots[i] + 1, n)
             if j not in pivset
         ]
-        for values in itertools.product(elems, repeat=len(free_cells)):
+        for values in field_tuples(field, len(free_cells)):
             rows = [[zero] * n for _ in range(k)]
             for i, p in enumerate(pivots):
                 rows[i][p] = one
@@ -612,10 +622,28 @@ def enumerate_subspaces(field, n: int, k: int):
             yield Subspace(field, n, Matrix(field, rows), tuple(pivots))
 
 
-def _apply_to_subspace(g: Matrix, w: Subspace) -> Subspace:
-    return Subspace.from_vectors(
-        w.field, w.ambient, [g.apply(v) for v in w.basis_vectors()]
+@functools.lru_cache(maxsize=16)
+def _pair_table(f, n: int, m: int):
+    """(m-subspaces, points, index, complements, duals) for the definition
+    decider; it depends on (field, n, m) only.  The m-subspaces and the
+    (n-m)-subspaces come in `enumerate_subspaces` order, the points are the
+    Plucker points p(V) of the m-subspaces scaled to first nonzero entry 1,
+    the index maps each point to its position, and the dual of a complement
+    V2 is p(V2) permuted and signed by `complement_sign_row`, so that its
+    dot product with p(V1) is the coefficient of p(V1) ^ p(V2) in Lambda^n."""
+    subspaces = tuple(enumerate_subspaces(f, n, m))
+    points = tuple(
+        _projective(f, wedge_of_vectors(f, n, v.basis_vectors()).coords)
+        for v in subspaces
     )
+    complements = tuple(enumerate_subspaces(f, n, n - m))
+    pairing = complement_sign_row(n, m)
+    duals = []
+    for v in complements:
+        y = wedge_of_vectors(f, n, v.basis_vectors()).coords
+        duals.append(tuple(y[c] if sg > 0 else f.neg(y[c]) for c, sg in pairing))
+    index = {x: i for i, x in enumerate(points)}
+    return subspaces, points, index, complements, tuple(duals)
 
 
 def is_m_thick_definition(r: Representation, m: int,
@@ -626,7 +654,13 @@ def is_m_thick_definition(r: Representation, m: int,
     The group acts on m-subspaces through orbits, so the existential over
     group elements is decided by scanning the orbit of V1 under the
     generators; verdicts are identical to enumerating group elements and
-    the group itself is never materialized.
+    the group itself is never materialized.  A subspace V is its Plucker
+    point p(V) in Lambda^m, and g moves it to the point of compound(g, m)
+    p(V); each generator becomes a permutation of the indices of the
+    points, and the orbits are walked on indices.  Since dim V1 + dim V2 =
+    n, V1 + V2 = V exactly when p(V1) ^ p(V2) != 0, one dot product with
+    the dual of V2 from `_pair_table`, which is built once per
+    (field, n, m) after the pair cap check.
     """
     caps = caps or Caps.default()
     if r.mode != GROUP:
@@ -646,19 +680,20 @@ def is_m_thick_definition(r: Representation, m: int,
     n2 = gaussian_binomial(n, n - m, q)
     if n1 * n2 > caps.pair_cap:
         raise CapExceeded("pair enumeration %d x %d exceeds cap" % (n1, n2))
-    v2_list = list(enumerate_subspaces(f, n, n - m))
-    moves = [lambda w, g=g: _apply_to_subspace(g, w) for g in r.generators]
-    orbits = _orbits(enumerate_subspaces(f, n, m), moves)
+    subspaces, points, index, complements, duals = _pair_table(f, n, m)
+    perms = [
+        [index[_projective(f, lift.apply(x))] for x in points]
+        for lift in (compound(g, m) for g in r.generators)
+    ]
+    orbits = _orbits(range(n1), [p.__getitem__ for p in perms])
+    dot, zero = f.dot, f.zero
     pairs = 0
     for orbit in orbits:
-        orbit_rows = [w.mat.rows for w in orbit]
-        for v2 in v2_list:
+        orbit_points = [points[i] for i in orbit]
+        for v2, dual in zip(complements, duals):
             pairs += 1
-            v2rows = v2.mat.rows
-            if not any(
-                rank_of_rows(f, rows + v2rows, n) == n for rows in orbit_rows
-            ):
-                v1 = min(orbit, key=Subspace.key)
+            if all(dot(x, dual) == zero for x in orbit_points):
+                v1 = min((subspaces[i] for i in orbit), key=Subspace.key)
                 cert = _certificate_from_pair(r, m, v1, v2)
                 return ThicknessReport(
                     m=m, verdict=NOT_THICK, method="definition", mode=r.mode,

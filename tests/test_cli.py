@@ -397,3 +397,40 @@ def test_check_rational_rep_with_large_charpoly_constant(tmp_path, capsys):
     cert_path = tmp_path / "cert.json"
     cert_path.write_text(serialize.dumps(report["certificate"]))
     assert main(["recheck", "--certificate", str(cert_path)]) == 0
+
+
+BIG_P = 2**61 - 1  # 2305843009213693951
+
+
+def test_check_criterion_over_a_large_prime_is_undecided(tmp_path, capsys):
+    # no subspace or projective point list is materialised: the spin route
+    # walks its candidate cap and stops undecided
+    import time
+
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps({
+        "field": {"kind": "Fp", "p": BIG_P}, "dim": 3, "mode": "group",
+        "generators": [[["0", "0", "1"], ["1", "0", "0"], ["0", "1", "0"]],
+                       [["1", "1", "0"], ["0", "1", "0"], ["0", "0", "1"]]],
+    }))
+    t0 = time.perf_counter()
+    code = main(["check", "--rep", str(path), "--mode", "thick", "--method",
+                 "criterion", "--m", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and time.perf_counter() - t0 < 10.0
+    assert json.loads(captured.out)["verdict"] == "Unknown"
+    assert "Traceback" not in captured.err
+
+
+def test_construct_over_a_large_prime_exits_cleanly(capsys):
+    import time
+
+    t0 = time.perf_counter()
+    code = main(["construct", "companion", "--field", "F%d" % BIG_P, "--n", "4"])
+    captured = capsys.readouterr()
+    assert code == 0 and time.perf_counter() - t0 < 5.0
+    assert json.loads(captured.out)["roots_available"] is False
+    code = main(["construct", "block", "--field", "F%d" % BIG_P, "--n", "4"])
+    captured = capsys.readouterr()
+    assert code == 3 and "scanning" in captured.err
+    assert "Traceback" not in captured.err

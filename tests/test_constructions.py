@@ -1,8 +1,9 @@
 import random
+import time
 
 import pytest
 
-from thickrep.errors import BadN, FieldTooSmall, PreconditionFailed
+from thickrep.errors import BadN, FieldTooSmall, PreconditionFailed, ScaleExceeded
 from thickrep.fields import GF, QQ
 from thickrep.linalg import Matrix, Subspace
 from thickrep.exterior import WedgeVector, is_decomposable
@@ -54,6 +55,28 @@ def test_companion_pair_roots_available_over_f5():
     # x^4 = a has 4 solutions in F_5 exactly when a = 1
     res = companion_pair(GF(5), 4, 1, 2)
     assert res.roots_available is False
+
+
+def test_companion_pair_roots_available_over_a_large_prime():
+    # 2**61 - 2 = 2 * (2**60 - 1): 4 and 9 have two square roots, none has four fourth roots
+    field = GF(2**61 - 1)
+    t0 = time.perf_counter()
+    assert companion_pair(field, 2, 4, 9).roots_available is True
+    assert companion_pair(field, 2, 4, 3).roots_available is False
+    assert companion_pair(field, 4, 1, 16).roots_available is False
+    assert time.perf_counter() - t0 < 2.0
+
+
+def test_constructions_refuse_scans_of_a_large_field():
+    field = GF(2**61 - 1)
+    for build in (
+        lambda: build_block_rep(2, 2, field),
+        lambda: build_block_rep(2, 2, field, alphas=(1, 4), betas=(9, 16)),
+        lambda: BlockRepSpec(2, 2, (1, 4), Matrix.identity(field, 2), field),
+        lambda: generic_diagonalizable(field, (1, 1), ()),
+    ):
+        with pytest.raises(ScaleExceeded):
+            build()
 
 
 def test_suggest_block_field():

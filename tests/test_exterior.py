@@ -1,4 +1,6 @@
+import itertools
 import random
+import time
 from math import comb
 
 import pytest
@@ -10,11 +12,13 @@ from thickrep.exterior import (
     WedgeVector,
     colex_subsets,
     compound,
+    field_tuples,
     is_decomposable,
     merge_sign,
     perp,
     projective_coefficients,
     projective_count,
+    projective_images,
     realizable_search,
     subset_rank,
     wedge_of_vectors,
@@ -45,6 +49,19 @@ def test_wedge_of_unit_vectors():
 def test_wedge_of_dependent_vectors_is_zero():
     v = wedge_of_vectors(QQ, 4, [e(4, 1), e(4, 1)])
     assert v.is_zero()
+
+
+def test_wedge_of_one_or_two_vectors_matches_determinant_minors():
+    rng = random.Random(21)
+    for field in (QQ, GF(2), GF(3), GF(2, 2)):
+        for n in (2, 3, 5):
+            for m in (1, 2):
+                vecs = [[field.random(rng) for _ in range(n)] for _ in range(m)]
+                minors = [
+                    det_rows(field, [[v[s - 1] for v in vecs] for s in S])
+                    for S in colex_subsets(n, m)
+                ]
+                assert wedge_of_vectors(field, n, vecs).coords == tuple(minors)
 
 
 def test_wedge_hand_expanded_minors():
@@ -223,6 +240,34 @@ def test_projective_enumeration_count():
         pts = list(projective_coefficients(GF(q), d))
         assert len(pts) == projective_count(q, d)
         assert len(set(pts)) == len(pts)
+
+
+def test_field_tuples_match_product_and_stay_lazy():
+    for field in (GF(2), GF(3), GF(5), GF(2, 2), GF(3, 2)):
+        elems = sorted(field.elements(), key=field.sort_key)
+        for length in range(4):
+            assert list(field_tuples(field, length)) == list(
+                itertools.product(elems, repeat=length)
+            )
+    big = GF(2**61 - 1)
+    t0 = time.perf_counter()
+    assert list(itertools.islice(field_tuples(big, 3), 3)) == [
+        (0, 0, 0), (0, 0, 1), (0, 0, 2)
+    ]
+    pts = projective_coefficients(big, 3)
+    assert list(itertools.islice(pts, 2)) == [(1, 0, 0), (1, 0, 1)]
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_projective_images_match_matrix_apply():
+    rng = random.Random(17)
+    for field in (GF(2), GF(3), GF(5), GF(2, 2)):
+        for n in (1, 2, 3, 4):
+            for _ in range(2):
+                g = random_invertible(field, n, rng)
+                images = projective_images(g)
+                expected = [g.apply(v) for v in projective_coefficients(field, n)]
+                assert [tuple(x) for x in images] == expected
 
 
 def test_realizable_search_block_span():

@@ -8,7 +8,14 @@ from math import gcd, prod
 
 import pytest
 
-from thickrep.errors import DivisionByZero, FieldMismatch, NotMonic, WrongField, ZeroInput
+from thickrep.errors import (
+    DivisionByZero,
+    FieldMismatch,
+    NotMonic,
+    ScaleExceeded,
+    WrongField,
+    ZeroInput,
+)
 from thickrep.fields import (
     GF,
     QQ,
@@ -17,8 +24,10 @@ from thickrep.fields import (
     Poly,
     _MR_BOUND,
     _is_prime,
+    check_scan,
     field_from_json,
     field_to_json,
+    has_all_nth_roots,
     nth_roots,
     poly_factor_fp,
     poly_roots,
@@ -167,6 +176,45 @@ def test_nth_roots_count_matches_gcd():
                 assert len(roots) in (0, gcd(n, p - 1))
                 if roots:
                     assert len(roots) == gcd(n, p - 1)
+
+
+def test_has_all_nth_roots_matches_root_scan():
+    for field in (GF(2), GF(5), GF(7), GF(13), GF(2, 2), GF(3, 2), GF(5, 2)):
+        for n in range(1, 7):
+            for a in field.nonzero_elements():
+                expected = len(field.nth_roots(a, n)) == n
+                assert has_all_nth_roots(field, a, n) == expected, (field, a, n)
+    for a, n in ((Fraction(9, 4), 2), (Fraction(8), 3), (Fraction(2), 2), (Fraction(1), 1)):
+        assert has_all_nth_roots(QQ, a, n) == (len(QQ.nth_roots(a, n)) == n)
+
+
+def test_element_scans_of_large_fields_raise_scale_exceeded():
+    # 2**61 - 2 = 2 * (2**60 - 1): squares have both roots, fourth roots never
+    big, big2 = GF(2**61 - 1), GF(2**61 - 1, 2)
+    t0 = time.perf_counter()
+    for scan in (
+        lambda: big.nth_roots(4, 2),
+        lambda: big2.nth_roots((0, 1), 2),
+        lambda: big2.elements(),
+        lambda: next(iter(big2.nonzero_elements())),
+    ):
+        with pytest.raises(ScaleExceeded):
+            scan()
+    assert has_all_nth_roots(big, 4, 2) and not has_all_nth_roots(big, 3, 2)
+    assert not has_all_nth_roots(big, 16, 4)
+    assert has_all_nth_roots(big2, (0, 1), 2)
+    assert time.perf_counter() - t0 < 1.0
+    check_scan(GF(999_983))
+    with pytest.raises(ScaleExceeded):
+        check_scan(GF(1_000_003))
+
+
+def test_finite_field_elements_come_in_canonical_order():
+    for field in (GF(2), GF(3), GF(7), GF(2, 2), GF(3, 2)):
+        elems = list(field.elements())
+        assert elems == sorted(elems, key=field.sort_key)
+        assert len(set(elems)) == field.order
+        assert list(field.nonzero_elements()) == [x for x in elems if x != field.zero]
 
 
 def test_negative_and_even_rational_roots():

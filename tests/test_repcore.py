@@ -4,7 +4,7 @@ import pytest
 
 from thickrep.errors import CapExceeded, PreconditionFailed
 from thickrep.fields import GF, QQ
-from thickrep.linalg import Matrix, Subspace, random_invertible, unit_vector
+from thickrep.linalg import Matrix, Subspace, random_invertible, rank_of_rows, unit_vector
 from thickrep.constructions import lie_generators
 from thickrep.exterior import (
     is_decomposable,
@@ -12,16 +12,18 @@ from thickrep.exterior import (
     projective_count,
     wedge_of_vectors,
 )
-from thickrep import repcore
+from thickrep import linalg, repcore, serialize
 from thickrep.repcore import (
     _enumerate_submodules,
     _norton_irreducible,
+    _pair_table,
     Caps,
     GROUP,
     LIE,
     NOT_THICK,
     THICK,
     Representation,
+    ThicknessReport,
     all_submodules,
     burnside_dim,
     commutant,
@@ -112,6 +114,9 @@ def test_group_closure_gl2_f2():
 # The walks that `_orbits` replaced, kept as oracles: the frontier BFS of
 # group_closure, the `_subspace_orbit` + `claimed` partition of the
 # definition decider, and the `done` marking of the submodule enumeration.
+# The definition decider itself, as it was before it moved Plucker points
+# by index permutations and paired them by a dot product, is the oracle
+# `_definition_by_rank_scan`.
 
 
 def _closure_by_frontier(r, cap):
@@ -132,6 +137,12 @@ def _closure_by_frontier(r, cap):
     return list(seen.values())
 
 
+def _apply_to_subspace(g, w):
+    return Subspace.from_vectors(
+        w.field, w.ambient, [g.apply(v) for v in w.basis_vectors()]
+    )
+
+
 def _subspace_orbit(r, start):
     seen = {start.mat.rows: start}
     frontier = [start]
@@ -139,7 +150,7 @@ def _subspace_orbit(r, start):
         nxt = []
         for w in frontier:
             for g in r.generators:
-                img = repcore._apply_to_subspace(g, w)
+                img = _apply_to_subspace(g, w)
                 if img.mat.rows not in seen:
                     seen[img.mat.rows] = img
                     nxt.append(img)
@@ -181,6 +192,37 @@ def _spun_points_by_marking(r):
                     done.add(x)
                     orbit.append(x)
     return spun
+
+
+def _definition_by_rank_scan(r, m):
+    """The definition decider moving m-subspaces by applying each generator
+    to their bases, and testing each pair by the rank of the stacked bases."""
+    f, n = r.field, r.dim
+    n1 = gaussian_binomial(n, m, f.order)
+    n2 = gaussian_binomial(n, n - m, f.order)
+    v2_list = list(enumerate_subspaces(f, n, n - m))
+    moves = [lambda w, g=g: _apply_to_subspace(g, w) for g in r.generators]
+    orbits = repcore._orbits(enumerate_subspaces(f, n, m), moves)
+    pairs = 0
+    for orbit in orbits:
+        orbit_rows = [w.mat.rows for w in orbit]
+        for v2 in v2_list:
+            pairs += 1
+            v2rows = v2.mat.rows
+            if not any(rank_of_rows(f, rows + v2rows, n) == n for rows in orbit_rows):
+                v1 = min(orbit, key=Subspace.key)
+                return ThicknessReport(
+                    m=m, verdict=NOT_THICK, method="definition", mode=r.mode,
+                    certificate=repcore._certificate_from_pair(r, m, v1, v2),
+                    log={"orbits": len(orbits), "pairs_checked": pairs},
+                )
+    return ThicknessReport(m=m, verdict=THICK, method="definition", mode=r.mode, log={
+        "m_subspaces": n1,
+        "complement_subspaces": n2,
+        "orbits": len(orbits),
+        "orbit_sizes": sorted(len(o) for o in orbits),
+        "pairs_checked": pairs,
+    })
 
 
 def _agreement_reps(count):
@@ -241,7 +283,7 @@ def test_group_closure_multiplies_no_matrices(monkeypatch):
 
 def test_definition_orbits_match_claiming_oracle():
     for r in _agreement_reps(20):
-        moves = [lambda w, g=g: repcore._apply_to_subspace(g, w) for g in r.generators]
+        moves = [lambda w, g=g: _apply_to_subspace(g, w) for g in r.generators]
         for m in (1, 2, 3):
             orbits = repcore._orbits(enumerate_subspaces(r.field, 4, m), moves)
             assert orbits == _subspace_orbits_by_claiming(r, m)
@@ -249,6 +291,93 @@ def test_definition_orbits_match_claiming_oracle():
             assert report.log["orbits"] == len(orbits)
             if report.verdict == THICK:
                 assert report.log["orbit_sizes"] == sorted(len(o) for o in orbits)
+
+
+def _random_reps(field, n, count, seed):
+    """`count` seeded reps, every third with one generator (often reducible)."""
+    rng = random.Random(seed)
+    return [
+        Representation(field, n, GROUP, [
+            random_invertible(field, n, rng) for _ in range(1 if i % 3 == 0 else 2)
+        ])
+        for i in range(count)
+    ]
+
+
+def test_definition_matches_rank_scan_oracle():
+    F4 = GF(2, 2)
+    cases = [(r, (1, 2, 3)) for r in _agreement_reps(20)]
+    cases += [(r, (1, 2, 3)) for r in _random_reps(GF(3), 4, 2, 34)]
+    cases += [(r, (1, 2, 3)) for r in _random_reps(F4, 4, 3, 44)]
+    cases += [(r, (1, 2, 3)) for r in _random_reps(GF(5), 4, 2, 56)]
+    cases += [(r, (1, 2)) for r in _random_reps(GF(2), 3, 6, 23)]
+    cases += [(r, (1, 2, 3, 4)) for r in _random_reps(GF(2), 5, 3, 25)]
+    verdicts = set()
+    for r, ms in cases:
+        for m in ms:
+            new, old = is_m_thick_definition(r, m), _definition_by_rank_scan(r, m)
+            assert (new.verdict, new.log) == (old.verdict, old.log), (r.field, r.dim, m)
+            verdicts.add((r.field, new.verdict))
+            if new.certificate is None:
+                assert old.certificate is None
+            elif r.field == F4:  # no JSON form: compare the fields
+                assert new.certificate == old.certificate
+            else:
+                assert serialize.dumps(
+                    serialize.certificate_to_json(r, new.certificate)
+                ) == serialize.dumps(serialize.certificate_to_json(r, old.certificate))
+    for field in (GF(2), GF(3), F4, GF(5)):
+        assert {(field, THICK), (field, NOT_THICK)} <= verdicts, field
+
+
+def test_pair_table_dot_is_the_complement_test():
+    for q, n, ms in ((2, 4, (1, 2, 3)), (3, 4, (1, 2, 3)), (2, 5, (2,))):
+        f = GF(q)
+        for m in ms:
+            subspaces, points, index, complements, duals = _pair_table(f, n, m)
+            assert [v.mat.rows for v in subspaces] == [
+                v.mat.rows for v in enumerate_subspaces(f, n, m)
+            ]
+            for v1, x in zip(subspaces, points):
+                assert index[x] == subspaces.index(v1)
+                for v2, dual in zip(complements, duals):
+                    full = rank_of_rows(f, v1.mat.rows + v2.mat.rows, n) == n
+                    assert (f.dot(x, dual) != f.zero) == full
+
+
+def test_pair_table_cache_matches_fresh_build():
+    for f, n, m in ((GF(2), 4, 2), (GF(3), 4, 1), (GF(2, 2), 3, 2), (GF(2), 5, 3)):
+        cached = _pair_table(f, n, m)
+        assert _pair_table(f, n, m) is cached
+        assert _pair_table.__wrapped__(f, n, m) == cached
+    assert _pair_table.cache_info().maxsize is not None
+
+
+def test_definition_computes_no_ranks(monkeypatch):
+    # ranks computed while building a certificate are not counted
+    calls = []
+    rank, certify = linalg.rank_of_rows, repcore._certificate_from_pair
+
+    def counting_rank(*args):
+        calls.append(None)
+        return rank(*args)
+
+    def uncounted_certify(*args):
+        before = len(calls)
+        cert = certify(*args)
+        del calls[before:]
+        return cert
+
+    reps = _agreement_reps(5)
+    monkeypatch.setattr(linalg, "rank_of_rows", counting_rank)
+    monkeypatch.setattr(repcore, "_certificate_from_pair", uncounted_certify)
+    _pair_table.cache_clear()
+    verdicts = []
+    for r in reps:
+        for m in (1, 2, 3):
+            verdicts.append(is_m_thick_definition(r, m).verdict)
+    assert calls == []
+    assert THICK in verdicts and NOT_THICK in verdicts
 
 
 def test_all_submodules_swap_f2():
@@ -382,6 +511,25 @@ def test_submodules_one_spin_per_projective_orbit(monkeypatch):
     assert len(subs) == 64
     assert subs == _brute_force_lattice(r)
     assert all_submodules(r) == subs
+
+
+def test_submodules_spin_the_points_of_orbit_marking(monkeypatch):
+    F4 = GF(2, 2)
+    reps = [exterior_rep(r, m) for r in _agreement_reps(4) for m in (1, 2)]
+    reps += _random_reps(GF(5), 3, 3, 53) + _random_reps(F4, 3, 3, 43)
+    reps += [exterior_rep(r, 2) for r in _random_reps(F4, 3, 2, 42)]
+    reps.append(group_rep(GF(5), [DIAG_1122]))
+    spins = []
+
+    def counting_spin(rep, seeds):
+        spins.append(seeds)
+        return spin(rep, seeds)
+
+    monkeypatch.setattr(repcore, "spin", counting_spin)
+    for r in reps:
+        spins.clear()
+        _enumerate_submodules(r, Caps())
+        assert [v for seeds in spins for v in seeds] == _spun_points_by_marking(r)
 
 
 def test_submodules_lattice_cap_is_exact():
