@@ -334,7 +334,6 @@ def generic_diagonalizable(field, v, avoid, seed: int = 0):
     avoid = set(avoid)
     rng = random.Random(seed)
     if f.finite:
-        check_scan(f)
         pool = [x for x in f.nonzero_elements() if x not in avoid]
         if len(pool) < n:
             raise FieldTooSmall(

@@ -20,7 +20,7 @@ from .errors import (
     DegreeOverflow,
     DimensionMismatch,
 )
-from .fields import DEFAULT_POINTS_CAP
+from .fields import DEFAULT_POINTS_CAP, field_tuples
 from .linalg import Matrix, Subspace, det_rows, kernel
 
 
@@ -131,16 +131,6 @@ def wedge_of_vectors(field, n, vectors) -> WedgeVector:
             raise DimensionMismatch("vector of length %d in k^%d" % (len(v), n))
     if m > n:
         raise DimensionMismatch("cannot wedge %d vectors in k^%d" % (m, n))
-    if m == 1:
-        return WedgeVector(field, n, 1, vectors[0])
-    if m == 2:
-        # 2x2 minors straight from the two vectors, as in `compound`
-        a, b = vectors
-        mul, sub = field.mul, field.sub
-        return WedgeVector(field, n, 2, [
-            sub(mul(a[k - 1], b[l - 1]), mul(a[l - 1], b[k - 1]))
-            for k, l in colex_subsets(n, 2)
-        ])
     coords = []
     for subset in colex_subsets(n, m):
         rows = [tuple(v[s - 1] for v in vectors) for s in subset]
@@ -341,18 +331,6 @@ def _proportional(a: WedgeVector, b: WedgeVector) -> bool:
 
 def projective_count(q: int, dim: int) -> int:
     return (q**dim - 1) // (q - 1) if dim > 0 else 0
-
-
-def field_tuples(field, length):
-    """Every `length`-tuple of elements of a finite field, in lexicographic
-    canonical order, lazily: `itertools.product` would first materialise
-    the elements, which a large prime field cannot afford."""
-    if length == 0:
-        yield ()
-        return
-    for head in field_tuples(field, length - 1):
-        for x in field.elements():
-            yield head + (x,)
 
 
 def projective_coefficients(field, dim):

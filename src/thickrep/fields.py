@@ -48,6 +48,18 @@ def check_scan(field):
         )
 
 
+def field_tuples(field, length):
+    """Every `length`-tuple of elements of a finite field, in lexicographic
+    canonical order, lazily: `itertools.product` would first materialise
+    the elements, which a large prime field cannot afford."""
+    if length == 0:
+        yield ()
+        return
+    for head in field_tuples(field, length - 1):
+        for x in field.elements():
+            yield head + (x,)
+
+
 class Rationals:
     """The field of rational numbers.  Values are Fraction instances."""
 
@@ -402,10 +414,8 @@ class ExtensionField:
         return tuple([i % self.p] + [0] * (self.k - 1))
 
     def elements(self):
-        """Every element in canonical order; raises ScaleExceeded past the
-        scan bound."""
-        check_scan(self)
-        return itertools.product(range(self.p), repeat=self.k)
+        """Every element, lazily and in canonical order."""
+        return field_tuples(self.base, self.k)
 
     def nonzero_elements(self):
         for e in self.elements():
@@ -427,6 +437,7 @@ class ExtensionField:
     def nth_roots(self, a, n: int):
         if a == self.zero:
             raise ZeroInput("nth_roots of zero")
+        check_scan(self)
         return sorted(
             (x for x in self.nonzero_elements() if self.power(x, n) == a),
             key=self.sort_key,

@@ -73,7 +73,6 @@ def test_constructions_refuse_scans_of_a_large_field():
         lambda: build_block_rep(2, 2, field),
         lambda: build_block_rep(2, 2, field, alphas=(1, 4), betas=(9, 16)),
         lambda: BlockRepSpec(2, 2, (1, 4), Matrix.identity(field, 2), field),
-        lambda: generic_diagonalizable(field, (1, 1), ()),
     ):
         with pytest.raises(ScaleExceeded):
             build()
@@ -164,6 +163,15 @@ def test_generic_diagonalizable_spin_full():
 def test_generic_diagonalizable_restricted_pool():
     _, _, betas = generic_diagonalizable(GF(5), (1, 0), {1, 2}, seed=0)
     assert set(betas) == {3, 4}
+
+
+def test_generic_diagonalizable_past_the_element_scan_bound():
+    # a prime just over the scan bound still draws its eigenvalues
+    f = GF(1_000_003)
+    g, basis, betas = generic_diagonalizable(f, (1, 1), {1}, seed=3)
+    assert len(set(betas)) == 2 and 1 not in betas
+    for b, v in zip(betas, basis):
+        assert g.apply(v) == tuple(f.mul(b, x) for x in v)
 
 
 def test_generic_diagonalizable_field_too_small():

@@ -51,19 +51,6 @@ def test_wedge_of_dependent_vectors_is_zero():
     assert v.is_zero()
 
 
-def test_wedge_of_one_or_two_vectors_matches_determinant_minors():
-    rng = random.Random(21)
-    for field in (QQ, GF(2), GF(3), GF(2, 2)):
-        for n in (2, 3, 5):
-            for m in (1, 2):
-                vecs = [[field.random(rng) for _ in range(n)] for _ in range(m)]
-                minors = [
-                    det_rows(field, [[v[s - 1] for v in vecs] for s in S])
-                    for S in colex_subsets(n, m)
-                ]
-                assert wedge_of_vectors(field, n, vecs).coords == tuple(minors)
-
-
 def test_wedge_hand_expanded_minors():
     # (e1 + e3) ^ (e2 + e4)
     a = (1, 0, 1, 0)
@@ -256,6 +243,12 @@ def test_field_tuples_match_product_and_stay_lazy():
     ]
     pts = projective_coefficients(big, 3)
     assert list(itertools.islice(pts, 2)) == [(1, 0, 0), (1, 0, 1)]
+    # an extension field past the element-scan bound enumerates lazily too
+    one, zero = (1, 0), (0, 0)
+    pts = projective_coefficients(GF(1009, 2), 3)
+    assert list(itertools.islice(pts, 3)) == [
+        (one, zero, zero), (one, zero, (0, 1)), (one, zero, (0, 2))
+    ]
     assert time.perf_counter() - t0 < 1.0
 
 
