@@ -2,8 +2,10 @@
 perp, decomposability and realizability.
 
 All of Lambda^m k^n is coordinatized on the colex-ordered m-subsets of
-{1..n}; every sign in the module derives from merge inversion counts
-against that one ordering.
+{1..n}.  The signs of compounds, Plucker points, derivations, annihilators
+and contractions come from one table, `faces(n, k)`, through the Laplace
+step v ^ w; general products and the complement pairing take theirs from
+`merge_sign`.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ from .errors import (
     ConstructionError,
     DegreeOverflow,
     DimensionMismatch,
+    MalformedInput,
 )
 from .fields import DEFAULT_POINTS_CAP, field_tuples
-from .linalg import Matrix, Subspace, det_rows, kernel
+from .linalg import Matrix, Subspace, kernel
 
 
 @lru_cache(maxsize=None)
@@ -33,14 +36,34 @@ def colex_subsets(n: int, m: int):
     return tuple(sorted(subs, key=lambda s: tuple(reversed(s))))
 
 
-@lru_cache(maxsize=None)
-def _subset_index(n: int, m: int):
-    return {s: i for i, s in enumerate(colex_subsets(n, m))}
-
-
 def subset_rank(subset) -> int:
     """Colex position of an increasing 1-based subset."""
     return sum(comb(s - 1, t + 1) for t, s in enumerate(subset))
+
+
+@lru_cache(maxsize=None)
+def faces(n: int, k: int):
+    """For each colex k-subset U of {1..n}, the pairs (j - 1, colex rank of
+    U minus {j}) in increasing j.  For the t-th pair,
+    e_j ^ e_(U minus j) = (-1)^t e_U."""
+    return tuple(
+        tuple((j - 1, subset_rank(U[:t] + U[t + 1:])) for t, j in enumerate(U))
+        for U in colex_subsets(n, k)
+    )
+
+
+def _laplace_step(f, table, v, w):
+    """Coordinates of v ^ w in Lambda^k, for v in k^n and w in Lambda^(k-1),
+    where `table` is faces(n, k): the Laplace expansion along v."""
+    signed = (v, f.scale(f.neg(f.one), v))
+    out = []
+    for face in table:
+        xs, ys = [], []
+        for t, (j, r) in enumerate(face):
+            xs.append(signed[t % 2][j])
+            ys.append(w[r])
+        out.append(f.dot(xs, ys))
+    return out
 
 
 class WedgeVector:
@@ -115,10 +138,19 @@ class WedgeVector:
 
     @classmethod
     def from_sparse(cls, field, n, m, data: dict):
-        coords = [field.zero] * comb(n, m)
+        """Inverse of `to_sparse`; raises MalformedInput unless data is an
+        object whose keys are m increasing indices in 1..n, written as
+        `to_sparse` writes them, so that no subset is named twice."""
+        if not isinstance(data, dict):
+            raise MalformedInput("a sparse wedge must be a JSON object")
+        ranks = {",".join(map(str, s)): r for r, s in enumerate(colex_subsets(n, m))}
+        coords = [field.zero] * len(ranks)
         for key, val in data.items():
-            subset = tuple(int(x) for x in key.split(","))
-            coords[subset_rank(subset)] = field.parse(val)
+            if key not in ranks:
+                raise MalformedInput(
+                    "wedge key %r is not %d increasing indices in 1..%d" % (key, m, n)
+                )
+            coords[ranks[key]] = field.parse(val)
         return cls(field, n, m, coords)
 
 
@@ -131,39 +163,42 @@ def wedge_of_vectors(field, n, vectors) -> WedgeVector:
             raise DimensionMismatch("vector of length %d in k^%d" % (len(v), n))
     if m > n:
         raise DimensionMismatch("cannot wedge %d vectors in k^%d" % (m, n))
-    coords = []
-    for subset in colex_subsets(n, m):
-        rows = [tuple(v[s - 1] for v in vectors) for s in subset]
-        coords.append(det_rows(field, rows))
+    coords = vectors[-1] if vectors else [field.one]
+    for k in range(2, m + 1):
+        coords = _laplace_step(field, faces(n, k), vectors[m - k], coords)
     return WedgeVector(field, n, m, coords)
 
 
 def compound(a: Matrix, m: int) -> Matrix:
-    """The matrix of Lambda^m a on the colex basis; entries are m-minors."""
+    """The matrix of Lambda^m a on the colex basis; entries are m-minors.
+
+    Row S is the wedge of the rows of a indexed by S, so at level k it is
+    a_(min S) ^ (row S minus min S at level k - 1).  Level 2 writes out
+    its 2x2 minors directly."""
     if not a.is_square():
         raise BadM("compound of a non-square matrix")
     n = a.nrows
     if m < 0 or m > n:
         raise BadM("m=%d out of range for n=%d" % (m, n))
     f = a.field
-    subs = colex_subsets(n, m)
-    if m == 2:
-        # 2x2 minors straight from the rows, without building the submatrix
-        mul, sub = f.mul, f.sub
-        pairs = [(k - 1, l - 1) for k, l in subs]
-        rows = a.rows
-        return Matrix(f, [
-            [sub(mul(ri[k], rj[l]), mul(ri[l], rj[k])) for k, l in pairs]
-            for ri, rj in ((rows[i], rows[j]) for i, j in pairs)
-        ])
-    out = []
-    for S in subs:
-        srows = [a.rows[i - 1] for i in S]
-        orow = []
-        for T in subs:
-            orow.append(det_rows(f, [tuple(r[j - 1] for j in T) for r in srows]))
-        out.append(orow)
-    return Matrix(f, out)
+    if m == 0:
+        return Matrix.identity(f, 1)
+    if m == 1:
+        return a
+    mul, sub = f.mul, f.sub
+    pairs = [(k, l) for (k, _), (l, _) in faces(n, 2)]
+    rows = a.rows
+    level = [
+        [sub(mul(ri[k], rj[l]), mul(ri[l], rj[k])) for k, l in pairs]
+        for ri, rj in ((rows[i], rows[j]) for i, j in pairs)
+    ]
+    for k in range(3, m + 1):
+        table = faces(n, k)
+        level = [
+            _laplace_step(f, table, rows[j], level[r])
+            for (j, r), *_ in table
+        ]
+    return Matrix(f, level)
 
 
 def derivation(x: Matrix, m: int) -> Matrix:
@@ -175,26 +210,23 @@ def derivation(x: Matrix, m: int) -> Matrix:
     if m < 0 or m > n:
         raise BadM("m=%d out of range for n=%d" % (m, n))
     f = x.field
-    subs = colex_subsets(n, m)
-    index = _subset_index(n, m)
-    N = len(subs)
-    entries = [[f.zero] * N for _ in range(N)]
-    for col, S in enumerate(subs):
-        sset = set(S)
-        for t, i in enumerate(S):
-            for j in range(1, n + 1):
-                c = x.rows[j - 1][i - 1]
-                if c == f.zero:
-                    continue
-                if j == i:
-                    entries[col][col] = f.add(entries[col][col], c)
-                elif j not in sset:
-                    T = tuple(sorted(sset - {i} | {j}))
-                    sign = (t + T.index(j)) % 2
-                    r = index[T]
-                    entries[r][col] = (
-                        f.sub(entries[r][col], c) if sign else f.add(entries[r][col], c)
-                    )
+    N = comb(n, m)
+    # cofaces[T]: (i, rank of T + i, parity of the sign of e_i ^ e_T) for
+    # each i not in T.  X sends e_j ^ e_T to sum_i x[i][j] e_i ^ e_T, so
+    # entry (T + i, T + j) gets +-x[i][j], summed over the (m-1)-subsets T.
+    cofaces = [[] for _ in colex_subsets(n, m - 1)]
+    for u, face in enumerate(faces(n, m)):
+        for t, (i, r) in enumerate(face):
+            cofaces[r].append((i, u, t % 2))
+    zero, add, sub = f.zero, f.add, f.sub
+    entries = [[zero] * N for _ in range(N)]
+    for T in cofaces:
+        for i, ti, si in T:
+            row, xi = entries[ti], x.rows[i]
+            for j, tj, sj in T:
+                c = xi[j]
+                if c != zero:
+                    row[tj] = sub(row[tj], c) if si != sj else add(row[tj], c)
     return Matrix(f, entries)
 
 
@@ -220,17 +252,15 @@ def wedge_product(x: WedgeVector, y: WedgeVector) -> WedgeVector:
         raise DegreeOverflow("wedge degree %d exceeds n=%d" % (k, n))
     f = x.field
     coords = [f.zero] * comb(n, k)
-    index = _subset_index(n, k)
     for S, cs in x.items():
         for T, ct in y.items():
             sg = merge_sign(S, T)
             if sg == 0:
                 continue
-            U = tuple(sorted(S + T))
             term = f.mul(cs, ct)
             if sg < 0:
                 term = f.neg(term)
-            r = index[U]
+            r = subset_rank(sorted(S + T))
             coords[r] = f.add(coords[r], term)
     return WedgeVector(f, n, k, coords)
 
@@ -276,21 +306,11 @@ def annihilator_in_v(v: WedgeVector) -> Subspace:
     if m >= n:
         # Lambda^(n+1) = 0: every vector annihilates
         return Subspace.full(f, n)
-    cols = comb(n, m + 1)
-    # matrix with rows indexed by Lambda^(m+1) basis, columns by e_i
-    entries = [[f.zero] * n for _ in range(cols)]
-    index = _subset_index(n, m + 1)
-    for S, c in v.items():
-        sset = set(S)
-        for i in range(1, n + 1):
-            if i in sset:
-                continue
-            U = tuple(sorted((i,) + S))
-            # position of i in U determines the sign of e_i ^ e_S
-            pos = U.index(i)
-            term = f.neg(c) if pos % 2 else c
-            r = index[U]
-            entries[r][i - 1] = f.add(entries[r][i - 1], term)
+    # the matrix of x -> x ^ v: row U holds +-v[U minus j] in column j
+    entries = [[f.zero] * n for _ in range(comb(n, m + 1))]
+    for row, face in zip(entries, faces(n, m + 1)):
+        for t, (j, r) in enumerate(face):
+            row[j] = f.neg(v.coords[r]) if t % 2 else v.coords[r]
     return kernel(Matrix(f, entries))
 
 

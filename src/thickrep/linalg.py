@@ -158,15 +158,8 @@ def det(m: Matrix):
 
 def det_rows(f, rows):
     """Determinant of a square matrix given as row sequences, by Gaussian
-    elimination; sizes 0, 1 and 2 are expanded directly."""
+    elimination."""
     n = len(rows)
-    if n == 0:
-        return f.one
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        (a, b), (c, d) = rows
-        return f.sub(f.mul(a, d), f.mul(b, c))
     rows = [list(r) for r in rows]
     sign_flip = False
     acc = f.one

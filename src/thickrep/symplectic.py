@@ -22,11 +22,10 @@ from .errors import (
 )
 from .linalg import Matrix, RowBasis, Subspace, kernel, rank_of_rows, solve_linear
 from .exterior import (
-    colex_subsets,
     derivation,
+    faces,
     perp,
     realizable_search,
-    subset_rank,
     wedge_of_vectors,
     wedge_product,
 )
@@ -56,40 +55,24 @@ class SymplecticSpace:
 
 def contraction_matrix(sp: SymplecticSpace, m: int) -> Matrix:
     """The C(2n,m-2) x C(2n,m) matrix of the form contraction on Lambda^m:
-    e_S maps to the signed sum over index pairs of omega values times the
-    pair-deleted wedges."""
+    e_S = +-e_a ^ e_b ^ e_T maps to +-omega(e_a, e_b) e_T, summed over the
+    pairs a < b in S, with the signs read from two faces."""
     N = sp.dim
     if m < 2 or m > N:
         raise BadM("m=%d out of range for dim %d" % (m, N))
     f = sp.field
-    subs_m = colex_subsets(N, m)
-    rows = comb(N, m - 2)
-    entries = [[f.zero] * len(subs_m) for _ in range(rows)]
-    for col, S in enumerate(subs_m):
-        for i in range(m):
-            for j in range(i + 1, m):
-                a, b = S[i], S[j]
-                om = _omega_basis(sp, a, b)
-                if om == f.zero:
-                    continue
-                T = tuple(x for x in S if x != a and x != b)
-                r = subset_rank(T)
-                # positions are 1-based in the sign (-1)^(i+j-1)
-                sign = ((i + 1) + (j + 1) - 1) % 2
-                term = f.neg(om) if sign else om
-                entries[r][col] = f.add(entries[r][col], term)
+    form = sp.form.rows
+    inner = faces(N, m - 1)
+    entries = [[f.zero] * comb(N, m) for _ in range(comb(N, m - 2))]
+    for col, face in enumerate(faces(N, m)):
+        for t, (a, r) in enumerate(face):
+            # the pairs of S minus a from position t on are the b > a
+            for t2, (b, r2) in enumerate(inner[r][t:], t):
+                om = form[a][b]
+                if om != f.zero:
+                    term = f.neg(om) if (t + t2) % 2 else om
+                    entries[r2][col] = f.add(entries[r2][col], term)
     return Matrix(f, entries)
-
-
-def _omega_basis(sp: SymplecticSpace, a: int, b: int):
-    """omega(e_a, e_b) with 1-based indices."""
-    f = sp.field
-    n = sp.n
-    if b == a + n:
-        return f.one
-    if a == b + n:
-        return f.neg(f.one)
-    return f.zero
 
 
 def ker_fm(sp: SymplecticSpace, m: int) -> Subspace:

@@ -291,6 +291,23 @@ def test_malformed_rep_structure_exit_3(tmp_path, capsys):
         assert "Traceback" not in capsys.readouterr().err
 
 
+def test_malformed_sparse_wedge_exit_3(tmp_path, capsys):
+    path = tmp_path / "w.json"
+    bad_wedges = [
+        {"5,6": "1"},  # indices past n
+        ["1,2"],  # not an object
+        {"2,1": "1"},  # not increasing
+        {"1,2,3": "1"},  # not m indices
+        {"1,1": "1"},
+        {"1,2": "1", "01,2": "1"},  # one subset named twice
+    ]
+    for bad in bad_wedges:
+        path.write_text(json.dumps(bad))
+        assert main(["exterior", "decomposable", "--field", "F3", "--n", "4",
+                     "--m", "2", "--input", str(path)]) == 3, bad
+        assert "Traceback" not in capsys.readouterr().err
+
+
 def test_field_p_must_be_json_integer(tmp_path, capsys):
     path = write_rep(tmp_path, "rep.json", GF(13), [[[1, 1], [0, 1]]])
     good = json.loads(open(path).read())

@@ -7,11 +7,21 @@ import pytest
 
 from thickrep.errors import DegreeOverflow
 from thickrep.fields import GF, QQ
-from thickrep.linalg import Matrix, Subspace, det_rows, random_invertible, unit_vector
+from thickrep.linalg import (
+    Matrix,
+    Subspace,
+    det_rows,
+    kernel,
+    random_invertible,
+    unit_vector,
+)
 from thickrep.exterior import (
     WedgeVector,
+    annihilator_in_v,
     colex_subsets,
     compound,
+    derivation,
+    faces,
     field_tuples,
     is_decomposable,
     merge_sign,
@@ -24,6 +34,7 @@ from thickrep.exterior import (
     wedge_of_vectors,
     wedge_product,
 )
+from thickrep.symplectic import SymplecticSpace, contraction_matrix
 
 
 def e(n, i):
@@ -357,15 +368,121 @@ def test_low_codim_spot_check_flags_only():
     assert flagged >= 0
 
 
-def test_compound_m2_matches_determinant_minors():
+def _compound_oracle(a, m):
+    """Every m-minor of a by its own `det_rows` elimination."""
+    f = a.field
+    subs = colex_subsets(a.nrows, m)
+    return Matrix(f, [
+        [det_rows(f, [[a.rows[i - 1][j - 1] for j in T] for i in S]) for T in subs]
+        for S in subs
+    ])
+
+
+def _wedge_oracle(field, n, vectors):
+    coords = [
+        det_rows(field, [[v[s - 1] for v in vectors] for s in S])
+        for S in colex_subsets(n, len(vectors))
+    ]
+    return WedgeVector(field, n, len(vectors), coords)
+
+
+def _derivation_oracle(x, m):
+    """The derivation with each sign from the position of the replaced index."""
+    f, n = x.field, x.nrows
+    subs = colex_subsets(n, m)
+    entries = [[f.zero] * len(subs) for _ in subs]
+    for col, S in enumerate(subs):
+        sset = set(S)
+        for t, i in enumerate(S):
+            for j in range(1, n + 1):
+                c = x.rows[j - 1][i - 1]
+                if c == f.zero:
+                    continue
+                if j == i:
+                    entries[col][col] = f.add(entries[col][col], c)
+                elif j not in sset:
+                    T = tuple(sorted(sset - {i} | {j}))
+                    sign = (t + T.index(j)) % 2
+                    r = subset_rank(T)
+                    entries[r][col] = (
+                        f.sub(entries[r][col], c) if sign else f.add(entries[r][col], c)
+                    )
+    return Matrix(f, entries)
+
+
+def _annihilator_oracle(v):
+    f, n, m = v.field, v.n, v.m
+    if m >= n:
+        return Subspace.full(f, n)
+    entries = [[f.zero] * n for _ in range(comb(n, m + 1))]
+    for S, c in v.items():
+        for i in range(1, n + 1):
+            if i in S:
+                continue
+            U = tuple(sorted((i,) + S))
+            term = f.neg(c) if U.index(i) % 2 else c
+            r = subset_rank(U)
+            entries[r][i - 1] = f.add(entries[r][i - 1], term)
+    return kernel(Matrix(f, entries))
+
+
+def _contraction_oracle(sp, m):
+    """The contraction with omega(e_a, e_b) from the index pattern and the
+    sign (-1)^(i+j-1) from the 1-based positions i < j of a and b."""
+    f, N = sp.field, sp.dim
+    subs = colex_subsets(N, m)
+    entries = [[f.zero] * len(subs) for _ in range(comb(N, m - 2))]
+    for col, S in enumerate(subs):
+        for i in range(m):
+            for j in range(i + 1, m):
+                a, b = S[i], S[j]
+                om = f.one if b == a + sp.n else f.zero
+                if om == f.zero:
+                    continue
+                r = subset_rank(tuple(x for x in S if x != a and x != b))
+                term = f.neg(om) if ((i + 1) + (j + 1) - 1) % 2 else om
+                entries[r][col] = f.add(entries[r][col], term)
+    return Matrix(f, entries)
+
+
+def _oracle_matrices(field, n, rng):
+    """A random, a singular (repeated row) and a sparse n x n matrix."""
+    rand = [[field.random(rng) for _ in range(n)] for _ in range(n)]
+    singular = rand[:-1] + [rand[0] if n > 1 else [field.zero]]
+    sparse = [
+        [field.random(rng) if rng.random() < 0.25 else field.zero for _ in range(n)]
+        for _ in range(n)
+    ]
+    return [Matrix(field, rows) for rows in (rand, singular, sparse)]
+
+
+def test_exterior_maps_match_determinant_oracles():
     rng = random.Random(12)
-    for field in (QQ, GF(2), GF(3), GF(2, 2)):
-        for n in (4, 5):
-            a = Matrix(field, [[field.random(rng) for _ in range(n)] for _ in range(n)])
-            subs = colex_subsets(n, 2)
-            minors = [
-                [det_rows(field, [[a.rows[i - 1][j - 1] for j in T] for i in S])
-                 for T in subs]
-                for S in subs
-            ]
-            assert compound(a, 2).rows == Matrix(field, minors).rows
+    for field in (GF(2), GF(3), GF(5), GF(2, 2), GF(3, 2), QQ):
+        for n in range(1, 7):
+            for a in _oracle_matrices(field, n, rng):
+                for m in range(n + 1):
+                    assert compound(a, m).rows == _compound_oracle(a, m).rows
+                    assert derivation(a, m).rows == _derivation_oracle(a, m).rows
+                    p = wedge_of_vectors(field, n, a.rows[:m])
+                    assert p == _wedge_oracle(field, n, a.rows[:m])
+                    coords = [field.random(rng) for _ in range(comb(n, m))]
+                    for v in (p, WedgeVector(field, n, m, coords)):
+                        assert annihilator_in_v(v) == _annihilator_oracle(v)
+        for half in (1, 2, 3):
+            sp = SymplecticSpace(half, field)
+            for m in range(2, sp.dim + 1):
+                assert contraction_matrix(sp, m).rows == _contraction_oracle(sp, m).rows
+
+
+def test_faces_agree_with_wedge_product():
+    for n in range(1, 7):
+        for k in range(n + 1):
+            lower = colex_subsets(n, k - 1)
+            for U, face in zip(colex_subsets(n, k), faces(n, k)):
+                assert [j + 1 for j, _ in face] == list(U)
+                e_U = WedgeVector.basis_element(QQ, n, U)
+                for t, (j, r) in enumerate(face):
+                    e_j = WedgeVector.basis_element(QQ, n, (j + 1,))
+                    e_rest = WedgeVector.basis_element(QQ, n, lower[r])
+                    assert wedge_product(e_j, e_rest) == e_U.scale(QQ.from_int((-1) ** t))
