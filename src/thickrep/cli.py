@@ -8,6 +8,7 @@ UTF-8 JSON; every run is reproducible from --seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -86,13 +87,10 @@ def cmd_check(args) -> int:
     if args.mode == "thick":
         if args.method == "burnside":
             raise ThickRepError("burnside decides denseness, not thickness")
-        decide = (
-            is_m_thick_definition if args.method == "definition" else is_m_thick_criterion
-        )
         if args.method == "definition":
-            tr = decide(rep, args.m, caps)
+            tr = is_m_thick_definition(rep, args.m, caps)
         else:
-            tr = decide(rep, args.m, caps, seed=args.seed)
+            tr = is_m_thick_criterion(rep, args.m, caps, seed=args.seed)
         report.update(serialize.thickness_report_to_json(rep, tr))
         _emit(report, args.json_out)
         if tr.verdict == THICK:
@@ -239,17 +237,7 @@ def cmd_symplectic(args) -> int:
         report = ker_perp_realizability_check(
             sp, args.m, trials=args.trials, seed=args.seed
         )
-        out = {
-            "n": report.n,
-            "m": report.m,
-            "trials": report.trials,
-            "nonzero_pairings": report.nonzero_pairings,
-            "pairing_prong_pass": report.pairing_prong_pass,
-            "scan_prong_ran": report.scan_prong_ran,
-            "scan_prong_pass": report.scan_prong_pass,
-            "scan_points": report.scan_points,
-        }
-        _emit(out, args.json_out)
+        _emit(dataclasses.asdict(report), args.json_out)
         ok = report.pairing_prong_pass and (
             not report.scan_prong_ran or report.scan_prong_pass
         )

@@ -19,7 +19,7 @@ from .errors import (
     PreconditionFailed,
 )
 from .fields import GF, PrimeField, QQ, _is_prime, check_scan, has_all_nth_roots, poly_roots
-from .linalg import Matrix, Subspace, charpoly, kernel, random_invertible
+from .linalg import Matrix, Subspace, charpoly, kernel, random_independent, random_invertible
 from .exterior import WedgeVector, is_decomposable
 from .repcore import (
     GROUP,
@@ -229,11 +229,14 @@ def suggest_block_field(ell: int, m: int) -> PrimeField:
             return GF(p)
 
 
+_BLOCK_REP_TRIES = 32
+
+
 def build_block_rep(ell: int, m: int, field=None, alphas=None, betas=None,
-                    seed: int = 0, max_tries: int = 32) -> BlockRepResult:
+                    seed: int = 0) -> BlockRepResult:
     """Construct a block representation that is verified absolutely
     irreducible, retrying the random basis of the second generator with
-    fresh seeds up to max_tries."""
+    fresh draws up to `_BLOCK_REP_TRIES` times."""
     field = field or suggest_block_field(ell, m)
     check_scan(field)
     powers = [x for x in field.nonzero_elements() if has_all_nth_roots(field, x, ell)]
@@ -247,7 +250,7 @@ def build_block_rep(ell: int, m: int, field=None, alphas=None, betas=None,
     rng = random.Random(seed)
     n = ell * m
     last_error = None
-    for _ in range(max_tries):
+    for _ in range(_BLOCK_REP_TRIES):
         p = random_invertible(field, m, rng)
         b_ell = p * Matrix.diagonal(field, betas) * p.inverse()
         try:
@@ -262,7 +265,7 @@ def build_block_rep(ell: int, m: int, field=None, alphas=None, betas=None,
             return result
     raise ConstructionError(
         "no irreducible block representation found in %d tries (%s)"
-        % (max_tries, last_error)
+        % (_BLOCK_REP_TRIES, last_error)
     )
 
 
@@ -351,17 +354,9 @@ def generic_diagonalizable(field, v, avoid, seed: int = 0):
             i += 1
         betas = rng.sample(pool, n)
     # complete v to a basis {v, v_1, .., v_(n-1)}, then v_n = v - sum v_i
-    from .linalg import rank_of_rows
-
-    basis_head = []
-    guard = 0
-    while len(basis_head) < n - 1:
-        guard += 1
-        if guard > 200 * n:
-            raise ConstructionError("failed to complete v to a basis")
-        cand = tuple(f.random(rng) for _ in range(n))
-        if rank_of_rows(f, [v] + basis_head + [cand], n) == len(basis_head) + 2:
-            basis_head.append(cand)
+    basis_head = random_independent(f, n, n - 1, rng, span=[v], max_draws=200 * n)
+    if len(basis_head) < n - 1:
+        raise ConstructionError("failed to complete v to a basis")
     vn = v
     for u in basis_head:
         vn = tuple(f.sub(a, b) for a, b in zip(vn, u))

@@ -150,11 +150,15 @@ class Rationals:
         return str(Fraction(a))
 
     def parse(self, s: str):
+        """A string such as "3/2" or a non-bool integer; a JSON float or
+        boolean, or any other value, is BadScalar."""
+        if type(s) is not int and not isinstance(s, str):
+            raise BadScalar("not a rational number: %r" % (s,))
         try:
             return Fraction(s)
         except ZeroDivisionError:
             raise DivisionByZero("zero denominator in %r" % (s,)) from None
-        except (TypeError, ValueError):
+        except ValueError:
             raise BadScalar("not a rational number: %r" % (s,)) from None
 
     def random(self, rng, span=5):
@@ -297,9 +301,13 @@ class PrimeField:
         return str(a % self.p)
 
     def parse(self, s: str):
+        """A string such as "4" or a non-bool integer, reduced mod p; a
+        JSON float or boolean, or any other value, is BadScalar."""
+        if type(s) is not int and not isinstance(s, str):
+            raise BadScalar("not an integer residue: %r" % (s,))
         try:
             return int(s) % self.p
-        except (TypeError, ValueError):
+        except ValueError:
             raise BadScalar("not an integer residue: %r" % (s,)) from None
 
     def random(self, rng):

@@ -443,8 +443,26 @@ def random_matrix(field, nrows, ncols, rng):
     return Matrix(field, [[field.random(rng) for _ in range(ncols)] for _ in range(nrows)])
 
 
-def random_invertible(field, n, rng, max_tries=1000):
-    for _ in range(max_tries):
+def random_independent(field, n, count, rng, span=(), max_draws=None):
+    """`count` vectors drawn uniformly from k^n, each kept when it is
+    independent of `span` and of the vectors kept before it.  Stops early,
+    with fewer vectors, after `max_draws` draws."""
+    basis = RowBasis.spanning(field, n, span)
+    kept = []
+    draws = 0
+    while len(kept) < count and (max_draws is None or draws < max_draws):
+        draws += 1
+        v = tuple(field.random(rng) for _ in range(n))
+        if basis.insert(v):
+            kept.append(v)
+    return kept
+
+
+_INVERTIBLE_TRIES = 1000
+
+
+def random_invertible(field, n, rng):
+    for _ in range(_INVERTIBLE_TRIES):
         m = random_matrix(field, n, n, rng)
         if m.rank() == n:
             return m

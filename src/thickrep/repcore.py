@@ -470,13 +470,17 @@ def commutant(r: Representation):
     return len(basis), basis
 
 
-def isotypic_decomposition(r: Representation, seed: int = 0, max_tries: int = 8):
+_ISOTYPIC_TRIES = 8
+
+
+def isotypic_decomposition(r: Representation, seed: int = 0):
     """Eigenspace decomposition from a random commutant element.
 
-    Succeeds when the commutant is commutative and a seeded random element
-    has a completely split charpoly whose distinct roots count the commutant
-    dimension; the eigenspaces are then the unique invariant summands of a
-    multiplicity-free module.  Returns None otherwise.
+    Succeeds when the commutant is commutative and one of `_ISOTYPIC_TRIES`
+    seeded random elements has a completely split charpoly whose distinct
+    roots count the commutant dimension; the eigenspaces are then the
+    unique invariant summands of a multiplicity-free module.  Returns None
+    otherwise.
     """
     f = r.field
     n = r.dim
@@ -488,7 +492,7 @@ def isotypic_decomposition(r: Representation, seed: int = 0, max_tries: int = 8)
             if cbasis[i] * cbasis[j] != cbasis[j] * cbasis[i]:
                 return None
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(_ISOTYPIC_TRIES):
         elem = Matrix.zero(f, n, n)
         for b in cbasis:
             elem = elem + b.scale(f.random(rng))
@@ -728,160 +732,123 @@ def _certificate_from_pair(r, m, v1: Subspace, v2: Subspace) -> NotThickCertific
     )
 
 
-def _pair_certificate(r, m, w1, r1, w2, r2) -> NotThickCertificate:
-    return NotThickCertificate(
-        field=r.field, n=r.dim, m=m, w1=w1, w2=w2,
-        witness1=tuple(r1.witness_vectors),
-        witness2=tuple(r2.witness_vectors),
-    )
-
-
 def is_m_thick_criterion(r: Representation, m: int, caps: Caps | None = None,
                          seed: int = 0) -> ThicknessReport:
     """Decide m-thickness via invariant realizable subspace pairs: the
     representation fails to be m-thick exactly when some invariant
     W1 <= Lambda^m and its perp W2 are both realizable.
 
-    Sources of invariant subspaces, in order of preference: the complete
-    submodule lattice (finite field, within caps), the isotypic sums of a
-    multiplicity-free split module (any field), and spins of decomposable
-    vectors.  The spin route is complete for refutations: if any realizable
-    invariant pair exists, the spin of a decomposable witness of W1 is an
-    invariant realizable subspace whose perp contains W2, so some m-subspace
-    V1 already exhibits the failure.
+    One pair test runs over invariant W1 candidates from one of three
+    sources, in order of preference: the complete submodule lattice
+    (finite field, within caps), the isotypic sums of a multiplicity-free
+    module with absolutely irreducible summands (any field), and the spins
+    of wedges of m-subspaces V1, each with V1 as its witness.  The first
+    two list every invariant subspace.  The spins are complete for
+    refutations: if any realizable invariant pair exists, the spin of a
+    decomposable witness of W1 is an invariant realizable subspace whose
+    perp contains W2, so some m-subspace V1 already exhibits the failure;
+    they are exhausted over a finite field with at most `candidate_cap`
+    m-subspaces.
     """
     caps = caps or Caps.default()
     f = r.field
     n = r.dim
     if m < 0 or m > n:
         raise BadM("m=%d out of range" % m)
+    report = ThicknessReport(m=m, verdict=THICK, method="criterion", mode=r.mode)
     if m == 0 or m == n:
-        return ThicknessReport(
-            m=m, verdict=THICK, method="criterion", mode=r.mode, log={"trivial": True}
-        )
+        report.log = {"trivial": True}
+        return report
     ext = exterior_rep(r, m)
-    nn = ext.dim
 
     subs = None
-    route = None
     if f.finite:
         try:
-            subs = all_submodules(ext, caps)
-            route = "lattice"
+            subs, route = all_submodules(ext, caps), "lattice"
         except CapExceeded:
-            subs = None
+            pass
     else:
-        dec = isotypic_decomposition(ext, seed=seed)
-        if dec is not None and len(dec) <= caps.isotypic_summands_max:
-            if all(
-                burnside_dim(restrict_to_invariant(ext, e)) == e.dim * e.dim
-                for e in dec
-            ):
-                subs = []
-                for picks in itertools.product((0, 1), repeat=len(dec)):
-                    w = Subspace.zero(f, nn)
-                    for take, e in zip(picks, dec):
-                        if take:
-                            w = w.sum(e)
-                    subs.append(w)
-                subs = sorted(set(subs), key=Subspace.key)
-                route = "isotypic"
-
+        subs, route = _isotypic_sums(ext, caps, seed), "isotypic"
     if subs is not None:
-        unresolved = 0
-        for w1 in subs:
-            r1 = realizable_search(
-                w1, n, m, points_cap=caps.points_cap, seed=seed,
-                rational_trials=caps.rational_trials,
-            )
+        report.log = {"route": route, "submodules": len(subs)}
+        candidates = ((w1, None) for w1 in subs)
+        complete = True
+    else:
+        route = "spin"
+        report.log = {"route": route, "candidates": 0}
+        candidates = _spin_candidates(r, ext, m, caps, seed, report.log)
+        complete = f.finite and gaussian_binomial(n, m, f.order) <= caps.candidate_cap
+
+    def search(w, k):
+        return realizable_search(w, n, k, points_cap=caps.points_cap, seed=seed,
+                                 rational_trials=caps.rational_trials)
+
+    unresolved = 0
+    for w1, witness1 in candidates:
+        if witness1 is None:
+            r1 = search(w1, m)
             if r1.status == "NotRealizable":
                 continue
-            w2 = perp(w1, n, m)
-            r2 = realizable_search(
-                w2, n, n - m, points_cap=caps.points_cap, seed=seed,
-                rational_trials=caps.rational_trials,
+            witness1 = r1.witness_vectors
+        w2 = perp(w1, n, m)
+        r2 = search(w2, n - m)
+        if witness1 is not None and r2.status == "Realizable":
+            report.verdict = NOT_THICK
+            report.certificate = NotThickCertificate(
+                field=f, n=n, m=m, w1=w1, w2=w2,
+                witness1=tuple(witness1), witness2=tuple(r2.witness_vectors),
             )
-            if r1.status == "Realizable" and r2.status == "Realizable":
-                cert = _pair_certificate(r, m, w1, r1, w2, r2)
-                return ThicknessReport(
-                    m=m, verdict=NOT_THICK, method="criterion", mode=r.mode,
-                    certificate=cert,
-                    log={"route": route, "submodules": len(subs)},
-                )
-            if r2.status != "NotRealizable":
-                unresolved += 1
-        if unresolved == 0:
-            return ThicknessReport(
-                m=m, verdict=THICK, method="criterion", mode=r.mode,
-                log={"route": route, "submodules": len(subs)},
-            )
-        return ThicknessReport(
-            m=m, verdict=UNKNOWN, method="criterion", mode=r.mode,
-            reason="%d invariant pairs with undecided realizability" % unresolved,
-            log={"route": route, "submodules": len(subs)},
+            return report
+        if r2.status != "NotRealizable":
+            unresolved += 1
+    if not complete:
+        report.verdict, report.reason = UNKNOWN, "candidate search not exhaustive"
+    elif unresolved:
+        report.verdict = UNKNOWN
+        report.reason = "%d %s with undecided realizability" % (
+            unresolved, "perps" if route == "spin" else "invariant pairs"
         )
-
-    # spin route: enumerate decomposable generators W1 = spin(wedge(V1))
-    return _criterion_spin_route(r, ext, m, caps, seed)
+    return report
 
 
-def _criterion_spin_route(r, ext, m, caps: Caps, seed: int) -> ThicknessReport:
+def _isotypic_sums(ext: Representation, caps: Caps, seed: int):
+    """Every invariant subspace of a multiplicity-free module whose at most
+    `isotypic_summands_max` summands are absolutely irreducible: the sums
+    of its summands, sorted.  None when the module is not of that kind."""
+    dec = isotypic_decomposition(ext, seed=seed)
+    if dec is None or len(dec) > caps.isotypic_summands_max:
+        return None
+    if any(burnside_dim(restrict_to_invariant(ext, e)) != e.dim * e.dim for e in dec):
+        return None
+    bottom = Subspace.zero(ext.field, ext.dim)
+    sums = [
+        functools.reduce(Subspace.sum, itertools.compress(dec, picks), bottom)
+        for picks in itertools.product((0, 1), repeat=len(dec))
+    ]
+    return sorted(sums, key=Subspace.key)
+
+
+def _spin_candidates(r, ext, m, caps: Caps, seed: int, log: dict):
+    """(spin of wedge V1, basis of V1) for each m-subspace V1 whose spin is
+    new: every one over a finite field, the coordinate and seeded random
+    ones over the rationals.  Counts the subspaces into log["candidates"]
+    and stops past `candidate_cap`."""
     f = r.field
     n = r.dim
-    seen = set()
-    unresolved = 0
-    examined = 0
-    exhausted = False
     if f.finite:
-        total = gaussian_binomial(n, m, f.order)
-        candidates = enumerate_subspaces(f, n, m)
-        exhausted = total <= caps.candidate_cap
+        subspaces = enumerate_subspaces(f, n, m)
     else:
-        candidates = _rational_candidate_subspaces(f, n, m, caps, seed)
-    for v1 in candidates:
-        examined += 1
-        if examined > caps.candidate_cap:
-            exhausted = False
-            break
-        x = wedge_of_vectors(f, n, v1.basis_vectors())
-        if x.is_zero():
-            continue
-        w1 = spin(ext, [x.coords])
-        if w1.mat.rows in seen:
-            continue
-        seen.add(w1.mat.rows)
-        w2 = perp(w1, n, m)
-        r2 = realizable_search(
-            w2, n, n - m, points_cap=caps.points_cap, seed=seed,
-            rational_trials=caps.rational_trials,
-        )
-        if r2.status == "Realizable":
-            # x is the wedge of v1, so v1 is the annihilator of x: its
-            # canonical basis is the W1 witness
-            cert = NotThickCertificate(
-                field=f, n=n, m=m, w1=w1, w2=w2,
-                witness1=tuple(v1.basis_vectors()),
-                witness2=tuple(r2.witness_vectors),
-            )
-            return ThicknessReport(
-                m=m, verdict=NOT_THICK, method="criterion", mode=r.mode,
-                certificate=cert,
-                log={"route": "spin", "candidates": examined},
-            )
-        if r2.status == "Unknown":
-            unresolved += 1
-    if exhausted and unresolved == 0:
-        return ThicknessReport(
-            m=m, verdict=THICK, method="criterion", mode=r.mode,
-            log={"route": "spin", "candidates": examined},
-        )
-    return ThicknessReport(
-        m=m, verdict=UNKNOWN, method="criterion", mode=r.mode,
-        reason="candidate search not exhaustive"
-        if not exhausted
-        else "%d perps with undecided realizability" % unresolved,
-        log={"route": "spin", "candidates": examined},
-    )
+        subspaces = _rational_candidate_subspaces(f, n, m, caps, seed)
+    seen = set()
+    for v1 in subspaces:
+        log["candidates"] += 1
+        if log["candidates"] > caps.candidate_cap:
+            return
+        basis = v1.basis_vectors()
+        w1 = spin(ext, [wedge_of_vectors(f, n, basis).coords])
+        if w1.mat.rows not in seen:
+            seen.add(w1.mat.rows)
+            yield w1, basis
 
 
 def _rational_candidate_subspaces(f, n, m, caps: Caps, seed: int):
@@ -899,14 +866,20 @@ def _rational_candidate_subspaces(f, n, m, caps: Caps, seed: int):
 
 def verify_not_thick_certificate(r: Representation, cert: NotThickCertificate) -> bool:
     """Independent re-check of a refutation using exterior/linalg operations:
-    invariance of both sides, the perp relation, and both wedge witnesses.
-    A certificate of the wrong shape does not verify."""
+    invariance of both sides, the perp relation, both wedge witnesses, and
+    that a `pair`, when present, is the pair of spans of the witnesses.  A
+    certificate of the wrong shape does not verify."""
     f, n, m = cert.field, cert.n, cert.m
     if f != r.field or n != r.dim or not 0 < m < n:
         return False
     if len(cert.witness1) != m or len(cert.witness2) != n - m:
         return False
     if any(len(v) != n for v in (*cert.witness1, *cert.witness2)):
+        return False
+    if cert.pair is not None and tuple(cert.pair) != (
+        Subspace.from_vectors(f, n, cert.witness1),
+        Subspace.from_vectors(f, n, cert.witness2),
+    ):
         return False
     if cert.w1.ambient != comb(n, m) or cert.w2.ambient != comb(n, n - m):
         return False

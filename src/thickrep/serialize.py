@@ -7,6 +7,7 @@ through `dumps`.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 from .errors import MalformedInput, ThickRepError
@@ -164,10 +165,4 @@ def thickness_report_to_json(r: Representation, report: ThicknessReport):
 
 
 def r_number_to_json(b: RNumberBounds):
-    return {
-        "n": b.n,
-        "m": b.m,
-        "lower": b.lower,
-        "upper": b.upper,
-        "exact": b.exact,
-    }
+    return dataclasses.asdict(b)

@@ -20,7 +20,15 @@ from .errors import (
     ConstructionError,
     PreconditionFailed,
 )
-from .linalg import Matrix, RowBasis, Subspace, kernel, rank_of_rows, solve_linear
+from .linalg import (
+    Matrix,
+    RowBasis,
+    Subspace,
+    kernel,
+    random_independent,
+    rank_of_rows,
+    solve_linear,
+)
 from .exterior import (
     derivation,
     faces,
@@ -323,12 +331,7 @@ def ker_perp_realizability_check(
     rng = random.Random(seed)
     good = 0
     for _ in range(trials):
-        vecs = []
-        while len(vecs) < N - m:
-            cand = tuple(f.random(rng) for _ in range(N))
-            if rank_of_rows(f, vecs + [cand], N) == len(vecs) + 1:
-                vecs.append(cand)
-        w = Subspace.from_vectors(f, N, vecs)
+        w = Subspace.from_vectors(f, N, random_independent(f, N, N - m, rng))
         u = isotropic_transversal(sp, w, m)
         x = wedge_of_vectors(f, N, w.basis_vectors())
         y = wedge_of_vectors(f, N, u.basis_vectors())

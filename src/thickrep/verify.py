@@ -15,7 +15,7 @@ from dataclasses import astuple, dataclass, field as dc_field
 
 from .errors import CapExceeded
 from .fields import GF, QQ
-from .linalg import Matrix, Subspace, rank_of_rows, random_invertible
+from .linalg import Matrix, Subspace, random_independent, random_invertible, rank_of_rows
 from .exterior import (
     WedgeVector,
     is_decomposable,
@@ -336,11 +336,7 @@ def item_symplectic_suite(seed, caps):
         sp = SymplecticSpace(n, F5)
         for _ in range(100):
             i = rng.randint(0, n)
-            vecs = []
-            while len(vecs) < 2 * n - i:
-                cand = tuple(F5.random(rng) for _ in range(2 * n))
-                if rank_of_rows(F5, vecs + [cand], 2 * n) == len(vecs) + 1:
-                    vecs.append(cand)
+            vecs = random_independent(F5, 2 * n, 2 * n - i, rng)
             w = Subspace.from_vectors(F5, 2 * n, vecs)
             lagrangian_complement(sp, w)  # self-validating
             if i:

@@ -1,9 +1,11 @@
 import json
+import os
 
 from thickrep.cli import main
 from thickrep.fields import GF, QQ
 from thickrep.linalg import Matrix
 from thickrep.repcore import GROUP, Representation
+from thickrep.symplectic import SymplecticSpace, ker_perp_realizability_check
 from thickrep import serialize
 
 
@@ -257,19 +259,82 @@ def test_recheck_wrong_shape_does_not_verify(tmp_path, capsys):
 
 
 def test_malformed_scalar_exit_3(tmp_path, capsys):
-    for field, bad in ((QQ, "1/0"), (QQ, "x"), (GF(3), "1/2"), (GF(3), "1.0")):
+    # JSON floats and booleans are refused, not truncated: 1.5 is not read
+    # as 1, true not as 1, and 0.1 not as its binary approximation
+    floats_and_bools = (1.5, 0.1, True)
+    bad_scalars = [(QQ, "1/0"), (QQ, "x"), (GF(3), "1/2"), (GF(3), "1.0")] + [
+        (field, bad) for field in (QQ, GF(3)) for bad in floats_and_bools
+    ]
+    for field, bad in bad_scalars:
         path = write_rep(tmp_path, "rep.json", field, [[[1, 1], [0, 1]]])
         data = json.loads(open(path).read())
         data["generators"][0][0][1] = bad
         with open(path, "w") as fh:
             fh.write(serialize.dumps(data))
-        assert main(["check", "--rep", path, "--mode", "thick", "--m", "1"]) == 3
+        assert main(["check", "--rep", path, "--mode", "thick", "--m", "1"]) == 3, bad
         assert "Traceback" not in capsys.readouterr().err
+    wedge_path = tmp_path / "w.json"
+    for field in ("Q", "F3"):
+        for bad in floats_and_bools:
+            wedge_path.write_text(json.dumps({"1,2": bad}))
+            assert main(["exterior", "decomposable", "--field", field, "--n", "4",
+                         "--m", "2", "--input", str(wedge_path)]) == 3, (field, bad)
+            assert "Traceback" not in capsys.readouterr().err
     cert = _f3_certificate(tmp_path)
     cert["witness1"][0][0] = "1/0"
     cert_path = tmp_path / "cert.json"
     cert_path.write_text(serialize.dumps(cert))
     assert main(["recheck", "--certificate", str(cert_path)]) == 3
+
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+
+def test_golden_certificates_recheck(capsys):
+    for name in sorted(os.listdir(GOLDEN)):
+        path = os.path.join(GOLDEN, name)
+        assert main(["recheck", "--certificate", path]) == 0, name
+        assert json.loads(capsys.readouterr().out)["verifies"] is True
+
+
+def test_recheck_checks_the_pair(tmp_path, capsys):
+    # the pair of a definition refutation must be the spans of the two
+    # witnesses; a pair that is parsed but wrong does not verify
+    with open(os.path.join(GOLDEN, "wedge2_gl4_f2_m3.json")) as fh:
+        cert = json.load(fh)
+    v1, v2 = cert["pair"]
+    line = {"ambient": 6, "basis": [["1"] * 6]}
+    plane = {"ambient": 2, "basis": [["1", "0"], ["0", "1"]]}
+    cert_path = tmp_path / "cert.json"
+    for pair in ([line, plane], [line, v2], [v1, plane], [v1, line]):
+        cert_path.write_text(serialize.dumps(dict(cert, pair=pair)))
+        assert main(["recheck", "--certificate", str(cert_path)]) == 1, pair
+        assert json.loads(capsys.readouterr().out)["verifies"] is False
+    without_pair = {k: v for k, v in cert.items() if k != "pair"}
+    cert_path.write_text(serialize.dumps(without_pair))
+    assert main(["recheck", "--certificate", str(cert_path)]) == 0
+
+
+def test_dataclass_reports_keep_their_json(capsys):
+    # ker-perp and rnumber emit their dataclasses whole; dumps sorts keys,
+    # so the text is that of the field-by-field objects written before
+    report = ker_perp_realizability_check(SymplecticSpace(2, GF(3)), 2, trials=5, seed=1)
+    assert main(["symplectic", "ker-perp", "--field", "F3", "--n", "2", "--m", "2",
+                 "--trials", "5", "--seed", "1"]) == 0
+    assert capsys.readouterr().out == serialize.dumps({
+        "n": report.n,
+        "m": report.m,
+        "trials": report.trials,
+        "nonzero_pairings": report.nonzero_pairings,
+        "pairing_prong_pass": report.pairing_prong_pass,
+        "scan_prong_ran": report.scan_prong_ran,
+        "scan_prong_pass": report.scan_prong_pass,
+        "scan_points": report.scan_points,
+    })
+    assert main(["rnumber", "--n", "5", "--m", "2"]) == 0
+    assert capsys.readouterr().out == serialize.dumps(
+        {"n": 5, "m": 2, "lower": 3, "upper": 5, "exact": 4}
+    )
 
 
 def test_malformed_rep_structure_exit_3(tmp_path, capsys):

@@ -12,6 +12,7 @@ from thickrep.linalg import (
     charpoly,
     det,
     kernel,
+    random_independent,
     random_invertible,
     rank_of_rows,
     rref,
@@ -339,3 +340,26 @@ def test_echelon_routines_match_batch_oracle():
             assert basis.insert(v) == (after > before), label
             v[:] = [field.one] * nc
         assert basis.to_subspace() == sub, label
+
+
+def test_random_independent_matches_rank_loop():
+    # the oracle is the loop it replaced: draw, keep the draw when the rank
+    # of the span and the kept vectors grows; both take the same RNG draws
+    for field, n, span in ((GF(2), 4, []), (GF(5), 6, [(1, 0, 2, 0, 0, 3)]),
+                           (GF(3), 3, [(1, 1, 0), (0, 1, 1)]), (QQ, 3, [])):
+        for seed in range(5):
+            count = n - len(span)
+            rng = random.Random(seed)
+            kept = []
+            while len(kept) < count:
+                cand = tuple(field.random(rng) for _ in range(n))
+                if rank_of_rows(field, span + kept + [cand], n) == len(span) + len(kept) + 1:
+                    kept.append(cand)
+            oracle_next = rng.random()
+            rng = random.Random(seed)
+            assert random_independent(field, n, count, rng, span=span) == kept
+            assert rng.random() == oracle_next
+    # past max_draws it stops with what it has
+    rng = random.Random(0)
+    assert len(random_independent(GF(2), 4, 4, rng, max_draws=2)) <= 2
+    assert random_independent(GF(2), 2, 1, rng, span=[(1, 0), (0, 1)], max_draws=9) == []

@@ -22,6 +22,7 @@ from thickrep.repcore import (
     LIE,
     NOT_THICK,
     THICK,
+    UNKNOWN,
     Representation,
     ThicknessReport,
     all_submodules,
@@ -689,6 +690,43 @@ def test_criterion_spin_route_witness_is_candidate_annihilator():
             assert verify_not_thick_certificate(r, cert)
             refuted += 1
     assert refuted == 12
+
+
+CRITERION_ROUTES = [
+    ({}, THICK, {"route": "lattice", "submodules": 4}, ""),
+    ({"points_cap": 2}, UNKNOWN, {"route": "lattice", "submodules": 4},
+     "2 invariant pairs with undecided realizability"),
+    ({"submodule_points_cap": 3, "points_cap": 2}, UNKNOWN,
+     {"route": "spin", "candidates": 35}, "1 perps with undecided realizability"),
+    ({"submodule_points_cap": 3, "candidate_cap": 20}, UNKNOWN,
+     {"route": "spin", "candidates": 21}, "candidate search not exhaustive"),
+    ({"submodule_points_cap": 3}, THICK, {"route": "spin", "candidates": 35}, ""),
+]
+
+
+@pytest.mark.parametrize("caps, verdict, log, reason", CRITERION_ROUTES)
+def test_criterion_routes_and_reasons(caps, verdict, log, reason):
+    # one rep over F2, m = 2: the lattice route, the spin route forced by a
+    # tiny submodule points cap, and each way either ends undecided
+    rng = random.Random(100)
+    gens = [random_invertible(GF(2), 4, rng) for _ in range(2)]
+    r = Representation(GF(2), 4, GROUP, gens)
+    rep = is_m_thick_criterion(r, 2, Caps(**caps))
+    assert (rep.verdict, rep.log, rep.reason) == (verdict, log, reason)
+    assert rep.certificate is None
+
+
+@pytest.mark.parametrize("family, n, verdict", [("sp", 2, THICK), ("so_split", 4, NOT_THICK)])
+def test_criterion_isotypic_route(family, n, verdict):
+    gens = lie_generators(family, n)
+    r = Representation(QQ, gens[0].nrows, LIE, gens)
+    rep = is_m_thick_criterion(r, 2)
+    assert (rep.verdict, rep.log, rep.reason) == (
+        verdict, {"route": "isotypic", "submodules": 4}, ""
+    )
+    assert (rep.certificate is not None) == (verdict == NOT_THICK)
+    if rep.certificate is not None:
+        assert verify_not_thick_certificate(r, rep.certificate)
 
 
 def test_criterion_definition_agreement_seeded():
