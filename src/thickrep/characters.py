@@ -111,8 +111,11 @@ class ClassFunction:
 
 
 def sym_char(lam) -> ClassFunction:
-    """The irreducible symmetric-group character of the given partition."""
+    """The irreducible symmetric-group character of the given partition;
+    BadN unless lam is a weakly decreasing tuple of positive integers."""
     lam = tuple(lam)
+    if any(type(x) is not int or x < 1 for x in lam) or list(lam) != sorted(lam, reverse=True):
+        raise BadN("%s is not a partition" % (lam,))
     d = sum(lam)
     if d > MN_DEGREE_CAP:
         raise ScaleExceeded("degree %d beyond the implemented range" % d)

@@ -236,15 +236,20 @@ def build_block_rep(ell: int, m: int, field=None, alphas=None, betas=None,
                     seed: int = 0) -> BlockRepResult:
     """Construct a block representation that is verified absolutely
     irreducible, retrying the random basis of the second generator with
-    fresh draws up to `_BLOCK_REP_TRIES` times."""
+    fresh draws up to `_BLOCK_REP_TRIES` times.  Missing alphas or betas
+    are the first ell-th powers of a finite field; over Q pass both."""
     field = field or suggest_block_field(ell, m)
-    check_scan(field)
-    powers = [x for x in field.nonzero_elements() if has_all_nth_roots(field, x, ell)]
-    if alphas is None:
-        alphas = tuple(powers[:m])
-    if betas is None:
-        taken = set(alphas)
-        betas = tuple(x for x in powers if x not in taken)[:m]
+    if alphas is None or betas is None:
+        # the ell-th powers with ell distinct roots, to choose from
+        if not field.finite:
+            raise PreconditionFailed("alphas and betas are chosen over finite fields only")
+        check_scan(field)
+        powers = [x for x in field.nonzero_elements() if has_all_nth_roots(field, x, ell)]
+        if alphas is None:
+            alphas = tuple(powers[:m])
+        if betas is None:
+            taken = set(alphas)
+            betas = tuple(x for x in powers if x not in taken)[:m]
     if len(set(betas)) != m:
         raise FieldTooSmall("not enough ell-th powers for distinct betas")
     rng = random.Random(seed)

@@ -20,7 +20,6 @@ from math import gcd, lcm
 
 from .errors import (
     BadScalar,
-    ConstructionError,
     DivisionByZero,
     FieldMismatch,
     MalformedInput,
@@ -46,6 +45,17 @@ def check_scan(field):
         raise ScaleExceeded(
             "scanning %d field elements exceeds %d" % (field.order, DEFAULT_POINTS_CAP)
         )
+
+
+def _nth_roots(field, a, n: int):
+    """The roots of x^n - a in the field, in canonical order, from
+    `poly_roots`; every field class binds this as its `nth_roots`."""
+    a = field.reduce(a)
+    if a == field.zero:
+        raise ZeroInput("nth_roots of zero")
+    return [r for r, _ in poly_roots(
+        Poly(field, [field.neg(a)] + [field.zero] * (n - 1) + [field.one])
+    )]
 
 
 def field_tuples(field, length):
@@ -164,28 +174,7 @@ class Rationals:
     def random(self, rng, span=5):
         return Fraction(rng.randint(-span, span))
 
-    def nth_roots(self, a, n: int):
-        """All rational x with x**n == a, sorted canonically."""
-        if a == 0:
-            raise ZeroInput("nth_roots of zero")
-        a = Fraction(a)
-        if n == 1:
-            return [a]
-        # x = u/v in lowest terms forces u**n = numerator, v**n = denominator
-        neg = a < 0
-        num, den = abs(a.numerator), a.denominator
-        u = _int_nth_root(num, n)
-        v = _int_nth_root(den, n)
-        if u is None or v is None:
-            return []
-        roots = []
-        if neg:
-            if n % 2 == 1:
-                roots.append(Fraction(-u, v))
-        else:
-            r = Fraction(u, v)
-            roots = [r, -r] if n % 2 == 0 else [r]
-        return sorted(roots, key=self.sort_key)
+    nth_roots = _nth_roots
 
     def __repr__(self):
         return "QQ"
@@ -195,22 +184,6 @@ class Rationals:
 
     def __hash__(self):
         return hash("Q")
-
-
-def _int_nth_root(v: int, n: int):
-    """Exact integer n-th root of v >= 1, or None."""
-    if v == 1:
-        return 1
-    lo, hi = 1, 1
-    while hi**n < v:
-        hi *= 2
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid**n < v:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo if lo**n == v else None
 
 
 # Miller-Rabin with the first 13 primes as bases is exact below this bound
@@ -316,12 +289,7 @@ class PrimeField:
     def power(self, a, n):
         return pow(a, n, self.p)
 
-    def nth_roots(self, a, n: int):
-        a = a % self.p
-        if a == 0:
-            raise ZeroInput("nth_roots of zero")
-        check_scan(self)
-        return [x for x in range(1, self.p) if pow(x, n, self.p) == a]
+    nth_roots = _nth_roots
 
     def __repr__(self):
         return "GF(%d)" % self.p
@@ -442,14 +410,7 @@ class ExtensionField:
     def random(self, rng):
         return tuple(rng.randrange(self.p) for _ in range(self.k))
 
-    def nth_roots(self, a, n: int):
-        if a == self.zero:
-            raise ZeroInput("nth_roots of zero")
-        check_scan(self)
-        return sorted(
-            (x for x in self.nonzero_elements() if self.power(x, n) == a),
-            key=self.sort_key,
-        )
+    nth_roots = _nth_roots
 
     def power(self, a, n):
         """a^n by square-and-multiply."""
@@ -706,9 +667,10 @@ def poly_factor_fp(f: Poly):
     """Factor a monic polynomial over F_p into irreducibles.
 
     Returns a list of (factor, multiplicity) with factors monic and sorted
-    by (degree, coefficients).  Trial division in increasing degree: any
-    divisor found is automatically irreducible because all lower-degree
-    factors were already removed.
+    by (degree, coefficients).  The linear factors come from `poly_roots`;
+    the rest by trial division in increasing degree: any divisor found is
+    automatically irreducible because all lower-degree factors were
+    already removed.
     """
     if not isinstance(f.field, PrimeField):
         raise WrongField("factoring is implemented over prime fields")
@@ -719,14 +681,11 @@ def poly_factor_fp(f: Poly):
     field = f.field
     factors = {}
     rem = f
-    # linear factors by root scan
-    for r in field.elements():
-        while rem.degree >= 1 and rem(r) == 0:
-            factors.setdefault(Poly.x_minus(field, r), 0)
-            factors[Poly.x_minus(field, r)] += 1
-            rem, r0 = rem.divmod(Poly.x_minus(field, r))
-            if not r0.is_zero():
-                raise ConstructionError("root %r left a remainder" % (r,))
+    # the linear factors, each divided out as often as its root repeats
+    for r, mult in poly_roots(f):
+        factors[Poly.x_minus(field, r)] = mult
+        for _ in range(mult):
+            rem = rem.divmod(Poly.x_minus(field, r))[0]
     d = 2
     while 2 * d <= rem.degree:
         # one full pass removes every irreducible factor of degree d
@@ -750,22 +709,49 @@ def poly_factor_fp(f: Poly):
 
 
 def poly_roots(f: Poly):
-    """Roots of f in its field with multiplicities, as (root, mult) pairs.
+    """Roots of f in its field with multiplicities, as (root, mult) pairs in
+    canonical order: the one root search of the package.
 
-    Over a finite field this scans the elements in their canonical order."""
+    Over a finite field this tests every element in canonical order, after
+    `check_scan` has refused a field too large to walk; over Q it is
+    `rational_roots`."""
     field = f.field
     if isinstance(field, Rationals):
         return rational_roots(f)
+    check_scan(field)
+    return _roots_among(f, field.elements())
+
+
+def _roots_among(f: Poly, candidates):
+    """The (a, multiplicity) pairs of the candidates a that are roots of f."""
     out = []
-    for a in field.elements():
-        mult = 0
-        rem = f
-        while rem.degree >= 1 and rem(a) == field.zero:
-            rem, _ = rem.divmod(Poly.x_minus(field, a))
-            mult += 1
+    for a in candidates:
+        mult = _multiplicity(f, a)
         if mult:
             out.append((a, mult))
     return out
+
+
+def _multiplicity(f: Poly, a) -> int:
+    """How often x - a divides f.  A Horner pass from the leading
+    coefficient is synthetic division by x - a: its last value is f(a) and
+    the values before it are the quotient, which is divided again while
+    the value is zero."""
+    field = f.field
+    add, mul, zero = field.add, field.mul, field.zero
+    coeffs = f.coeffs[::-1]
+    mult = 0
+    while len(coeffs) > 1:
+        acc = zero
+        quo = []
+        for c in coeffs:
+            acc = add(mul(acc, a), c)
+            quo.append(acc)
+        if quo.pop() != zero:
+            break
+        coeffs = quo
+        mult += 1
+    return mult
 
 
 def rational_roots(f: Poly):
@@ -791,28 +777,20 @@ def rational_roots(f: Poly):
     ints = [c // content for c in ints]
     lead, d = ints[-1], len(ints) - 1
     h = [c * lead ** (d - 1 - i) for i, c in enumerate(ints[:-1])] + [1]
-    out = []
-    for r in sorted((Fraction(y, lead) for y in _integer_roots(h)), key=field.sort_key):
-        mult = 0
-        rem = f
-        while rem.degree >= 1 and rem(r) == 0:
-            rem, _ = rem.divmod(Poly.x_minus(field, r))
-            mult += 1
-        if mult:
-            out.append((r, mult))
-    return out
+    roots = sorted((Fraction(y, lead) for y in _integer_roots(h)), key=field.sort_key)
+    return _roots_among(f, roots)
 
 
 def _integer_roots(h):
     """Candidates for the integer roots of a squarefree monic integer
     polynomial h (low degree first): every root is among them.
 
-    At the first prime p where every root of h mod p is simple, each root
-    lifts by Newton steps r <- r - h(r)/h'(r), squaring the modulus, to the
-    one p-adic root above it (von zur Gathen & Gerhard, *Modern Computer
-    Algebra*, ch. 15).  An integer root lies within the Cauchy bound
-    B = 1 + max |h_i|, so once the modulus exceeds 2B it is the symmetric
-    residue of its lift.
+    At the first prime p where every root of h mod p (from `poly_roots`)
+    is simple, each root lifts by Newton steps r <- r - h(r)/h'(r),
+    squaring the modulus, to the one p-adic root above it (von zur Gathen &
+    Gerhard, *Modern Computer Algebra*, ch. 15).  An integer root lies
+    within the Cauchy bound B = 1 + max |h_i|, so once the modulus exceeds
+    2B it is the symmetric residue of its lift.
     """
     dh = [i * c for i, c in enumerate(h)][1:]
 
@@ -827,12 +805,12 @@ def _integer_roots(h):
     for p in itertools.count(2):
         if not _is_prime(p):
             continue
-        roots = [r for r in range(p) if ev(h, r, p) == 0]
-        if all(ev(dh, r, p) for r in roots):
+        roots = poly_roots(Poly.from_ints(GF(p), h))
+        if all(mult == 1 for _, mult in roots):
             break
     bound = 1 + max((abs(c) for c in h[:-1]), default=0)
     out = []
-    for r in roots:
+    for r, _ in roots:
         m = p
         while m <= 2 * bound:
             m *= m

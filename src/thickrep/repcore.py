@@ -288,12 +288,13 @@ def _norton_irreducible(r: Representation) -> bool:
     """Norton's irreducibility test (Parker 1984; Holt & Rees 1994).
 
     Draw theta from the span of the generators and their pairwise products,
-    and look for an eigenvalue lambda in the field whose eigenspace is a
-    line.  If that line spins to the whole space under the generators, and
-    the line ker (theta - lambda)^T spins to the whole space under the
-    transposed generators, the module is irreducible: a proper submodule U
-    either contains the line, or theta - lambda is invertible on U and so
-    singular on V/U, whose dual U^perp then contains the transposed line.
+    and look for an eigenvalue lambda in the field (from `poly_roots` of its
+    charpoly) whose eigenspace is a line.  If that line spins to the whole
+    space under the generators, and the line ker (theta - lambda)^T spins to
+    the whole space under the transposed generators, the module is
+    irreducible: a proper submodule U either contains the line, or
+    theta - lambda is invertible on U and so singular on V/U, whose dual
+    U^perp then contains the transposed line.
 
     Returns True when that proof succeeds, and False when a spin of an
     eigenvector is proper (the module is reducible) or no theta among the
@@ -317,10 +318,7 @@ def _norton_irreducible(r: Representation) -> bool:
             [f.dot(coeffs, entries) for entries in zip(*rows)]
             for rows in zip(*(w.rows for w in words))
         ])
-        cp = charpoly(theta)
-        for lam in f.elements():
-            if cp(lam) != f.zero:
-                continue
+        for lam, _ in poly_roots(charpoly(theta)):
             shifted = theta - ident.scale(lam)
             null = kernel(shifted)
             if spin(r, null.basis_vectors()[:1]).dim < n:
@@ -339,7 +337,8 @@ def all_submodules(r: Representation, caps: Caps | None = None):
     """The complete lattice of invariant subspaces over a finite field;
     sorted by (dim, canonical basis).  Raises CapExceeded when the
     projective point count exceeds `submodule_points_cap` or the lattice
-    has more than `lattice_cap` elements.
+    has more than `lattice_cap` elements, and ScaleExceeded when the field
+    is too large for `poly_roots` to search for eigenvalues.
 
     After the projective-point cap check, Norton's test (see
     `_norton_irreducible`) tries to prove the module irreducible and then
@@ -584,7 +583,6 @@ class ThicknessReport:
     verdict: str
     method: str
     mode: str
-    field_scope: str = "OverK"
     certificate: NotThickCertificate | None = None
     log: dict = dc_field(default_factory=dict)
     reason: str = ""

@@ -154,7 +154,7 @@ def thickness_report_to_json(r: Representation, report: ThicknessReport):
         "verdict": report.verdict,
         "method": report.method,
         "mode": report.mode,
-        "field_scope": report.field_scope,
+        "field_scope": field_to_json(r.field),
         "log": report.log,
     }
     if report.reason:

@@ -152,6 +152,34 @@ def test_characters_commands(capsys):
     assert json.loads(capsys.readouterr().out)["holds"] is True
 
 
+def test_characters_refuse_non_partitions_exit_3(capsys):
+    for op in ("char", "wedge-square"):
+        for bad in ("1,3", "1,2", "0"):
+            assert main(["characters", op, "--partition", bad]) == 3, (op, bad)
+            assert "Traceback" not in capsys.readouterr().err
+
+
+def test_construct_block_over_q(capsys):
+    # the default betas 3, 9 have no square roots over Q, so the Cramer
+    # check never runs and every try is refused; 9, 16 split
+    assert main(["construct", "block"]) == 3
+    captured = capsys.readouterr()
+    assert "no irreducible block representation" in captured.err
+    assert "Traceback" not in captured.err
+    assert main(["construct", "block", "--betas", "9,16"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["representation"]["field"] == {"kind": "Q"}
+    assert out["cramer_checked"] and out["cramer_nonzero"]
+
+
+def test_thickness_report_names_its_field(tmp_path, capsys):
+    for field, want in ((GF(3), {"kind": "Fp", "p": 3}), (QQ, {"kind": "Q"})):
+        path = write_rep(tmp_path, "jordan.json", field, [[[1, 1], [0, 1]]])
+        assert main(["check", "--rep", path, "--mode", "thick", "--m", "1",
+                     "--method", "criterion"]) == 1
+        assert json.loads(capsys.readouterr().out)["field_scope"] == want
+
+
 def test_symplectic_command(capsys):
     assert main(["symplectic", "kernel", "--field", "Q", "--n", "2", "--m", "2"]) == 0
     out = json.loads(capsys.readouterr().out)

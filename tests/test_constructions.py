@@ -78,6 +78,17 @@ def test_constructions_refuse_scans_of_a_large_field():
             build()
 
 
+def test_block_rep_over_q_needs_alphas_and_betas():
+    # the ell-th powers are listed only to choose missing alphas or betas,
+    # which Q cannot do; given both, Q builds like any field
+    for alphas, betas in ((None, None), ((1, 4), None), (None, (9, 16))):
+        with pytest.raises(PreconditionFailed):
+            build_block_rep(2, 2, QQ, alphas=alphas, betas=betas)
+    res = build_block_rep(2, 2, QQ, alphas=(1, 4), betas=(9, 16))
+    assert res.cramer_checked and res.cramer_nonzero
+    assert burnside_dim(res.rep) == 16
+
+
 def test_suggest_block_field():
     assert suggest_block_field(2, 2).p == 13
 

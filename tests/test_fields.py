@@ -1,8 +1,11 @@
 import ast
 import itertools
+import os
 import pathlib
 import random
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from math import gcd, prod
@@ -144,6 +147,42 @@ def test_poly_roots_fp_match_linear_factors():
             assert poly_roots(f) == linear
 
 
+def _roots_by_division(f, candidates):
+    """The root scan that `poly_roots` replaced, the oracle for its
+    synthetic division: Horner evaluation, then `Poly.divmod` by x - a
+    while a is still a root."""
+    out = []
+    for a in candidates:
+        mult = 0
+        rem = f
+        while rem.degree >= 1 and rem(a) == f.field.zero:
+            rem, _ = rem.divmod(Poly.x_minus(f.field, a))
+            mult += 1
+        if mult:
+            out.append((a, mult))
+    return out
+
+
+def test_poly_roots_match_division_oracle():
+    # products of linear factors, zero roots and repeats among them, with a
+    # random monic cofactor
+    rng = random.Random(1313)
+    fields = (GF(2), GF(3), GF(5), GF(13), GF(2, 2), GF(3, 2), QQ)
+    for field in fields:
+        for _ in range(40):
+            f = Poly(field, [field.random(rng) for _ in range(rng.randint(0, 3))] + [field.one])
+            for _ in range(rng.randint(0, 4)):
+                r = field.zero if rng.random() < 0.3 else field.random(rng)
+                f = f * Poly.x_minus(field, r)
+                if rng.random() < 0.3:
+                    f = f * Poly.x_minus(field, r)
+            if field.finite:
+                expected = _roots_by_division(f, field.elements())
+            else:
+                expected = _rational_roots_by_divisors(f)
+            assert poly_roots(f) == expected, (field, f)
+
+
 def test_poly_roots_rootless_quartic_over_large_prime():
     p = 10007
     F = GF(p)
@@ -210,6 +249,39 @@ def test_element_scans_of_large_fields_raise_scale_exceeded():
         check_scan(GF(1_000_003))
 
 
+def test_root_searches_of_a_huge_field_refuse_at_once():
+    # Norton's eigenvalue search in all_submodules and the linear factors of
+    # poly_factor_fp go through poly_roots, which refuses a field of 2**61 - 1
+    # elements before walking it; a child process with a timeout turns a
+    # stall into a failure instead of a hang
+    code = """
+import time
+from thickrep.errors import ScaleExceeded
+from thickrep.fields import GF, Poly, poly_factor_fp
+from thickrep.linalg import Matrix
+from thickrep.repcore import GROUP, Representation, all_submodules
+p = 2**61 - 1
+F = GF(p)
+rep = Representation(F, 1, GROUP, [Matrix(F, [[p - 2]])])
+for search in (lambda: all_submodules(rep), lambda: poly_factor_fp(Poly.from_ints(F, [-5, 1]))):
+    t0 = time.perf_counter()
+    try:
+        search()
+    except ScaleExceeded:
+        print(time.perf_counter() - t0)
+"""
+    import thickrep
+
+    src = str(pathlib.Path(thickrep.__file__).resolve().parents[1])
+    path = [src] + [d for d in os.environ.get("PYTHONPATH", "").split(os.pathsep) if d]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=10)
+    assert done.returncode == 0, done.stderr
+    seconds = [float(x) for x in done.stdout.split()]
+    assert len(seconds) == 2 and max(seconds) < 1.0, done.stdout
+
+
 def test_finite_field_elements_come_in_canonical_order():
     for field in (GF(2), GF(3), GF(7), GF(2, 2), GF(3, 2)):
         elems = list(field.elements())
@@ -222,6 +294,48 @@ def test_negative_and_even_rational_roots():
     assert QQ.nth_roots(Fraction(9, 4), 2) == [Fraction(-3, 2), Fraction(3, 2)]
     assert QQ.nth_roots(Fraction(-8), 3) == [Fraction(-2)]
     assert QQ.nth_roots(Fraction(-4), 2) == []
+
+
+def _int_nth_root(v, n):
+    """Exact integer n-th root of v >= 1 by bisection, or None."""
+    lo, hi = 1, 1
+    while hi**n < v:
+        hi *= 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid**n < v:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo if lo**n == v else None
+
+
+def _rational_nth_roots_exact(a, n):
+    """The oracle for `QQ.nth_roots`: x = u/v in lowest terms has u**n the
+    numerator and v**n the denominator of a, so only exact integer roots
+    of both give a root, and then -x too when n is even."""
+    u = _int_nth_root(abs(a.numerator), n)
+    v = _int_nth_root(a.denominator, n)
+    if u is None or v is None:
+        return []
+    r = Fraction(u, v)
+    if a < 0:
+        return [-r] if n % 2 else []
+    return [-r, r] if n % 2 == 0 else [r]
+
+
+def test_rational_nth_roots_match_exact_integer_roots():
+    rng = random.Random(606)
+    values = [Fraction(3**40 + 1), Fraction(-(7**30)), Fraction(10**18 + 9, 2**60)]
+    for _ in range(60):
+        base = Fraction(rng.randint(-40, 40) or 1, rng.randint(1, 30))
+        values.append(base ** rng.randint(1, 6))
+        values.append(base ** rng.randint(1, 6) * rng.choice((1, 2, -1, Fraction(1, 3))))
+        values.append(Fraction(rng.randint(-10**30, 10**30) or 1, rng.randint(1, 10**6)))
+    values += [Fraction(12345678910111213) ** k for k in (2, 3, 5)]
+    for a in values:
+        for n in range(1, 7):
+            assert QQ.nth_roots(a, n) == _rational_nth_roots_exact(a, n), (a, n)
 
 
 def test_rational_roots_of_poly():
@@ -260,16 +374,7 @@ def _rational_roots_by_divisors(f):
     for r in _divisors(abs(const)):
         for s in _divisors(abs(lead)):
             cands.update((Fraction(r, s), Fraction(-r, s)))
-    out = []
-    for r in sorted(cands, key=QQ.sort_key):
-        mult = 0
-        rem = f
-        while rem.degree >= 1 and rem(r) == 0:
-            rem, _ = rem.divmod(Poly.x_minus(QQ, r))
-            mult += 1
-        if mult:
-            out.append((r, mult))
-    return out
+    return _roots_by_division(f, sorted(cands, key=QQ.sort_key))
 
 
 def test_rational_roots_match_divisor_scan():
