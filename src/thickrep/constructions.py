@@ -252,6 +252,18 @@ def build_block_rep(ell: int, m: int, field=None, alphas=None, betas=None,
             betas = tuple(x for x in powers if x not in taken)[:m]
     if len(set(betas)) != m:
         raise FieldTooSmall("not enough ell-th powers for distinct betas")
+    # the part of the Cramer check that no draw changes, with the same root
+    # search: b_ell has the betas as eigenvalues whatever the basis
+    for b in betas:
+        if b in alphas:
+            problem = "is also an alpha"
+        elif len(field.nth_roots(b, ell)) != ell:
+            problem = "lacks %d distinct ell-th roots" % ell
+        else:
+            continue
+        raise ConstructionError(
+            "no irreducible block representation: beta %s %s" % (field.format(b), problem)
+        )
     rng = random.Random(seed)
     n = ell * m
     last_error = None

@@ -15,7 +15,7 @@ import itertools
 import json
 import os
 import random
-from dataclasses import dataclass, field as dc_field, fields
+from dataclasses import InitVar, dataclass, field as dc_field, fields
 from math import comb
 
 from .errors import (
@@ -99,15 +99,23 @@ class Caps:
         return caps
 
 
-@dataclass
+@dataclass(frozen=True)
 class Representation:
+    """Generator matrices acting on k^dim, stored as a tuple.  The rep is
+    immutable, so its lifts and lattices are memoised on it (`_memo`): they
+    live and die with the object, and nothing is cached at module level."""
+
     field: object
     dim: int
     mode: str  # "group" | "lie"
-    generators: list
+    generators: tuple
     label: str = ""
+    _lifted: InitVar[bool] = False  # built by exterior_rep from a checked rep
+    _memo: dict = dc_field(default_factory=dict, init=False, compare=False,
+                           hash=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, _lifted):
+        object.__setattr__(self, "generators", tuple(self.generators))
         if self.mode not in (GROUP, LIE):
             raise PreconditionFailed("mode must be %r or %r" % (GROUP, LIE))
         if not self.generators:
@@ -117,7 +125,8 @@ class Representation:
                 raise DimensionMismatch("generator is not %dx%d" % (self.dim, self.dim))
             if g.field != self.field:
                 raise WrongField("generator over a different field")
-        if self.mode == GROUP:
+        # a compound of an invertible matrix is invertible
+        if self.mode == GROUP and not _lifted:
             for g in self.generators:
                 if not g.is_invertible():
                     raise PreconditionFailed("group generators must be invertible")
@@ -125,15 +134,19 @@ class Representation:
 
 def exterior_rep(r: Representation, m: int) -> Representation:
     """The induced action on Lambda^m: compound matrices in group mode,
-    derivations in Lie mode."""
+    derivations in Lie mode.  Memoised on `r`; Lambda^1 is `r` itself."""
     if m < 0 or m > r.dim:
         raise BadM("m=%d out of range" % m)
-    lift = compound if r.mode == GROUP else derivation
-    gens = [lift(g, m) for g in r.generators]
-    return Representation(
-        r.field, comb(r.dim, m), r.mode, gens,
-        label="%s_wedge%d" % (r.label or "rep", m),
-    )
+    if m == 1:
+        return r
+    key = ("exterior", m)
+    if key not in r._memo:
+        lift = compound if r.mode == GROUP else derivation
+        r._memo[key] = Representation(
+            r.field, comb(r.dim, m), r.mode, [lift(g, m) for g in r.generators],
+            label="%s_wedge%d" % (r.label or "rep", m), _lifted=True,
+        )
+    return r._memo[key]
 
 
 def spin(r: Representation, seeds) -> Subspace:
@@ -340,23 +353,35 @@ def all_submodules(r: Representation, caps: Caps | None = None):
     has more than `lattice_cap` elements, and ScaleExceeded when the field
     is too large for `poly_roots` to search for eigenvalues.
 
-    After the projective-point cap check, Norton's test (see
-    `_norton_irreducible`) tries to prove the module irreducible and then
-    returns [0, V] at once.  It falls through to `_enumerate_submodules`
-    when it finds a proper spin (the module is reducible) or when none of
-    its fixed number of seeded tries finds a one-dimensional eigenspace,
-    which always happens for irreducible modules that are not absolutely
-    irreducible.
+    A line is irreducible and needs no search.  Otherwise, after the
+    projective-point cap check, Norton's test (see `_norton_irreducible`)
+    tries to prove the module irreducible and then returns [0, V] at once.
+    It falls through to `_enumerate_submodules` when it finds a proper spin
+    (the module is reducible) or when none of its fixed number of seeded
+    tries finds a one-dimensional eigenspace, which always happens for
+    irreducible modules that are not absolutely irreducible.
+
+    The lattice is memoised on `r`, keyed on the two caps it reads; each
+    call returns a fresh list, and a raised error is not memoised.
     """
     caps = caps or Caps.default()
+    key = ("lattice", caps.submodule_points_cap, caps.lattice_cap)
+    if key not in r._memo:
+        r._memo[key] = tuple(_submodule_lattice(r, caps))
+    return list(r._memo[key])
+
+
+def _submodule_lattice(r: Representation, caps: Caps):
     f = r.field
     if not f.finite:
         raise WrongField("all_submodules requires a finite field")
     n = r.dim
+    if n == 0:
+        return [Subspace.zero(f, 0)]
     npts = projective_count(f.order, n)
     if npts > caps.submodule_points_cap:
         raise CapExceeded("projective point count %d exceeds cap" % npts)
-    if caps.lattice_cap >= 2 and _norton_irreducible(r):
+    if caps.lattice_cap >= 2 and (n == 1 or _norton_irreducible(r)):
         return [Subspace.zero(f, n), Subspace.full(f, n)]
     return _enumerate_submodules(r, caps)
 
@@ -685,7 +710,7 @@ def is_m_thick_definition(r: Representation, m: int,
     subspaces, points, index, complements, duals = _pair_table(f, n, m)
     perms = [
         [index[_projective(f, lift.apply(x))] for x in points]
-        for lift in (compound(g, m) for g in r.generators)
+        for lift in exterior_rep(r, m).generators
     ]
     orbits = _orbits(range(n1), [p.__getitem__ for p in perms])
     dot, zero = f.dot, f.zero

@@ -172,6 +172,18 @@ def test_construct_block_over_q(capsys):
     assert out["cramer_checked"] and out["cramer_nonzero"]
 
 
+def test_construct_block_refuses_betas_without_roots_before_drawing(capsys):
+    # beta 3 has no square root over Q whatever basis is drawn, so the
+    # construction stops before its first try and names it
+    assert main(["construct", "block", "--field", "Q", "--betas", "3,9"]) == 3
+    err = capsys.readouterr().err
+    assert "beta 3 lacks 2 distinct ell-th roots" in err
+    assert "None" not in err and "tries" not in err
+    assert main(["construct", "block", "--field", "Q", "--alphas", "1,4",
+                 "--betas", "4,9"]) == 3
+    assert "beta 4 is also an alpha" in capsys.readouterr().err
+
+
 def test_thickness_report_names_its_field(tmp_path, capsys):
     for field, want in ((GF(3), {"kind": "Fp", "p": 3}), (QQ, {"kind": "Q"})):
         path = write_rep(tmp_path, "jordan.json", field, [[[1, 1], [0, 1]]])

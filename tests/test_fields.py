@@ -250,25 +250,31 @@ def test_element_scans_of_large_fields_raise_scale_exceeded():
 
 
 def test_root_searches_of_a_huge_field_refuse_at_once():
-    # Norton's eigenvalue search in all_submodules and the linear factors of
-    # poly_factor_fp go through poly_roots, which refuses a field of 2**61 - 1
-    # elements before walking it; a child process with a timeout turns a
-    # stall into a failure instead of a hang
+    # Norton's eigenvalue search and the linear factors of poly_factor_fp go
+    # through poly_roots, which refuses a field of 2**61 - 1 elements before
+    # walking it, while all_submodules answers a line with no search; a
+    # child process with a timeout turns a stall into a failure instead of
+    # a hang
     code = """
 import time
 from thickrep.errors import ScaleExceeded
 from thickrep.fields import GF, Poly, poly_factor_fp
-from thickrep.linalg import Matrix
-from thickrep.repcore import GROUP, Representation, all_submodules
+from thickrep.linalg import Matrix, Subspace
+from thickrep.repcore import GROUP, Representation, _norton_irreducible, all_submodules
 p = 2**61 - 1
 F = GF(p)
-rep = Representation(F, 1, GROUP, [Matrix(F, [[p - 2]])])
-for search in (lambda: all_submodules(rep), lambda: poly_factor_fp(Poly.from_ints(F, [-5, 1]))):
+plane = Representation(F, 2, GROUP, [Matrix(F, [[p - 2, 1], [0, 3]])])
+for search in (lambda: _norton_irreducible(plane),
+               lambda: poly_factor_fp(Poly.from_ints(F, [-5, 1]))):
     t0 = time.perf_counter()
     try:
         search()
     except ScaleExceeded:
         print(time.perf_counter() - t0)
+line = Representation(F, 1, GROUP, [Matrix(F, [[p - 2]])])
+t0 = time.perf_counter()
+assert all_submodules(line) == [Subspace.zero(F, 1), Subspace.full(F, 1)]
+print(time.perf_counter() - t0)
 """
     import thickrep
 
@@ -279,7 +285,7 @@ for search in (lambda: all_submodules(rep), lambda: poly_factor_fp(Poly.from_int
                           text=True, timeout=10)
     assert done.returncode == 0, done.stderr
     seconds = [float(x) for x in done.stdout.split()]
-    assert len(seconds) == 2 and max(seconds) < 1.0, done.stdout
+    assert len(seconds) == 3 and max(seconds) < 1.0, done.stdout
 
 
 def test_finite_field_elements_come_in_canonical_order():

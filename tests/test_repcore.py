@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -823,3 +824,108 @@ def test_r_number_bounds_examples():
 def test_group_mode_requires_invertible():
     with pytest.raises(PreconditionFailed):
         group_rep(QQ, [[[1, 0], [0, 0]]])
+
+
+# memoised lifts and lattices
+
+
+def _decide_like_the_benchmark(rep, caps):
+    """Every verdict of one rep, in the order the fp-random-dim4 op asks."""
+    out = []
+    for m in (1, 2, 3):
+        out.append(is_m_thick_criterion(rep, m, caps))
+        out.append(is_m_thick_definition(rep, m, caps))
+        out.append(is_m_dense(rep, m, absolute=False, caps=caps))
+    out.append(all_submodules(rep, caps))
+    return out
+
+
+def _random_dim4_reps(count, seed):
+    rng = random.Random(seed)
+    for i in range(count):
+        field = GF((2, 3)[i % 2])
+        yield Representation(field, 4, GROUP, [random_invertible(field, 4, rng) for _ in range(2)])
+
+
+def test_the_lattice_memo_keys_on_the_caps_it_reads():
+    capped, default = Caps(lattice_cap=3), Caps()
+    for order in ((capped, default), (default, capped)):
+        rep = group_rep(GF(3), [[[1, 0], [0, 2]]])
+        seen = {}
+        for caps in order:
+            try:
+                size = len(all_submodules(rep, caps))
+            except CapExceeded:
+                size = "cap"
+            route = is_m_thick_criterion(rep, 1, caps).log["route"]
+            seen[caps.lattice_cap] = (size, route, is_m_dense(rep, 1, absolute=False, caps=caps))
+        assert seen == {3: ("cap", "spin", UNKNOWN), 20_000: (4, "lattice", "No")}
+
+
+def test_memoised_verdicts_match_a_fresh_rep_per_call():
+    # the oracle rebuilds the rep for every call, so nothing is reused
+    # across deciders
+    caps = Caps()
+    for rep in _random_dim4_reps(20, seed=14):
+        def fresh():
+            return Representation(rep.field, rep.dim, rep.mode, list(rep.generators))
+
+        expect = []
+        for m in (1, 2, 3):
+            expect.append(is_m_thick_criterion(fresh(), m, caps))
+            expect.append(is_m_thick_definition(fresh(), m, caps))
+            expect.append(is_m_dense(fresh(), m, absolute=False, caps=caps))
+        expect.append(all_submodules(fresh(), caps))
+        got = _decide_like_the_benchmark(rep, caps)
+        for a, b in zip(got, expect):
+            if isinstance(a, ThicknessReport):
+                assert serialize.dumps(serialize.thickness_report_to_json(rep, a)) == \
+                    serialize.dumps(serialize.thickness_report_to_json(rep, b))
+                if a.certificate is not None:
+                    assert verify_not_thick_certificate(rep, a.certificate)
+            else:
+                assert a == b
+
+
+def test_a_returned_lattice_can_be_mutated_without_touching_the_memo():
+    rep = group_rep(GF(3), [DIAG_1122])
+    first = all_submodules(rep)
+    expect = list(first)
+    first.pop()
+    first.append(Subspace.zero(GF(3), 4))
+    assert all_submodules(rep) == expect
+
+
+def test_a_rep_is_frozen_and_its_first_lift_is_itself():
+    rep = group_rep(GF(3), [SWAP2], label="swap")
+    assert exterior_rep(rep, 1) is rep
+    assert exterior_rep(rep, 2) is exterior_rep(rep, 2)
+    assert isinstance(rep.generators, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.generators = [M(GF(3), ROT)]
+
+
+def test_one_benchmark_op_lifts_and_decides_each_module_once(monkeypatch):
+    counts = {"lattice": 0, "compound": 0, "is_invertible": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    drawn = [(rep.field, rep.generators) for rep in _random_dim4_reps(6, seed=41)]
+    monkeypatch.setattr(repcore, "_norton_irreducible",
+                        counted("lattice", repcore._norton_irreducible))
+    monkeypatch.setattr(repcore, "compound", counted("compound", repcore.compound))
+    monkeypatch.setattr(Matrix, "is_invertible", counted("is_invertible", Matrix.is_invertible))
+    for field, gens in drawn:
+        for name in counts:
+            counts[name] = 0
+        rep = Representation(field, 4, GROUP, gens)
+        _decide_like_the_benchmark(rep, Caps())
+        # three modules (Lambda^1, Lambda^2, Lambda^3), one compound per
+        # generator and m in {2, 3}, and only the two checks at construction
+        assert counts["lattice"] <= 3 and counts["compound"] <= 4, counts
+        assert counts["is_invertible"] == 2, counts
