@@ -7,7 +7,11 @@ in ``[0, p)`` for a prime field).  All operations are exact.
 Besides scalar ``add``/``sub``/``mul``/``neg``/``inv``/``div`` every field
 has the three row operations that all elimination in the package runs on:
 ``dot(u, v)``, ``axpy(w, t, row)`` = w - t*row and ``scale(c, row)``, each
-returning canonical values.
+returning canonical values.  The elimination loops test entries with
+``x != cmp_zero``: ``cmp_zero`` is ``zero`` itself except over Q, where it is
+the int 0, because a ``Fraction`` compared with an int takes the fast path of
+``Fraction.__eq__`` and one compared with ``Fraction(0)`` runs an
+abstract-base-class check.
 """
 
 from __future__ import annotations
@@ -79,6 +83,7 @@ class Rationals:
 
     zero = Fraction(0)
     one = Fraction(1)
+    cmp_zero = 0
 
     def add(self, a, b):
         return a + b
@@ -222,6 +227,7 @@ class PrimeField:
         self.order = p
         self.zero = 0
         self.one = 1 % p
+        self.cmp_zero = 0
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -323,6 +329,7 @@ class ExtensionField:
         self.order = p**self.k
         self.zero = (0,) * self.k
         self.one = tuple([1 % p] + [0] * (self.k - 1))
+        self.cmp_zero = self.zero
 
     def _wrap(self, coeffs):
         p, k = self.p, self.k

@@ -161,12 +161,13 @@ def det_rows(f, rows):
     elimination."""
     n = len(rows)
     rows = [list(r) for r in rows]
+    cmp_zero = f.cmp_zero
     sign_flip = False
     acc = f.one
     for c in range(n):
         pr = None
         for i in range(c, n):
-            if rows[i][c] != f.zero:
+            if rows[i][c] != cmp_zero:
                 pr = i
                 break
         if pr is None:
@@ -179,7 +180,7 @@ def det_rows(f, rows):
         inv = f.inv(piv)
         for i in range(c + 1, n):
             t = rows[i][c]
-            if t != f.zero:
+            if t != cmp_zero:
                 rows[i] = f.axpy(rows[i], f.mul(t, inv), rows[c])
     return f.neg(acc) if sign_flip else acc
 
@@ -301,9 +302,9 @@ class Subspace:
     def contains_vector(self, v):
         if len(v) != self.ambient:
             raise AmbientMismatch("vector length mismatch")
-        zero = self.field.zero
+        cmp_zero = self.field.cmp_zero
         return all(
-            x == zero for x in _reduce(self.field, self.mat.rows, self.pivots, v)
+            x == cmp_zero for x in _reduce(self.field, self.mat.rows, self.pivots, v)
         )
 
     def contains(self, other: "Subspace"):
@@ -378,16 +379,16 @@ class RowBasis:
     def insert(self, v) -> bool:
         """Add v to the span; returns True when the dimension grows."""
         f = self.field
-        zero, axpy = f.zero, f.axpy
+        cmp_zero, axpy = f.cmp_zero, f.axpy
         rows, pivots = self.rows, self.pivots
         w = v
         for row, pc in zip(rows, pivots):
             t = w[pc]
-            if t != zero:
+            if t != cmp_zero:
                 w = axpy(w, t, row)
         pc = 0
         for x in w:
-            if x != zero:
+            if x != cmp_zero:
                 break
             pc += 1
         else:
@@ -397,7 +398,7 @@ class RowBasis:
         # eliminate the new pivot from the existing rows
         for k, row in enumerate(rows):
             t = row[pc]
-            if t != zero:
+            if t != cmp_zero:
                 rows[k] = axpy(row, t, w)
         at = bisect(pivots, pc)
         rows.insert(at, w)
@@ -413,11 +414,11 @@ class RowBasis:
 def _reduce(field, rows, pivots, v):
     """Residual of v after elimination against RREF rows with the given
     pivot columns, as a list; zero exactly when v lies in their span."""
-    axpy, zero = field.axpy, field.zero
+    axpy, cmp_zero = field.axpy, field.cmp_zero
     w = list(v)
     for row, pc in zip(rows, pivots):
         t = w[pc]
-        if t != zero:
+        if t != cmp_zero:
             w = axpy(w, t, row)
     return w
 

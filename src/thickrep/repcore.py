@@ -199,49 +199,63 @@ def _algebra_closure_dim(field, gens, n):
     return basis.dim
 
 
-def _reduction_prime(gens):
-    """A prime not dividing any generator-entry denominator, or None when
-    every candidate divides one."""
-    from fractions import Fraction
+# the candidate primes for reducing a rational rep in `_absolutely_irreducible`
+_REDUCTION_PRIMES = (101, 103, 107, 109, 113)
 
+
+def _reduction_prime(gens):
+    """The first of `_REDUCTION_PRIMES` that divides no denominator of a
+    generator entry, or None when each divides one."""
     den = 1
     for g in gens:
         for row in g.rows:
             for x in row:
-                d = Fraction(x).denominator
+                d = x.denominator
                 if den % d:
-                    den = den * d
-    return next((p for p in (10007, 10009, 10037, 10039, 10061) if den % p), None)
+                    den *= d
+    return next((p for p in _REDUCTION_PRIMES if den % p), None)
 
 
 def _reduce_matrix_mod(m: Matrix, p: int) -> Matrix:
-    from fractions import Fraction
+    return Matrix(GF(p), [
+        [x.numerator * pow(x.denominator, -1, p) % p for x in row] for row in m.rows
+    ])
 
-    F = GF(p)
-    rows = []
-    for row in m.rows:
-        out = []
-        for x in row:
-            fr = Fraction(x)
-            out.append(fr.numerator * pow(fr.denominator, p - 2, p) % p)
-        rows.append(out)
-    return Matrix(F, rows)
+
+def _absolutely_irreducible(r: Representation) -> bool:
+    """True when Norton's test proves the rational rep `r` absolutely
+    irreducible from its reduction mod a prime of `_REDUCTION_PRIMES`.
+
+    The test's one-dimensional eigenspace proves the reduction absolutely
+    irreducible over F_p, so the reduced words span all n^2 dimensions of
+    M_n(F_p).  Words with entries in Z_(p) that are independent mod p are
+    independent over Q, so the algebra over Q has dimension n^2 as well.
+    The reduction is built in LIE mode, because a group generator may be
+    singular mod p and spinning needs only the matrices.  False means no
+    proof: the field is not Q, every candidate prime divides a denominator,
+    the reduction is reducible, or the test's tries found no such
+    eigenspace."""
+    if not isinstance(r.field, Rationals):
+        return False
+    p = _reduction_prime(r.generators)
+    if p is None:
+        return False
+    reduced = [_reduce_matrix_mod(g, p) for g in r.generators]
+    return _norton_irreducible(Representation(GF(p), r.dim, LIE, reduced))
 
 
 def burnside_dim(r: Representation) -> int:
     """Dimension of the unital matrix algebra generated by the generators;
     equals dim^2 exactly when the representation is absolutely irreducible.
 
-    Over the rationals a single mod-p closure is tried first: full rank mod p
-    forces full rank over Q, and only non-full outcomes, or generators with
-    no reduction prime, fall through to the exact computation.
+    Over the rationals, one Norton test on the reduction mod a prime near
+    100 (`_absolutely_irreducible`) proves most absolutely irreducible reps
+    so at once; when it proves nothing, and over every finite field, the
+    algebra is closed exactly by breadth-first products of the generators.
     """
     n = r.dim
-    p = _reduction_prime(r.generators) if isinstance(r.field, Rationals) else None
-    if p is not None:
-        modgens = [_reduce_matrix_mod(g, p) for g in r.generators]
-        if _algebra_closure_dim(GF(p), modgens, n) == n * n:
-            return n * n
+    if _absolutely_irreducible(r):
+        return n * n
     return _algebra_closure_dim(r.field, r.generators, n)
 
 
@@ -434,7 +448,7 @@ def _enumerate_submodules(r: Representation, caps: Caps):
 
 
 def _is_diagonal(m: Matrix) -> bool:
-    z = m.field.zero
+    z = m.field.cmp_zero
     return all(
         m.rows[i][j] == z for i in range(m.nrows) for j in range(m.ncols) if i != j
     )
@@ -459,7 +473,7 @@ def commutant(r: Representation):
     pos_index = {pos: k for k, pos in enumerate(positions)}
     nvars = len(positions)
     rows = []
-    zero = f.zero
+    zero, cmp_zero = f.zero, f.cmp_zero
     for g in others:
         grows = g.rows
         for i in range(n):
@@ -469,12 +483,12 @@ def commutant(r: Representation):
                 for k in range(n):
                     # (Mg - gM)[i][j]: M[i][k] g[k][j] - g[i][k] M[k][j]
                     c = grows[k][j]
-                    if c != zero and (i, k) in pos_index:
+                    if c != cmp_zero and (i, k) in pos_index:
                         idx = pos_index[(i, k)]
                         row[idx] = f.add(row[idx], c)
                         nonzero = True
                     c = grows[i][k]
-                    if c != zero and (k, j) in pos_index:
+                    if c != cmp_zero and (k, j) in pos_index:
                         idx = pos_index[(k, j)]
                         row[idx] = f.sub(row[idx], c)
                         nonzero = True
@@ -837,7 +851,11 @@ def is_m_thick_criterion(r: Representation, m: int, caps: Caps | None = None,
 def _isotypic_sums(ext: Representation, caps: Caps, seed: int):
     """Every invariant subspace of a multiplicity-free module whose at most
     `isotypic_summands_max` summands are absolutely irreducible: the sums
-    of its summands, sorted.  None when the module is not of that kind."""
+    of its summands, sorted.  None when the module is not of that kind.
+    A module that `_absolutely_irreducible` proves so is its one summand,
+    and no commutant is computed for it."""
+    if caps.isotypic_summands_max >= 1 and _absolutely_irreducible(ext):
+        return [Subspace.zero(ext.field, ext.dim), Subspace.full(ext.field, ext.dim)]
     dec = isotypic_decomposition(ext, seed=seed)
     if dec is None or len(dec) > caps.isotypic_summands_max:
         return None

@@ -6,7 +6,7 @@ from thickrep.fields import GF, QQ
 from thickrep.linalg import Matrix
 from thickrep.repcore import GROUP, Representation
 from thickrep.symplectic import SymplecticSpace, ker_perp_realizability_check
-from thickrep import serialize
+from thickrep import repcore, serialize
 
 
 def write_rep(tmp_path, name, field, mats, mode=GROUP, label=""):
@@ -467,14 +467,19 @@ def test_malformed_certificate_structure_exit_3(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
-def test_burnside_without_reduction_prime(tmp_path, capsys):
-    # the denominators are the primes the mod-p shortcut would reduce by,
-    # so only the exact closure over Q can decide
-    a = [["1/10007", "1/10009"], ["1/10037", "1/10039"]]
-    b = [["1/10061", "0"], ["0", "1"]]
+def test_burnside_without_reduction_prime(tmp_path, capsys, monkeypatch):
+    # the denominators are the primes the Norton proof would reduce by, so
+    # only the exact closure over Q can decide
+    a = [["1/101", "1/103"], ["1/107", "1/109"]]
+    b = [["1/113", "0"], ["0", "1"]]
     rep = {"field": {"kind": "Q"}, "dim": 2, "mode": "group", "generators": [a, b]}
     path = tmp_path / "rep.json"
     path.write_text(serialize.dumps(rep))
+
+    def no_reduction(r):
+        raise AssertionError("a reduction prime was found")
+
+    monkeypatch.setattr(repcore, "_norton_irreducible", no_reduction)
     code = main(["check", "--rep", str(path), "--mode", "irreducible",
                  "--method", "burnside"])
     out = json.loads(capsys.readouterr().out)

@@ -61,6 +61,14 @@ def test_scalar_arith_errors():
         scalar_arith(scalar(GF(5), 1), scalar(GF(5), 0), "div")
 
 
+def test_cmp_zero_tests_like_zero():
+    # the elimination loops compare entries with cmp_zero instead of zero
+    for f in (GF(2), GF(5), GF(3, 2)):
+        assert [x != f.cmp_zero for x in f.elements()] == [x != f.zero for x in f.elements()]
+    values = [QQ.zero, QQ.one, Fraction(-3, 7), QQ.parse("0/5"), QQ.from_int(0)]
+    assert [x != QQ.cmp_zero for x in values] == [x != QQ.zero for x in values]
+
+
 def test_division_roundtrip():
     rng = random.Random(7)
     F7 = GF(7)

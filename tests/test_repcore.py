@@ -1,12 +1,13 @@
 import dataclasses
 import random
+from fractions import Fraction
 
 import pytest
 
 from thickrep.errors import CapExceeded, PreconditionFailed
 from thickrep.fields import GF, QQ
 from thickrep.linalg import Matrix, Subspace, random_invertible, rank_of_rows, unit_vector
-from thickrep.constructions import lie_generators
+from thickrep.constructions import companion_pair, lie_generators
 from thickrep.exterior import (
     is_decomposable,
     projective_coefficients,
@@ -103,6 +104,81 @@ def test_burnside_dim_examples():
 
 def test_burnside_dim_finite_field():
     assert burnside_dim(group_rep(GF(2), [[[1, 1], [0, 1]], SWAP2])) == 4
+
+
+def _random_q_reps(seed):
+    """Seeded group reps over Q of dims 2-5 with entries in -2..2, every
+    third with one generator (never absolutely irreducible)."""
+    rng = random.Random(seed)
+    reps = []
+    for i, n in enumerate(n for n in (2, 3, 4, 5) for _ in range(3)):
+        gens = []
+        while len(gens) < (1 if i % 3 == 0 else 2):
+            g = M(QQ, [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+            if g.is_invertible():
+                gens.append(g)
+        reps.append(Representation(QQ, n, GROUP, gens))
+    return reps
+
+
+def _q_burnside_cases():
+    """Rational reps with both Burnside answers: the random reps, their
+    Lambda^2 up to dim 4 (the exact closure of a 10-dim Lambda^2 of a random
+    dim-5 rep takes 13-24 s), the split Lie reps, the companion pairs and
+    the Lambda^2 of the last two."""
+    reps = _random_q_reps(15)
+    reps += [exterior_rep(r, 2) for r in reps if r.dim <= 4]
+    lie = [("so_split", 4), ("so_split", 5), ("sp", 2), ("sl", 3), ("sl", 4)]
+    others = [Representation(QQ, g[0].nrows, LIE, g)
+              for g in (lie_generators(family, n) for family, n in lie)]
+    others += [companion_pair(QQ, n, Fraction(a), Fraction(b)).rep
+               for n, a, b in ((4, 2, 3), (4, "1/2", -3), (5, 2, 3))]
+    return reps + others + [exterior_rep(r, 2) for r in others]
+
+
+def test_burnside_dim_matches_exact_closure_over_q():
+    answers = []
+    for r in _q_burnside_cases():
+        exact = repcore._algebra_closure_dim(QQ, r.generators, r.dim)
+        assert burnside_dim(r) == exact
+        # the Norton proof never claims what the exact closure denies
+        assert not repcore._absolutely_irreducible(r) or exact == r.dim ** 2
+        answers.append(exact == r.dim ** 2)
+    assert answers.count(True) > 10 and answers.count(False) > 5
+
+
+def test_burnside_rotation_at_split_and_inert_primes():
+    # the charpoly x^2 + 1 of a quarter turn splits mod 101 = 1 mod 4, where
+    # the reduction is reducible, and stays irreducible mod 103 = 3 mod 4,
+    # where the reduction is irreducible but not absolutely; a conjugate
+    # with denominator 101 is reduced mod 103
+    inert = Matrix(QQ, [[QQ.zero, Fraction(-1, 101)], [Fraction(101), QQ.zero]])
+    for mats, p in (([M(QQ, ROT)], 101), ([inert], 103)):
+        r = Representation(QQ, 2, GROUP, mats)
+        assert repcore._reduction_prime(r.generators) == p
+        assert not repcore._absolutely_irreducible(r)
+        assert burnside_dim(r) == 2
+
+
+def test_isotypic_shortcut_matches_commutant_route(monkeypatch):
+    lifts = [exterior_rep(r, m) for r in _random_q_reps(15)[:9] for m in (1, 2)]
+    lifts = [ext for ext in lifts if repcore._absolutely_irreducible(ext)]
+    assert len(lifts) > 5
+
+    def no_commutant(r):
+        raise AssertionError("commutant computed")
+
+    monkeypatch.setattr(repcore, "commutant", no_commutant)
+    fast = [repcore._isotypic_sums(ext, Caps(), 0) for ext in lifts]
+    monkeypatch.undo()
+    # the cap keeps its meaning: no summand allowed, no answer
+    assert all(repcore._isotypic_sums(ext, Caps(isotypic_summands_max=0), 0) is None
+               for ext in lifts)
+    monkeypatch.setattr(repcore, "_absolutely_irreducible", lambda r: False)
+    slow = [repcore._isotypic_sums(ext, Caps(), 0) for ext in lifts]
+    assert fast == slow
+    assert all(sums == [Subspace.zero(QQ, ext.dim), Subspace.full(QQ, ext.dim)]
+               for sums, ext in zip(fast, lifts))
 
 
 def test_group_closure_gl2_f2():
