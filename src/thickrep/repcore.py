@@ -36,7 +36,6 @@ from .linalg import (
     kernel,
 )
 from .exterior import (
-    complement_sign_row,
     compound,
     derivation,
     field_tuples,
@@ -288,7 +287,9 @@ def _projective(f, x):
     """The nonzero vector x scaled so that its first nonzero entry is 1, as
     a tuple: the canonical point of its line."""
     zero = f.zero
-    lead = next(c for c in x if c != zero)
+    for lead in x:  # a loop, not next() on a generator: half the cost
+        if lead != zero:
+            break
     return tuple(x) if lead == f.one else tuple(f.scale(f.inv(lead), x))
 
 
@@ -400,6 +401,16 @@ def _submodule_lattice(r: Representation, caps: Caps):
     return _enumerate_submodules(r, caps)
 
 
+def _point_permutations(f, n: int, gens):
+    """The projective points of k^n as a dict from each point to its index
+    in `projective_coefficients` order, and for each matrix of `gens` the
+    permutation of the indices that it induces: its images of all points by
+    linearity (`projective_images`), each scaled to its first nonzero entry
+    1 and looked up once."""
+    index = {v: i for i, v in enumerate(projective_coefficients(f, n))}
+    return index, [[index[_projective(f, x)] for x in projective_images(g)] for g in gens]
+
+
 def _enumerate_submodules(r: Representation, caps: Caps):
     """The lattice as the join-closure of the cyclic submodules.
 
@@ -409,12 +420,10 @@ def _enumerate_submodules(r: Representation, caps: Caps):
     g in G and c != 0, spin(v) is invariant and contains c.g.v, and
     v = c^-1.g^-1.(c.g.v) lies in spin(c.g.v); so the two spins are equal.
     So only the first point of each orbit of `_orbits` on the canonical
-    projective points is spun.  The points are listed once and indexed; each
-    generator becomes a permutation of the indices, from its images of all
-    points by linearity (`projective_images`), each scaled to its first
-    nonzero entry 1 and looked up once, and the orbits are walked on
-    indices.  Lie generators need not be invertible, so in Lie mode there
-    are no moves and every point is its own orbit.
+    projective points is spun, and the orbits are walked on the indices
+    that `_point_permutations` gives the points.  Lie generators need not
+    be invertible, so in Lie mode there are no moves and every point is its
+    own orbit.
 
     The closure adds one cyclic submodule C at a time: when L contains 0
     and is closed under sums, L u {X + C : X in L} is the closure of
@@ -423,12 +432,8 @@ def _enumerate_submodules(r: Representation, caps: Caps):
     """
     f = r.field
     n = r.dim
-    points = list(projective_coefficients(f, n))
-    index = {v: i for i, v in enumerate(points)}
-    perms = [
-        [index[_projective(f, x)] for x in projective_images(g)]
-        for g in (r.generators if r.mode == GROUP else ())
-    ]
+    index, perms = _point_permutations(f, n, r.generators if r.mode == GROUP else ())
+    points = list(index)
     cyclic = {}
     for orbit in _orbits(range(len(points)), [p.__getitem__ for p in perms]):
         w = spin(r, [points[orbit[0]]])
@@ -665,26 +670,41 @@ def enumerate_subspaces(field, n: int, k: int):
 
 @functools.lru_cache(maxsize=16)
 def _pair_table(f, n: int, m: int):
-    """(m-subspaces, points, index, complements, duals) for the definition
-    decider; it depends on (field, n, m) only.  The m-subspaces and the
-    (n-m)-subspaces come in `enumerate_subspaces` order, the points are the
-    Plucker points p(V) of the m-subspaces scaled to first nonzero entry 1,
-    the index maps each point to its position, and the dual of a complement
-    V2 is p(V2) permuted and signed by `complement_sign_row`, so that its
-    dot product with p(V1) is the coefficient of p(V1) ^ p(V2) in Lambda^n."""
+    """(m-subspaces, points, masks, position, complements, complement masks)
+    for the definition decider; it depends on (field, n, m) only.  Both
+    lists of subspaces come in `enumerate_subspaces` order.  The points of a
+    subspace are the indices of the projective points of k^n it contains,
+    in `projective_coefficients` order; its mask is the int with those bits
+    set, and position maps each m-subspace mask to its index.  With an RREF
+    basis b_1..b_m the points are b_i + sum_{j>i} c_j b_j, whose first
+    nonzero entry is already 1, so `projective_images` lists them at one
+    `axpy` each.  When n = 2m the complements are the m-subspaces."""
+    index, _ = _point_permutations(f, n, ())
+
+    def points_of(v):
+        return tuple(index[tuple(x)] for x in projective_images(Matrix(f, zip(*v.mat.rows))))
+
     subspaces = tuple(enumerate_subspaces(f, n, m))
-    points = tuple(
-        _projective(f, wedge_of_vectors(f, n, v.basis_vectors()).coords)
-        for v in subspaces
-    )
+    points = tuple(map(points_of, subspaces))
+    masks = tuple(sum(1 << i for i in pts) for pts in points)
+    position = {mask: i for i, mask in enumerate(masks)}
+    if 2 * m == n:
+        return subspaces, points, masks, position, subspaces, masks
     complements = tuple(enumerate_subspaces(f, n, n - m))
-    pairing = complement_sign_row(n, m)
-    duals = []
-    for v in complements:
-        y = wedge_of_vectors(f, n, v.basis_vectors()).coords
-        duals.append(tuple(y[c] if sg > 0 else f.neg(y[c]) for c, sg in pairing))
-    index = {x: i for i, x in enumerate(points)}
-    return subspaces, points, index, complements, tuple(duals)
+    cmasks = tuple(sum(1 << i for i in points_of(v)) for v in complements)
+    return subspaces, points, masks, position, complements, cmasks
+
+
+def _subspace_permutations(r: Representation, points, position):
+    """For each generator, the permutation of subspace indices it induces on
+    the subspaces of `_pair_table` with these `points` and `position`: it
+    permutes the points of k^n, and a subspace moves to the one whose mask
+    has the permuted bits of its points set."""
+    _, perms = _point_permutations(r.field, r.dim, r.generators)
+    return [
+        [position[sum(map(bit.__getitem__, pts))] for pts in points]
+        for bit in ([1 << j for j in perm] for perm in perms)
+    ]
 
 
 def is_m_thick_definition(r: Representation, m: int,
@@ -695,13 +715,14 @@ def is_m_thick_definition(r: Representation, m: int,
     The group acts on m-subspaces through orbits, so the existential over
     group elements is decided by scanning the orbit of V1 under the
     generators; verdicts are identical to enumerating group elements and
-    the group itself is never materialized.  A subspace V is its Plucker
-    point p(V) in Lambda^m, and g moves it to the point of compound(g, m)
-    p(V); each generator becomes a permutation of the indices of the
-    points, and the orbits are walked on indices.  Since dim V1 + dim V2 =
-    n, V1 + V2 = V exactly when p(V1) ^ p(V2) != 0, one dot product with
-    the dual of V2 from `_pair_table`, which is built once per
-    (field, n, m) after the pair cap check.
+    the group itself is never materialized.  A subspace is the mask of the
+    projective points of k^n it contains, from `_pair_table`, which is
+    built once per (field, n, m) after the pair cap check.  Each generator
+    permutes the points once, `_subspace_permutations` turns that into a
+    permutation of the subspace indices, and the orbits are walked on
+    those.  Since dim V1 + dim V2 = n, V1 + V2 = V exactly when V1 and V2
+    meet in 0, that is when their masks share no bit.  Both verdicts carry
+    the same log counters.
     """
     caps = caps or Caps.default()
     if r.mode != GROUP:
@@ -712,43 +733,36 @@ def is_m_thick_definition(r: Representation, m: int,
     n = r.dim
     if m < 0 or m > n:
         raise BadM("m=%d out of range" % m)
-    report = ThicknessReport(m=m, verdict=THICK, method="definition", mode=r.mode)
     if m == 0 or m == n:
-        report.log = {"trivial": True}
-        return report
+        return ThicknessReport(m=m, verdict=THICK, method="definition", mode=r.mode,
+                               log={"trivial": True})
     q = f.order
     n1 = gaussian_binomial(n, m, q)
     n2 = gaussian_binomial(n, n - m, q)
     if n1 * n2 > caps.pair_cap:
         raise CapExceeded("pair enumeration %d x %d exceeds cap" % (n1, n2))
-    subspaces, points, index, complements, duals = _pair_table(f, n, m)
-    perms = [
-        [index[_projective(f, lift.apply(x))] for x in points]
-        for lift in exterior_rep(r, m).generators
-    ]
-    orbits = _orbits(range(n1), [p.__getitem__ for p in perms])
-    dot, zero = f.dot, f.zero
-    pairs = 0
-    for orbit in orbits:
-        orbit_points = [points[i] for i in orbit]
-        for v2, dual in zip(complements, duals):
-            pairs += 1
-            if all(dot(x, dual) == zero for x in orbit_points):
-                v1 = min((subspaces[i] for i in orbit), key=Subspace.key)
-                cert = _certificate_from_pair(r, m, v1, v2)
-                return ThicknessReport(
-                    m=m, verdict=NOT_THICK, method="definition", mode=r.mode,
-                    certificate=cert,
-                    log={"orbits": len(orbits), "pairs_checked": pairs},
-                )
-    report.log = {
+    subspaces, points, masks, position, complements, cmasks = _pair_table(f, n, m)
+    moves = _subspace_permutations(r, points, position)
+    orbits = _orbits(range(n1), [p.__getitem__ for p in moves])
+    log = {
         "m_subspaces": n1,
         "complement_subspaces": n2,
+        "points": projective_count(q, n),
         "orbits": len(orbits),
         "orbit_sizes": sorted(len(o) for o in orbits),
-        "pairs_checked": pairs,
+        "pairs_checked": 0,
     }
-    return report
+    for orbit in orbits:
+        orbit_masks = [masks[i] for i in orbit]
+        for v2, mask2 in zip(complements, cmasks):
+            log["pairs_checked"] += 1
+            if all(mask1 & mask2 for mask1 in orbit_masks):
+                v1 = min((subspaces[i] for i in orbit), key=Subspace.key)
+                return ThicknessReport(
+                    m=m, verdict=NOT_THICK, method="definition", mode=r.mode,
+                    certificate=_certificate_from_pair(r, m, v1, v2), log=log,
+                )
+    return ThicknessReport(m=m, verdict=THICK, method="definition", mode=r.mode, log=log)
 
 
 def _certificate_from_pair(r, m, v1: Subspace, v2: Subspace) -> NotThickCertificate:

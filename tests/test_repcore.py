@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from thickrep.repcore import (
     _enumerate_submodules,
     _norton_irreducible,
     _pair_table,
+    _subspace_permutations,
     Caps,
     GROUP,
     LIE,
@@ -192,9 +194,10 @@ def test_group_closure_gl2_f2():
 # The walks that `_orbits` replaced, kept as oracles: the frontier BFS of
 # group_closure, the `_subspace_orbit` + `claimed` partition of the
 # definition decider, and the `done` marking of the submodule enumeration.
-# The definition decider itself, as it was before it moved Plucker points
-# by index permutations and paired them by a dot product, is the oracle
-# `_definition_by_rank_scan`.
+# The definition decider itself, as it was before it moved subspaces by
+# index permutations and paired them by a bit test, is the oracle
+# `_definition_by_rank_scan`; the Plucker-point permutations that it used
+# between the two are the oracle `_plucker_permutations`.
 
 
 def _closure_by_frontier(r, cap):
@@ -276,31 +279,46 @@ def _definition_by_rank_scan(r, m):
     """The definition decider moving m-subspaces by applying each generator
     to their bases, and testing each pair by the rank of the stacked bases."""
     f, n = r.field, r.dim
-    n1 = gaussian_binomial(n, m, f.order)
-    n2 = gaussian_binomial(n, n - m, f.order)
     v2_list = list(enumerate_subspaces(f, n, n - m))
     moves = [lambda w, g=g: _apply_to_subspace(g, w) for g in r.generators]
     orbits = repcore._orbits(enumerate_subspaces(f, n, m), moves)
-    pairs = 0
+    log = {
+        "m_subspaces": gaussian_binomial(n, m, f.order),
+        "complement_subspaces": gaussian_binomial(n, n - m, f.order),
+        "points": projective_count(f.order, n),
+        "orbits": len(orbits),
+        "orbit_sizes": sorted(len(o) for o in orbits),
+        "pairs_checked": 0,
+    }
     for orbit in orbits:
         orbit_rows = [w.mat.rows for w in orbit]
         for v2 in v2_list:
-            pairs += 1
+            log["pairs_checked"] += 1
             v2rows = v2.mat.rows
             if not any(rank_of_rows(f, rows + v2rows, n) == n for rows in orbit_rows):
                 v1 = min(orbit, key=Subspace.key)
                 return ThicknessReport(
                     m=m, verdict=NOT_THICK, method="definition", mode=r.mode,
                     certificate=repcore._certificate_from_pair(r, m, v1, v2),
-                    log={"orbits": len(orbits), "pairs_checked": pairs},
+                    log=log,
                 )
-    return ThicknessReport(m=m, verdict=THICK, method="definition", mode=r.mode, log={
-        "m_subspaces": n1,
-        "complement_subspaces": n2,
-        "orbits": len(orbits),
-        "orbit_sizes": sorted(len(o) for o in orbits),
-        "pairs_checked": pairs,
-    })
+    return ThicknessReport(m=m, verdict=THICK, method="definition", mode=r.mode, log=log)
+
+
+def _plucker_permutations(r, m):
+    """Each generator g as a permutation of the m-subspaces in
+    `enumerate_subspaces` order: V moves to the subspace whose Plucker point
+    is compound(g, m).p(V), scaled to first nonzero entry 1."""
+    f, n = r.field, r.dim
+    points = [
+        repcore._projective(f, wedge_of_vectors(f, n, v.basis_vectors()).coords)
+        for v in enumerate_subspaces(f, n, m)
+    ]
+    index = {x: i for i, x in enumerate(points)}
+    return [
+        [index[repcore._projective(f, lift.apply(x))] for x in points]
+        for lift in exterior_rep(r, m).generators
+    ]
 
 
 def _agreement_reps(count):
@@ -394,6 +412,8 @@ def test_definition_matches_rank_scan_oracle():
     for r, ms in cases:
         for m in ms:
             new, old = is_m_thick_definition(r, m), _definition_by_rank_scan(r, m)
+            # the memo holds the certificates' lifts, no permutations or masks
+            assert all(key[0] == "exterior" for key in r._memo)
             assert (new.verdict, new.log) == (old.verdict, old.log), (r.field, r.dim, m)
             verdicts.add((r.field, new.verdict))
             if new.certificate is None:
@@ -408,19 +428,44 @@ def test_definition_matches_rank_scan_oracle():
         assert {(field, THICK), (field, NOT_THICK)} <= verdicts, field
 
 
-def test_pair_table_dot_is_the_complement_test():
-    for q, n, ms in ((2, 4, (1, 2, 3)), (3, 4, (1, 2, 3)), (2, 5, (2,))):
-        f = GF(q)
+def test_subspace_permutations_match_plucker_oracle():
+    cases = [(r, (1, 2, 3)) for r in _agreement_reps(10)]
+    cases += [(r, (1, 2, 3)) for r in _random_reps(GF(2, 2), 4, 3, 44)]
+    cases += [(r, (1, 2, 3, 4)) for r in _random_reps(GF(2), 5, 3, 25)]
+    for r, ms in cases:
         for m in ms:
-            subspaces, points, index, complements, duals = _pair_table(f, n, m)
+            _, points, _, position, _, _ = _pair_table(r.field, r.dim, m)
+            moves = _subspace_permutations(r, points, position)
+            assert moves == _plucker_permutations(r, m), (r.field, r.dim, m)
+
+
+def test_pair_table_masks_are_the_complement_test():
+    cases = [(GF(q), 4, (1, 2, 3)) for q in (2, 3, 5)]
+    cases += [(GF(2, 2), 4, (1, 2, 3)), (GF(2), 5, (2,))]
+    for f, n, ms in cases:
+        npoints = projective_count(f.order, n)
+        for m in ms:
+            subspaces, points, masks, position, complements, cmasks = _pair_table(f, n, m)
             assert [v.mat.rows for v in subspaces] == [
                 v.mat.rows for v in enumerate_subspaces(f, n, m)
             ]
-            for v1, x in zip(subspaces, points):
-                assert index[x] == subspaces.index(v1)
-                for v2, dual in zip(complements, duals):
+            assert [v.mat.rows for v in complements] == [
+                v.mat.rows for v in enumerate_subspaces(f, n, n - m)
+            ]
+            for i, (pts, mask) in enumerate(zip(points, masks)):
+                assert position[mask] == i
+                assert mask == sum(1 << j for j in pts) < 1 << npoints
+                assert len(pts) == projective_count(f.order, m)
+            # every pair over F2 and F3, a grid of about 2000 over F4 and F5
+            size = len(subspaces) * len(complements)
+            step = 1 if f.order <= 3 else math.ceil((size / 2000) ** 0.5)
+            outcomes = set()
+            for v1, mask1 in zip(subspaces[::step], masks[::step]):
+                for v2, mask2 in zip(complements[::step], cmasks[::step]):
                     full = rank_of_rows(f, v1.mat.rows + v2.mat.rows, n) == n
-                    assert (f.dot(x, dual) != f.zero) == full
+                    assert (mask1 & mask2 == 0) == full
+                    outcomes.add(full)
+            assert outcomes == {True, False}
 
 
 def test_pair_table_cache_matches_fresh_build():

@@ -12,6 +12,14 @@ def test_agreement_samples_not_reused_across_caps(monkeypatch):
     assert "cap" in capped.details
 
 
+def test_capped_cross_check_is_a_field():
+    result = run_item("block-rep-f13")
+    assert result.status == VERIFIED
+    skipped = result.details["cross_check_skipped"]
+    assert skipped == "definition: pair enumeration 31110 x 31110 exceeds cap"
+    assert "definition_verdict" not in result.details
+
+
 def _crash(seed, caps):
     raise KeyError("boom")
 
