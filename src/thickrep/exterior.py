@@ -265,15 +265,15 @@ def wedge_product(x: WedgeVector, y: WedgeVector) -> WedgeVector:
     return WedgeVector(f, n, k, coords)
 
 
+@lru_cache(maxsize=None)
 def complement_sign_row(n: int, m: int):
     """For each colex m-subset S: (rank of complement, sign of e_S ^ e_Sc)."""
-    subs = colex_subsets(n, m)
     full = set(range(1, n + 1))
     out = []
-    for S in subs:
+    for S in colex_subsets(n, m):
         Sc = tuple(sorted(full - set(S)))
         out.append((subset_rank(Sc), merge_sign(S, Sc)))
-    return out
+    return tuple(out)
 
 
 def perp(w: Subspace, n: int, m: int) -> Subspace:

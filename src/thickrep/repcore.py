@@ -401,13 +401,20 @@ def _submodule_lattice(r: Representation, caps: Caps):
     return _enumerate_submodules(r, caps)
 
 
-def _point_permutations(f, n: int, gens):
+@functools.lru_cache(maxsize=16)
+def _point_index(f, n: int):
     """The projective points of k^n as a dict from each point to its index
-    in `projective_coefficients` order, and for each matrix of `gens` the
-    permutation of the indices that it induces: its images of all points by
-    linearity (`projective_images`), each scaled to its first nonzero entry
-    1 and looked up once."""
-    index = {v: i for i, v in enumerate(projective_coefficients(f, n))}
+    in `projective_coefficients` order; it depends on (field, n) only and
+    is shared, so callers must not change it."""
+    return {v: i for i, v in enumerate(projective_coefficients(f, n))}
+
+
+def _point_permutations(f, n: int, gens):
+    """`_point_index(f, n)`, and for each matrix of `gens` the permutation
+    of the indices that it induces: its images of all points by linearity
+    (`projective_images`), each scaled to its first nonzero entry 1 and
+    looked up once."""
+    index = _point_index(f, n)
     return index, [[index[_projective(f, x)] for x in projective_images(g)] for g in gens]
 
 
@@ -679,7 +686,7 @@ def _pair_table(f, n: int, m: int):
     basis b_1..b_m the points are b_i + sum_{j>i} c_j b_j, whose first
     nonzero entry is already 1, so `projective_images` lists them at one
     `axpy` each.  When n = 2m the complements are the m-subspaces."""
-    index, _ = _point_permutations(f, n, ())
+    index = _point_index(f, n)
 
     def points_of(v):
         return tuple(index[tuple(x)] for x in projective_images(Matrix(f, zip(*v.mat.rows))))
@@ -799,7 +806,9 @@ def is_m_thick_criterion(r: Representation, m: int, caps: Caps | None = None,
     decomposable witness of W1 is an invariant realizable subspace whose
     perp contains W2, so some m-subspace V1 already exhibits the failure;
     they are exhausted over a finite field with at most `candidate_cap`
-    m-subspaces.
+    m-subspaces.  W1 = 0 is not realizable and the perp of W1 = Lambda^m is
+    0, so neither pair can refute or stay undecided: both are skipped before
+    any search or perp, and log["pairs_tested"] counts the candidates left.
     """
     caps = caps or Caps.default()
     f = r.field
@@ -821,12 +830,12 @@ def is_m_thick_criterion(r: Representation, m: int, caps: Caps | None = None,
     else:
         subs, route = _isotypic_sums(ext, caps, seed), "isotypic"
     if subs is not None:
-        report.log = {"route": route, "submodules": len(subs)}
+        report.log = {"route": route, "submodules": len(subs), "pairs_tested": 0}
         candidates = ((w1, None) for w1 in subs)
         complete = True
     else:
         route = "spin"
-        report.log = {"route": route, "candidates": 0}
+        report.log = {"route": route, "candidates": 0, "pairs_tested": 0}
         candidates = _spin_candidates(r, ext, m, caps, seed, report.log)
         complete = f.finite and gaussian_binomial(n, m, f.order) <= caps.candidate_cap
 
@@ -836,6 +845,9 @@ def is_m_thick_criterion(r: Representation, m: int, caps: Caps | None = None,
 
     unresolved = 0
     for w1, witness1 in candidates:
+        if w1.dim in (0, ext.dim):
+            continue
+        report.log["pairs_tested"] += 1
         if witness1 is None:
             r1 = search(w1, m)
             if r1.status == "NotRealizable":

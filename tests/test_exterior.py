@@ -19,6 +19,7 @@ from thickrep.exterior import (
     WedgeVector,
     annihilator_in_v,
     colex_subsets,
+    complement_sign_row,
     compound,
     derivation,
     faces,
@@ -159,6 +160,16 @@ def test_perp_single_wedge():
     assert not p.contains_vector(WedgeVector.basis_element(QQ, 4, (3, 4)).coords)
     for s in ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4)):
         assert p.contains_vector(WedgeVector.basis_element(QQ, 4, s).coords)
+
+
+def test_complement_sign_row_cache_matches_fresh_build():
+    for n in range(1, 7):
+        for m in range(n + 1):
+            cached = complement_sign_row(n, m)
+            assert complement_sign_row(n, m) is cached
+            assert isinstance(cached, tuple)
+            assert complement_sign_row.__wrapped__(n, m) == cached
+            assert len(cached) == comb(n, m)
 
 
 def test_perp_extremes():

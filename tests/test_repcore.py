@@ -11,8 +11,10 @@ from thickrep.linalg import Matrix, Subspace, random_invertible, rank_of_rows, u
 from thickrep.constructions import companion_pair, lie_generators
 from thickrep.exterior import (
     is_decomposable,
+    perp,
     projective_coefficients,
     projective_count,
+    realizable_search,
     wedge_of_vectors,
 )
 from thickrep import linalg, repcore, serialize
@@ -476,6 +478,15 @@ def test_pair_table_cache_matches_fresh_build():
     assert _pair_table.cache_info().maxsize is not None
 
 
+def test_point_index_cache_matches_fresh_build():
+    for f, n in ((GF(2), 4), (GF(3), 4), (GF(2, 2), 3), (GF(5), 2), (GF(2), 6)):
+        cached = repcore._point_index(f, n)
+        assert repcore._point_index(f, n) is cached
+        assert repcore._point_index.__wrapped__(f, n) == cached
+        assert list(cached) == list(projective_coefficients(f, n))
+    assert repcore._point_index.cache_info().maxsize is not None
+
+
 def test_definition_computes_no_ranks(monkeypatch):
     # ranks computed while building a certificate are not counted
     calls = []
@@ -815,14 +826,16 @@ def test_criterion_spin_route_witness_is_candidate_annihilator():
 
 
 CRITERION_ROUTES = [
-    ({}, THICK, {"route": "lattice", "submodules": 4}, ""),
-    ({"points_cap": 2}, UNKNOWN, {"route": "lattice", "submodules": 4},
+    ({}, THICK, {"route": "lattice", "submodules": 4, "pairs_tested": 2}, ""),
+    ({"points_cap": 2}, UNKNOWN, {"route": "lattice", "submodules": 4, "pairs_tested": 2},
      "2 invariant pairs with undecided realizability"),
     ({"submodule_points_cap": 3, "points_cap": 2}, UNKNOWN,
-     {"route": "spin", "candidates": 35}, "1 perps with undecided realizability"),
+     {"route": "spin", "candidates": 35, "pairs_tested": 1},
+     "1 perps with undecided realizability"),
     ({"submodule_points_cap": 3, "candidate_cap": 20}, UNKNOWN,
-     {"route": "spin", "candidates": 21}, "candidate search not exhaustive"),
-    ({"submodule_points_cap": 3}, THICK, {"route": "spin", "candidates": 35}, ""),
+     {"route": "spin", "candidates": 21, "pairs_tested": 1}, "candidate search not exhaustive"),
+    ({"submodule_points_cap": 3}, THICK,
+     {"route": "spin", "candidates": 35, "pairs_tested": 1}, ""),
 ]
 
 
@@ -843,12 +856,148 @@ def test_criterion_isotypic_route(family, n, verdict):
     gens = lie_generators(family, n)
     r = Representation(QQ, gens[0].nrows, LIE, gens)
     rep = is_m_thick_criterion(r, 2)
+    # both proper sums are tested for sp; so_split is refuted by the first
+    tested = 2 if verdict == THICK else 1
     assert (rep.verdict, rep.log, rep.reason) == (
-        verdict, {"route": "isotypic", "submodules": 4}, ""
+        verdict, {"route": "isotypic", "submodules": 4, "pairs_tested": tested}, ""
     )
     assert (rep.certificate is not None) == (verdict == NOT_THICK)
     if rep.certificate is not None:
         assert verify_not_thick_certificate(r, rep.certificate)
+
+
+def _criterion_reference(r, m, caps, seed=0):
+    """The criterion's pair loop as it was before W1 = 0 and W1 = Lambda^m
+    were skipped: every candidate goes through `realizable_search` and
+    `perp`.  Returns (verdict, reason, certificate, log)."""
+    f, n = r.field, r.dim
+    ext = exterior_rep(r, m)
+    subs = None
+    if f.finite:
+        try:
+            subs, route = all_submodules(ext, caps), "lattice"
+        except CapExceeded:
+            pass
+    else:
+        subs, route = repcore._isotypic_sums(ext, caps, seed), "isotypic"
+    if subs is not None:
+        log = {"route": route, "submodules": len(subs)}
+        candidates = ((w1, None) for w1 in subs)
+        complete = True
+    else:
+        route = "spin"
+        log = {"route": route, "candidates": 0}
+        candidates = repcore._spin_candidates(r, ext, m, caps, seed, log)
+        complete = f.finite and gaussian_binomial(n, m, f.order) <= caps.candidate_cap
+
+    def search(w, k):
+        return realizable_search(w, n, k, points_cap=caps.points_cap, seed=seed,
+                                 rational_trials=caps.rational_trials)
+
+    unresolved = 0
+    for w1, witness1 in candidates:
+        if witness1 is None:
+            r1 = search(w1, m)
+            if r1.status == "NotRealizable":
+                continue
+            witness1 = r1.witness_vectors
+        w2 = perp(w1, n, m)
+        r2 = search(w2, n - m)
+        if witness1 is not None and r2.status == "Realizable":
+            cert = repcore.NotThickCertificate(
+                field=f, n=n, m=m, w1=w1, w2=w2,
+                witness1=tuple(witness1), witness2=tuple(r2.witness_vectors),
+            )
+            return NOT_THICK, "", cert, log
+        if r2.status != "NotRealizable":
+            unresolved += 1
+    if not complete:
+        return UNKNOWN, "candidate search not exhaustive", None, log
+    if unresolved:
+        return UNKNOWN, "%d %s with undecided realizability" % (
+            unresolved, "perps" if route == "spin" else "invariant pairs"
+        ), None, log
+    return THICK, "", None, log
+
+
+def _q_reps():
+    def lie(family, n):
+        gens = lie_generators(family, n)
+        return Representation(QQ, gens[0].nrows, LIE, gens)
+
+    reps = [lie("so_split", 4), lie("so_split", 5), lie("sp", 2), lie("sl", 3), lie("sl", 4)]
+    for n, a, b in ((4, 2, 3), (4, -1, 5), (5, 2, 3)):
+        reps.append(companion_pair(QQ, n, Fraction(a), Fraction(b)).rep)
+    rng = random.Random(17)
+    for n in (3, 3, 3, 4, 4):
+        gens = []
+        while len(gens) < 2:
+            g = M(QQ, [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+            if g.is_invertible():
+                gens.append(g)
+        reps.append(Representation(QQ, n, GROUP, gens))
+    return reps
+
+
+ORACLE_SETS = {  # name: (reps, caps common to the set)
+    "agreement": (lambda: _agreement_reps(25), {}),
+    "gf4": (lambda: _random_reps(GF(2, 2), 4, 2, 44), {}),
+    # fewer seeded candidates keep the spin route over Q short
+    "rationals": (_q_reps, {"rational_trials": 40}),
+}
+
+
+@pytest.mark.parametrize("caps", [{}, {"isotypic_summands_max": 0}, {"lattice_cap": 1}])
+@pytest.mark.parametrize("name", sorted(ORACLE_SETS))
+def test_criterion_skip_matches_reference_loop(name, caps):
+    # skipping W1 = 0 and W1 = Lambda^m changes no verdict, reason,
+    # certificate or log key; the log only gains pairs_tested
+    build, common = ORACLE_SETS[name]
+    caps = Caps(**common, **caps)
+    verdicts = set()
+    for r in build():
+        for m in range(1, r.dim):
+            rep = is_m_thick_criterion(r, m, caps)
+            verdict, reason, cert, log = _criterion_reference(r, m, caps)
+            tested = rep.log.pop("pairs_tested")
+            assert (rep.verdict, rep.reason, rep.certificate, rep.log) == (
+                verdict, reason, cert, log
+            )
+            total = log.get("submodules", log.get("candidates"))
+            assert 0 <= tested <= total
+            verdicts.add(verdict)
+    assert len(verdicts) >= 2
+
+
+def _so5():
+    return Representation(QQ, 5, LIE, lie_generators("so_split", 5))
+
+
+def _irreducible_f3_dim4():
+    rng = random.Random(3)
+    return Representation(GF(3), 4, GROUP, [random_invertible(GF(3), 4, rng) for _ in range(2)])
+
+
+@pytest.mark.parametrize("build, m", [(_so5, 1), (_irreducible_f3_dim4, 2)])
+def test_criterion_tests_no_pair_of_an_irreducible_lift(build, m, monkeypatch):
+    # the lattice of Lambda^m is {0, Lambda^m}: no realizability search, no perp
+    calls = []
+
+    def counting(fn):
+        def wrapped(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("realizable_search", "perp"):
+        monkeypatch.setattr(repcore, name, counting(getattr(repcore, name)))
+    rep = is_m_thick_criterion(build(), m)
+    assert rep.log["submodules"] == 2
+    assert (rep.verdict, rep.log["pairs_tested"], calls) == (THICK, 0, [])
+    # the counters see the calls of a reducible module's pair
+    rep = is_m_thick_criterion(group_rep(GF(2), [[[1, 1], [0, 1]]]), 1)
+    assert (rep.verdict, rep.log["pairs_tested"]) == (NOT_THICK, 1)
+    assert set(calls) == {"realizable_search", "perp"}
 
 
 def test_criterion_definition_agreement_seeded():
