@@ -20,6 +20,7 @@ from .repcore import (
     LIE,
     Representation,
     ThicknessReport,
+    absolute_irreducibility,
     all_submodules,
     burnside_dim,
     commutant,

@@ -28,6 +28,8 @@ from .repcore import (
     Caps,
     NOT_THICK,
     THICK,
+    absolute_irreducibility,
+    exterior_rep,
     is_m_dense,
     is_m_thick_criterion,
     is_m_thick_definition,
@@ -103,10 +105,17 @@ def cmd_check(args) -> int:
             raise ThickRepError("the pair criterion decides thickness only")
         absolute = args.method == "burnside"
         m = args.m if args.mode == "dense" else 1
-        verdict = is_m_dense(rep, m, absolute=absolute, caps=caps)
-        report.update({"verdict": verdict, "absolute": absolute})
+        if absolute and 0 < m < rep.dim:
+            # the route that decided: "norton", "commutant" or "closure"
+            decision = absolute_irreducibility(exterior_rep(rep, m))
+            report.update({"verdict": decision.verdict, "route": decision.route})
+        else:
+            report["verdict"] = is_m_dense(rep, m, absolute=absolute, caps=caps)
+            if absolute:
+                report["route"] = "trivial"  # Lambda^0 and Lambda^n are lines
+        report["absolute"] = absolute
         _emit(report, args.json_out)
-        return {"Yes": 0, "No": 1}.get(verdict, 2)
+        return {"Yes": 0, "No": 1}.get(report["verdict"], 2)
     raise ThickRepError("unknown mode %r" % (args.mode,))
 
 

@@ -23,8 +23,9 @@ from .linalg import Matrix, Subspace, charpoly, kernel, random_independent, rand
 from .exterior import WedgeVector, is_decomposable
 from .repcore import (
     GROUP,
+    YES,
     Representation,
-    burnside_dim,
+    absolute_irreducibility,
     exterior_rep,
     is_invariant,
     spin,
@@ -278,7 +279,7 @@ def build_block_rep(ell: int, m: int, field=None, alphas=None, betas=None,
             continue
         if not (result.cramer_checked and result.cramer_nonzero):
             continue
-        if burnside_dim(result.rep) == n * n:
+        if absolute_irreducibility(result.rep).verdict == YES:
             return result
     raise ConstructionError(
         "no irreducible block representation found in %d tries (%s)"

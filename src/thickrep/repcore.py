@@ -2,10 +2,10 @@
 thickness / denseness deciders with re-checkable certificates.
 
 Complete decision procedures are scoped to finite fields under explicit
-caps.  Over the rationals the module offers the Burnside test (complete
-for absolute irreducibility) and commutant-based decomposition (complete
-for multiplicity-free split modules); thickness verdicts carry their
-field scope and fall back to Unknown rather than overreach.
+caps.  Over the rationals the module offers `absolute_irreducibility`
+(complete, with a witness either way) and commutant-based decomposition
+(complete for multiplicity-free split modules); thickness verdicts carry
+their field scope and fall back to Unknown rather than overreach.
 """
 
 from __future__ import annotations
@@ -221,26 +221,28 @@ def _reduce_matrix_mod(m: Matrix, p: int) -> Matrix:
     ])
 
 
-def _absolutely_irreducible(r: Representation) -> bool:
-    """True when Norton's test proves the rational rep `r` absolutely
-    irreducible from its reduction mod a prime of `_REDUCTION_PRIMES`.
+def _absolutely_irreducible(r: Representation):
+    """Norton's proof that the rational rep `r` is absolutely irreducible,
+    from its reduction mod a prime of `_REDUCTION_PRIMES`: (p, theta's
+    coefficients over the words of `_norton_irreducible`, lambda), or None.
 
     The test's one-dimensional eigenspace proves the reduction absolutely
     irreducible over F_p, so the reduced words span all n^2 dimensions of
     M_n(F_p).  Words with entries in Z_(p) that are independent mod p are
     independent over Q, so the algebra over Q has dimension n^2 as well.
     The reduction is built in LIE mode, because a group generator may be
-    singular mod p and spinning needs only the matrices.  False means no
+    singular mod p and spinning needs only the matrices.  None means no
     proof: the field is not Q, every candidate prime divides a denominator,
     the reduction is reducible, or the test's tries found no such
     eigenspace."""
     if not isinstance(r.field, Rationals):
-        return False
+        return None
     p = _reduction_prime(r.generators)
     if p is None:
-        return False
+        return None
     reduced = [_reduce_matrix_mod(g, p) for g in r.generators]
-    return _norton_irreducible(Representation(GF(p), r.dim, LIE, reduced))
+    proof = _norton_irreducible(Representation(GF(p), r.dim, LIE, reduced))
+    return proof and (p, *proof)
 
 
 def burnside_dim(r: Representation) -> int:
@@ -256,6 +258,44 @@ def burnside_dim(r: Representation) -> int:
     if _absolutely_irreducible(r):
         return n * n
     return _algebra_closure_dim(r.field, r.generators, n)
+
+
+@dataclass(frozen=True)
+class AbsoluteIrreducibility:
+    """Is the rep absolutely irreducible: the verdict, the route that decided
+    and its witness.  "norton" (YES): `_absolutely_irreducible`'s proof;
+    "commutant" (NO): a non-scalar matrix commuting with every generator;
+    "closure" (YES or NO): the dimension of the generated algebra."""
+
+    verdict: str
+    route: str
+    witness: object
+
+
+def absolute_irreducibility(r: Representation) -> AbsoluteIrreducibility:
+    """Decide absolute irreducibility with a witness either way.
+
+    Over Q: Norton's proof mod p (YES); else the commutant, since the
+    commutant of M_N is the scalars (Schur), so one non-scalar commuting
+    matrix proves NO; else the exact algebra closure.  Over a finite field
+    the closure decides alone."""
+    return _absolute_irreducibility(r)[0]
+
+
+def _absolute_irreducibility(r: Representation):
+    """(the decision, `commutant(r)` when it was solved, else None)."""
+    comm = None
+    if not r.field.finite:
+        proof = _absolutely_irreducible(r)
+        if proof:
+            return AbsoluteIrreducibility(YES, "norton", proof), None
+        comm = commutant(r)
+        if comm[0] > 1:
+            ident = Matrix.identity(r.field, r.dim)
+            witness = next(b for b in comm[1] if b != ident.scale(b.rows[0][0]))
+            return AbsoluteIrreducibility(NO, "commutant", witness), comm
+    dim = _algebra_closure_dim(r.field, r.generators, r.dim)
+    return AbsoluteIrreducibility(YES if dim == r.dim ** 2 else NO, "closure", dim), comm
 
 
 def _orbits(points, moves, cap=None):
@@ -312,7 +352,7 @@ _NORTON_SEED = 1984
 _NORTON_TRIES = 8
 
 
-def _norton_irreducible(r: Representation) -> bool:
+def _norton_irreducible(r: Representation):
     """Norton's irreducibility test (Parker 1984; Holt & Rees 1994).
 
     Draw theta from the span of the generators and their pairwise products,
@@ -324,12 +364,13 @@ def _norton_irreducible(r: Representation) -> bool:
     theta - lambda is invertible on U and so singular on V/U, whose dual
     U^perp then contains the transposed line.
 
-    Returns True when that proof succeeds, and False when a spin of an
-    eigenvector is proper (the module is reducible) or no theta among the
-    fixed number of tries has a one-dimensional eigenspace.  Irreducible
-    modules that are not absolutely irreducible always end in False, since
-    their eigenspaces over the field have dimension divisible by the degree
-    of the splitting extension.
+    Returns the proof, (theta's coefficients, lambda), when it succeeds,
+    and None when a spin of an eigenvector is proper (the module is
+    reducible) or no theta among the fixed number of tries has a
+    one-dimensional eigenspace.  Irreducible modules that are not
+    absolutely irreducible always end in None, since their eigenspaces over
+    the field have dimension divisible by the degree of the splitting
+    extension.
     """
     f = r.field
     n = r.dim
@@ -340,7 +381,7 @@ def _norton_irreducible(r: Representation) -> bool:
     ident = Matrix.identity(f, n)
     rng = random.Random(_NORTON_SEED)
     for _ in range(_NORTON_TRIES):
-        coeffs = [f.random(rng) for _ in words]
+        coeffs = tuple(f.random(rng) for _ in words)
         # theta = sum of coeffs[k] * words[k], entry by entry
         theta = Matrix(f, [
             [f.dot(coeffs, entries) for entries in zip(*rows)]
@@ -350,15 +391,15 @@ def _norton_irreducible(r: Representation) -> bool:
             shifted = theta - ident.scale(lam)
             null = kernel(shifted)
             if spin(r, null.basis_vectors()[:1]).dim < n:
-                return False
+                return None
             if null.dim != 1:
                 continue
             # spinning needs only the matrices, and LIE mode skips the
             # invertibility check that transposed group generators pass anyway
             dual = Representation(f, n, LIE, [g.transpose() for g in gens])
             coline = kernel(shifted.transpose())
-            return spin(dual, coline.basis_vectors()).dim == n
-    return False
+            return (coeffs, lam) if spin(dual, coline.basis_vectors()).dim == n else None
+    return None
 
 
 def all_submodules(r: Representation, caps: Caps | None = None):
@@ -523,18 +564,18 @@ def commutant(r: Representation):
 _ISOTYPIC_TRIES = 8
 
 
-def isotypic_decomposition(r: Representation, seed: int = 0):
+def isotypic_decomposition(r: Representation, seed: int = 0, comm=None):
     """Eigenspace decomposition from a random commutant element.
 
     Succeeds when the commutant is commutative and one of `_ISOTYPIC_TRIES`
     seeded random elements has a completely split charpoly whose distinct
     roots count the commutant dimension; the eigenspaces are then the
     unique invariant summands of a multiplicity-free module.  Returns None
-    otherwise.
+    otherwise.  `comm` is `commutant(r)` when the caller has solved it.
     """
     f = r.field
     n = r.dim
-    cdim, cbasis = commutant(r)
+    cdim, cbasis = comm or commutant(r)
     if cdim == 1:
         return [Subspace.full(f, n)]
     for i in range(cdim):
@@ -585,10 +626,10 @@ def is_m_dense(r: Representation, m: int, absolute: bool = True,
                caps: Caps | None = None) -> str:
     """Is Lambda^m of the representation irreducible?  "Yes" / "No" / "Unknown".
 
-    Absolute mode decides via the Burnside span (full iff absolutely
-    irreducible, over any field).  Non-absolute mode is exact over finite
-    fields via complete submodule enumeration; over the rationals a full
-    Burnside span still certifies "Yes" and anything else is "Unknown".
+    Absolute mode asks `absolute_irreducibility` of Lambda^m (over any
+    field).  Non-absolute mode is exact over finite fields via complete
+    submodule enumeration; over the rationals an absolutely irreducible
+    Lambda^m still certifies "Yes" and anything else is "Unknown".
     """
     n = r.dim
     if m < 0 or m > n:
@@ -597,16 +638,15 @@ def is_m_dense(r: Representation, m: int, absolute: bool = True,
         return YES
     caps = caps or Caps.default()
     ext = exterior_rep(r, m)
-    nn = ext.dim
     if absolute:
-        return YES if burnside_dim(ext) == nn * nn else NO
+        return absolute_irreducibility(ext).verdict
     if r.field.finite:
         try:
             subs = all_submodules(ext, caps)
         except CapExceeded:
             return UNKNOWN
         return YES if len(subs) == 2 else NO
-    return YES if burnside_dim(ext) == nn * nn else UNKNOWN
+    return YES if absolute_irreducibility(ext).verdict == YES else UNKNOWN
 
 
 # thickness machinery
@@ -877,15 +917,20 @@ def is_m_thick_criterion(r: Representation, m: int, caps: Caps | None = None,
 def _isotypic_sums(ext: Representation, caps: Caps, seed: int):
     """Every invariant subspace of a multiplicity-free module whose at most
     `isotypic_summands_max` summands are absolutely irreducible: the sums
-    of its summands, sorted.  None when the module is not of that kind.
-    A module that `_absolutely_irreducible` proves so is its one summand,
-    and no commutant is computed for it."""
-    if caps.isotypic_summands_max >= 1 and _absolutely_irreducible(ext):
-        return [Subspace.zero(ext.field, ext.dim), Subspace.full(ext.field, ext.dim)]
-    dec = isotypic_decomposition(ext, seed=seed)
-    if dec is None or len(dec) > caps.isotypic_summands_max:
+    of its summands, sorted.  None when the module is not of that kind,
+    and at once when the cap allows no summand.  An absolutely irreducible
+    module is its one summand.  Any other module cannot be its own one
+    summand, and its decomposition reuses the commutant that
+    `absolute_irreducibility` solved."""
+    if caps.isotypic_summands_max == 0:
         return None
-    if any(burnside_dim(restrict_to_invariant(ext, e)) != e.dim * e.dim for e in dec):
+    decision, comm = _absolute_irreducibility(ext)
+    if decision.verdict == YES:
+        return [Subspace.zero(ext.field, ext.dim), Subspace.full(ext.field, ext.dim)]
+    dec = isotypic_decomposition(ext, seed=seed, comm=comm)
+    if dec is None or not 1 < len(dec) <= caps.isotypic_summands_max:
+        return None
+    if any(absolute_irreducibility(restrict_to_invariant(ext, e)).verdict == NO for e in dec):
         return None
     bottom = Subspace.zero(ext.field, ext.dim)
     sums = [

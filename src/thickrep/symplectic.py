@@ -55,7 +55,9 @@ class SymplecticSpace:
         return 2 * self.n
 
     def omega(self, u, v):
-        return self.field.dot(u, self.form.apply(v))
+        """sum_i u_i v_(n+i) - u_(n+i) v_i, the form without its matrix."""
+        n, f = self.n, self.field
+        return f.sub(f.dot(u[:n], v[n:]), f.dot(u[n:], v[:n]))
 
     def lie_algebra(self):
         return lie_generators("sp", self.n, self.field)
@@ -119,8 +121,8 @@ def is_isotropic(sp: SymplecticSpace, w: Subspace) -> bool:
 
 
 def _omega_row(sp: SymplecticSpace, u):
-    """Row vector c with c . z = omega(u, z)."""
-    return sp.form.transpose().apply(u)
+    """Row vector c with c . z = omega(u, z): (-u[n:], u[:n])."""
+    return tuple(map(sp.field.neg, u[sp.n:])) + tuple(u[:sp.n])
 
 
 def symplectic_normal_basis(sp: SymplecticSpace, w: Subspace):

@@ -1,10 +1,12 @@
 import json
 import os
+from fractions import Fraction
 
 from thickrep.cli import main
 from thickrep.fields import GF, QQ
 from thickrep.linalg import Matrix
-from thickrep.repcore import GROUP, Representation
+from thickrep.constructions import companion_pair, lie_generators
+from thickrep.repcore import GROUP, LIE, Representation
 from thickrep.symplectic import SymplecticSpace, ker_perp_realizability_check
 from thickrep import repcore, serialize
 
@@ -484,6 +486,39 @@ def test_burnside_without_reduction_prime(tmp_path, capsys, monkeypatch):
                  "--method", "burnside"])
     out = json.loads(capsys.readouterr().out)
     assert code == 0 and out["verdict"] == "Yes"
+
+
+def test_check_burnside_reports_its_route(tmp_path, capsys):
+    # the verdict and exit code are is_m_dense's; the route says which
+    # proof decided: Norton mod p, a non-scalar commuting matrix (the
+    # quarter turn, and Lambda^2 of so4 and of a companion pair), the exact
+    # closure (upper triangular: scalar commutant, algebra of dimension 3),
+    # or none for Lambda^n
+    rot = Representation(QQ, 2, GROUP, [Matrix.from_ints(QQ, [[0, -1], [1, 0]])])
+    upper = Representation(QQ, 2, GROUP, [Matrix.from_ints(QQ, g) for g in
+                                          ([[1, 1], [0, 1]], [[2, 0], [0, 1]])])
+    so4 = Representation(QQ, 4, LIE, lie_generators("so_split", 4), "so4")
+    pair = companion_pair(QQ, 4, Fraction(2), Fraction(3)).rep
+    cases = [
+        (rot, "irreducible", 1, "commutant"),
+        (upper, "irreducible", 1, "closure"),
+        (pair, "irreducible", 1, "norton"),
+        (pair, "dense", 2, "commutant"),
+        (so4, "dense", 2, "commutant"),
+        (so4, "dense", 4, "trivial"),
+    ]
+    for i, (rep, mode, m, route) in enumerate(cases):
+        path = tmp_path / ("rep%d.json" % i)
+        path.write_text(serialize.dumps(serialize.representation_to_json(rep)))
+        code = main(["check", "--rep", str(path), "--mode", mode, "--m", str(m),
+                     "--method", "burnside"])
+        out = json.loads(capsys.readouterr().out)
+        verdict = repcore.is_m_dense(rep, m)
+        assert (out["verdict"], out["route"], out["absolute"]) == (verdict, route, True)
+        assert code == {"Yes": 0, "No": 1}[verdict]
+    # the non-absolute method reports no route
+    main(["check", "--rep", str(path), "--mode", "dense", "--m", "2"])
+    assert "route" not in json.loads(capsys.readouterr().out)
 
 
 def test_main_dispatches_through_module_attribute(monkeypatch):

@@ -1,13 +1,25 @@
+import collections
 import dataclasses
+import importlib.util
 import math
+import pathlib
 import random
+import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from thickrep.errors import CapExceeded, PreconditionFailed
 from thickrep.fields import GF, QQ
-from thickrep.linalg import Matrix, Subspace, random_invertible, rank_of_rows, unit_vector
+from thickrep.linalg import (
+    Matrix,
+    Subspace,
+    kernel,
+    random_invertible,
+    rank_of_rows,
+    unit_vector,
+)
 from thickrep.constructions import companion_pair, lie_generators
 from thickrep.exterior import (
     is_decomposable,
@@ -29,8 +41,11 @@ from thickrep.repcore import (
     NOT_THICK,
     THICK,
     UNKNOWN,
+    YES,
+    NO,
     Representation,
     ThicknessReport,
+    absolute_irreducibility,
     all_submodules,
     burnside_dim,
     commutant,
@@ -183,6 +198,147 @@ def test_isotypic_shortcut_matches_commutant_route(monkeypatch):
     assert fast == slow
     assert all(sums == [Subspace.zero(QQ, ext.dim), Subspace.full(QQ, ext.dim)]
                for sums, ext in zip(fast, lifts))
+
+
+def _q_exact_reps(seed=1):
+    """The rational reps of the benchmark's q-exact workload for `seed`,
+    built by its own generator in perfbench/workloads.py."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_q_exact_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules
+    sys.modules[spec.name] = workloads
+    spec.loader.exec_module(workloads)
+    T = SimpleNamespace(**{
+        name: importlib.import_module("thickrep." + name)
+        for name in ("constructions", "fields", "linalg", "repcore", "symplectic")
+    })
+    built = workloads.build_q_exact(T, seed, None)
+    return [x for x in built.inputs if isinstance(x, Representation)]
+
+
+def _check_norton_witness(r, witness):
+    """Rebuild theta mod p from the coefficients over the generators and
+    their pairwise products among the first three: its lambda-eigenspace is
+    a line that spins to k^N, and the transposed line spins under the
+    transposed generators."""
+    p, coeffs, lam = witness
+    assert p == repcore._reduction_prime(r.generators)
+    F, n = GF(p), r.dim
+    gens = [Matrix(F, [[x.numerator * pow(x.denominator, -1, p) % p for x in row]
+                       for row in g.rows]) for g in r.generators]
+    words = gens + [a * b for a in gens[:3] for b in gens[:3]]
+    assert len(coeffs) == len(words)
+    theta = Matrix.zero(F, n, n)
+    for c, w in zip(coeffs, words):
+        theta = theta + w.scale(c)
+    shifted = theta - Matrix.identity(F, n).scale(lam)
+    line = kernel(shifted)
+    assert line.dim == 1
+    assert spin(Representation(F, n, LIE, gens), line.basis_vectors()).dim == n
+    dual = Representation(F, n, LIE, [g.transpose() for g in gens])
+    assert spin(dual, kernel(shifted.transpose()).basis_vectors()).dim == n
+
+
+def _check_commutant_witness(r, witness):
+    assert all(witness * g == g * witness for g in r.generators)
+    assert witness != Matrix.identity(r.field, r.dim).scale(witness.rows[0][0])
+
+
+UPPER_TRIANGULAR = [[[1, 1], [0, 1]], [[2, 0], [0, 1]]]
+
+
+def _decider_cases():
+    """{name: modules}: every Lambda^m of the q-exact seed-1 reps, the Lie
+    reps and companion pairs of `_q_reps` with their Lambda^m, the quarter
+    turn and an upper-triangular rep."""
+    lie_and_pairs = _q_reps()[:8]
+    return {
+        "q-exact": [exterior_rep(r, m) for r in _q_exact_reps() for m in range(1, r.dim)],
+        "lie-and-pairs": [exterior_rep(r, m) for r in lie_and_pairs for m in range(1, r.dim)],
+        "quarter-turn": [group_rep(QQ, [ROT])],
+        "upper-triangular": [group_rep(QQ, UPPER_TRIANGULAR)],
+    }
+
+
+def test_absolute_irreducibility_agrees_with_exact_closure_and_its_witness_checks():
+    routes = {}
+    for name, modules in _decider_cases().items():
+        counts = routes[name] = collections.Counter()
+        for r in modules:
+            decision = absolute_irreducibility(r)
+            exact = repcore._algebra_closure_dim(QQ, r.generators, r.dim)
+            assert decision.verdict == (YES if exact == r.dim ** 2 else NO)
+            counts[decision.route, decision.verdict] += 1
+            if decision.route == "norton":
+                _check_norton_witness(r, decision.witness)
+            elif decision.route == "commutant":
+                _check_commutant_witness(r, decision.witness)
+            else:
+                assert decision.route == "closure" and decision.witness == exact
+    # 74 modules: Norton proves 68, a commuting matrix refutes 6
+    assert routes["q-exact"] == {("norton", YES): 68, ("commutant", NO): 6}
+    assert routes["lie-and-pairs"][("closure", NO)] == 0
+    assert routes["quarter-turn"] == {("commutant", NO): 1}
+    assert commutant(group_rep(QQ, [ROT]))[0] == 2
+    # a scalar commutant, an algebra of dimension 3: only the closure refutes
+    assert routes["upper-triangular"] == {("closure", NO): 1}
+    assert commutant(group_rep(QQ, UPPER_TRIANGULAR))[0] == 1
+    assert absolute_irreducibility(group_rep(QQ, UPPER_TRIANGULAR)).witness == 3
+
+
+def test_absolute_irreducibility_over_a_finite_field_is_the_closure(monkeypatch):
+    monkeypatch.setattr(repcore, "commutant", None)
+    for r in _agreement_reps(5):
+        for m in (1, 2, 3):
+            ext = exterior_rep(r, m)
+            decision = absolute_irreducibility(ext)
+            assert decision.route == "closure" and decision.witness == burnside_dim(ext)
+            assert decision.verdict == (YES if decision.witness == ext.dim ** 2 else NO)
+
+
+def test_q_exact_denseness_and_isotypic_sums_run_no_closure(monkeypatch):
+    # every module of the q-exact reps is decided by a witness, and the
+    # isotypic route solves each module's commutant at most once
+    solved = collections.Counter()
+
+    def counted_commutant(r):
+        solved[id(r)] += 1
+        return commutant(r)
+
+    def no_closure(*args):
+        raise AssertionError("exact closure ran")
+
+    reps = _q_exact_reps()
+    monkeypatch.setattr(repcore, "_algebra_closure_dim", no_closure)
+    monkeypatch.setattr(repcore, "commutant", counted_commutant)
+    for r in reps:
+        for m in range(1, r.dim):
+            assert is_m_dense(r, m) in (YES, NO)
+            assert is_m_dense(r, m, absolute=False) in (YES, UNKNOWN)
+    solved.clear()
+    sums = [repcore._isotypic_sums(exterior_rep(r, m), Caps(), 0)
+            for r in reps[:8] for m in range(1, r.dim)]
+    assert max(solved.values()) == 1
+    assert sum(s is not None and len(s) > 2 for s in sums) >= 2
+
+
+def test_isotypic_sums_under_a_zero_cap_solve_no_commutant(monkeypatch):
+    caps = Caps(isotypic_summands_max=0, rational_trials=40)
+    reps = _q_reps()[:8]
+    expected = [_criterion_reference(r, m, caps) for r in reps for m in range(1, r.dim)]
+    calls = []
+
+    def counted_commutant(r):
+        calls.append(r.dim)
+        return commutant(r)
+
+    monkeypatch.setattr(repcore, "commutant", counted_commutant)
+    reports = [is_m_thick_criterion(r, m, caps) for r in reps for m in range(1, r.dim)]
+    assert calls == []
+    for rep, (verdict, reason, cert, log) in zip(reports, expected):
+        rep.log.pop("pairs_tested")
+        assert (rep.verdict, rep.reason, rep.certificate, rep.log) == (verdict, reason, cert, log)
 
 
 def test_group_closure_gl2_f2():
@@ -581,7 +737,7 @@ def _lattice_against_oracle(r):
     subs = _brute_force_lattice(r)
     assert all_submodules(r) == subs
     assert _enumerate_submodules(r, Caps()) == subs
-    assert _norton_irreducible(r) == (burnside_dim(r) == r.dim * r.dim)
+    assert (_norton_irreducible(r) is not None) == (burnside_dim(r) == r.dim * r.dim)
     return subs
 
 

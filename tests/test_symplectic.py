@@ -25,6 +25,7 @@ from thickrep.symplectic import (
     ker_perp_realizability_check,
     lagrangian_complement,
     symplectic_normal_basis,
+    _omega_row,
 )
 
 
@@ -232,3 +233,17 @@ def test_ker_perp_scan_prong_matches_projective_scan_oracle(field):
         report = ker_perp_realizability_check(sp, m, trials=3, seed=1)
         expect = dataclasses.replace(report, **_scan_prong_oracle(sp, m))
         assert report == expect
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(5)], ids=str)
+def test_omega_and_its_row_match_the_form_matrix(field):
+    # the fixed shape of the form: omega(u, v) = sum u_i v_(n+i) - u_(n+i) v_i
+    rng = random.Random(7)
+    for n in (1, 2, 3, 4):
+        sp = SymplecticSpace(n, field)
+        for _ in range(20):
+            u, v = (tuple(field.random(rng) for _ in range(2 * n)) for _ in range(2))
+            assert sp.omega(u, v) == field.dot(u, sp.form.apply(v))
+            row = _omega_row(sp, u)
+            assert row == sp.form.transpose().apply(u)
+            assert field.dot(row, v) == sp.omega(u, v)
