@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import operator
 import os
 import random
 from dataclasses import InitVar, dataclass, field as dc_field, fields
@@ -459,6 +460,15 @@ def _point_permutations(f, n: int, gens):
     return index, [[index[_projective(f, x)] for x in projective_images(g)] for g in gens]
 
 
+def _point_action(r: Representation):
+    """`_point_permutations` of the generators of `r`, memoised on `r`: it
+    depends on the generators alone, not on any cap or seed."""
+    key = ("point_action",)
+    if key not in r._memo:
+        r._memo[key] = _point_permutations(r.field, r.dim, r.generators)
+    return r._memo[key]
+
+
 def _enumerate_submodules(r: Representation, caps: Caps):
     """The lattice as the join-closure of the cyclic submodules.
 
@@ -469,8 +479,8 @@ def _enumerate_submodules(r: Representation, caps: Caps):
     v = c^-1.g^-1.(c.g.v) lies in spin(c.g.v); so the two spins are equal.
     So only the first point of each orbit of `_orbits` on the canonical
     projective points is spun, and the orbits are walked on the indices
-    that `_point_permutations` gives the points.  Lie generators need not
-    be invertible, so in Lie mode there are no moves and every point is its
+    that `_point_action` gives the points.  Lie generators need not be
+    invertible, so in Lie mode there are no moves and every point is its
     own orbit.
 
     The closure adds one cyclic submodule C at a time: when L contains 0
@@ -480,7 +490,7 @@ def _enumerate_submodules(r: Representation, caps: Caps):
     """
     f = r.field
     n = r.dim
-    index, perms = _point_permutations(f, n, r.generators if r.mode == GROUP else ())
+    index, perms = _point_action(r) if r.mode == GROUP else (_point_index(f, n), ())
     points = list(index)
     cyclic = {}
     for orbit in _orbits(range(len(points)), [p.__getitem__ for p in perms]):
@@ -717,13 +727,14 @@ def enumerate_subspaces(field, n: int, k: int):
 
 @functools.lru_cache(maxsize=16)
 def _pair_table(f, n: int, m: int):
-    """(m-subspaces, points, masks, position, complements, complement masks)
-    for the definition decider; it depends on (field, n, m) only.  Both
-    lists of subspaces come in `enumerate_subspaces` order.  The points of a
-    subspace are the indices of the projective points of k^n it contains,
-    in `projective_coefficients` order; its mask is the int with those bits
-    set, and position maps each m-subspace mask to its index.  With an RREF
-    basis b_1..b_m the points are b_i + sum_{j>i} c_j b_j, whose first
+    """(m-subspaces, points, position, complements, through) for the
+    definition decider; it depends on (field, n, m) only.  Both lists of
+    subspaces come in `enumerate_subspaces` order.  The points of a subspace
+    are the indices of the projective points of k^n it contains, in
+    `projective_coefficients` order; position maps the mask of each
+    m-subspace (the int with its points' bits set) to its index, and
+    through[i] has bit j set when complement j contains point i.  With an
+    RREF basis b_1..b_m the points are b_i + sum_{j>i} c_j b_j, whose first
     nonzero entry is already 1, so `projective_images` lists them at one
     `axpy` each.  When n = 2m the complements are the m-subspaces."""
     index = _point_index(f, n)
@@ -733,13 +744,18 @@ def _pair_table(f, n: int, m: int):
 
     subspaces = tuple(enumerate_subspaces(f, n, m))
     points = tuple(map(points_of, subspaces))
-    masks = tuple(sum(1 << i for i in pts) for pts in points)
-    position = {mask: i for i, mask in enumerate(masks)}
+    position = {sum(1 << i for i in pts): i for i, pts in enumerate(points)}
     if 2 * m == n:
-        return subspaces, points, masks, position, subspaces, masks
-    complements = tuple(enumerate_subspaces(f, n, n - m))
-    cmasks = tuple(sum(1 << i for i in points_of(v)) for v in complements)
-    return subspaces, points, masks, position, complements, cmasks
+        complements, cpoints = subspaces, points
+    else:
+        complements = tuple(enumerate_subspaces(f, n, n - m))
+        cpoints = map(points_of, complements)
+    through = [0] * len(index)
+    for j, pts in enumerate(cpoints):
+        for i in pts:
+            through[i] |= 1 << j
+    through = tuple(through)
+    return subspaces, points, position, complements, through
 
 
 def _subspace_permutations(r: Representation, points, position):
@@ -747,7 +763,7 @@ def _subspace_permutations(r: Representation, points, position):
     the subspaces of `_pair_table` with these `points` and `position`: it
     permutes the points of k^n, and a subspace moves to the one whose mask
     has the permuted bits of its points set."""
-    _, perms = _point_permutations(r.field, r.dim, r.generators)
+    _, perms = _point_action(r)
     return [
         [position[sum(map(bit.__getitem__, pts))] for pts in points]
         for bit in ([1 << j for j in perm] for perm in perms)
@@ -762,14 +778,18 @@ def is_m_thick_definition(r: Representation, m: int,
     The group acts on m-subspaces through orbits, so the existential over
     group elements is decided by scanning the orbit of V1 under the
     generators; verdicts are identical to enumerating group elements and
-    the group itself is never materialized.  A subspace is the mask of the
+    the group itself is never materialized.  A subspace is the list of the
     projective points of k^n it contains, from `_pair_table`, which is
-    built once per (field, n, m) after the pair cap check.  Each generator
-    permutes the points once, `_subspace_permutations` turns that into a
-    permutation of the subspace indices, and the orbits are walked on
-    those.  Since dim V1 + dim V2 = n, V1 + V2 = V exactly when V1 and V2
-    meet in 0, that is when their masks share no bit.  Both verdicts carry
-    the same log counters.
+    built once per (field, n, m) after the pair cap check.  The generators'
+    permutations of the points are memoised on `r` (`_point_action`),
+    `_subspace_permutations` turns them into permutations of the subspace
+    indices, and the orbits are walked on those.  Since dim V1 + dim V2 = n,
+    V1 + V2 = V exactly when V1 and V2 share no point.  So the complements
+    that meet V1 are the OR of `through` over V1's points, and an orbit
+    refutes when the AND of these over the orbit is nonzero; its lowest bit
+    is the first such complement.  Both verdicts carry the same log
+    counters, and `pairs_checked` counts the pairs that a test of one
+    complement at a time would make.
     """
     caps = caps or Caps.default()
     if r.mode != GROUP:
@@ -788,7 +808,7 @@ def is_m_thick_definition(r: Representation, m: int,
     n2 = gaussian_binomial(n, n - m, q)
     if n1 * n2 > caps.pair_cap:
         raise CapExceeded("pair enumeration %d x %d exceeds cap" % (n1, n2))
-    subspaces, points, masks, position, complements, cmasks = _pair_table(f, n, m)
+    subspaces, points, position, complements, through = _pair_table(f, n, m)
     moves = _subspace_permutations(r, points, position)
     orbits = _orbits(range(n1), [p.__getitem__ for p in moves])
     log = {
@@ -800,15 +820,20 @@ def is_m_thick_definition(r: Representation, m: int,
         "pairs_checked": 0,
     }
     for orbit in orbits:
-        orbit_masks = [masks[i] for i in orbit]
-        for v2, mask2 in zip(complements, cmasks):
-            log["pairs_checked"] += 1
-            if all(mask1 & mask2 for mask1 in orbit_masks):
-                v1 = min((subspaces[i] for i in orbit), key=Subspace.key)
-                return ThicknessReport(
-                    m=m, verdict=NOT_THICK, method="definition", mode=r.mode,
-                    certificate=_certificate_from_pair(r, m, v1, v2), log=log,
-                )
+        common = -1
+        for i in orbit:
+            common &= functools.reduce(operator.or_, map(through.__getitem__, points[i]))
+            if not common:
+                break
+        if common:
+            j = (common & -common).bit_length() - 1
+            log["pairs_checked"] += j + 1
+            v1 = min((subspaces[i] for i in orbit), key=Subspace.key)
+            return ThicknessReport(
+                m=m, verdict=NOT_THICK, method="definition", mode=r.mode,
+                certificate=_certificate_from_pair(r, m, v1, complements[j]), log=log,
+            )
+        log["pairs_checked"] += n2
     return ThicknessReport(m=m, verdict=THICK, method="definition", mode=r.mode, log=log)
 
 

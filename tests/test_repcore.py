@@ -26,6 +26,7 @@ from thickrep.exterior import (
     perp,
     projective_coefficients,
     projective_count,
+    projective_images,
     realizable_search,
     wedge_of_vectors,
 )
@@ -200,11 +201,11 @@ def test_isotypic_shortcut_matches_commutant_route(monkeypatch):
                for sums, ext in zip(fast, lifts))
 
 
-def _q_exact_reps(seed=1):
-    """The rational reps of the benchmark's q-exact workload for `seed`,
-    built by its own generator in perfbench/workloads.py."""
+def _workload_reps(build, seed):
+    """The reps of one benchmark workload for `seed`, built by its own
+    generator `build` in perfbench/workloads.py."""
     path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("_q_exact_workloads", path)
+    spec = importlib.util.spec_from_file_location("_benchmark_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     # its dataclasses look their module up in sys.modules
     sys.modules[spec.name] = workloads
@@ -213,8 +214,13 @@ def _q_exact_reps(seed=1):
         name: importlib.import_module("thickrep." + name)
         for name in ("constructions", "fields", "linalg", "repcore", "symplectic")
     })
-    built = workloads.build_q_exact(T, seed, None)
+    built = getattr(workloads, build)(T, seed, None)
     return [x for x in built.inputs if isinstance(x, Representation)]
+
+
+def _q_exact_reps(seed=1):
+    """The rational reps of the benchmark's q-exact workload for `seed`."""
+    return _workload_reps("build_q_exact", seed)
 
 
 def _check_norton_witness(r, witness):
@@ -355,7 +361,9 @@ def test_group_closure_gl2_f2():
 # The definition decider itself, as it was before it moved subspaces by
 # index permutations and paired them by a bit test, is the oracle
 # `_definition_by_rank_scan`; the Plucker-point permutations that it used
-# between the two are the oracle `_plucker_permutations`.
+# between the two are the oracle `_plucker_permutations`.  The loop that
+# tested each orbit against one complement mask at a time, before the
+# running AND, is the oracle `_definition_by_masks`.
 
 
 def _closure_by_frontier(r, cap):
@@ -463,6 +471,46 @@ def _definition_by_rank_scan(r, m):
     return ThicknessReport(m=m, verdict=THICK, method="definition", mode=r.mode, log=log)
 
 
+def _masks_of(f, n, subspaces):
+    """The mask of each subspace: the int with the bits of the projective
+    points of k^n it contains set, in `projective_coefficients` order."""
+    index = repcore._point_index(f, n)
+    return [
+        sum(1 << index[tuple(x)] for x in projective_images(Matrix(f, zip(*v.mat.rows))))
+        for v in subspaces
+    ]
+
+
+def _definition_by_masks(r, m):
+    """The definition decider testing each orbit against one complement
+    mask at a time: the first complement whose mask meets every mask of the
+    orbit refutes."""
+    f, n = r.field, r.dim
+    subspaces, points, position, complements, _ = _pair_table(f, n, m)
+    masks, cmasks = _masks_of(f, n, subspaces), _masks_of(f, n, complements)
+    moves = _subspace_permutations(r, points, position)
+    orbits = repcore._orbits(range(len(subspaces)), [p.__getitem__ for p in moves])
+    log = {
+        "m_subspaces": len(subspaces),
+        "complement_subspaces": len(complements),
+        "points": projective_count(f.order, n),
+        "orbits": len(orbits),
+        "orbit_sizes": sorted(len(o) for o in orbits),
+        "pairs_checked": 0,
+    }
+    for orbit in orbits:
+        orbit_masks = [masks[i] for i in orbit]
+        for v2, mask2 in zip(complements, cmasks):
+            log["pairs_checked"] += 1
+            if all(mask1 & mask2 for mask1 in orbit_masks):
+                v1 = min((subspaces[i] for i in orbit), key=Subspace.key)
+                return ThicknessReport(
+                    m=m, verdict=NOT_THICK, method="definition", mode=r.mode,
+                    certificate=repcore._certificate_from_pair(r, m, v1, v2), log=log,
+                )
+    return ThicknessReport(m=m, verdict=THICK, method="definition", mode=r.mode, log=log)
+
+
 def _plucker_permutations(r, m):
     """Each generator g as a permutation of the m-subspaces in
     `enumerate_subspaces` order: V moves to the subspace whose Plucker point
@@ -558,32 +606,81 @@ def _random_reps(field, n, count, seed):
     ]
 
 
-def test_definition_matches_rank_scan_oracle():
-    F4 = GF(2, 2)
+def _definition_cases():
+    """Seeded reps over F2, F3, F4 and F5 with n = 3-5, each with its m."""
     cases = [(r, (1, 2, 3)) for r in _agreement_reps(20)]
     cases += [(r, (1, 2, 3)) for r in _random_reps(GF(3), 4, 2, 34)]
-    cases += [(r, (1, 2, 3)) for r in _random_reps(F4, 4, 3, 44)]
+    cases += [(r, (1, 2, 3)) for r in _random_reps(GF(2, 2), 4, 3, 44)]
     cases += [(r, (1, 2, 3)) for r in _random_reps(GF(5), 4, 2, 56)]
     cases += [(r, (1, 2)) for r in _random_reps(GF(2), 3, 6, 23)]
     cases += [(r, (1, 2, 3, 4)) for r in _random_reps(GF(2), 5, 3, 25)]
+    return cases
+
+
+def _assert_same_definition_report(r, m, new, old):
+    """Equal verdicts, whole logs and certificates (as JSON where the field
+    has one)."""
+    assert (new.verdict, new.log) == (old.verdict, old.log), (r.field, r.dim, m)
+    if new.certificate is None:
+        assert old.certificate is None
+    elif r.field == GF(2, 2):  # no JSON form: compare the fields
+        assert new.certificate == old.certificate
+    else:
+        assert serialize.dumps(
+            serialize.certificate_to_json(r, new.certificate)
+        ) == serialize.dumps(serialize.certificate_to_json(r, old.certificate))
+
+
+def test_definition_matches_rank_scan_oracle():
+    verdicts = set()
+    for r, ms in _definition_cases():
+        for m in ms:
+            new, old = is_m_thick_definition(r, m), _definition_by_rank_scan(r, m)
+            # the memo holds the certificates' lifts and the point action,
+            # no subspace permutations or masks
+            assert all(key[0] == "exterior" or key == ("point_action",) for key in r._memo)
+            _assert_same_definition_report(r, m, new, old)
+            verdicts.add((r.field, new.verdict))
+    for field in (GF(2), GF(3), GF(2, 2), GF(5)):
+        assert {(field, THICK), (field, NOT_THICK)} <= verdicts, field
+
+
+def test_running_and_matches_mask_by_mask_oracle():
+    cases = _definition_cases()
+    cases += [(r, (1, 2, 3)) for r in _workload_reps("build_fp_random_dim4", 1)[:100]]
     verdicts = set()
     for r, ms in cases:
         for m in ms:
-            new, old = is_m_thick_definition(r, m), _definition_by_rank_scan(r, m)
-            # the memo holds the certificates' lifts, no permutations or masks
-            assert all(key[0] == "exterior" for key in r._memo)
-            assert (new.verdict, new.log) == (old.verdict, old.log), (r.field, r.dim, m)
+            new = is_m_thick_definition(r, m)
+            _assert_same_definition_report(r, m, new, _definition_by_masks(r, m))
             verdicts.add((r.field, new.verdict))
-            if new.certificate is None:
-                assert old.certificate is None
-            elif r.field == F4:  # no JSON form: compare the fields
-                assert new.certificate == old.certificate
-            else:
-                assert serialize.dumps(
-                    serialize.certificate_to_json(r, new.certificate)
-                ) == serialize.dumps(serialize.certificate_to_json(r, old.certificate))
-    for field in (GF(2), GF(3), F4, GF(5)):
+    for field in (GF(2), GF(3), GF(2, 2), GF(5)):
         assert {(field, THICK), (field, NOT_THICK)} <= verdicts, field
+
+
+def test_one_point_action_per_rep(monkeypatch):
+    # a reducible F3 rep, so that all_submodules enumerates its lattice
+    gens = [[[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 2, 1]],
+            [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]]
+    calls = []
+    permute = repcore._point_permutations
+
+    def counting_permute(*args):
+        calls.append(None)
+        return permute(*args)
+
+    monkeypatch.setattr(repcore, "_point_permutations", counting_permute)
+    rep = group_rep(GF(3), gens)
+    reports = [is_m_thick_definition(rep, m) for m in (1, 2, 3)]
+    lattice = all_submodules(rep)
+    assert len(calls) == 1 and len(lattice) > 2
+    # the memo never changes an answer
+    fresh = group_rep(GF(3), gens)
+    assert [serialize.dumps(serialize.thickness_report_to_json(rep, x)) for x in reports] == [
+        serialize.dumps(serialize.thickness_report_to_json(fresh, is_m_thick_definition(fresh, m)))
+        for m in (1, 2, 3)
+    ]
+    assert all_submodules(fresh) == lattice
 
 
 def test_subspace_permutations_match_plucker_oracle():
@@ -592,36 +689,47 @@ def test_subspace_permutations_match_plucker_oracle():
     cases += [(r, (1, 2, 3, 4)) for r in _random_reps(GF(2), 5, 3, 25)]
     for r, ms in cases:
         for m in ms:
-            _, points, _, position, _, _ = _pair_table(r.field, r.dim, m)
+            _, points, position, _, _ = _pair_table(r.field, r.dim, m)
             moves = _subspace_permutations(r, points, position)
             assert moves == _plucker_permutations(r, m), (r.field, r.dim, m)
 
 
-def test_pair_table_masks_are_the_complement_test():
+def test_pair_table_through_is_the_complement_test():
     cases = [(GF(q), 4, (1, 2, 3)) for q in (2, 3, 5)]
     cases += [(GF(2, 2), 4, (1, 2, 3)), (GF(2), 5, (2,))]
     for f, n, ms in cases:
         npoints = projective_count(f.order, n)
         for m in ms:
-            subspaces, points, masks, position, complements, cmasks = _pair_table(f, n, m)
+            subspaces, points, position, complements, through = _pair_table(f, n, m)
             assert [v.mat.rows for v in subspaces] == [
                 v.mat.rows for v in enumerate_subspaces(f, n, m)
             ]
             assert [v.mat.rows for v in complements] == [
                 v.mat.rows for v in enumerate_subspaces(f, n, n - m)
             ]
+            masks = _masks_of(f, n, subspaces)
+            assert len(position) == len(masks)
             for i, (pts, mask) in enumerate(zip(points, masks)):
                 assert position[mask] == i
                 assert mask == sum(1 << j for j in pts) < 1 << npoints
                 assert len(pts) == projective_count(f.order, m)
+            # through is the complement masks read by point
+            cmasks = _masks_of(f, n, complements)
+            assert len(through) == npoints
+            for i, row in enumerate(through):
+                assert row == sum(1 << j for j, c in enumerate(cmasks) if c >> i & 1)
             # every pair over F2 and F3, a grid of about 2000 over F4 and F5
             size = len(subspaces) * len(complements)
             step = 1 if f.order <= 3 else math.ceil((size / 2000) ** 0.5)
             outcomes = set()
-            for v1, mask1 in zip(subspaces[::step], masks[::step]):
-                for v2, mask2 in zip(complements[::step], cmasks[::step]):
+            for v1, pts in zip(subspaces[::step], points[::step]):
+                meets = 0
+                for i in pts:
+                    meets |= through[i]
+                for j in range(0, len(complements), step):
+                    v2 = complements[j]
                     full = rank_of_rows(f, v1.mat.rows + v2.mat.rows, n) == n
-                    assert (mask1 & mask2 == 0) == full
+                    assert (meets >> j & 1 == 0) == full
                     outcomes.add(full)
             assert outcomes == {True, False}
 
