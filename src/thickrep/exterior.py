@@ -11,6 +11,7 @@ step v ^ w; general products and the complement pairing take theirs from
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -24,7 +25,7 @@ from .errors import (
     MalformedInput,
 )
 from .fields import DEFAULT_POINTS_CAP, field_tuples
-from .linalg import Matrix, Subspace, kernel
+from .linalg import Matrix, Subspace, kernel_of_rows, unit_vector
 
 
 @lru_cache(maxsize=None)
@@ -295,23 +296,19 @@ def perp(w: Subspace, n: int, m: int) -> Subspace:
             crank, sg = pairing[i]
             row[crank] = f.neg(c) if sg < 0 else c
         rows.append(row)
-    if not rows:
-        return Subspace.full(f, cols)
-    return kernel(Matrix(f, rows))
+    return kernel_of_rows(f, rows, cols)
 
 
 def annihilator_in_v(v: WedgeVector) -> Subspace:
     """{x in k^n : x ^ v = 0}, the decomposability detector."""
     f, n, m = v.field, v.n, v.m
-    if m >= n:
-        # Lambda^(n+1) = 0: every vector annihilates
-        return Subspace.full(f, n)
-    # the matrix of x -> x ^ v: row U holds +-v[U minus j] in column j
+    # the matrix of x -> x ^ v: row U holds +-v[U minus j] in column j; it
+    # has no rows when m >= n, as Lambda^(m+1) = 0
     entries = [[f.zero] * n for _ in range(comb(n, m + 1))]
     for row, face in zip(entries, faces(n, m + 1)):
         for t, (j, r) in enumerate(face):
             row[j] = f.neg(v.coords[r]) if t % 2 else v.coords[r]
-    return kernel(Matrix(f, entries))
+    return kernel_of_rows(f, entries, n)
 
 
 def is_decomposable(v: WedgeVector):
@@ -406,9 +403,12 @@ def _subspace_wedge_points(w: Subspace, n, m, coeff_iter):
         yield WedgeVector(f, n, m, v)
 
 
+RATIONAL_TRIALS = 400
+
+
 def realizable_search(
     w: Subspace, n: int, m: int, points_cap: int = DEFAULT_POINTS_CAP, seed: int = 0,
-    rational_trials: int = 400,
+    rational_trials: int = RATIONAL_TRIALS,
 ) -> RealizabilityResult:
     """Search w <= Lambda^m k^n for a nonzero decomposable vector.
 
@@ -454,19 +454,15 @@ def realizable_search(
     return RealizabilityResult("Unknown", scanned=scanned, exhaustive=False)
 
 
-def _heuristic_coefficients(field, d, seed, trials):
-    import random as _random
-
-    f = field
-    one, zero = f.one, f.zero
+def _heuristic_coefficients(f, d, seed, trials):
     # basis vectors first
     for i in range(d):
-        yield tuple(one if j == i else zero for j in range(d))
+        yield unit_vector(f, d, i)
     # small grid when it stays modest
     small = [f.from_int(i) for i in (0, 1, -1, 2, -2)]
     if len(small) ** d <= 4096:
         for coeffs in itertools.product(small, repeat=d):
             yield coeffs
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     for _ in range(trials):
         yield tuple(f.random(rng) for _ in range(d))

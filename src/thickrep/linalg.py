@@ -228,19 +228,25 @@ def solve_linear(m: Matrix, rhs):
 
 def kernel(m: Matrix) -> "Subspace":
     """Null space {x : m x = 0} as a canonical subspace of k^ncols."""
-    f = m.field
-    nc = m.ncols
-    red, rank, pivots = rref(m)
-    pivset = set(pivots)
-    free = [c for c in range(nc) if c not in pivset]
-    basis = []
-    for fc in free:
-        v = [f.zero] * nc
-        v[fc] = f.one
-        for i, pc in enumerate(pivots):
-            v[pc] = f.neg(red.rows[i][fc])
-        basis.append(v)
-    return Subspace.from_vectors(f, nc, basis)
+    return kernel_of_rows(m.field, m.rows, m.ncols)
+
+
+def kernel_of_rows(field, rows, ncols) -> "Subspace":
+    """Null space {x in k^ncols : <row, x> = 0 for every row}, as a canonical
+    subspace; a system is its rows plus its number of unknowns, so no rows
+    give all of k^ncols."""
+    basis = RowBasis.spanning(field, ncols, rows)
+    pivset = set(basis.pivots)
+    vectors = []
+    for fc in range(ncols):
+        if fc in pivset:
+            continue
+        v = [field.zero] * ncols
+        v[fc] = field.one
+        for row, pc in zip(basis.rows, basis.pivots):
+            v[pc] = field.neg(row[fc])
+        vectors.append(v)
+    return Subspace.from_vectors(field, ncols, vectors)
 
 
 class Subspace:
@@ -319,18 +325,13 @@ class Subspace:
 
     def annihilator(self) -> "Subspace":
         """{f in k^n : <f, v> = 0 for all v in the subspace}."""
-        if self.dim == 0:
-            return Subspace.full(self.field, self.ambient)
-        return kernel(self.mat)
+        return kernel_of_rows(self.field, self.mat.rows, self.ambient)
 
     def intersect(self, other: "Subspace"):
         self._check(other)
         a = self.annihilator()
         b = other.annihilator()
-        stacked = Matrix(self.field, a.mat.rows + b.mat.rows)
-        if stacked.nrows == 0:
-            return Subspace.full(self.field, self.ambient)
-        return kernel(stacked)
+        return kernel_of_rows(self.field, a.mat.rows + b.mat.rows, self.ambient)
 
     def direct_sum_is_ambient(self, other: "Subspace"):
         self._check(other)

@@ -28,15 +28,18 @@ from .errors import (
     PreconditionFailed,
     WrongField,
 )
-from .fields import GF, Rationals, poly_roots
+from .fields import DEFAULT_POINTS_CAP, GF, Rationals, poly_roots
 from .linalg import (
     Matrix,
     RowBasis,
     Subspace,
     charpoly,
     kernel,
+    kernel_of_rows,
+    unit_vector,
 )
 from .exterior import (
+    RATIONAL_TRIALS,
     compound,
     derivation,
     field_tuples,
@@ -65,12 +68,12 @@ class Caps:
     object in the environment) overrides individual fields."""
 
     group_cap: int = 100_000
-    points_cap: int = 1_000_000
+    points_cap: int = DEFAULT_POINTS_CAP
     submodule_points_cap: int = 50_000
     lattice_cap: int = 20_000
     pair_cap: int = 1_000_000
     candidate_cap: int = 2_000
-    rational_trials: int = 400
+    rational_trials: int = RATIONAL_TRIALS
     isotypic_summands_max: int = 14
 
     @classmethod
@@ -523,16 +526,15 @@ def commutant(r: Representation):
     Diagonal generators are handled combinatorially first: they force
     M[i][j] = 0 whenever positions i and j have different joint eigenvalue
     signatures, which keeps the linear solve small for split Lie examples.
+    With no diagonal generator every signature is empty and every position
+    stays.
     """
     f = r.field
     n = r.dim
     diag = [g for g in r.generators if _is_diagonal(g)]
     others = [g for g in r.generators if not _is_diagonal(g)]
-    if diag:
-        sig = [tuple(g.rows[i][i] for g in diag) for i in range(n)]
-        positions = [(i, j) for i in range(n) for j in range(n) if sig[i] == sig[j]]
-    else:
-        positions = [(i, j) for i in range(n) for j in range(n)]
+    sig = [tuple(g.rows[i][i] for g in diag) for i in range(n)]
+    positions = [(i, j) for i in range(n) for j in range(n) if sig[i] == sig[j]]
     pos_index = {pos: k for k, pos in enumerate(positions)}
     nvars = len(positions)
     rows = []
@@ -557,13 +559,8 @@ def commutant(r: Representation):
                         nonzero = True
                 if nonzero:
                     rows.append(row)
-    if rows:
-        sol = kernel(Matrix(f, rows))
-        coeff_vectors = sol.basis_vectors()
-    else:
-        coeff_vectors = Matrix.identity(f, nvars).rows
     basis = []
-    for vec in coeff_vectors:
+    for vec in kernel_of_rows(f, rows, nvars).basis_vectors():
         entries = [[zero] * n for _ in range(n)]
         for (i, j), c in zip(positions, vec):
             entries[i][j] = c
@@ -704,9 +701,6 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
 def enumerate_subspaces(field, n: int, k: int):
     """All k-dim subspaces of k^n over a finite field, lazily, via canonical
     RREF profiles: pivot columns in lex order, then free entries."""
-    if k == 0:
-        yield Subspace.zero(field, n)
-        return
     zero, one = field.zero, field.one
     for pivots in itertools.combinations(range(n), k):
         pivset = set(pivots)
@@ -990,9 +984,7 @@ def _spin_candidates(r, ext, m, caps: Caps, seed: int, log: dict):
 
 def _rational_candidate_subspaces(f, n, m, caps: Caps, seed: int):
     for combo in itertools.combinations(range(n), m):
-        yield Subspace.from_vectors(
-            f, n, [[f.one if j == i else f.zero for j in range(n)] for i in combo]
-        )
+        yield Subspace.from_vectors(f, n, [unit_vector(f, n, i) for i in combo])
     rng = random.Random(seed)
     for _ in range(caps.rational_trials):
         vecs = [[f.random(rng) for _ in range(n)] for _ in range(m)]

@@ -25,6 +25,7 @@ from .linalg import (
     RowBasis,
     Subspace,
     kernel,
+    kernel_of_rows,
     random_independent,
     rank_of_rows,
     solve_linear,
@@ -191,12 +192,8 @@ def symplectic_normal_basis(sp: SymplecticSpace, w: Subspace):
 
     # fill the remaining dimension with fresh hyperbolic pairs
     while len(pairs) < n:
-        flat = [x for p in pairs for x in p]
-        if flat:
-            compl = kernel(Matrix(f, [_omega_row(sp, u) for u in flat]))
-        else:
-            compl = Subspace.full(f, N)
-        cb = compl.basis_vectors()
+        rows = [_omega_row(sp, u) for p in pairs for u in p]
+        cb = kernel_of_rows(f, rows, N).basis_vectors()
         u0 = cb[0]
         partner = None
         for y in cb[1:]:
@@ -248,19 +245,15 @@ def lagrangian_complement(sp: SymplecticSpace, w: Subspace) -> Subspace:
         w0 = w
     basis, k, l = symplectic_normal_basis(sp, w0)
     v = basis  # v[i] is v_(i+1)
-    gens = []
-    if k == 0:
-        gens = v[n:]
-    else:
-        gens.extend(v[n + k : 2 * n - k])
-        for i in range(1, k + 1):
-            gens.append(
-                tuple(f.add(a, b) for a, b in zip(v[n - k + i - 1], v[n + i - 1]))
-            )
-        for i in range(1, k + 1):
-            gens.append(
-                tuple(f.add(a, b) for a, b in zip(v[2 * n - k + i - 1], v[i - 1]))
-            )
+    gens = list(v[n + k : 2 * n - k])
+    for i in range(1, k + 1):
+        gens.append(
+            tuple(f.add(a, b) for a, b in zip(v[n - k + i - 1], v[n + i - 1]))
+        )
+    for i in range(1, k + 1):
+        gens.append(
+            tuple(f.add(a, b) for a, b in zip(v[2 * n - k + i - 1], v[i - 1]))
+        )
     L = Subspace.from_vectors(f, N, gens)
     if L.dim != n or not is_isotropic(sp, L):
         raise ConstructionError("complement is not Lagrangian")

@@ -177,6 +177,20 @@ def test_perp_extremes():
     assert perp(Subspace.full(QQ, 6), 4, 2) == Subspace.zero(QQ, 6)
 
 
+def test_perp_of_zero_and_annihilator_past_the_top_are_the_whole_space():
+    # both are kernels of systems with no equations
+    for field in (QQ, GF(2), GF(5)):
+        for n in range(1, 6):
+            for m in range(n + 1):
+                z = Subspace.zero(field, comb(n, m))
+                assert perp(z, n, m) == Subspace.full(field, comb(n, n - m))
+            top = WedgeVector(field, n, n, [field.from_int(3)])
+            assert annihilator_in_v(top) == Subspace.full(field, n)
+            assert is_decomposable(top)[0]
+            past = WedgeVector.zero(field, n, n + 1)
+            assert annihilator_in_v(past) == Subspace.full(field, n)
+
+
 def test_perp_perfection_random():
     rng = random.Random(31)
     for field in (QQ, GF(2), GF(3)):

@@ -12,6 +12,7 @@ from thickrep.linalg import (
     charpoly,
     det,
     kernel,
+    kernel_of_rows,
     random_independent,
     random_invertible,
     rank_of_rows,
@@ -157,6 +158,47 @@ def test_rank_nullity_random():
             nr, nc = rng.randint(1, 5), rng.randint(1, 5)
             m = Matrix(field, [[field.random(rng) for _ in range(nc)] for _ in range(nr)])
             assert kernel(m).dim + m.rank() == nc
+
+
+def test_kernel_of_rows_matches_kernel_of_its_matrix():
+    rng = random.Random(29)
+    for field in (QQ, GF(2), GF(5), GF(2, 2)):
+        rand = lambda r, c: [[field.random(rng) for _ in range(c)] for _ in range(r)]
+        for k in range(5):
+            assert kernel_of_rows(field, [], k) == Subspace.full(field, k)
+        for _ in range(15):
+            nc = rng.randint(1, 6)
+            low = rand(rng.randint(1, 3), nc)
+            coeffs = rand(rng.randint(1, 7), len(low))
+            systems = [
+                rand(rng.randint(1, 7), nc),
+                # rank-deficient: every row a combination of the rows of `low`
+                [[field.dot(c, col) for col in zip(*low)] for c in coeffs],
+                # full rank: the rows of an invertible matrix, kernel zero
+                random_invertible(field, nc, rng).rows,
+                [[field.zero] * nc for _ in range(rng.randint(1, 3))],
+            ]
+            for rows in systems:
+                k = kernel_of_rows(field, rows, nc)
+                assert k == kernel(Matrix(field, rows)), (field.kind, rows)
+                assert k.dim == nc - rank_of_rows(field, rows, nc)
+                assert all(field.dot(r, v) == field.zero
+                           for r in rows for v in k.basis_vectors())
+
+
+def test_empty_systems_in_annihilator_and_intersect():
+    for field in (QQ, GF(2), GF(5)):
+        for n in range(4):
+            zero, full = Subspace.zero(field, n), Subspace.full(field, n)
+            assert zero.annihilator() == full
+            assert full.annihilator() == zero
+            # both annihilators zero: no equations, the whole space
+            assert full.intersect(full) == full
+            assert full.intersect(zero) == zero.intersect(full) == zero
+            assert zero.intersect(zero) == zero
+        line = Subspace.from_vectors(field, 3, [(field.one, field.one, field.zero)])
+        assert line.intersect(Subspace.full(field, 3)) == line
+        assert line.intersect(Subspace.zero(field, 3)) == Subspace.zero(field, 3)
 
 
 def test_subspace_direct_sum():
@@ -326,6 +368,10 @@ def test_echelon_routines_match_batch_oracle():
             k = kernel(m)
             null = _kernel_rows(field, work, pivots, nc)
             assert k.mat == Matrix(field, null) and k.ambient == nc, label
+        # no rows: the oracle's kernel is every unit vector, all of k^nc
+        k = kernel_of_rows(field, rows, nc)
+        assert k.mat == Matrix(field, _kernel_rows(field, work, pivots, nc)), label
+        assert k.ambient == nc, label
         assert rank_of_rows(field, rows, nc) == rank, label
         sub = Subspace.from_vectors(field, nc, rows)
         assert sub.mat == Matrix(field, work[:rank]), label

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import importlib.util
+import inspect
 import math
 import pathlib
 import random
@@ -965,6 +966,33 @@ def test_commutant_diagonal_reduction_agrees():
     assert dim1 == dim2 == 1
 
 
+def _unit_matrices(field, n, positions):
+    return [Matrix(field, [[field.one if (i, j) == pos else field.zero for j in range(n)]
+                           for i in range(n)]) for pos in positions]
+
+
+def test_commutant_of_systems_without_equations_and_without_diagonal_generators():
+    # only diagonal generators: no equations, so every position whose
+    # signatures agree carries one unit matrix, in row-major order
+    zero_lie = Representation(QQ, 2, LIE, [Matrix.zero(QQ, 2, 2)])
+    all_four = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert commutant(zero_lie) == (4, _unit_matrices(QQ, 2, all_four))
+    diag_112 = group_rep(QQ, [[[1, 0, 0], [0, 1, 0], [0, 0, 2]]])
+    assert commutant(diag_112) == (5, _unit_matrices(QQ, 3, all_four + [(2, 2)]))
+    # no diagonal generator: the empty signature keeps every position
+    expected = {
+        "ROT": [[[1, 0], [0, 1]], [[0, 1], [-1, 0]]],
+        "unipotent": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]],
+        "3-cycle": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
+                    [[0, 0, 1], [1, 0, 0], [0, 1, 0]]],
+    }
+    gens = {"ROT": ROT, "unipotent": [[1, 1], [0, 1]],
+            "3-cycle": [[0, 0, 1], [1, 0, 0], [0, 1, 0]]}
+    for name, g in gens.items():
+        basis = [M(QQ, b) for b in expected[name]]
+        assert commutant(group_rep(QQ, [g])) == (len(basis), basis), name
+
+
 def test_isotypic_absolutely_irreducible():
     r = group_rep(QQ, [ROT, [[1, 1], [1, 0]]])
     assert isotypic_decomposition(r) == [Subspace.full(QQ, 2)]
@@ -1017,6 +1045,14 @@ def test_enumerate_subspaces_counts_and_canonical():
             assert redone == s
     first = next(iter(enumerate_subspaces(GF(2), 4, 2)))
     assert first == Subspace.from_vectors(GF(2), 4, [(1, 0, 0, 0), (0, 1, 0, 0)])
+
+
+def test_enumerate_subspaces_of_dimension_zero_is_the_zero_subspace():
+    for field in (GF(2), GF(3), GF(2, 2)):
+        for n in range(5):
+            subs = list(enumerate_subspaces(field, n, 0))
+            assert subs == [Subspace.zero(field, n)]
+            assert subs[0].pivots == ()
 
 
 def test_definition_thick_gl2_f2():
@@ -1379,6 +1415,13 @@ def _random_dim4_reps(count, seed):
     for i in range(count):
         field = GF((2, 3)[i % 2])
         yield Representation(field, 4, GROUP, [random_invertible(field, 4, rng) for _ in range(2)])
+
+
+def test_caps_defaults_are_the_realizable_search_defaults():
+    defaults = inspect.signature(realizable_search).parameters
+    caps = Caps()
+    assert caps.points_cap == defaults["points_cap"].default
+    assert caps.rational_trials == defaults["rational_trials"].default
 
 
 def test_the_lattice_memo_keys_on_the_caps_it_reads():

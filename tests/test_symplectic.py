@@ -6,7 +6,7 @@ import pytest
 
 from thickrep.errors import CodimMismatch, CodimTooLarge, PreconditionFailed
 from thickrep.fields import GF, QQ
-from thickrep.linalg import Subspace, rank_of_rows, unit_vector
+from thickrep.linalg import Matrix, Subspace, rank_of_rows, unit_vector
 from thickrep.exterior import (
     WedgeVector,
     is_decomposable,
@@ -128,6 +128,34 @@ def test_lagrangian_complement_of_lagrangian():
     assert is_isotropic(sp, L0)
     L = lagrangian_complement(sp, L0)
     assert rank_of_rows(QQ, L.basis_vectors() + L0.basis_vectors(), 4) == 4
+
+
+def test_normal_basis_of_zero_fills_from_the_whole_space():
+    # the first fresh pair is solved from no equations: all of k^2n
+    for field in (QQ, GF(2), GF(5)):
+        for n in (1, 2, 3):
+            sp = SymplecticSpace(n, field)
+            basis, k, l = symplectic_normal_basis(sp, Subspace.zero(field, 2 * n))
+            assert (basis, k, l) == (list(Matrix.identity(field, 2 * n).rows), 0, n)
+
+
+def test_lagrangian_complement_without_hyperbolic_pairs_is_the_second_half():
+    # a Lagrangian w has k = 0, and its complement is v_(n+1), ..., v_2n
+    rng = random.Random(3)
+    for field in (QQ, GF(5)):
+        for n in (1, 2, 3):
+            sp = SymplecticSpace(n, field)
+            for _ in range(5):
+                # the graph of a symmetric matrix is Lagrangian
+                sym = [[field.random(rng) for _ in range(n)] for _ in range(n)]
+                rows = [unit_vector(field, n, i) + tuple(
+                    field.add(sym[i][j], sym[j][i]) for j in range(n)) for i in range(n)]
+                w = Subspace.from_vectors(field, 2 * n, rows)
+                assert is_isotropic(sp, w)
+                basis, k, _ = symplectic_normal_basis(sp, w)
+                assert k == 0
+                assert lagrangian_complement(sp, w) == Subspace.from_vectors(
+                    field, 2 * n, basis[n:])
 
 
 def test_lagrangian_codim_too_large():
