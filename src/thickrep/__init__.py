@@ -2,8 +2,8 @@
 finite-dimensional representations, with realizable-subspace certificates.
 """
 
-from .fields import GF, QQ, Poly, Scalar, nth_roots, poly_factor_fp, scalar_arith
-from .linalg import Matrix, Subspace, charpoly, kernel, rref, subspace_algebra
+from .fields import GF, QQ, Poly, Scalar, nth_roots, poly_factor_fp, scalar, scalar_arith
+from .linalg import Matrix, Subspace, charpoly, det, kernel, rref, subspace_algebra
 from .exterior import (
     WedgeVector,
     compound,

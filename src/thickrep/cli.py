@@ -106,7 +106,8 @@ def cmd_check(args) -> int:
         absolute = args.method == "burnside"
         m = args.m if args.mode == "dense" else 1
         if absolute and 0 < m < rep.dim:
-            # the route that decided: "norton", "commutant" or "closure"
+            # the route that decided: "norton", "submodule" (finite fields),
+            # "commutant" or "closure"
             decision = absolute_irreducibility(exterior_rep(rep, m))
             report.update({"verdict": decision.verdict, "route": decision.route})
         else:

@@ -213,16 +213,18 @@ def charpoly(m: Matrix) -> Poly:
     return Poly(f, list(reversed(c)))
 
 
-def solve_linear(m: Matrix, rhs):
-    """One solution x of m x = rhs (free variables zero), or None."""
-    f = m.field
-    aug = Matrix(f, [tuple(row) + (b,) for row, b in zip(m.rows, rhs)])
-    red, rank, pivots = rref(aug)
-    if pivots and pivots[-1] == m.ncols:
+def solve_rows(field, rows, rhs, ncols):
+    """One solution x in k^ncols of <rows[i], x> = rhs[i] for every i (free
+    variables zero), or None; as in `kernel_of_rows`, no rows give the zero
+    vector of length ncols."""
+    basis = RowBasis.spanning(
+        field, ncols + 1, [tuple(row) + (b,) for row, b in zip(rows, rhs)]
+    )
+    if basis.pivots and basis.pivots[-1] == ncols:
         return None
-    x = [f.zero] * m.ncols
-    for i, pc in enumerate(pivots):
-        x[pc] = red.rows[i][-1]
+    x = [field.zero] * ncols
+    for row, pc in zip(basis.rows, basis.pivots):
+        x[pc] = row[-1]
     return tuple(x)
 
 

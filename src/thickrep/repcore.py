@@ -237,39 +237,36 @@ def _absolutely_irreducible(r: Representation):
     The reduction is built in LIE mode, because a group generator may be
     singular mod p and spinning needs only the matrices.  None means no
     proof: the field is not Q, every candidate prime divides a denominator,
-    the reduction is reducible, or the test's tries found no such
-    eigenspace."""
+    or the test does not answer YES; a submodule of the reduction says
+    nothing about `r`, which may not split over Q."""
     if not isinstance(r.field, Rationals):
         return None
     p = _reduction_prime(r.generators)
     if p is None:
         return None
     reduced = [_reduce_matrix_mod(g, p) for g in r.generators]
-    proof = _norton_irreducible(Representation(GF(p), r.dim, LIE, reduced))
-    return proof and (p, *proof)
+    outcome = _norton_irreducible(Representation(GF(p), r.dim, LIE, reduced))
+    return (p, *outcome[1]) if outcome and outcome[0] == YES else None
 
 
 def burnside_dim(r: Representation) -> int:
-    """Dimension of the unital matrix algebra generated by the generators;
-    equals dim^2 exactly when the representation is absolutely irreducible.
-
-    Over the rationals, one Norton test on the reduction mod a prime near
-    100 (`_absolutely_irreducible`) proves most absolutely irreducible reps
-    so at once; when it proves nothing, and over every finite field, the
-    algebra is closed exactly by breadth-first products of the generators.
-    """
-    n = r.dim
-    if _absolutely_irreducible(r):
-        return n * n
-    return _algebra_closure_dim(r.field, r.generators, n)
+    """Dimension of the unital matrix algebra generated by the generators,
+    closed exactly by breadth-first products of the generators; equals
+    dim^2 exactly when the representation is absolutely irreducible.
+    `absolute_irreducibility` decides that question faster, with a
+    witness."""
+    return _algebra_closure_dim(r.field, r.generators, r.dim)
 
 
 @dataclass(frozen=True)
 class AbsoluteIrreducibility:
     """Is the rep absolutely irreducible: the verdict, the route that decided
-    and its witness.  "norton" (YES): `_absolutely_irreducible`'s proof;
-    "commutant" (NO): a non-scalar matrix commuting with every generator;
-    "closure" (YES or NO): the dimension of the generated algebra."""
+    and its witness.  "norton" (YES): Norton's proof, (theta's coefficients,
+    lambda) over a finite field and `_absolutely_irreducible`'s
+    (p, coefficients, lambda) over Q; "submodule" (NO, finite fields only):
+    a proper invariant subspace; "commutant" (NO): a non-scalar matrix
+    commuting with every generator; "closure" (YES or NO): the dimension of
+    the generated algebra."""
 
     verdict: str
     route: str
@@ -277,28 +274,36 @@ class AbsoluteIrreducibility:
 
 
 def absolute_irreducibility(r: Representation) -> AbsoluteIrreducibility:
-    """Decide absolute irreducibility with a witness either way.
+    """Decide absolute irreducibility with a witness either way, by one
+    ladder on every field.
 
-    Over Q: Norton's proof mod p (YES); else the commutant, since the
-    commutant of M_N is the scalars (Schur), so one non-scalar commuting
-    matrix proves NO; else the exact algebra closure.  Over a finite field
-    the closure decides alone."""
+    First Norton's test (`_norton`): over a finite field it runs on `r`
+    itself and answers YES or NO, and over Q it runs on the reduction mod p
+    and answers YES only.  A finite field too large for `check_scan`
+    skips it.  Then the commutant, since the commutant of M_N is the
+    scalars (Schur), so one non-scalar commuting matrix proves NO; then
+    the exact algebra closure."""
     return _absolute_irreducibility(r)[0]
 
 
 def _absolute_irreducibility(r: Representation):
     """(the decision, `commutant(r)` when it was solved, else None)."""
-    comm = None
-    if not r.field.finite:
+    f = r.field
+    if not f.finite:
         proof = _absolutely_irreducible(r)
-        if proof:
-            return AbsoluteIrreducibility(YES, "norton", proof), None
-        comm = commutant(r)
-        if comm[0] > 1:
-            ident = Matrix.identity(r.field, r.dim)
-            witness = next(b for b in comm[1] if b != ident.scale(b.rows[0][0]))
-            return AbsoluteIrreducibility(NO, "commutant", witness), comm
-    dim = _algebra_closure_dim(r.field, r.generators, r.dim)
+        outcome = proof and (YES, proof)
+    else:
+        outcome = _norton(r) if f.order <= DEFAULT_POINTS_CAP else None
+    if outcome:
+        verdict, witness = outcome
+        route = "norton" if verdict == YES else "submodule"
+        return AbsoluteIrreducibility(verdict, route, witness), None
+    comm = commutant(r)
+    if comm[0] > 1:
+        ident = Matrix.identity(f, r.dim)
+        witness = next(b for b in comm[1] if b != ident.scale(b.rows[0][0]))
+        return AbsoluteIrreducibility(NO, "commutant", witness), comm
+    dim = _algebra_closure_dim(f, r.generators, r.dim)
     return AbsoluteIrreducibility(YES if dim == r.dim ** 2 else NO, "closure", dim), comm
 
 
@@ -357,7 +362,8 @@ _NORTON_TRIES = 8
 
 
 def _norton_irreducible(r: Representation):
-    """Norton's irreducibility test (Parker 1984; Holt & Rees 1994).
+    """Norton's irreducibility test (Parker 1984; Holt & Rees 1994), with a
+    witness either way.
 
     Draw theta from the span of the generators and their pairwise products,
     and look for an eigenvalue lambda in the field (from `poly_roots` of its
@@ -366,15 +372,17 @@ def _norton_irreducible(r: Representation):
     the whole space under the transposed generators, the module is
     irreducible: a proper submodule U either contains the line, or
     theta - lambda is invertible on U and so singular on V/U, whose dual
-    U^perp then contains the transposed line.
+    U^perp then contains the transposed line.  The same holds over every
+    extension field, so the module is absolutely irreducible.
 
-    Returns the proof, (theta's coefficients, lambda), when it succeeds,
-    and None when a spin of an eigenvector is proper (the module is
-    reducible) or no theta among the fixed number of tries has a
-    one-dimensional eigenspace.  Irreducible modules that are not
-    absolutely irreducible always end in None, since their eigenspaces over
-    the field have dimension divisible by the degree of the splitting
-    extension.
+    Returns (YES, (theta's coefficients, lambda)) when the test succeeds;
+    (NO, W) with W a proper invariant subspace when a spin is proper: the
+    spin of an eigenvector, or the annihilator of the transposed line's
+    spin, which the transposed generators leave invariant; and None when no
+    theta among the fixed number of tries has a one-dimensional
+    eigenspace.  Irreducible modules that are not absolutely irreducible
+    always end in None, since their eigenspaces over the field have
+    dimension divisible by the degree of the splitting extension.
     """
     f = r.field
     n = r.dim
@@ -394,16 +402,26 @@ def _norton_irreducible(r: Representation):
         for lam, _ in poly_roots(charpoly(theta)):
             shifted = theta - ident.scale(lam)
             null = kernel(shifted)
-            if spin(r, null.basis_vectors()[:1]).dim < n:
-                return None
+            w = spin(r, null.basis_vectors()[:1])
+            if w.dim < n:
+                return NO, w
             if null.dim != 1:
                 continue
             # spinning needs only the matrices, and LIE mode skips the
             # invertibility check that transposed group generators pass anyway
             dual = Representation(f, n, LIE, [g.transpose() for g in gens])
-            coline = kernel(shifted.transpose())
-            return (coeffs, lam) if spin(dual, coline.basis_vectors()).dim == n else None
+            w = spin(dual, kernel(shifted.transpose()).basis_vectors())
+            return (YES, (coeffs, lam)) if w.dim == n else (NO, w.annihilator())
     return None
+
+
+def _norton(r: Representation):
+    """`_norton_irreducible(r)`, memoised on `r`: it reads the generators
+    and the fixed `_NORTON_SEED` alone, no cap and no seed."""
+    key = ("norton",)
+    if key not in r._memo:
+        r._memo[key] = _norton_irreducible(r)
+    return r._memo[key]
 
 
 def all_submodules(r: Representation, caps: Caps | None = None):
@@ -414,12 +432,12 @@ def all_submodules(r: Representation, caps: Caps | None = None):
     is too large for `poly_roots` to search for eigenvalues.
 
     A line is irreducible and needs no search.  Otherwise, after the
-    projective-point cap check, Norton's test (see `_norton_irreducible`)
+    projective-point cap check, Norton's test (`_norton`, memoised on `r`)
     tries to prove the module irreducible and then returns [0, V] at once.
-    It falls through to `_enumerate_submodules` when it finds a proper spin
-    (the module is reducible) or when none of its fixed number of seeded
-    tries finds a one-dimensional eigenspace, which always happens for
-    irreducible modules that are not absolutely irreducible.
+    It falls through to `_enumerate_submodules` when it finds a proper
+    invariant subspace (the module is reducible) or when none of its fixed
+    number of seeded tries finds a one-dimensional eigenspace, which always
+    happens for irreducible modules that are not absolutely irreducible.
 
     The lattice is memoised on `r`, keyed on the two caps it reads; each
     call returns a fresh list, and a raised error is not memoised.
@@ -441,7 +459,7 @@ def _submodule_lattice(r: Representation, caps: Caps):
     npts = projective_count(f.order, n)
     if npts > caps.submodule_points_cap:
         raise CapExceeded("projective point count %d exceeds cap" % npts)
-    if caps.lattice_cap >= 2 and (n == 1 or _norton_irreducible(r)):
+    if caps.lattice_cap >= 2 and (n == 1 or (_norton(r) or (NO,))[0] == YES):
         return [Subspace.zero(f, n), Subspace.full(f, n)]
     return _enumerate_submodules(r, caps)
 
@@ -634,9 +652,12 @@ def is_m_dense(r: Representation, m: int, absolute: bool = True,
     """Is Lambda^m of the representation irreducible?  "Yes" / "No" / "Unknown".
 
     Absolute mode asks `absolute_irreducibility` of Lambda^m (over any
-    field).  Non-absolute mode is exact over finite fields via complete
-    submodule enumeration; over the rationals an absolutely irreducible
-    Lambda^m still certifies "Yes" and anything else is "Unknown".
+    field).  Non-absolute mode is exact over finite fields: after the
+    projective-point cap check, Norton's test (`_norton`) decides with a
+    witness either way, and only when it finds none does the complete
+    submodule lattice decide.  Over the rationals an absolutely
+    irreducible Lambda^m still certifies "Yes" and anything else is
+    "Unknown".
     """
     n = r.dim
     if m < 0 or m > n:
@@ -648,6 +669,11 @@ def is_m_dense(r: Representation, m: int, absolute: bool = True,
     if absolute:
         return absolute_irreducibility(ext).verdict
     if r.field.finite:
+        if projective_count(r.field.order, ext.dim) > caps.submodule_points_cap:
+            return UNKNOWN
+        outcome = _norton(ext)
+        if outcome:
+            return outcome[0]
         try:
             subs = all_submodules(ext, caps)
         except CapExceeded:
@@ -744,11 +770,14 @@ def _pair_table(f, n: int, m: int):
     else:
         complements = tuple(enumerate_subspaces(f, n, n - m))
         cpoints = map(points_of, complements)
-    through = [0] * len(index)
+    # one bytearray per point, converted once: an int |= would copy all
+    # n2 bits at every incidence
+    through = [bytearray((len(complements) + 7) // 8) for _ in index]
     for j, pts in enumerate(cpoints):
+        byte, bit = j >> 3, 1 << (j & 7)
         for i in pts:
-            through[i] |= 1 << j
-    through = tuple(through)
+            through[i][byte] |= bit
+    through = tuple(int.from_bytes(b, "little") for b in through)
     return subspaces, points, position, complements, through
 
 

@@ -28,7 +28,7 @@ from .linalg import (
     kernel_of_rows,
     random_independent,
     rank_of_rows,
-    solve_linear,
+    solve_rows,
 )
 from .exterior import (
     derivation,
@@ -185,7 +185,7 @@ def symplectic_normal_basis(sp: SymplecticSpace, w: Subspace):
             rhs.append(zero)
         rows.append(_omega_row(sp, v0))
         rhs.append(f.one)
-        z = solve_linear(Matrix(f, rows), rhs)
+        z = solve_rows(f, rows, rhs, N)
         if z is None:
             raise ConstructionError("no symplectic partner found")
         pairs.append((v0, z))

@@ -29,8 +29,9 @@ from .repcore import (
     NOT_THICK,
     THICK,
     Representation,
+    YES,
+    absolute_irreducibility,
     all_submodules,
-    burnside_dim,
     exterior_rep,
     group_closure,
     is_invariant,
@@ -199,7 +200,7 @@ def item_block_rep_f13(seed, caps):
     details = {}
     F13 = GF(13)
     res = build_block_rep(2, 2, F13, alphas=(1, 4), betas=(3, 9), seed=seed)
-    _check(burnside_dim(res.rep) == 16, details, "burnside_16")
+    _check(absolute_irreducibility(res.rep).verdict == YES, details, "burnside_16")
     report = is_m_thick_criterion(res.rep, 2, caps, seed=seed)
     _check(report.verdict == NOT_THICK, details, "criterion_not_thick_m2")
     expected_w1 = Subspace.from_vectors(
@@ -386,7 +387,8 @@ def item_symplectic_suite(seed, caps):
 def item_so_split_examples(seed, caps):
     details = {}
     so5 = Representation(QQ, 5, LIE, lie_generators("so_split", 5), label="so5_standard")
-    _check(burnside_dim(exterior_rep(so5, 2)) == 100, details, "so5_wedge2_burnside_100")
+    _check(absolute_irreducibility(exterior_rep(so5, 2)).verdict == YES, details,
+           "so5_wedge2_burnside_100")
     _check(is_m_dense(so5, 2, absolute=True) == "Yes", details, "so5_2_dense")
     so4 = Representation(QQ, 4, LIE, lie_generators("so_split", 4), label="so4_standard")
     dec = isotypic_decomposition(exterior_rep(so4, 2), seed=seed)

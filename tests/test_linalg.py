@@ -17,6 +17,7 @@ from thickrep.linalg import (
     random_invertible,
     rank_of_rows,
     rref,
+    solve_rows,
     subspace_algebra,
     unit_vector,
 )
@@ -184,6 +185,21 @@ def test_kernel_of_rows_matches_kernel_of_its_matrix():
                 assert k.dim == nc - rank_of_rows(field, rows, nc)
                 assert all(field.dot(r, v) == field.zero
                            for r in rows for v in k.basis_vectors())
+
+
+def test_solve_rows_keeps_its_width():
+    for field in (QQ, GF(2), GF(5)):
+        one, zero = field.one, field.zero
+        # no rows: the zero vector of length ncols, whatever ncols is
+        for k in range(4):
+            assert solve_rows(field, [], [], k) == (zero,) * k
+        # x0 + x1 = 1 and x0 + x1 = 0 cannot both hold
+        assert solve_rows(field, [(one, one, zero)] * 2, [one, zero], 3) is None
+        # x0 + x1 = 1, x1 = 1: x1 = 1, x0 = 0, the free x2 is zero
+        rows, rhs = [(one, one, zero), (zero, one, zero)], [one, one]
+        x = solve_rows(field, rows, rhs, 3)
+        assert x == (zero, one, zero)
+        assert [field.dot(r, x) for r in rows] == rhs
 
 
 def test_empty_systems_in_annihilator_and_intersect():

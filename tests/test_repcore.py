@@ -224,16 +224,12 @@ def _q_exact_reps(seed=1):
     return _workload_reps("build_q_exact", seed)
 
 
-def _check_norton_witness(r, witness):
-    """Rebuild theta mod p from the coefficients over the generators and
+def _check_norton_proof(F, gens, coeffs, lam):
+    """Rebuild theta over F from the coefficients over the generators and
     their pairwise products among the first three: its lambda-eigenspace is
     a line that spins to k^N, and the transposed line spins under the
     transposed generators."""
-    p, coeffs, lam = witness
-    assert p == repcore._reduction_prime(r.generators)
-    F, n = GF(p), r.dim
-    gens = [Matrix(F, [[x.numerator * pow(x.denominator, -1, p) % p for x in row]
-                       for row in g.rows]) for g in r.generators]
+    n = gens[0].nrows
     words = gens + [a * b for a in gens[:3] for b in gens[:3]]
     assert len(coeffs) == len(words)
     theta = Matrix.zero(F, n, n)
@@ -245,6 +241,21 @@ def _check_norton_witness(r, witness):
     assert spin(Representation(F, n, LIE, gens), line.basis_vectors()).dim == n
     dual = Representation(F, n, LIE, [g.transpose() for g in gens])
     assert spin(dual, kernel(shifted.transpose()).basis_vectors()).dim == n
+
+
+def _check_norton_witness(r, witness):
+    """`_check_norton_proof` on the reduction of the rational rep `r` mod
+    the witness's prime."""
+    p, coeffs, lam = witness
+    assert p == repcore._reduction_prime(r.generators)
+    F = GF(p)
+    gens = [Matrix(F, [[x.numerator * pow(x.denominator, -1, p) % p for x in row]
+                       for row in g.rows]) for g in r.generators]
+    _check_norton_proof(F, gens, coeffs, lam)
+
+
+def _check_submodule_witness(r, w):
+    assert is_invariant(r, w) and 0 < w.dim < r.dim
 
 
 def _check_commutant_witness(r, witness):
@@ -294,14 +305,80 @@ def test_absolute_irreducibility_agrees_with_exact_closure_and_its_witness_check
     assert absolute_irreducibility(group_rep(QQ, UPPER_TRIANGULAR)).witness == 3
 
 
-def test_absolute_irreducibility_over_a_finite_field_is_the_closure(monkeypatch):
-    monkeypatch.setattr(repcore, "commutant", None)
-    for r in _agreement_reps(5):
-        for m in (1, 2, 3):
-            ext = exterior_rep(r, m)
-            decision = absolute_irreducibility(ext)
-            assert decision.route == "closure" and decision.witness == burnside_dim(ext)
-            assert decision.verdict == (YES if decision.witness == ext.dim ** 2 else NO)
+def test_absolute_irreducibility_over_a_finite_field_is_the_closure():
+    # every route's verdict is the closure's, and its witness checks
+    p = 2**61 - 1
+    big = GF(p)
+    cases = [exterior_rep(r, m) for r in _agreement_reps(5) for m in (1, 2, 3)]
+    cases += [
+        # irreducible over F2 but not absolutely: Norton finds no line
+        group_rep(GF(2), [[[0, 1], [1, 1]]]),
+        # too large a field for Norton: two eigenvalues, then the
+        # upper-triangular pair (scalar commutant, algebra of dimension 3)
+        Representation(big, 2, GROUP, [Matrix(big, [[p - 2, 1], [0, 3]])]),
+        group_rep(big, UPPER_TRIANGULAR),
+    ]
+    routes = collections.Counter()
+    for r in cases:
+        decision = absolute_irreducibility(r)
+        closure = burnside_dim(r)
+        assert decision.verdict == (YES if closure == r.dim ** 2 else NO)
+        routes[decision.route, decision.verdict] += 1
+        if decision.route == "norton":
+            _check_norton_proof(r.field, list(r.generators), *decision.witness)
+        elif decision.route == "submodule":
+            _check_submodule_witness(r, decision.witness)
+        elif decision.route == "commutant":
+            _check_commutant_witness(r, decision.witness)
+        else:
+            assert decision.route == "closure" and decision.witness == closure
+    assert routes[("norton", YES)] > 0 and routes[("submodule", NO)] > 0
+    assert routes[("commutant", NO)] == 2 and routes[("closure", NO)] == 1
+
+
+def _block_triangular(field, n, k, rng):
+    """An invertible block upper-triangular matrix with diagonal blocks of
+    sizes k and n - k: the span of the first k basis vectors is invariant."""
+    a, b = random_invertible(field, k, rng), random_invertible(field, n - k, rng)
+    rows = [list(row) + [field.random(rng) for _ in range(n - k)] for row in a.rows]
+    rows += [[field.zero] * k + list(row) for row in b.rows]
+    return Matrix(field, rows)
+
+
+def test_norton_outcomes_are_sound():
+    # a seeded oracle: every YES is an algebra of dimension N^2, every NO
+    # witness is a proper invariant subspace of a lattice with more than
+    # two elements
+    rng = random.Random(2121)
+    outcomes = collections.Counter()
+    for field in (GF(2), GF(3), GF(2, 2), GF(5), GF(7)):
+        for n in (2, 3, 4):
+            k = rng.randrange(1, n)
+            for gens in ([random_invertible(field, n, rng) for _ in range(2)],
+                         [_block_triangular(field, n, k, rng) for _ in range(2)]):
+                r = Representation(field, n, GROUP, gens)
+                for m in range(1, n):
+                    ext = exterior_rep(r, m)
+                    outcome = _norton_irreducible(ext)
+                    outcomes[outcome and outcome[0]] += 1
+                    if outcome is None:
+                        continue
+                    closure = repcore._algebra_closure_dim(field, ext.generators, ext.dim)
+                    if outcome[0] == YES:
+                        assert closure == ext.dim ** 2
+                        _check_norton_proof(field, list(ext.generators), *outcome[1])
+                    else:
+                        w = outcome[1]
+                        _check_submodule_witness(ext, w)
+                        # the brute force takes seconds past a few hundred
+                        # points; the orbit enumeration is checked against it
+                        # in `_lattice_against_oracle`
+                        if projective_count(field.order, ext.dim) <= 400:
+                            lattice = _brute_force_lattice(ext)
+                        else:
+                            lattice = _enumerate_submodules(ext, Caps())
+                        assert len(lattice) > 2 and w in lattice
+    assert outcomes[YES] > 10 and outcomes[NO] > 10, outcomes
 
 
 def test_q_exact_denseness_and_isotypic_sums_run_no_closure(monkeypatch):
@@ -846,7 +923,8 @@ def _lattice_against_oracle(r):
     subs = _brute_force_lattice(r)
     assert all_submodules(r) == subs
     assert _enumerate_submodules(r, Caps()) == subs
-    assert (_norton_irreducible(r) is not None) == (burnside_dim(r) == r.dim * r.dim)
+    outcome = _norton_irreducible(r)
+    assert (outcome is not None and outcome[0] == YES) == (burnside_dim(r) == r.dim ** 2)
     return subs
 
 
@@ -1436,7 +1514,8 @@ def test_the_lattice_memo_keys_on_the_caps_it_reads():
                 size = "cap"
             route = is_m_thick_criterion(rep, 1, caps).log["route"]
             seen[caps.lattice_cap] = (size, route, is_m_dense(rep, 1, absolute=False, caps=caps))
-        assert seen == {3: ("cap", "spin", UNKNOWN), 20_000: (4, "lattice", "No")}
+        # Norton's witness decides denseness inside the caps, with no lattice
+        assert seen == {3: ("cap", "spin", NO), 20_000: (4, "lattice", NO)}
 
 
 def test_memoised_verdicts_match_a_fresh_rep_per_call():
