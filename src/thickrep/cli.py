@@ -26,8 +26,10 @@ from .exterior import (
 )
 from .repcore import (
     Caps,
+    NO,
     NOT_THICK,
     THICK,
+    YES,
     absolute_irreducibility,
     exterior_rep,
     is_m_dense,
@@ -54,6 +56,13 @@ from .characters import (
 )
 from . import serialize
 from .verify import VERIFIED, run_suite
+
+
+def _exit_code(verdict) -> int:
+    """The exit code of a verdict of `check` or `exterior realizable`: 0 the
+    property holds, 1 refuted, 2 undecided."""
+    codes = {THICK: 0, YES: 0, "Realizable": 0, NOT_THICK: 1, NO: 1, "NotRealizable": 1}
+    return codes.get(verdict, 2)
 
 
 def _parse_field(spec: str):
@@ -95,11 +104,7 @@ def cmd_check(args) -> int:
             tr = is_m_thick_criterion(rep, args.m, caps, seed=args.seed)
         report.update(serialize.thickness_report_to_json(rep, tr))
         _emit(report, args.json_out)
-        if tr.verdict == THICK:
-            return 0
-        if tr.verdict == NOT_THICK:
-            return 1
-        return 2
+        return _exit_code(tr.verdict)
     if args.mode in ("dense", "irreducible"):
         if args.method == "criterion":
             raise ThickRepError("the pair criterion decides thickness only")
@@ -116,7 +121,7 @@ def cmd_check(args) -> int:
                 report["route"] = "trivial"  # Lambda^0 and Lambda^n are lines
         report["absolute"] = absolute
         _emit(report, args.json_out)
-        return {"Yes": 0, "No": 1}.get(report["verdict"], 2)
+        return _exit_code(report["verdict"])
     raise ThickRepError("unknown mode %r" % (args.mode,))
 
 
@@ -193,7 +198,7 @@ def cmd_exterior(args) -> int:
         if res.witness is not None:
             out["witness"] = res.witness.to_sparse()
         _emit(out, args.json_out)
-        return {"Realizable": 0, "NotRealizable": 1}.get(res.status, 2)
+        return _exit_code(res.status)
     raise ThickRepError("unknown exterior op %r" % (args.op,))
 
 

@@ -412,46 +412,32 @@ def realizable_search(
 ) -> RealizabilityResult:
     """Search w <= Lambda^m k^n for a nonzero decomposable vector.
 
-    The one place realizability is decided.  Zero and lines are exact over
-    every field: a line is realizable iff its basis vector is decomposable.
-    Over a finite field with the projective point count of w within the
-    cap the scan is exhaustive and the answer exact.  Otherwise (the
-    rationals, or past the cap) the search is heuristic: basis vectors,
-    small-coefficient grids, then seeded random combinations; it never
-    reports NotRealizable.
+    The one place realizability is decided, by one scan.  It walks
+    `projective_coefficients` and its answer is exact for zero and lines on
+    every field (a line is realizable iff its basis vector is
+    decomposable), and over a finite field with the projective point count
+    of w within the cap.  Otherwise (the rationals, or past the cap) the
+    search is heuristic: basis vectors, small-coefficient grids, then
+    seeded random combinations; it never reports NotRealizable.  A zero
+    vector from the grid refutes nothing: `is_decomposable` rejects it.
     """
     if w.ambient != comb(n, m):
         raise AmbientMismatch("ambient %d is not C(%d,%d)" % (w.ambient, n, m))
     f = w.field
     d = w.dim
-    if d == 0:
-        return RealizabilityResult("NotRealizable", exhaustive=True)
-    if d == 1:
-        v = WedgeVector(f, n, m, w.basis_vectors()[0])
-        ok, wit = is_decomposable(v)
-        if ok:
-            return RealizabilityResult("Realizable", v, wit, 1, exhaustive=True)
-        return RealizabilityResult("NotRealizable", scanned=1, exhaustive=True)
-    if f.finite and projective_count(f.order, d) <= points_cap:
-        scanned = 0
-        for v in _subspace_wedge_points(w, n, m, projective_coefficients(f, d)):
-            scanned += 1
-            ok, wit = is_decomposable(v)
-            if ok:
-                return RealizabilityResult(
-                    "Realizable", v, wit, scanned, exhaustive=True
-                )
-        return RealizabilityResult("NotRealizable", scanned=scanned, exhaustive=True)
-    coeff_iter = _heuristic_coefficients(f, d, seed, rational_trials)
+    exhaustive = d <= 1 or (f.finite and projective_count(f.order, d) <= points_cap)
+    if exhaustive:
+        coeff_iter = projective_coefficients(f, d)
+    else:
+        coeff_iter = _heuristic_coefficients(f, d, seed, rational_trials)
     scanned = 0
     for v in _subspace_wedge_points(w, n, m, coeff_iter):
         scanned += 1
-        if v.is_zero():
-            continue
         ok, wit = is_decomposable(v)
         if ok:
-            return RealizabilityResult("Realizable", v, wit, scanned, exhaustive=False)
-    return RealizabilityResult("Unknown", scanned=scanned, exhaustive=False)
+            return RealizabilityResult("Realizable", v, wit, scanned, exhaustive)
+    status = "NotRealizable" if exhaustive else "Unknown"
+    return RealizabilityResult(status, scanned=scanned, exhaustive=exhaustive)
 
 
 def _heuristic_coefficients(f, d, seed, trials):

@@ -84,6 +84,7 @@ class Rationals:
     zero = Fraction(0)
     one = Fraction(1)
     cmp_zero = 0
+    RANDOM_SPAN = 5
 
     def add(self, a, b):
         return a + b
@@ -176,8 +177,9 @@ class Rationals:
         except ValueError:
             raise BadScalar("not a rational number: %r" % (s,)) from None
 
-    def random(self, rng, span=5):
-        return Fraction(rng.randint(-span, span))
+    def random(self, rng):
+        """A seeded integer in [-RANDOM_SPAN, RANDOM_SPAN]."""
+        return Fraction(rng.randint(-self.RANDOM_SPAN, self.RANDOM_SPAN))
 
     nth_roots = _nth_roots
 

@@ -28,7 +28,7 @@ from .errors import (
     PreconditionFailed,
     WrongField,
 )
-from .fields import DEFAULT_POINTS_CAP, GF, Rationals, poly_roots
+from .fields import DEFAULT_POINTS_CAP, GF, poly_roots
 from .linalg import (
     Matrix,
     RowBasis,
@@ -105,8 +105,10 @@ class Caps:
 @dataclass(frozen=True)
 class Representation:
     """Generator matrices acting on k^dim, stored as a tuple.  The rep is
-    immutable, so its lifts and lattices are memoised on it (`_memo`): they
-    live and die with the object, and nothing is cached at module level."""
+    immutable, so its lifts, lattices, Norton outcome, point action and
+    commutant are memoised on it (`_memo`, written only by `_memoised`):
+    they live and die with the object, and nothing is cached at module
+    level."""
 
     field: object
     dim: int
@@ -135,6 +137,14 @@ class Representation:
                     raise PreconditionFailed("group generators must be invertible")
 
 
+def _memoised(r: Representation, key, build, *args):
+    """`r._memo[key]`, stored from `build(*args)` on the first call; the one
+    writer of the memo.  A raised error is not memoised."""
+    if key not in r._memo:
+        r._memo[key] = build(*args)
+    return r._memo[key]
+
+
 def exterior_rep(r: Representation, m: int) -> Representation:
     """The induced action on Lambda^m: compound matrices in group mode,
     derivations in Lie mode.  Memoised on `r`; Lambda^1 is `r` itself."""
@@ -142,14 +152,15 @@ def exterior_rep(r: Representation, m: int) -> Representation:
         raise BadM("m=%d out of range" % m)
     if m == 1:
         return r
-    key = ("exterior", m)
-    if key not in r._memo:
-        lift = compound if r.mode == GROUP else derivation
-        r._memo[key] = Representation(
-            r.field, comb(r.dim, m), r.mode, [lift(g, m) for g in r.generators],
-            label="%s_wedge%d" % (r.label or "rep", m), _lifted=True,
-        )
-    return r._memo[key]
+    return _memoised(r, ("exterior", m), _exterior_lift, r, m)
+
+
+def _exterior_lift(r: Representation, m: int) -> Representation:
+    lift = compound if r.mode == GROUP else derivation
+    return Representation(
+        r.field, comb(r.dim, m), r.mode, [lift(g, m) for g in r.generators],
+        label="%s_wedge%d" % (r.label or "rep", m), _lifted=True,
+    )
 
 
 def spin(r: Representation, seeds) -> Subspace:
@@ -202,7 +213,7 @@ def _algebra_closure_dim(field, gens, n):
     return basis.dim
 
 
-# the candidate primes for reducing a rational rep in `_absolutely_irreducible`
+# the candidate primes for reducing a rational rep in `_norton`
 _REDUCTION_PRIMES = (101, 103, 107, 109, 113)
 
 
@@ -219,36 +230,6 @@ def _reduction_prime(gens):
     return next((p for p in _REDUCTION_PRIMES if den % p), None)
 
 
-def _reduce_matrix_mod(m: Matrix, p: int) -> Matrix:
-    return Matrix(GF(p), [
-        [x.numerator * pow(x.denominator, -1, p) % p for x in row] for row in m.rows
-    ])
-
-
-def _absolutely_irreducible(r: Representation):
-    """Norton's proof that the rational rep `r` is absolutely irreducible,
-    from its reduction mod a prime of `_REDUCTION_PRIMES`: (p, theta's
-    coefficients over the words of `_norton_irreducible`, lambda), or None.
-
-    The test's one-dimensional eigenspace proves the reduction absolutely
-    irreducible over F_p, so the reduced words span all n^2 dimensions of
-    M_n(F_p).  Words with entries in Z_(p) that are independent mod p are
-    independent over Q, so the algebra over Q has dimension n^2 as well.
-    The reduction is built in LIE mode, because a group generator may be
-    singular mod p and spinning needs only the matrices.  None means no
-    proof: the field is not Q, every candidate prime divides a denominator,
-    or the test does not answer YES; a submodule of the reduction says
-    nothing about `r`, which may not split over Q."""
-    if not isinstance(r.field, Rationals):
-        return None
-    p = _reduction_prime(r.generators)
-    if p is None:
-        return None
-    reduced = [_reduce_matrix_mod(g, p) for g in r.generators]
-    outcome = _norton_irreducible(Representation(GF(p), r.dim, LIE, reduced))
-    return (p, *outcome[1]) if outcome and outcome[0] == YES else None
-
-
 def burnside_dim(r: Representation) -> int:
     """Dimension of the unital matrix algebra generated by the generators,
     closed exactly by breadth-first products of the generators; equals
@@ -261,8 +242,8 @@ def burnside_dim(r: Representation) -> int:
 @dataclass(frozen=True)
 class AbsoluteIrreducibility:
     """Is the rep absolutely irreducible: the verdict, the route that decided
-    and its witness.  "norton" (YES): Norton's proof, (theta's coefficients,
-    lambda) over a finite field and `_absolutely_irreducible`'s
+    and its witness.  "norton" (YES): Norton's proof from `_norton`,
+    (theta's coefficients, lambda) over a finite field and
     (p, coefficients, lambda) over Q; "submodule" (NO, finite fields only):
     a proper invariant subspace; "commutant" (NO): a non-scalar matrix
     commuting with every generator; "closure" (YES or NO): the dimension of
@@ -278,33 +259,23 @@ def absolute_irreducibility(r: Representation) -> AbsoluteIrreducibility:
     ladder on every field.
 
     First Norton's test (`_norton`): over a finite field it runs on `r`
-    itself and answers YES or NO, and over Q it runs on the reduction mod p
-    and answers YES only.  A finite field too large for `check_scan`
-    skips it.  Then the commutant, since the commutant of M_N is the
-    scalars (Schur), so one non-scalar commuting matrix proves NO; then
-    the exact algebra closure."""
-    return _absolute_irreducibility(r)[0]
-
-
-def _absolute_irreducibility(r: Representation):
-    """(the decision, `commutant(r)` when it was solved, else None)."""
-    f = r.field
-    if not f.finite:
-        proof = _absolutely_irreducible(r)
-        outcome = proof and (YES, proof)
-    else:
-        outcome = _norton(r) if f.order <= DEFAULT_POINTS_CAP else None
+    itself and answers YES or NO, over Q it runs on the reduction mod p
+    and answers YES only, and on a field too large for `check_scan` it
+    answers nothing.  Then the commutant, since the commutant of M_N is
+    the scalars (Schur), so one non-scalar commuting matrix proves NO;
+    then the exact algebra closure."""
+    outcome = _norton(r)
     if outcome:
         verdict, witness = outcome
         route = "norton" if verdict == YES else "submodule"
-        return AbsoluteIrreducibility(verdict, route, witness), None
-    comm = commutant(r)
-    if comm[0] > 1:
-        ident = Matrix.identity(f, r.dim)
-        witness = next(b for b in comm[1] if b != ident.scale(b.rows[0][0]))
-        return AbsoluteIrreducibility(NO, "commutant", witness), comm
-    dim = _algebra_closure_dim(f, r.generators, r.dim)
-    return AbsoluteIrreducibility(YES if dim == r.dim ** 2 else NO, "closure", dim), comm
+        return AbsoluteIrreducibility(verdict, route, witness)
+    cdim, cbasis = commutant(r)
+    if cdim > 1:
+        ident = Matrix.identity(r.field, r.dim)
+        witness = next(b for b in cbasis if b != ident.scale(b.rows[0][0]))
+        return AbsoluteIrreducibility(NO, "commutant", witness)
+    dim = _algebra_closure_dim(r.field, r.generators, r.dim)
+    return AbsoluteIrreducibility(YES if dim == r.dim ** 2 else NO, "closure", dim)
 
 
 def _orbits(points, moves, cap=None):
@@ -416,37 +387,61 @@ def _norton_irreducible(r: Representation):
 
 
 def _norton(r: Representation):
-    """`_norton_irreducible(r)`, memoised on `r`: it reads the generators
-    and the fixed `_NORTON_SEED` alone, no cap and no seed."""
-    key = ("norton",)
-    if key not in r._memo:
-        r._memo[key] = _norton_irreducible(r)
-    return r._memo[key]
+    """Norton's test for `r` on every field, memoised on `r`: it reads the
+    generators and the fixed `_NORTON_SEED` alone, no cap and no seed.
+
+    Over a finite field it is `_norton_irreducible(r)`, and None when the
+    field has more elements than `check_scan` lets the eigenvalue search
+    walk.  Over Q it runs on the reduction mod the first of
+    `_REDUCTION_PRIMES` that divides no denominator, and gives
+    (YES, (p, theta's coefficients, lambda)) or None.  The test's
+    one-dimensional eigenspace proves the reduction absolutely irreducible
+    over F_p, so the reduced words span all n^2 dimensions of M_n(F_p).
+    Words with entries in Z_(p) that are independent mod p are independent
+    over Q, so the algebra over Q has dimension n^2 as well.  The reduction
+    is built in LIE mode, because a group generator may be singular mod p
+    and spinning needs only the matrices.  None over Q means no proof:
+    every candidate prime divides a denominator, or the test does not
+    answer YES; a submodule of the reduction says nothing about `r`, which
+    may not split over Q."""
+    return _memoised(r, ("norton",), _norton_outcome, r)
+
+
+def _norton_outcome(r: Representation):
+    """`_norton(r)`, computed."""
+    if r.field.finite:
+        return _norton_irreducible(r) if r.field.order <= DEFAULT_POINTS_CAP else None
+    p = _reduction_prime(r.generators)
+    if p is None:
+        return None
+    F = GF(p)
+    reduced = [Matrix(F, [[x.numerator * pow(x.denominator, -1, p) % p for x in row]
+                          for row in g.rows]) for g in r.generators]
+    outcome = _norton_irreducible(Representation(F, r.dim, LIE, reduced))
+    return (YES, (p, *outcome[1])) if outcome and outcome[0] == YES else None
 
 
 def all_submodules(r: Representation, caps: Caps | None = None):
     """The complete lattice of invariant subspaces over a finite field;
     sorted by (dim, canonical basis).  Raises CapExceeded when the
     projective point count exceeds `submodule_points_cap` or the lattice
-    has more than `lattice_cap` elements, and ScaleExceeded when the field
-    is too large for `poly_roots` to search for eigenvalues.
+    has more than `lattice_cap` elements.
 
     A line is irreducible and needs no search.  Otherwise, after the
     projective-point cap check, Norton's test (`_norton`, memoised on `r`)
     tries to prove the module irreducible and then returns [0, V] at once.
     It falls through to `_enumerate_submodules` when it finds a proper
-    invariant subspace (the module is reducible) or when none of its fixed
+    invariant subspace (the module is reducible), when none of its fixed
     number of seeded tries finds a one-dimensional eigenspace, which always
-    happens for irreducible modules that are not absolutely irreducible.
+    happens for irreducible modules that are not absolutely irreducible,
+    or when the field is too large for its eigenvalue search.
 
     The lattice is memoised on `r`, keyed on the two caps it reads; each
     call returns a fresh list, and a raised error is not memoised.
     """
     caps = caps or Caps.default()
     key = ("lattice", caps.submodule_points_cap, caps.lattice_cap)
-    if key not in r._memo:
-        r._memo[key] = tuple(_submodule_lattice(r, caps))
-    return list(r._memo[key])
+    return list(_memoised(r, key, _submodule_lattice, r, caps))
 
 
 def _submodule_lattice(r: Representation, caps: Caps):
@@ -484,10 +479,7 @@ def _point_permutations(f, n: int, gens):
 def _point_action(r: Representation):
     """`_point_permutations` of the generators of `r`, memoised on `r`: it
     depends on the generators alone, not on any cap or seed."""
-    key = ("point_action",)
-    if key not in r._memo:
-        r._memo[key] = _point_permutations(r.field, r.dim, r.generators)
-    return r._memo[key]
+    return _memoised(r, ("point_action",), _point_permutations, r.field, r.dim, r.generators)
 
 
 def _enumerate_submodules(r: Representation, caps: Caps):
@@ -539,7 +531,15 @@ def _is_diagonal(m: Matrix) -> bool:
 
 
 def commutant(r: Representation):
-    """(dimension, matrix basis) of {M : Mg = gM for every generator}.
+    """(dimension, matrix basis) of {M : Mg = gM for every generator},
+    memoised on `r`: it reads the generators alone.  Each call returns a
+    fresh list."""
+    basis = _memoised(r, ("commutant",), _commutant_basis, r)
+    return len(basis), list(basis)
+
+
+def _commutant_basis(r: Representation):
+    """The solve behind `commutant`: a tuple of basis matrices.
 
     Diagonal generators are handled combinatorially first: they force
     M[i][j] = 0 whenever positions i and j have different joint eigenvalue
@@ -583,24 +583,24 @@ def commutant(r: Representation):
         for (i, j), c in zip(positions, vec):
             entries[i][j] = c
         basis.append(Matrix(f, entries))
-    return len(basis), basis
+    return tuple(basis)
 
 
 _ISOTYPIC_TRIES = 8
 
 
-def isotypic_decomposition(r: Representation, seed: int = 0, comm=None):
+def isotypic_decomposition(r: Representation, seed: int = 0):
     """Eigenspace decomposition from a random commutant element.
 
     Succeeds when the commutant is commutative and one of `_ISOTYPIC_TRIES`
     seeded random elements has a completely split charpoly whose distinct
     roots count the commutant dimension; the eigenspaces are then the
     unique invariant summands of a multiplicity-free module.  Returns None
-    otherwise.  `comm` is `commutant(r)` when the caller has solved it.
+    otherwise.
     """
     f = r.field
     n = r.dim
-    cdim, cbasis = comm or commutant(r)
+    cdim, cbasis = commutant(r)
     if cdim == 1:
         return [Subspace.full(f, n)]
     for i in range(cdim):
@@ -887,7 +887,7 @@ def is_m_thick_criterion(r: Representation, m: int, caps: Caps | None = None,
     One pair test runs over invariant W1 candidates from one of three
     sources, in order of preference: the complete submodule lattice
     (finite field, within caps), the isotypic sums of a multiplicity-free
-    module with absolutely irreducible summands (any field), and the spins
+    module with absolutely irreducible summands (over Q), and the spins
     of wedges of m-subspaces V1, each with V1 as its witness.  The first
     two list every invariant subspace.  The spins are complete for
     refutations: if any realizable invariant pair exists, the spin of a
@@ -968,14 +968,13 @@ def _isotypic_sums(ext: Representation, caps: Caps, seed: int):
     of its summands, sorted.  None when the module is not of that kind,
     and at once when the cap allows no summand.  An absolutely irreducible
     module is its one summand.  Any other module cannot be its own one
-    summand, and its decomposition reuses the commutant that
-    `absolute_irreducibility` solved."""
+    summand, and its decomposition reads the commutant that
+    `absolute_irreducibility` memoised when it solved one."""
     if caps.isotypic_summands_max == 0:
         return None
-    decision, comm = _absolute_irreducibility(ext)
-    if decision.verdict == YES:
+    if absolute_irreducibility(ext).verdict == YES:
         return [Subspace.zero(ext.field, ext.dim), Subspace.full(ext.field, ext.dim)]
-    dec = isotypic_decomposition(ext, seed=seed, comm=comm)
+    dec = isotypic_decomposition(ext, seed=seed)
     if dec is None or not 1 < len(dec) <= caps.isotypic_summands_max:
         return None
     if any(absolute_irreducibility(restrict_to_invariant(ext, e)).verdict == NO for e in dec):

@@ -8,7 +8,7 @@ from thickrep.linalg import Matrix
 from thickrep.constructions import companion_pair, lie_generators
 from thickrep.repcore import GROUP, LIE, Representation
 from thickrep.symplectic import SymplecticSpace, ker_perp_realizability_check
-from thickrep import repcore, serialize
+from thickrep import fields, repcore, serialize
 
 
 def write_rep(tmp_path, name, field, mats, mode=GROUP, label=""):
@@ -241,6 +241,31 @@ def test_check_caps_flag_yields_unknown_exit(tmp_path, capsys):
     code = main(["check", "--rep", path, "--mode", "thick", "--m", "1",
                  "--method", "definition", "--caps", '{"pair_cap": 1}'])
     assert code == 2
+
+
+def test_a_field_past_the_scan_limit_is_decided_within_the_caps(tmp_path, capsys,
+                                                              monkeypatch):
+    # Norton's eigenvalue search walks the field, so past the scan limit it
+    # proves nothing and the lattice decides within submodule_points_cap;
+    # raising that cap to admit the lattice used to end in ScaleExceeded
+    # (exit 3).  The limit is lowered below F7, whose plane has 8 points
+    monkeypatch.setattr(fields, "DEFAULT_POINTS_CAP", 5)
+    monkeypatch.setattr(repcore, "DEFAULT_POINTS_CAP", 5)
+    path = write_rep(tmp_path, "shear.json", GF(7), [[[1, 1], [0, 1]]])
+    report_path = tmp_path / "report.json"
+    cert_path = tmp_path / "cert.json"
+    for points_cap, dense_code, route in ((7, 2, "spin"), (8, 1, "lattice")):
+        caps = '{"submodule_points_cap": %d}' % points_cap
+        assert main(["check", "--rep", path, "--mode", "irreducible",
+                     "--method", "definition", "--caps", caps]) == dense_code
+        code = main(["check", "--rep", path, "--mode", "thick", "--m", "1",
+                     "--method", "criterion", "--caps", caps,
+                     "--json-out", str(report_path)])
+        report = json.loads(report_path.read_text())
+        assert (code, report["verdict"], report["log"]["route"]) == (1, "NotThick", route)
+        cert_path.write_text(serialize.dumps(report["certificate"]))
+        assert main(["recheck", "--certificate", str(cert_path)]) == 0
+    assert "error" not in capsys.readouterr().err
 
 
 def test_bad_caps_exit_3(tmp_path, monkeypatch, capsys):

@@ -163,7 +163,7 @@ def test_burnside_dim_matches_exact_closure_over_q():
         exact = repcore._algebra_closure_dim(QQ, r.generators, r.dim)
         assert burnside_dim(r) == exact
         # the Norton proof never claims what the exact closure denies
-        assert not repcore._absolutely_irreducible(r) or exact == r.dim ** 2
+        assert not repcore._norton(r) or exact == r.dim ** 2
         answers.append(exact == r.dim ** 2)
     assert answers.count(True) > 10 and answers.count(False) > 5
 
@@ -177,13 +177,13 @@ def test_burnside_rotation_at_split_and_inert_primes():
     for mats, p in (([M(QQ, ROT)], 101), ([inert], 103)):
         r = Representation(QQ, 2, GROUP, mats)
         assert repcore._reduction_prime(r.generators) == p
-        assert not repcore._absolutely_irreducible(r)
+        assert repcore._norton(r) is None
         assert burnside_dim(r) == 2
 
 
 def test_isotypic_shortcut_matches_commutant_route(monkeypatch):
     lifts = [exterior_rep(r, m) for r in _random_q_reps(15)[:9] for m in (1, 2)]
-    lifts = [ext for ext in lifts if repcore._absolutely_irreducible(ext)]
+    lifts = [ext for ext in lifts if repcore._norton(ext)]
     assert len(lifts) > 5
 
     def no_commutant(r):
@@ -195,7 +195,7 @@ def test_isotypic_shortcut_matches_commutant_route(monkeypatch):
     # the cap keeps its meaning: no summand allowed, no answer
     assert all(repcore._isotypic_sums(ext, Caps(isotypic_summands_max=0), 0) is None
                for ext in lifts)
-    monkeypatch.setattr(repcore, "_absolutely_irreducible", lambda r: False)
+    monkeypatch.setattr(repcore, "_norton", lambda r: None)
     slow = [repcore._isotypic_sums(ext, Caps(), 0) for ext in lifts]
     assert fast == slow
     assert all(sums == [Subspace.zero(QQ, ext.dim), Subspace.full(QQ, ext.dim)]
@@ -381,21 +381,29 @@ def test_norton_outcomes_are_sound():
     assert outcomes[YES] > 10 and outcomes[NO] > 10, outcomes
 
 
+def _counted(monkeypatch, name):
+    """Wrap `repcore.<name>` so that it counts its calls by the id of the
+    rep it is given; returns the Counter."""
+    calls = collections.Counter()
+    fn = getattr(repcore, name)
+
+    def wrapper(r, *args):
+        calls[id(r)] += 1
+        return fn(r, *args)
+
+    monkeypatch.setattr(repcore, name, wrapper)
+    return calls
+
+
 def test_q_exact_denseness_and_isotypic_sums_run_no_closure(monkeypatch):
     # every module of the q-exact reps is decided by a witness, and the
     # isotypic route solves each module's commutant at most once
-    solved = collections.Counter()
-
-    def counted_commutant(r):
-        solved[id(r)] += 1
-        return commutant(r)
-
     def no_closure(*args):
         raise AssertionError("exact closure ran")
 
     reps = _q_exact_reps()
     monkeypatch.setattr(repcore, "_algebra_closure_dim", no_closure)
-    monkeypatch.setattr(repcore, "commutant", counted_commutant)
+    solved = _counted(monkeypatch, "_commutant_basis")
     for r in reps:
         for m in range(1, r.dim):
             assert is_m_dense(r, m) in (YES, NO)
@@ -403,8 +411,69 @@ def test_q_exact_denseness_and_isotypic_sums_run_no_closure(monkeypatch):
     solved.clear()
     sums = [repcore._isotypic_sums(exterior_rep(r, m), Caps(), 0)
             for r in reps[:8] for m in range(1, r.dim)]
-    assert max(solved.values()) == 1
+    assert max(solved.values(), default=0) <= 1
     assert sum(s is not None and len(s) > 2 for s in sums) >= 2
+
+
+def test_the_commutant_is_solved_once_per_module_and_returned_fresh(monkeypatch):
+    solved = _counted(monkeypatch, "_commutant_basis")
+    modules = [group_rep(QQ, [ROT]), group_rep(QQ, UPPER_TRIANGULAR)]
+    modules += [exterior_rep(r, m) for r in _q_exact_reps()[:8] for m in range(1, r.dim)]
+    for r in modules:
+        absolute_irreducibility(r)
+        isotypic_decomposition(r)
+        repcore._isotypic_sums(r, Caps(), 0)
+        first, second = commutant(r), commutant(r)
+        assert first == second and first[1] is not second[1]
+        first[1].clear()
+        assert commutant(r) == second
+    assert [solved[id(r)] for r in modules] == [1] * len(modules)
+
+
+def test_norton_over_q_runs_once_per_module(monkeypatch):
+    # the reduction mod p is a new rep at every run, so each run is charged
+    # to the rational module whose `_norton` started it
+    current = []
+    ran = collections.Counter()
+    norton, norton_irreducible = repcore._norton, repcore._norton_irreducible
+
+    def tracked(r):
+        current.append(r)
+        try:
+            return norton(r)
+        finally:
+            current.pop()
+
+    def counted(reduced):
+        ran[id(current[-1])] += 1
+        return norton_irreducible(reduced)
+
+    monkeypatch.setattr(repcore, "_norton", tracked)
+    monkeypatch.setattr(repcore, "_norton_irreducible", counted)
+    reps = _q_exact_reps()
+    modules = [exterior_rep(r, m) for r in reps for m in range(1, r.dim)]
+    for r in reps:
+        for m in range(1, r.dim):
+            is_m_dense(r, m)
+            is_m_dense(r, m, absolute=False)
+            is_m_thick_criterion(r, m, Caps(rational_trials=40))
+    assert [ran[id(ext)] for ext in modules] == [1] * len(modules)
+
+
+def test_norton_proves_nothing_past_the_scan_limit(monkeypatch):
+    # with the scan limit below 7, the shear over F7 is a field too large to
+    # walk: Norton answers None before any eigenvalue search, and the other
+    # deciders answer from the commutant and the lattice
+    def no_scan(poly):
+        raise AssertionError("poly_roots walked the field")
+
+    monkeypatch.setattr(repcore, "DEFAULT_POINTS_CAP", 5)
+    monkeypatch.setattr(repcore, "poly_roots", no_scan)
+    r = group_rep(GF(7), [[[1, 1], [0, 1]]])
+    assert repcore._norton(r) is None
+    assert absolute_irreducibility(r).route == "commutant"
+    assert is_m_dense(r, 1, absolute=False) == NO
+    assert [w.dim for w in all_submodules(r)] == [0, 1, 2]
 
 
 def test_isotypic_sums_under_a_zero_cap_solve_no_commutant(monkeypatch):
