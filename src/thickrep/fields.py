@@ -101,7 +101,8 @@ class Rationals:
     def inv(self, a):
         if a == 0:
             raise DivisionByZero("inverse of zero")
-        return 1 / Fraction(a)
+        # one Fraction built, where 1 / Fraction(a) builds two
+        return Fraction(a.denominator, a.numerator)
 
     def div(self, a, b):
         if b == 0:

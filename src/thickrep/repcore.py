@@ -969,15 +969,22 @@ def _isotypic_sums(ext: Representation, caps: Caps, seed: int):
     and at once when the cap allows no summand.  An absolutely irreducible
     module is its one summand.  Any other module cannot be its own one
     summand, and its decomposition reads the commutant that
-    `absolute_irreducibility` memoised when it solved one."""
+    `absolute_irreducibility` memoised when it solved one.
+
+    The decomposition for `seed` is memoised on `ext` under
+    ("isotypic", seed), and the verdict on its summands under
+    ("isotypic", seed, "summands"): neither reads a cap.  They are two
+    entries so that the summand count is checked against the cap before
+    any summand is decided."""
     if caps.isotypic_summands_max == 0:
         return None
     if absolute_irreducibility(ext).verdict == YES:
         return [Subspace.zero(ext.field, ext.dim), Subspace.full(ext.field, ext.dim)]
-    dec = isotypic_decomposition(ext, seed=seed)
+    dec = _memoised(ext, ("isotypic", seed), isotypic_decomposition, ext, seed)
     if dec is None or not 1 < len(dec) <= caps.isotypic_summands_max:
         return None
-    if any(absolute_irreducibility(restrict_to_invariant(ext, e)).verdict == NO for e in dec):
+    if not _memoised(ext, ("isotypic", seed, "summands"), _summands_absolutely_irreducible,
+                     ext, dec):
         return None
     bottom = Subspace.zero(ext.field, ext.dim)
     sums = [
@@ -985,6 +992,13 @@ def _isotypic_sums(ext: Representation, caps: Caps, seed: int):
         for picks in itertools.product((0, 1), repeat=len(dec))
     ]
     return sorted(sums, key=Subspace.key)
+
+
+def _summands_absolutely_irreducible(ext: Representation, dec) -> bool:
+    """Is every summand of the decomposition `dec` of `ext` absolutely
+    irreducible?  Each is restricted and decided once."""
+    return all(absolute_irreducibility(restrict_to_invariant(ext, e)).verdict == YES
+               for e in dec)
 
 
 def _spin_candidates(r, ext, m, caps: Caps, seed: int, log: dict):

@@ -111,19 +111,19 @@ def contraction_is_equivariant(sp: SymplecticSpace, m: int) -> bool:
     return True
 
 
-def is_isotropic(sp: SymplecticSpace, w: Subspace) -> bool:
-    vecs = w.basis_vectors()
-    z = sp.field.zero
-    for i in range(len(vecs)):
-        for j in range(i + 1, len(vecs)):
-            if sp.omega(vecs[i], vecs[j]) != z:
-                return False
-    return True
-
-
 def _omega_row(sp: SymplecticSpace, u):
     """Row vector c with c . z = omega(u, z): (-u[n:], u[:n])."""
     return tuple(map(sp.field.neg, u[sp.n:])) + tuple(u[:sp.n])
+
+
+def is_isotropic(sp: SymplecticSpace, w: Subspace) -> bool:
+    f = sp.field
+    vecs = w.basis_vectors()
+    for i, u in enumerate(vecs):
+        row = _omega_row(sp, u)
+        if any(f.dot(row, v) != f.cmp_zero for v in vecs[i + 1:]):
+            return False
+    return True
 
 
 def symplectic_normal_basis(sp: SymplecticSpace, w: Subspace):
@@ -132,78 +132,66 @@ def symplectic_normal_basis(sp: SymplecticSpace, w: Subspace):
     Returns (basis, k, l) where omega(v_i, v_(n+i)) = 1, all other basis
     pairings vanish, and w is spanned by v_1..v_k, v_(k+1)..v_(n-l),
     v_(n+1)..v_(n+k).  The output is validated, not trusted.
+
+    Every omega(u, .) is one `dot` against `_omega_row(u)`, computed once
+    per vector; the projections and normalisations are `axpy` and `scale`.
     """
     f = sp.field
     n = sp.n
     N = sp.dim
-    zero = f.zero
+    cmp_zero = f.cmp_zero
 
-    # split w into hyperbolic pairs and its omega-radical
+    def hyperbolic(a, row_a, b):
+        """(a, b, their omega rows), with b rescaled so omega(a, b) = 1."""
+        b = tuple(f.scale(f.inv(f.dot(row_a, b)), b))
+        return a, b, row_a, _omega_row(sp, b)
+
+    # split w into hyperbolic pairs and its omega-radical.  The search for
+    # the first pair (i, j) with omega nonzero reads j > i only: since
+    # omega(w_j, w_i) = -omega(w_i, w_j), a pair with j < i is met at row j
     work = [tuple(v) for v in w.basis_vectors()]
-    pairs_w = []
+    pairs = []
     while True:
-        found = None
-        for i in range(len(work)):
-            for j in range(len(work)):
-                if i != j and sp.omega(work[i], work[j]) != zero:
-                    found = (i, j)
-                    break
-            if found:
+        for i, u in enumerate(work):
+            row = _omega_row(sp, u)
+            j = next((j for j in range(i + 1, len(work))
+                      if f.dot(row, work[j]) != cmp_zero), None)
+            if j is not None:
                 break
-        if not found:
+        else:
             break
-        i, j = found
-        a = work[i]
-        val = sp.omega(a, work[j])
-        b = tuple(f.mul(f.inv(val), x) for x in work[j])
-        rest = [work[t] for t in range(len(work)) if t not in (i, j)]
+        a, b, row_a, row_b = pair = hyperbolic(u, row, work[j])
         projected = RowBasis(f, N)
-        for y in rest:
-            ya = sp.omega(y, a)
-            yb = sp.omega(y, b)
-            # y + omega(y,a) b - omega(y,b) a is orthogonal to both a and b
-            yp = tuple(
-                f.sub(f.add(yc, f.mul(ya, bc)), f.mul(yb, ac))
-                for yc, bc, ac in zip(y, b, a)
-            )
-            projected.insert(yp)
-        pairs_w.append((a, b))
+        for t, y in enumerate(work):
+            if t not in (i, j):
+                # y + omega(y,a) b - omega(y,b) a is orthogonal to both a and
+                # b; axpy subtracts, and ta = omega(a,y) = -omega(y,a)
+                ta, tb = f.dot(row_a, y), f.dot(row_b, y)
+                projected.insert(f.axpy(f.axpy(y, ta, b), f.neg(tb), a))
+        pairs.append(pair)
         work = [tuple(r) for r in projected.rows]
-    rad = list(work)
-    k = len(pairs_w)
-    r = len(rad)
+    k = len(pairs)
+    r = len(work)
 
     # pair each radical vector with a partner outside w
-    pairs = list(pairs_w)
-    pending = list(rad)
+    pending = [(v, _omega_row(sp, v)) for v in work]
     while pending:
-        v0 = pending.pop(0)
-        rows = []
-        rhs = []
-        for u in [x for p in pairs for x in p] + pending:
-            rows.append(_omega_row(sp, u))
-            rhs.append(zero)
-        rows.append(_omega_row(sp, v0))
-        rhs.append(f.one)
-        z = solve_rows(f, rows, rhs, N)
+        v0, row0 = pending.pop(0)
+        rows = [row for p in pairs for row in p[2:]] + [row for _, row in pending]
+        z = solve_rows(f, rows + [row0], [f.zero] * len(rows) + [f.one], N)
         if z is None:
             raise ConstructionError("no symplectic partner found")
-        pairs.append((v0, z))
+        pairs.append((v0, z, row0, _omega_row(sp, z)))
 
     # fill the remaining dimension with fresh hyperbolic pairs
     while len(pairs) < n:
-        rows = [_omega_row(sp, u) for p in pairs for u in p]
-        cb = kernel_of_rows(f, rows, N).basis_vectors()
-        u0 = cb[0]
-        partner = None
-        for y in cb[1:]:
-            val = sp.omega(u0, y)
-            if val != zero:
-                partner = tuple(f.mul(f.inv(val), x) for x in y)
-                break
-        if partner is None:
+        rows = [row for p in pairs for row in p[2:]]
+        u0, *rest = kernel_of_rows(f, rows, N).basis_vectors()
+        row0 = _omega_row(sp, u0)
+        y = next((y for y in rest if f.dot(row0, y) != cmp_zero), None)
+        if y is None:
             raise ConstructionError("degenerate complement while completing basis")
-        pairs.append((u0, partner))
+        pairs.append(hyperbolic(u0, row0, y))
 
     basis = [p[0] for p in pairs] + [p[1] for p in pairs]
     l = n - k - r
@@ -212,17 +200,15 @@ def symplectic_normal_basis(sp: SymplecticSpace, w: Subspace):
 
 
 def _validate_normal_basis(sp, basis, w, k, l):
+    """Check the Gram matrix and the shape of w.  omega(u, u) = 0 and
+    omega(v, u) = -omega(u, v) hold exactly by its formula, so the pairs
+    i < j decide the whole Gram matrix."""
     f = sp.field
     n = sp.n
-    zero, one = f.zero, f.one
-    for i in range(2 * n):
-        for j in range(2 * n):
-            expect = zero
-            if j == i + n:
-                expect = one
-            elif i == j + n:
-                expect = f.neg(one)
-            if sp.omega(basis[i], basis[j]) != expect:
+    for i, u in enumerate(basis):
+        row = _omega_row(sp, u)
+        for j in range(i + 1, 2 * n):
+            if f.dot(row, basis[j]) != (f.one if j == i + n else f.cmp_zero):
                 raise ConstructionError("normal basis fails the form conditions")
     shape = basis[:k] + basis[k : n - l] + basis[n : n + k]
     span = Subspace.from_vectors(f, 2 * n, shape)
@@ -245,15 +231,11 @@ def lagrangian_complement(sp: SymplecticSpace, w: Subspace) -> Subspace:
         w0 = w
     basis, k, l = symplectic_normal_basis(sp, w0)
     v = basis  # v[i] is v_(i+1)
+    minus_one = f.neg(f.one)
     gens = list(v[n + k : 2 * n - k])
-    for i in range(1, k + 1):
-        gens.append(
-            tuple(f.add(a, b) for a, b in zip(v[n - k + i - 1], v[n + i - 1]))
-        )
-    for i in range(1, k + 1):
-        gens.append(
-            tuple(f.add(a, b) for a, b in zip(v[2 * n - k + i - 1], v[i - 1]))
-        )
+    # v_(n-k+i) + v_(n+i) and v_(2n-k+i) + v_i for i = 1..k
+    gens += [f.axpy(v[n - k + i], minus_one, v[n + i]) for i in range(k)]
+    gens += [f.axpy(v[2 * n - k + i], minus_one, v[i]) for i in range(k)]
     L = Subspace.from_vectors(f, N, gens)
     if L.dim != n or not is_isotropic(sp, L):
         raise ConstructionError("complement is not Lagrangian")
@@ -264,7 +246,13 @@ def lagrangian_complement(sp: SymplecticSpace, w: Subspace) -> Subspace:
 
 def isotropic_transversal(sp: SymplecticSpace, w: Subspace, i: int) -> Subspace:
     """An isotropic subspace U of dimension i with U intersect w = 0,
-    for w of codimension exactly i <= n."""
+    for w of codimension exactly i <= n.
+
+    U is spanned by the rows of a Lagrangian complement L that are
+    independent modulo w.  For S in L the modular law gives
+    (span S + w) meet L = span S + (L meet w), so these are the rows that
+    are independent modulo L meet w, with one elimination and no
+    intersection."""
     f = sp.field
     N = sp.dim
     if N - w.dim != i:
@@ -272,18 +260,11 @@ def isotropic_transversal(sp: SymplecticSpace, w: Subspace, i: int) -> Subspace:
     if i == 0:
         return Subspace.zero(f, N)
     L = lagrangian_complement(sp, w)
-    inter = L.intersect(w)
-    added = RowBasis(f, N)
-    for row in inter.basis_vectors():
-        added.insert(row)
-    ugens = []
-    for row in L.basis_vectors():
-        if added.insert(row):
-            ugens.append(row)
-    U = Subspace.from_vectors(f, N, ugens)
+    added = RowBasis.spanning(f, N, w.basis_vectors())
+    U = Subspace.from_vectors(f, N, [row for row in L.basis_vectors() if added.insert(row)])
     if U.dim != i or not is_isotropic(sp, U):
         raise ConstructionError("transversal is not an isotropic i-space")
-    if U.intersect(w).dim != 0:
+    if rank_of_rows(f, U.basis_vectors() + w.basis_vectors(), N) != N:
         raise ConstructionError("transversal meets the subspace")
     return U
 

@@ -477,6 +477,21 @@ def test_extension_inverse_matches_scan_oracle():
             field.inv(field.zero)
 
 
+def test_rational_inverse_matches_fraction_division():
+    # QQ.inv swaps numerator and denominator instead of dividing
+    values = [1, -1, 7, -12, Fraction(3, 4), Fraction(-5, 9), Fraction(-1, 2),
+              Fraction(2 ** 61 - 1, 3 ** 40), Fraction(-(10 ** 30) - 7, 10 ** 45 + 1)]
+    for a in values:
+        inv = QQ.inv(a)
+        # normalised: a positive denominator and no common factor
+        assert type(inv) is Fraction and inv.denominator > 0
+        assert gcd(inv.numerator, inv.denominator) == 1
+        assert inv == 1 / Fraction(a)
+    for zero in (0, QQ.zero, Fraction(0, 5)):
+        with pytest.raises(DivisionByZero):
+            QQ.inv(zero)
+
+
 def test_extension_inverse_refuses_a_reducible_modulus():
     F = ExtensionField(3, (2, 0, 1))  # x^2 - 1 = (x - 1)(x + 1)
     assert F.inv(F.one) == F.one

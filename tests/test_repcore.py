@@ -415,6 +415,44 @@ def test_q_exact_denseness_and_isotypic_sums_run_no_closure(monkeypatch):
     assert sum(s is not None and len(s) > 2 for s in sums) >= 2
 
 
+def test_a_second_criterion_pass_restricts_and_decides_no_summand(monkeypatch):
+    # the isotypic decomposition and its summands' verdict are memoised on
+    # each Lambda^m, so the same reps asked again restrict nothing and run
+    # no Norton test, and report what they reported the first time
+    reps = _q_exact_reps()
+    restricted = _counted(monkeypatch, "restrict_to_invariant")
+    ran = _counted(monkeypatch, "_norton_irreducible")
+    first = [is_m_thick_criterion(r, m) for r in reps for m in range(1, r.dim)]
+    assert sum(restricted.values()) > 0 and sum(ran.values()) > 0
+    restricted.clear()
+    ran.clear()
+    second = [is_m_thick_criterion(r, m) for r in reps for m in range(1, r.dim)]
+    assert sum(restricted.values()) == 0 and sum(ran.values()) == 0
+    assert second == first
+    assert sum(report.log.get("route") == "isotypic" for report in first) > 0
+
+
+def test_a_cap_below_the_summand_count_decides_no_summand(monkeypatch):
+    # the summand count is checked against the cap before any summand is
+    # restricted, and the refusal leaves the verdict on the summands unmemoised
+    expected = [repcore._isotypic_sums(exterior_rep(r, m), Caps(), 0)
+                for r in _q_exact_reps()[:8] for m in range(1, r.dim)]
+    modules = [exterior_rep(r, m) for r in _q_exact_reps()[:8] for m in range(1, r.dim)]
+    restricted = _counted(monkeypatch, "restrict_to_invariant")
+    split = 0
+    for ext, sums in zip(modules, expected):
+        if sums is None or len(sums) <= 2:
+            continue
+        split += 1
+        count = len(sums).bit_length() - 1  # the sums of `count` summands
+        assert repcore._isotypic_sums(ext, Caps(isotypic_summands_max=count - 1), 0) is None
+        assert restricted[id(ext)] == 0
+        assert ("isotypic", 0, "summands") not in ext._memo
+        assert repcore._isotypic_sums(ext, Caps(isotypic_summands_max=count), 0) == sums
+        assert restricted[id(ext)] == count
+    assert split >= 2
+
+
 def test_the_commutant_is_solved_once_per_module_and_returned_fresh(monkeypatch):
     solved = _counted(monkeypatch, "_commutant_basis")
     modules = [group_rep(QQ, [ROT]), group_rep(QQ, UPPER_TRIANGULAR)]

@@ -4,9 +4,23 @@ from math import comb
 
 import pytest
 
-from thickrep.errors import CodimMismatch, CodimTooLarge, PreconditionFailed
+from thickrep.errors import (
+    CodimMismatch,
+    CodimTooLarge,
+    ConstructionError,
+    PreconditionFailed,
+)
 from thickrep.fields import GF, QQ
-from thickrep.linalg import Matrix, Subspace, rank_of_rows, unit_vector
+from thickrep.linalg import (
+    Matrix,
+    RowBasis,
+    Subspace,
+    kernel_of_rows,
+    random_independent,
+    rank_of_rows,
+    solve_rows,
+    unit_vector,
+)
 from thickrep.exterior import (
     WedgeVector,
     is_decomposable,
@@ -26,6 +40,7 @@ from thickrep.symplectic import (
     lagrangian_complement,
     symplectic_normal_basis,
     _omega_row,
+    _validate_normal_basis,
 )
 
 
@@ -275,3 +290,235 @@ def test_omega_and_its_row_match_the_form_matrix(field):
             row = _omega_row(sp, u)
             assert row == sp.form.transpose().apply(u)
             assert field.dot(row, v) == sp.omega(u, v)
+
+
+# The normal-form layer as it was written before it ran on the row
+# operations: each omega is two dots and a sub, the projection three scalar
+# operations per coordinate, the validation the whole Gram matrix, and the
+# transversal's picks independent modulo L meet w.  Kept as the oracle that
+# the row-operation versions must match value for value.
+
+
+def _reference_omega_row(sp, u):
+    """The row c with c . z = omega(u, z), read off the form matrix."""
+    return sp.form.transpose().apply(u)
+
+
+def _reference_is_isotropic(sp, w):
+    vecs = w.basis_vectors()
+    z = sp.field.zero
+    for i in range(len(vecs)):
+        for j in range(i + 1, len(vecs)):
+            if sp.omega(vecs[i], vecs[j]) != z:
+                return False
+    return True
+
+
+def _reference_symplectic_normal_basis(sp, w):
+    f = sp.field
+    n = sp.n
+    N = sp.dim
+    zero = f.zero
+
+    work = [tuple(v) for v in w.basis_vectors()]
+    pairs_w = []
+    while True:
+        found = None
+        for i in range(len(work)):
+            for j in range(len(work)):
+                if i != j and sp.omega(work[i], work[j]) != zero:
+                    found = (i, j)
+                    break
+            if found:
+                break
+        if not found:
+            break
+        i, j = found
+        a = work[i]
+        val = sp.omega(a, work[j])
+        b = tuple(f.mul(f.inv(val), x) for x in work[j])
+        rest = [work[t] for t in range(len(work)) if t not in (i, j)]
+        projected = RowBasis(f, N)
+        for y in rest:
+            ya = sp.omega(y, a)
+            yb = sp.omega(y, b)
+            yp = tuple(
+                f.sub(f.add(yc, f.mul(ya, bc)), f.mul(yb, ac))
+                for yc, bc, ac in zip(y, b, a)
+            )
+            projected.insert(yp)
+        pairs_w.append((a, b))
+        work = [tuple(r) for r in projected.rows]
+    rad = list(work)
+    k = len(pairs_w)
+    r = len(rad)
+
+    pairs = list(pairs_w)
+    pending = list(rad)
+    while pending:
+        v0 = pending.pop(0)
+        rows = []
+        rhs = []
+        for u in [x for p in pairs for x in p] + pending:
+            rows.append(_reference_omega_row(sp, u))
+            rhs.append(zero)
+        rows.append(_reference_omega_row(sp, v0))
+        rhs.append(f.one)
+        z = solve_rows(f, rows, rhs, N)
+        if z is None:
+            raise ConstructionError("no symplectic partner found")
+        pairs.append((v0, z))
+
+    while len(pairs) < n:
+        rows = [_reference_omega_row(sp, u) for p in pairs for u in p]
+        cb = kernel_of_rows(f, rows, N).basis_vectors()
+        u0 = cb[0]
+        partner = None
+        for y in cb[1:]:
+            val = sp.omega(u0, y)
+            if val != zero:
+                partner = tuple(f.mul(f.inv(val), x) for x in y)
+                break
+        if partner is None:
+            raise ConstructionError("degenerate complement while completing basis")
+        pairs.append((u0, partner))
+
+    basis = [p[0] for p in pairs] + [p[1] for p in pairs]
+    l = n - k - r
+    _reference_validate_normal_basis(sp, basis, w, k, l)
+    return basis, k, l
+
+
+def _reference_validate_normal_basis(sp, basis, w, k, l):
+    f = sp.field
+    n = sp.n
+    zero, one = f.zero, f.one
+    for i in range(2 * n):
+        for j in range(2 * n):
+            expect = zero
+            if j == i + n:
+                expect = one
+            elif i == j + n:
+                expect = f.neg(one)
+            if sp.omega(basis[i], basis[j]) != expect:
+                raise ConstructionError("normal basis fails the form conditions")
+    shape = basis[:k] + basis[k : n - l] + basis[n : n + k]
+    span = Subspace.from_vectors(f, 2 * n, shape)
+    if span != w:
+        raise ConstructionError("normal basis does not exhibit the subspace shape")
+
+
+def _reference_lagrangian_complement(sp, w):
+    f = sp.field
+    n = sp.n
+    N = sp.dim
+    codim = N - w.dim
+    if codim > n:
+        raise CodimTooLarge("codim %d exceeds %d" % (codim, n))
+    if w.dim > n:
+        w0 = Subspace.from_vectors(f, N, w.basis_vectors()[:n])
+    else:
+        w0 = w
+    basis, k, l = _reference_symplectic_normal_basis(sp, w0)
+    v = basis
+    gens = list(v[n + k : 2 * n - k])
+    for i in range(1, k + 1):
+        gens.append(
+            tuple(f.add(a, b) for a, b in zip(v[n - k + i - 1], v[n + i - 1]))
+        )
+    for i in range(1, k + 1):
+        gens.append(
+            tuple(f.add(a, b) for a, b in zip(v[2 * n - k + i - 1], v[i - 1]))
+        )
+    L = Subspace.from_vectors(f, N, gens)
+    if L.dim != n or not _reference_is_isotropic(sp, L):
+        raise ConstructionError("complement is not Lagrangian")
+    if rank_of_rows(f, L.basis_vectors() + w.basis_vectors(), N) != N:
+        raise ConstructionError("Lagrangian does not complement the subspace")
+    return L
+
+
+def _reference_isotropic_transversal(sp, w, i):
+    f = sp.field
+    N = sp.dim
+    if N - w.dim != i:
+        raise CodimMismatch("subspace has codim %d, not %d" % (N - w.dim, i))
+    if i == 0:
+        return Subspace.zero(f, N)
+    L = _reference_lagrangian_complement(sp, w)
+    inter = L.intersect(w)
+    added = RowBasis(f, N)
+    for row in inter.basis_vectors():
+        added.insert(row)
+    ugens = []
+    for row in L.basis_vectors():
+        if added.insert(row):
+            ugens.append(row)
+    U = Subspace.from_vectors(f, N, ugens)
+    if U.dim != i or not _reference_is_isotropic(sp, U):
+        raise ConstructionError("transversal is not an isotropic i-space")
+    if U.intersect(w).dim != 0:
+        raise ConstructionError("transversal meets the subspace")
+    return U
+
+
+def _seeded_subspaces(field, n, per_dim=15):
+    """`per_dim` seeded subspaces of k^2n of each dimension n..2n: the
+    range on which a Lagrangian complement exists."""
+    rng = random.Random(1000 * n + (field.order if field.finite else 0))
+    for d in range(n, 2 * n + 1):
+        for _ in range(per_dim):
+            yield Subspace.from_vectors(
+                field, 2 * n, random_independent(field, 2 * n, d, rng))
+
+
+def _validates(validate, sp, basis, w, k, l):
+    try:
+        validate(sp, basis, w, k, l)
+    except ConstructionError:
+        return False
+    return True
+
+
+NORMAL_FORM_FIELDS = [QQ, GF(2), GF(3), GF(5), GF(7), GF(2, 2)]
+
+
+@pytest.mark.parametrize("field", NORMAL_FORM_FIELDS, ids=repr)
+def test_normal_forms_match_the_reference_value_for_value(field):
+    for n in (1, 2, 3, 4):
+        sp = SymplecticSpace(n, field)
+        for w in _seeded_subspaces(field, n):
+            i = 2 * n - w.dim
+            normal = symplectic_normal_basis(sp, w)
+            assert normal == _reference_symplectic_normal_basis(sp, w)
+            L = lagrangian_complement(sp, w)
+            assert L == _reference_lagrangian_complement(sp, w)
+            U = isotropic_transversal(sp, w, i)
+            assert U == _reference_isotropic_transversal(sp, w, i)
+            assert U.dim == i and rank_of_rows(
+                field, U.basis_vectors() + w.basis_vectors(), 2 * n) == 2 * n
+            for x in (w, L, U, Subspace.full(field, 2 * n)):
+                assert is_isotropic(sp, x) == _reference_is_isotropic(sp, x)
+
+
+@pytest.mark.parametrize("field", NORMAL_FORM_FIELDS, ids=repr)
+def test_half_gram_validation_agrees_with_the_whole_gram_matrix(field):
+    # the validation reads the pairs i < j only; on valid bases, on bases
+    # with the form conditions broken and on the wrong subspace it accepts
+    # and refuses exactly as the whole Gram matrix does
+    for n in (1, 2, 3):
+        sp = SymplecticSpace(n, field)
+        subspaces = list(_seeded_subspaces(field, n, per_dim=3))
+        for w, other in zip(subspaces, subspaces[1:] + subspaces[:1]):
+            basis, k, l = symplectic_normal_basis(sp, w)
+            swapped = [basis[n]] + basis[1:n] + [basis[0]] + basis[n + 1:]
+            degenerate = basis[:n] + [basis[0]] + basis[n + 1:]
+            for b, target in ((basis, w), (basis, other), (basis[::-1], w),
+                              (swapped, w), (degenerate, w)):
+                fast = _validates(_validate_normal_basis, sp, b, target, k, l)
+                assert fast == _validates(_reference_validate_normal_basis,
+                                          sp, b, target, k, l)
+                if b is degenerate or target != w:
+                    assert not fast
+                elif b is basis:
+                    assert fast
