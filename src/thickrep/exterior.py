@@ -361,24 +361,25 @@ def projective_coefficients(field, dim):
 
 def projective_images(g: Matrix):
     """g(v) for every v of `projective_coefficients(field, n)`, in that
-    order, by linearity: g(v + c*e_k) = g(v) + c*g(e_k), so each point
-    costs one `axpy` from the image of its prefix instead of n dot
+    order, lazily, by linearity: g(v + c*e_k) = g(v) + c*g(e_k), so each
+    point costs one `axpy` from the image of its prefix instead of n dot
     products.  The images are not normalised."""
     f = g.field
-    axpy, zero = f.axpy, f.zero
     cols = list(zip(*g.rows))  # cols[k] = g(e_k)
     minus = f.neg(f.one)
     negcols = [f.scale(minus, c) for c in cols]  # axpy subtracts
-    out = []
     for lead in range(len(cols)):
-        level = [cols[lead]]
+        level = iter((cols[lead],))
         for col in negcols[lead + 1:]:
-            level = [
-                w if c == zero else axpy(w, c, col)
-                for w in level for c in f.elements()
-            ]
-        out.extend(level)
-    return out
+            level = _extend(f, level, col)
+        yield from level
+
+
+def _extend(f, level, col):
+    """The images w + c*col for each w of `level` and each c of the field,
+    c running fastest; `col` is bound here, not late in a loop."""
+    axpy, zero, elements = f.axpy, f.zero, list(f.elements())
+    return (w if c == zero else axpy(w, c, col) for w in level for c in elements)
 
 
 @dataclass
@@ -390,19 +391,6 @@ class RealizabilityResult:
     exhaustive: bool = False
 
 
-def _subspace_wedge_points(w: Subspace, n, m, coeff_iter):
-    """The wedge vectors sum(c_i * basis_i) of w, one per coefficient tuple."""
-    f = w.field
-    basis = w.basis_vectors()
-    zero, neg, axpy = f.zero, f.neg, f.axpy
-    for coeffs in coeff_iter:
-        v = [zero] * w.ambient
-        for c, row in zip(coeffs, basis):
-            if c != zero:
-                v = axpy(v, neg(c), row)
-        yield WedgeVector(f, n, m, v)
-
-
 RATIONAL_TRIALS = 400
 
 
@@ -412,27 +400,31 @@ def realizable_search(
 ) -> RealizabilityResult:
     """Search w <= Lambda^m k^n for a nonzero decomposable vector.
 
-    The one place realizability is decided, by one scan.  It walks
-    `projective_coefficients` and its answer is exact for zero and lines on
+    The one place realizability is decided, by one scan.  It walks the
+    projective points of w, `projective_images` of the matrix whose
+    columns are w's basis, and its answer is exact for zero and lines on
     every field (a line is realizable iff its basis vector is
     decomposable), and over a finite field with the projective point count
     of w within the cap.  Otherwise (the rationals, or past the cap) the
-    search is heuristic: basis vectors, small-coefficient grids, then
-    seeded random combinations; it never reports NotRealizable.  A zero
-    vector from the grid refutes nothing: `is_decomposable` rejects it.
+    search is heuristic: that matrix applied to basis vectors,
+    small-coefficient grids, then seeded random combinations; it never
+    reports NotRealizable.  A zero vector from the grid refutes nothing:
+    `is_decomposable` rejects it.
     """
     if w.ambient != comb(n, m):
         raise AmbientMismatch("ambient %d is not C(%d,%d)" % (w.ambient, n, m))
     f = w.field
     d = w.dim
     exhaustive = d <= 1 or (f.finite and projective_count(f.order, d) <= points_cap)
+    basis = Matrix(f, zip(*w.basis_vectors()))
     if exhaustive:
-        coeff_iter = projective_coefficients(f, d)
+        points = projective_images(basis)
     else:
-        coeff_iter = _heuristic_coefficients(f, d, seed, rational_trials)
+        points = map(basis.apply, _heuristic_coefficients(f, d, seed, rational_trials))
     scanned = 0
-    for v in _subspace_wedge_points(w, n, m, coeff_iter):
+    for coords in points:
         scanned += 1
+        v = WedgeVector(f, n, m, coords)
         ok, wit = is_decomposable(v)
         if ok:
             return RealizabilityResult("Realizable", v, wit, scanned, exhaustive)

@@ -587,22 +587,6 @@ class Poly:
     def __hash__(self):
         return hash((self.field, self.coeffs))
 
-    def __add__(self, other):
-        f = self.field
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        a = a + (f.zero,) * (n - len(a))
-        b = b + (f.zero,) * (n - len(b))
-        return Poly(f, [f.add(x, y) for x, y in zip(a, b)])
-
-    def __sub__(self, other):
-        f = self.field
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        a = a + (f.zero,) * (n - len(a))
-        b = b + (f.zero,) * (n - len(b))
-        return Poly(f, [f.sub(x, y) for x, y in zip(a, b)])
-
     def __mul__(self, other):
         f = self.field
         if self.is_zero() or other.is_zero():

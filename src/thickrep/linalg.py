@@ -94,10 +94,6 @@ class Matrix:
             ],
         )
 
-    def __neg__(self):
-        f = self.field
-        return Matrix(f, [[f.neg(a) for a in r] for r in self.rows])
-
     def scale(self, c):
         f = self.field
         return Matrix(f, [f.scale(c, r) for r in self.rows])

@@ -65,7 +65,9 @@ NO = "No"
 @dataclass
 class Caps:
     """Budgets for the complete decision procedures; THICKREP_CAPS (a JSON
-    object in the environment) overrides individual fields."""
+    object in the environment) overrides individual fields.  `lattice_cap`
+    bounds every lattice the criterion walks: the submodule lattice over a
+    finite field and the isotypic sums over Q."""
 
     group_cap: int = 100_000
     points_cap: int = DEFAULT_POINTS_CAP
@@ -74,7 +76,6 @@ class Caps:
     pair_cap: int = 1_000_000
     candidate_cap: int = 2_000
     rational_trials: int = RATIONAL_TRIALS
-    isotypic_summands_max: int = 14
 
     @classmethod
     def default(cls, overrides: str = "") -> "Caps":
@@ -107,8 +108,9 @@ class Representation:
     """Generator matrices acting on k^dim, stored as a tuple.  The rep is
     immutable, so its lifts, lattices, Norton outcome, point action and
     commutant are memoised on it (`_memo`, written only by `_memoised`):
-    they live and die with the object, and nothing is cached at module
-    level."""
+    they live and die with the object.  Only what depends on the field and
+    dimensions alone is cached at module level (`_point_index`,
+    `_pair_table`)."""
 
     field: object
     dim: int
@@ -163,25 +165,30 @@ def _exterior_lift(r: Representation, m: int) -> Representation:
     )
 
 
-def spin(r: Representation, seeds) -> Subspace:
-    """Smallest invariant subspace containing the seed vectors."""
-    basis = RowBasis(r.field, r.dim)
-    queue = []
-    for v in seeds:
-        v = tuple(v)
-        if len(v) != r.dim:
-            raise DimensionMismatch("seed length %d != %d" % (len(v), r.dim))
-        if basis.insert(v):
-            queue.append(v)
-    while queue:
-        v = queue.pop()
-        for g in r.generators:
-            w = g.apply(v)
+def _span_closure(field, dim, seeds, moves) -> RowBasis:
+    """The smallest subspace of k^dim that contains the seed vectors and is
+    closed under the linear maps `moves`, found breadth-first as in Parker's
+    spinning (1984): each vector that grows the span is moved once by every
+    map, until no image grows it or it is all of k^dim."""
+    basis = RowBasis(field, dim)
+    queue = [v for v in seeds if basis.insert(v)]
+    for v in queue:
+        if basis.dim == dim:
+            break
+        for move in moves:
+            w = move(v)
             if basis.insert(w):
                 queue.append(w)
-        if basis.dim == r.dim:
-            break
-    return basis.to_subspace()
+    return basis
+
+
+def spin(r: Representation, seeds) -> Subspace:
+    """Smallest invariant subspace containing the seed vectors."""
+    seeds = [tuple(v) for v in seeds]
+    for v in seeds:
+        if len(v) != r.dim:
+            raise DimensionMismatch("seed length %d != %d" % (len(v), r.dim))
+    return _span_closure(r.field, r.dim, seeds, [g.apply for g in r.generators]).to_subspace()
 
 
 def is_invariant(r: Representation, w: Subspace) -> bool:
@@ -192,25 +199,18 @@ def is_invariant(r: Representation, w: Subspace) -> bool:
     )
 
 
-def _flatten(m: Matrix):
-    return tuple(x for row in m.rows for x in row)
-
-
 def _algebra_closure_dim(field, gens, n):
-    basis = RowBasis(field, n * n)
-    ident = Matrix.identity(field, n)
-    basis.insert(_flatten(ident))
-    queue = [ident]
-    full = n * n
-    while queue:
-        mat = queue.pop()
-        for g in gens:
-            prod = mat * g
-            if basis.insert(_flatten(prod)):
-                queue.append(prod)
-        if basis.dim == full:
-            return full
-    return basis.dim
+    """Dimension of the unital algebra the n x n matrices `gens` generate:
+    the span closure of the identity, flattened row by row, under right
+    multiplication by each generator.  Row i of a*g is g^T applied to row
+    i of a."""
+    def right_multiplication(g):
+        image = g.transpose().apply
+        return lambda a: tuple(itertools.chain.from_iterable(
+            image(a[i:i + n]) for i in range(0, n * n, n)))
+
+    ident = tuple(itertools.chain.from_iterable(Matrix.identity(field, n).rows))
+    return _span_closure(field, n * n, [ident], list(map(right_multiplication, gens))).dim
 
 
 # the candidate primes for reducing a rational rep in `_norton`
@@ -378,11 +378,9 @@ def _norton_irreducible(r: Representation):
                 return NO, w
             if null.dim != 1:
                 continue
-            # spinning needs only the matrices, and LIE mode skips the
-            # invertibility check that transposed group generators pass anyway
-            dual = Representation(f, n, LIE, [g.transpose() for g in gens])
-            w = spin(dual, kernel(shifted.transpose()).basis_vectors())
-            return (YES, (coeffs, lam)) if w.dim == n else (NO, w.annihilator())
+            w = _span_closure(f, n, kernel(shifted.transpose()).basis_vectors(),
+                              [g.transpose().apply for g in gens])
+            return (YES, (coeffs, lam)) if w.dim == n else (NO, w.to_subspace().annihilator())
     return None
 
 
@@ -496,10 +494,8 @@ def _enumerate_submodules(r: Representation, caps: Caps):
     invertible, so in Lie mode there are no moves and every point is its
     own orbit.
 
-    The closure adds one cyclic submodule C at a time: when L contains 0
-    and is closed under sums, L u {X + C : X in L} is the closure of
-    L u {C}.  CapExceeded comes as soon as the lattice has more than
-    `lattice_cap` elements.
+    Their join closure (`_join_closure`) is the lattice; CapExceeded comes
+    as soon as it has more than `lattice_cap` elements.
     """
     f = r.field
     n = r.dim
@@ -509,17 +505,25 @@ def _enumerate_submodules(r: Representation, caps: Caps):
     for orbit in _orbits(range(len(points)), [p.__getitem__ for p in perms]):
         w = spin(r, [points[orbit[0]]])
         cyclic.setdefault(w.mat.rows, w)
-    bottom = Subspace.zero(f, n)
+    parts = sorted(cyclic.values(), key=Subspace.key)
+    return _join_closure(Subspace.zero(f, n), parts, caps.lattice_cap)
+
+
+def _join_closure(bottom: Subspace, parts, cap: int):
+    """The subspaces that are sums of some of `parts`, bottom included,
+    sorted: the smallest set that holds `bottom` and is closed under sums
+    with each part.  It adds one part C at a time: when L contains 0 and
+    is closed under sums, L u {X + C : X in L} is the closure of L u {C}.
+    Raises CapExceeded as soon as it has more than `cap` elements."""
     lattice = {bottom.mat.rows: bottom}
-    for c in sorted(cyclic.values(), key=Subspace.key):
+    for c in parts:
         if c.mat.rows in lattice:
             continue
         for x in list(lattice.values()):
             s = x.sum(c)
-            if s.mat.rows not in lattice:
-                lattice[s.mat.rows] = s
-                if len(lattice) > caps.lattice_cap:
-                    raise CapExceeded("submodule lattice exceeded cap")
+            lattice.setdefault(s.mat.rows, s)  # one hash of the basis per sum
+            if len(lattice) > cap:
+                raise CapExceeded("submodule lattice exceeded cap")
     return sorted(lattice.values(), key=Subspace.key)
 
 
@@ -887,16 +891,17 @@ def is_m_thick_criterion(r: Representation, m: int, caps: Caps | None = None,
     One pair test runs over invariant W1 candidates from one of three
     sources, in order of preference: the complete submodule lattice
     (finite field, within caps), the isotypic sums of a multiplicity-free
-    module with absolutely irreducible summands (over Q), and the spins
-    of wedges of m-subspaces V1, each with V1 as its witness.  The first
-    two list every invariant subspace.  The spins are complete for
-    refutations: if any realizable invariant pair exists, the spin of a
-    decomposable witness of W1 is an invariant realizable subspace whose
-    perp contains W2, so some m-subspace V1 already exhibits the failure;
-    they are exhausted over a finite field with at most `candidate_cap`
-    m-subspaces.  W1 = 0 is not realizable and the perp of W1 = Lambda^m is
-    0, so neither pair can refute or stay undecided: both are skipped before
-    any search or perp, and log["pairs_tested"] counts the candidates left.
+    module with absolutely irreducible summands (over Q, at most
+    `lattice_cap` sums), and the spins of wedges of m-subspaces V1, each
+    with V1 as its witness.  The first two list every invariant subspace.
+    The spins are complete for refutations: if any realizable invariant
+    pair exists, the spin of a decomposable witness of W1 is an invariant
+    realizable subspace whose perp contains W2, so some m-subspace V1
+    already exhibits the failure; they are exhausted over a finite field
+    with at most `candidate_cap` m-subspaces.  W1 = 0 is not realizable
+    and the perp of W1 = Lambda^m is 0, so neither pair can refute or stay
+    undecided: both are skipped before any search or perp, and
+    log["pairs_tested"] counts the candidates left.
     """
     caps = caps or Caps.default()
     f = r.field
@@ -963,35 +968,32 @@ def is_m_thick_criterion(r: Representation, m: int, caps: Caps | None = None,
 
 
 def _isotypic_sums(ext: Representation, caps: Caps, seed: int):
-    """Every invariant subspace of a multiplicity-free module whose at most
-    `isotypic_summands_max` summands are absolutely irreducible: the sums
-    of its summands, sorted.  None when the module is not of that kind,
-    and at once when the cap allows no summand.  An absolutely irreducible
-    module is its one summand.  Any other module cannot be its own one
-    summand, and its decomposition reads the commutant that
-    `absolute_irreducibility` memoised when it solved one.
+    """Every invariant subspace of a multiplicity-free module whose s
+    summands are absolutely irreducible: the 2^s sums of its summands
+    (`_join_closure`), sorted.  None when the module is not of that kind,
+    when 2^s exceeds `lattice_cap`, and at once when the cap is below the
+    two elements of any lattice.  An absolutely irreducible module is its
+    one summand.  Any other module cannot be its own one summand, and its
+    decomposition reads the commutant that `absolute_irreducibility`
+    memoised when it solved one.
 
     The decomposition for `seed` is memoised on `ext` under
     ("isotypic", seed), and the verdict on its summands under
     ("isotypic", seed, "summands"): neither reads a cap.  They are two
-    entries so that the summand count is checked against the cap before
+    entries so that the lattice size is checked against the cap before
     any summand is decided."""
-    if caps.isotypic_summands_max == 0:
+    if caps.lattice_cap < 2:
         return None
+    bottom = Subspace.zero(ext.field, ext.dim)
     if absolute_irreducibility(ext).verdict == YES:
-        return [Subspace.zero(ext.field, ext.dim), Subspace.full(ext.field, ext.dim)]
+        return [bottom, Subspace.full(ext.field, ext.dim)]
     dec = _memoised(ext, ("isotypic", seed), isotypic_decomposition, ext, seed)
-    if dec is None or not 1 < len(dec) <= caps.isotypic_summands_max:
+    if dec is None or len(dec) < 2 or 2 ** len(dec) > caps.lattice_cap:
         return None
     if not _memoised(ext, ("isotypic", seed, "summands"), _summands_absolutely_irreducible,
                      ext, dec):
         return None
-    bottom = Subspace.zero(ext.field, ext.dim)
-    sums = [
-        functools.reduce(Subspace.sum, itertools.compress(dec, picks), bottom)
-        for picks in itertools.product((0, 1), repeat=len(dec))
-    ]
-    return sorted(sums, key=Subspace.key)
+    return _join_closure(bottom, dec, caps.lattice_cap)
 
 
 def _summands_absolutely_irreducible(ext: Representation, dec) -> bool:

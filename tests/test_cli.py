@@ -272,7 +272,9 @@ def test_bad_caps_exit_3(tmp_path, monkeypatch, capsys):
     path = write_rep(tmp_path, "x.json", GF(2), [[[0, 1], [1, 0]]])
     check = ["check", "--rep", path, "--mode", "thick", "--m", "1"]
     verify = ["verify", "--filter", "characters-distinct-parts"]
-    for bad in ('{"pair_cpa": 1}', '{"group_cap": -5}', '{"pair_cap": 1.5}', '[1]', '{'):
+    # the lattice cap bounds the isotypic sums, so a summand cap is unknown
+    for bad in ('{"pair_cpa": 1}', '{"isotypic_summands_max": 14}', '{"group_cap": -5}',
+                '{"pair_cap": 1.5}', '[1]', '{'):
         assert main(check + ["--caps", bad]) == 3
         assert main(verify + ["--caps", bad]) == 3
         monkeypatch.setenv("THICKREP_CAPS", bad)
@@ -621,3 +623,53 @@ def test_construct_over_a_large_prime_exits_cleanly(capsys):
     captured = capsys.readouterr()
     assert code == 3 and "scanning" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_recheck_refuses_each_broken_claim(tmp_path, capsys):
+    # one mutant of a valid certificate per refusal of
+    # verify_not_thick_certificate; colex order on 2-subsets of 4 is
+    # 12, 13, 23, 14, 24, 34, and so4 leaves no line of Lambda^2 invariant
+    with open(os.path.join(GOLDEN, "so4_wedge2_m2.json")) as fh:
+        cert = json.load(fh)
+    e12 = {"ambient": 6, "basis": [["1", "0", "0", "0", "0", "0"]]}
+    e1, e3 = ["1", "0", "0", "0"], ["0", "0", "1", "0"]
+    mutants = {
+        "wrong ambient": dict(cert, w1={"ambient": 5, "basis": [["1", "0", "0", "0", "0"]]}),
+        "W1 not invariant": dict(cert, w1=e12),
+        "W2 not invariant": dict(cert, w2=e12),
+        "W2 is not perp(W1)": dict(cert, w2={"ambient": 6, "basis": []}),
+        "witness2 wedges to zero": dict(cert, witness2=[e1, e1]),
+        "witness2 wedges outside W2": dict(cert, witness2=[e1, e3]),
+    }
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(serialize.dumps(cert))
+    assert main(["recheck", "--certificate", str(cert_path)]) == 0
+    capsys.readouterr()
+    for name, bad in mutants.items():
+        cert_path.write_text(serialize.dumps(bad))
+        assert main(["recheck", "--certificate", str(cert_path)]) == 1, name
+        assert json.loads(capsys.readouterr().out)["verifies"] is False, name
+
+
+def test_entry_points_print_their_results(tmp_path, capsys):
+    def run(*argv):
+        assert main(list(argv)) == 0, argv
+        return json.loads(capsys.readouterr().out)
+
+    vectors = tmp_path / "v.json"
+    vectors.write_text(json.dumps([["1", "0", "0", "0"], ["0", "1", "0", "0"]]))
+    assert run("exterior", "wedge", "--n", "4", "--input", str(vectors)) == {"1,2": "1"}
+    line = tmp_path / "line.json"
+    line.write_text(json.dumps({"ambient": 6, "basis": [["1", "0", "0", "0", "0", "0"]]}))
+    # the perp of e12 is every colex coordinate but e34
+    out = run("exterior", "perp", "--n", "4", "--m", "2", "--input", str(line))
+    unit = [["1" if i == j else "0" for j in range(6)] for i in range(6)]
+    assert out == {"ambient": 6, "basis": unit[:5]}
+    out = run("construct", "e1wedge", "--field", "F3", "--n", "4")
+    assert out["ambient"] == 6 and len(out["basis"]) == 3
+    assert run("characters", "char", "--partition", "3,2")["degree"] == 5
+    out = run("characters", "partitions", "--n", "3")
+    assert out["coefficients"] == [1, 1, 1, 2, 1, 1, 1]
+    out = run("characters", "plethysm", "--kind", "sym2", "--n", "3", "--m", "2")
+    assert out["components"] == 1
+

@@ -294,7 +294,7 @@ def test_projective_images_match_matrix_apply():
         for n in (1, 2, 3, 4):
             for _ in range(2):
                 g = random_invertible(field, n, rng)
-                images = projective_images(g)
+                images = list(projective_images(g))
                 expected = [g.apply(v) for v in projective_coefficients(field, n)]
                 assert [tuple(x) for x in images] == expected
 

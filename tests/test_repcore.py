@@ -192,8 +192,8 @@ def test_isotypic_shortcut_matches_commutant_route(monkeypatch):
     monkeypatch.setattr(repcore, "commutant", no_commutant)
     fast = [repcore._isotypic_sums(ext, Caps(), 0) for ext in lifts]
     monkeypatch.undo()
-    # the cap keeps its meaning: no summand allowed, no answer
-    assert all(repcore._isotypic_sums(ext, Caps(isotypic_summands_max=0), 0) is None
+    # a lattice cap below the two elements of any lattice gives no answer
+    assert all(repcore._isotypic_sums(ext, Caps(lattice_cap=1), 0) is None
                for ext in lifts)
     monkeypatch.setattr(repcore, "_norton", lambda r: None)
     slow = [repcore._isotypic_sums(ext, Caps(), 0) for ext in lifts]
@@ -433,8 +433,9 @@ def test_a_second_criterion_pass_restricts_and_decides_no_summand(monkeypatch):
 
 
 def test_a_cap_below_the_summand_count_decides_no_summand(monkeypatch):
-    # the summand count is checked against the cap before any summand is
-    # restricted, and the refusal leaves the verdict on the summands unmemoised
+    # the 2^s sums of s summands are checked against the lattice cap before
+    # any summand is restricted, and the refusal leaves the verdict on the
+    # summands unmemoised
     expected = [repcore._isotypic_sums(exterior_rep(r, m), Caps(), 0)
                 for r in _q_exact_reps()[:8] for m in range(1, r.dim)]
     modules = [exterior_rep(r, m) for r in _q_exact_reps()[:8] for m in range(1, r.dim)]
@@ -445,10 +446,10 @@ def test_a_cap_below_the_summand_count_decides_no_summand(monkeypatch):
             continue
         split += 1
         count = len(sums).bit_length() - 1  # the sums of `count` summands
-        assert repcore._isotypic_sums(ext, Caps(isotypic_summands_max=count - 1), 0) is None
+        assert repcore._isotypic_sums(ext, Caps(lattice_cap=2 ** (count - 1)), 0) is None
         assert restricted[id(ext)] == 0
         assert ("isotypic", 0, "summands") not in ext._memo
-        assert repcore._isotypic_sums(ext, Caps(isotypic_summands_max=count), 0) == sums
+        assert repcore._isotypic_sums(ext, Caps(lattice_cap=2 ** count), 0) == sums
         assert restricted[id(ext)] == count
     assert split >= 2
 
@@ -515,7 +516,7 @@ def test_norton_proves_nothing_past_the_scan_limit(monkeypatch):
 
 
 def test_isotypic_sums_under_a_zero_cap_solve_no_commutant(monkeypatch):
-    caps = Caps(isotypic_summands_max=0, rational_trials=40)
+    caps = Caps(lattice_cap=1, rational_trials=40)
     reps = _q_reps()[:8]
     expected = [_criterion_reference(r, m, caps) for r in reps for m in range(1, r.dim)]
     calls = []
@@ -1432,7 +1433,7 @@ ORACLE_SETS = {  # name: (reps, caps common to the set)
 }
 
 
-@pytest.mark.parametrize("caps", [{}, {"isotypic_summands_max": 0}, {"lattice_cap": 1}])
+@pytest.mark.parametrize("caps", [{}, {"lattice_cap": 3}, {"lattice_cap": 1}])
 @pytest.mark.parametrize("name", sorted(ORACLE_SETS))
 def test_criterion_skip_matches_reference_loop(name, caps):
     # skipping W1 = 0 and W1 = Lambda^m changes no verdict, reason,
@@ -1692,3 +1693,34 @@ def test_one_benchmark_op_lifts_and_decides_each_module_once(monkeypatch):
         # generator and m in {2, 3}, and only the two checks at construction
         assert counts["lattice"] <= 3 and counts["compound"] <= 4, counts
         assert counts["is_invertible"] == 2, counts
+
+
+def test_a_repeated_summand_has_no_isotypic_decomposition():
+    # 2.I on Q^2 commutes with all of M_2, whose elements do not commute
+    # with each other, so there is no multiplicity-free decomposition and
+    # the criterion spins wedges instead
+    r = group_rep(QQ, [[[2, 0], [0, 2]]])
+    assert commutant(r)[0] == 4
+    assert isotypic_decomposition(r) is None
+    assert repcore._isotypic_sums(r, Caps(), 0) is None
+    report = is_m_thick_criterion(r, 1, Caps(rational_trials=4))
+    assert report.log["route"] == "spin" and report.verdict == NOT_THICK
+
+
+def test_the_criterion_is_trivial_at_the_ends():
+    for r in (group_rep(GF(3), [SWAP2]), group_rep(QQ, [ROT])):
+        for m in (0, r.dim):
+            report = is_m_thick_criterion(r, m)
+            assert (report.verdict, report.log) == (THICK, {"trivial": True})
+
+
+def test_the_lattice_cap_bounds_the_isotypic_sums():
+    # Lambda^2 of the 4-dim sp rep is 5 + 1: four sums, so a lattice cap of
+    # three sends the criterion to the spin route, where it cannot decide
+    sp4 = Representation(QQ, 4, LIE, lie_generators("sp", 2))
+    capped = is_m_thick_criterion(sp4, 2, Caps(lattice_cap=3, rational_trials=20))
+    assert (capped.log["route"], capped.verdict) == ("spin", UNKNOWN)
+    exact = is_m_thick_criterion(sp4, 2, Caps(lattice_cap=4))
+    assert (exact.log["route"], exact.log["submodules"], exact.verdict) == (
+        "isotypic", 4, THICK
+    )
