@@ -1,8 +1,12 @@
 """Command-line front end.
 
-Exit codes for `check`: 0 the property holds, 1 refuted (certificate in the
-report), 2 undecided or a cap was hit, 3 usage or input errors.  All I/O is
-UTF-8 JSON; every run is reproducible from --seed.
+Every command returns a report and a verdict; `main` writes the report
+(stdout or --json-out) and maps the verdict to the exit code through one
+table, `_EXIT_CODES`, for all commands: 0 the property holds, the
+certificate verifies or the command has no verdict; 1 refuted (a NotThick
+report carries a certificate), does not verify or the suite failed;
+2 undecided or a cap was hit; 3 usage or input errors.  All I/O is UTF-8
+JSON; every run is reproducible from --seed.
 """
 
 from __future__ import annotations
@@ -55,14 +59,11 @@ from .characters import (
     sym_char,
 )
 from . import serialize
-from .verify import VERIFIED, run_suite
+from .verify import ERROR, REFUTED, VERIFIED, run_suite
 
-
-def _exit_code(verdict) -> int:
-    """The exit code of a verdict of `check` or `exterior realizable`: 0 the
-    property holds, 1 refuted, 2 undecided."""
-    codes = {THICK: 0, YES: 0, "Realizable": 0, NOT_THICK: 1, NO: 1, "NotRealizable": 1}
-    return codes.get(verdict, 2)
+# the exit code of every verdict a command returns; anything else exits 2
+_EXIT_CODES = {None: 0, THICK: 0, YES: 0, "Realizable": 0, VERIFIED: 0,
+               NOT_THICK: 1, NO: 1, "NotRealizable": 1, REFUTED: 1, ERROR: 1}
 
 
 def _parse_field(spec: str):
@@ -82,7 +83,7 @@ def _load_json(path: str):
         return json.load(fh)
 
 
-def _emit(report, json_out=None):
+def _emit(report, json_out):
     text = serialize.dumps(report)
     if json_out:
         with open(json_out, "w", encoding="utf-8") as fh:
@@ -91,7 +92,7 @@ def _emit(report, json_out=None):
         sys.stdout.write(text)
 
 
-def cmd_check(args) -> int:
+def cmd_check(args):
     rep = serialize.representation_from_json(_load_json(args.rep))
     caps = Caps.default(args.caps)
     report = {"property": args.mode, "m": args.m, "label": rep.label}
@@ -103,29 +104,25 @@ def cmd_check(args) -> int:
         else:
             tr = is_m_thick_criterion(rep, args.m, caps, seed=args.seed)
         report.update(serialize.thickness_report_to_json(rep, tr))
-        _emit(report, args.json_out)
-        return _exit_code(tr.verdict)
-    if args.mode in ("dense", "irreducible"):
-        if args.method == "criterion":
-            raise ThickRepError("the pair criterion decides thickness only")
-        absolute = args.method == "burnside"
-        m = args.m if args.mode == "dense" else 1
-        if absolute and 0 < m < rep.dim:
-            # the route that decided: "norton", "submodule" (finite fields),
-            # "commutant" or "closure"
-            decision = absolute_irreducibility(exterior_rep(rep, m))
-            report.update({"verdict": decision.verdict, "route": decision.route})
-        else:
-            report["verdict"] = is_m_dense(rep, m, absolute=absolute, caps=caps)
-            if absolute:
-                report["route"] = "trivial"  # Lambda^0 and Lambda^n are lines
-        report["absolute"] = absolute
-        _emit(report, args.json_out)
-        return _exit_code(report["verdict"])
-    raise ThickRepError("unknown mode %r" % (args.mode,))
+        return report, tr.verdict
+    if args.method == "criterion":
+        raise ThickRepError("the pair criterion decides thickness only")
+    absolute = args.method == "burnside"
+    m = args.m if args.mode == "dense" else 1
+    if absolute and 0 < m < rep.dim:
+        # the route that decided: "norton", "submodule" (finite fields),
+        # "commutant" or "closure"
+        decision = absolute_irreducibility(exterior_rep(rep, m))
+        report.update({"verdict": decision.verdict, "route": decision.route})
+    else:
+        report["verdict"] = is_m_dense(rep, m, absolute=absolute, caps=caps)
+        if absolute:
+            report["route"] = "trivial"  # Lambda^0 and Lambda^n are lines
+    report["absolute"] = absolute
+    return report, report["verdict"]
 
 
-def cmd_construct(args) -> int:
+def cmd_construct(args):
     field = _parse_field(args.field)
     if args.kind == "companion":
         res = companion_pair(field, args.n, field.parse(args.a), field.parse(args.b))
@@ -151,58 +148,43 @@ def cmd_construct(args) -> int:
         }
     elif args.kind == "e1wedge":
         out = serialize.subspace_to_json(e1_wedge_subspace(field, args.n))
-    elif args.kind == "lie":
+    else:
         gens = lie_generators(args.family, args.n, field)
         out = {
             "family": args.family,
             "n": args.n,
             "generators": [serialize.matrix_to_json(g) for g in gens],
         }
-    else:
-        raise ThickRepError("unknown construction %r" % (args.kind,))
-    _emit(out, args.json_out)
-    return 0
+    return out, None
 
 
-def cmd_exterior(args) -> int:
+def cmd_exterior(args):
     field = _parse_field(args.field)
+    data = _load_json(args.input)
     if args.op == "compound":
-        m = serialize.matrix_from_json(field, _load_json(args.input))
-        _emit(serialize.matrix_to_json(compound(m, args.m)), args.json_out)
-        return 0
+        m = serialize.matrix_from_json(field, data)
+        return serialize.matrix_to_json(compound(m, args.m)), None
     if args.op == "wedge":
-        vectors = [
-            serialize.vector_from_json(field, v) for v in _load_json(args.input)
-        ]
-        w = wedge_of_vectors(field, args.n, vectors)
-        _emit(w.to_sparse(), args.json_out)
-        return 0
+        vectors = [serialize.vector_from_json(field, v) for v in data]
+        return wedge_of_vectors(field, args.n, vectors).to_sparse(), None
     if args.op == "decomposable":
-        w = WedgeVector.from_sparse(field, args.n, args.m, _load_json(args.input))
+        w = WedgeVector.from_sparse(field, args.n, args.m, data)
         ok, witness = is_decomposable(w)
         out = {"decomposable": ok}
         if ok:
             out["witness"] = [serialize.vector_to_json(field, v) for v in witness]
-        _emit(out, args.json_out)
-        return 0 if ok else 1
-    if args.op in ("perp", "realizable"):
-        data = _load_json(args.input)
-        sub = serialize.subspace_from_json(field, data)
-        if args.op == "perp":
-            _emit(
-                serialize.subspace_to_json(perp(sub, args.n, args.m)), args.json_out
-            )
-            return 0
-        res = realizable_search(sub, args.n, args.m, seed=args.seed)
-        out = {"status": res.status, "scanned": res.scanned, "exhaustive": res.exhaustive}
-        if res.witness is not None:
-            out["witness"] = res.witness.to_sparse()
-        _emit(out, args.json_out)
-        return _exit_code(res.status)
-    raise ThickRepError("unknown exterior op %r" % (args.op,))
+        return out, YES if ok else NO
+    sub = serialize.subspace_from_json(field, data)
+    if args.op == "perp":
+        return serialize.subspace_to_json(perp(sub, args.n, args.m)), None
+    res = realizable_search(sub, args.n, args.m, seed=args.seed)
+    out = {"status": res.status, "scanned": res.scanned, "exhaustive": res.exhaustive}
+    if res.witness is not None:
+        out["witness"] = res.witness.to_sparse()
+    return out, res.status
 
 
-def cmd_characters(args) -> int:
+def cmd_characters(args):
     if args.op == "char":
         lam = _parse_partition(args.partition)
         chi = sym_char(lam)
@@ -226,53 +208,40 @@ def cmd_characters(args) -> int:
         out = {"a": args.a, "b": args.b, "holds": gl2_wedge_identity(args.a, args.b)}
     elif args.op == "partitions":
         out = {"n": args.n, "coefficients": distinct_parts_coeffs(args.n)}
-    elif args.op == "plethysm":
+    else:
         out = {
             "kind": args.kind,
             "n": args.n,
             "m": args.m,
             "components": plethysm_component_count(args.kind, args.n, args.m),
         }
-    else:
-        raise ThickRepError("unknown characters op %r" % (args.op,))
-    _emit(out, args.json_out)
-    return 0
+    return out, None
 
 
-def cmd_symplectic(args) -> int:
+def cmd_symplectic(args):
     field = _parse_field(args.field)
     sp = SymplecticSpace(args.n, field)
     if args.op == "kernel":
         k = ker_fm(sp, args.m)
-        _emit(
-            {"dim": k.dim, "subspace": serialize.subspace_to_json(k)}, args.json_out
-        )
-        return 0
-    if args.op == "ker-perp":
-        report = ker_perp_realizability_check(
-            sp, args.m, trials=args.trials, seed=args.seed
-        )
-        _emit(dataclasses.asdict(report), args.json_out)
-        ok = report.pairing_prong_pass and (
-            not report.scan_prong_ran or report.scan_prong_pass
-        )
-        return 0 if ok else 1
-    raise ThickRepError("unknown symplectic op %r" % (args.op,))
+        return {"dim": k.dim, "subspace": serialize.subspace_to_json(k)}, None
+    report = ker_perp_realizability_check(sp, args.m, trials=args.trials, seed=args.seed)
+    ok = report.pairing_prong_pass and (
+        not report.scan_prong_ran or report.scan_prong_pass
+    )
+    return dataclasses.asdict(report), YES if ok else NO
 
 
-def cmd_rnumber(args) -> int:
-    _emit(serialize.r_number_to_json(r_number_bounds(args.n, args.m)), args.json_out)
-    return 0
+def cmd_rnumber(args):
+    return dataclasses.asdict(r_number_bounds(args.n, args.m)), None
 
 
-def cmd_recheck(args) -> int:
+def cmd_recheck(args):
     rep, cert = serialize.certificate_from_json(_load_json(args.certificate))
     ok = verify_not_thick_certificate(rep, cert)
-    _emit({"certificate": args.certificate, "verifies": ok}, args.json_out)
-    return 0 if ok else 1
+    return {"certificate": args.certificate, "verifies": ok}, YES if ok else NO
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     caps = Caps.default(args.caps)
     suite = run_suite(filter_substring=args.filter, seed=args.seed, caps=caps,
                       jobs=args.jobs)
@@ -291,8 +260,7 @@ def cmd_verify(args) -> int:
     for item in suite.items:
         line = "%-9s %6d ms  %s" % (item.status, item.runtime_ms, item.item_id)
         print(line, file=sys.stderr)
-    _emit(suite.to_json(cert_paths), args.json_out)
-    return 0 if suite.overall == VERIFIED else 1
+    return suite.to_json(cert_paths), suite.overall
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -302,21 +270,27 @@ def build_parser() -> argparse.ArgumentParser:
         "finite-dimensional representations.",
     )
     sub = top.add_subparsers(dest="command", required=True)
+    # each flag that several commands share is declared once, in a parent
+    json_out, seed, field, caps = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    json_out.add_argument("--json-out", default="")
+    seed.add_argument("--seed", type=int, default=0)
+    field.add_argument("--field", default="Q")
+    caps.add_argument("--caps", default="")
 
-    p = sub.add_parser("check", help="decide a property of a representation file")
+    def command(name, summary, *shared):
+        # every command writes its report to stdout or --json-out
+        return sub.add_parser(name, help=summary, parents=[*shared, json_out])
+
+    p = command("check", "decide a property of a representation file", seed, caps)
     p.add_argument("--rep", required=True)
     p.add_argument("--mode", required=True, choices=["thick", "dense", "irreducible"])
     p.add_argument("--m", type=int, default=1)
     p.add_argument(
         "--method", default="definition", choices=["definition", "criterion", "burnside"]
     )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--caps", default="")
-    p.add_argument("--json-out", default="")
 
-    p = sub.add_parser("construct", help="build a representation family")
+    p = command("construct", "build a representation family", field, seed)
     p.add_argument("kind", choices=["companion", "block", "e1wedge", "lie"])
-    p.add_argument("--field", default="Q")
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--a", default="2")
     p.add_argument("--b", default="3")
@@ -325,19 +299,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphas", default="1,4")
     p.add_argument("--betas", default="3,9")
     p.add_argument("--family", default="sp")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json-out", default="")
 
-    p = sub.add_parser("exterior", help="exterior-algebra operations")
+    p = command("exterior", "exterior-algebra operations", field, seed)
     p.add_argument("op", choices=["compound", "wedge", "perp", "decomposable", "realizable"])
-    p.add_argument("--field", default="Q")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--input", required=True, help="JSON input file")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json-out", default="")
 
-    p = sub.add_parser("characters", help="symmetric-group and weight characters")
+    p = command("characters", "symmetric-group and weight characters")
     p.add_argument("op", choices=["char", "wedge-square", "gl2", "partitions", "plethysm"])
     p.add_argument("--partition", default="3,2")
     p.add_argument("--a", type=int, default=3)
@@ -345,33 +314,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--kind", default="sym2", choices=["sym2", "wedge2"])
-    p.add_argument("--json-out", default="")
 
-    p = sub.add_parser("symplectic", help="contraction kernels and their perps")
+    p = command("symplectic", "contraction kernels and their perps", field, seed)
     p.add_argument("op", choices=["kernel", "ker-perp"])
-    p.add_argument("--field", default="Q")
     p.add_argument("--n", type=int, required=True, help="half-dimension")
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json-out", default="")
 
-    p = sub.add_parser("rnumber", help="bounds for minimal invariant realizable dims")
+    p = command("rnumber", "bounds for minimal invariant realizable dims")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--json-out", default="")
 
-    p = sub.add_parser("recheck", help="independently re-verify a certificate")
+    p = command("recheck", "independently re-verify a certificate")
     p.add_argument("--certificate", required=True)
-    p.add_argument("--json-out", default="")
 
-    p = sub.add_parser("verify", help="run the verification suite")
+    p = command("verify", "run the verification suite", seed, caps)
     p.add_argument("--filter", default="")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--caps", default="")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--cert-dir", default="")
-    p.add_argument("--json-out", default="")
 
     return top
 
@@ -389,13 +349,15 @@ def main(argv=None) -> int:
     # looked up at call time, so that a wrapper installed on the module is used
     fn = globals()["cmd_" + args.command]
     try:
-        return fn(args)
+        report, verdict = fn(args)
+        _emit(report, args.json_out)
+    except CapExceeded as e:
+        print("cap exceeded: %s" % e, file=sys.stderr)
+        return 2
     except (ThickRepError, OSError, ValueError, KeyError) as e:
-        if isinstance(e, CapExceeded):
-            print("cap exceeded: %s" % e, file=sys.stderr)
-            return 2
         print("error: %s" % e, file=sys.stderr)
         return 3
+    return _EXIT_CODES.get(verdict, 2)
 
 
 if __name__ == "__main__":

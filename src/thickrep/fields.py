@@ -159,8 +159,8 @@ class Rationals:
         return Fraction(i)
 
     def sort_key(self, a):
-        # canonical order: by (numerator, denominator) after normalization
-        a = Fraction(a)
+        # canonical order: by (numerator, denominator) of the element, a
+        # normalized Fraction or an int
         return (a.numerator, a.denominator)
 
     def format(self, a) -> str:

@@ -7,7 +7,6 @@ through `dumps`.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 from .errors import MalformedInput, ThickRepError
@@ -18,7 +17,6 @@ from .repcore import (
     LIE,
     NotThickCertificate,
     Representation,
-    RNumberBounds,
     ThicknessReport,
 )
 
@@ -75,7 +73,8 @@ def representation_to_json(r: Representation):
 
 def representation_from_json(data) -> Representation:
     """The rep of a JSON object; raises MalformedInput unless `dim` is an
-    integer and `generators` a list of dim x dim matrices."""
+    integer, `generators` a list of dim x dim matrices and `label`, when
+    present and not null, a string."""
     if not isinstance(data, dict):
         raise MalformedInput("a representation must be a JSON object")
     field = field_from_json(data["field"])
@@ -87,8 +86,11 @@ def representation_from_json(data) -> Representation:
         raise MalformedInput("dim must be an integer, got %r" % (dim,))
     if not isinstance(data["generators"], list):
         raise MalformedInput("generators must be a list of matrices")
+    label = data.get("label", "")
+    if label is not None and not isinstance(label, str):
+        raise MalformedInput("label must be a string, got %r" % (label,))
     gens = [matrix_from_json(field, g) for g in data["generators"]]
-    return Representation(field, dim, mode, gens, label=data.get("label", ""))
+    return Representation(field, dim, mode, gens, label=label)
 
 
 def certificate_to_json(r: Representation, cert: NotThickCertificate):
@@ -162,7 +164,3 @@ def thickness_report_to_json(r: Representation, report: ThicknessReport):
     if report.certificate is not None:
         out["certificate"] = certificate_to_json(r, report.certificate)
     return out
-
-
-def r_number_to_json(b: RNumberBounds):
-    return dataclasses.asdict(b)

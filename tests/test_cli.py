@@ -1,6 +1,9 @@
 import json
 import os
+import re
 from fractions import Fraction
+
+import pytest
 
 from thickrep.cli import main
 from thickrep.fields import GF, QQ
@@ -8,7 +11,7 @@ from thickrep.linalg import Matrix
 from thickrep.constructions import companion_pair, lie_generators
 from thickrep.repcore import GROUP, LIE, Representation
 from thickrep.symplectic import SymplecticSpace, ker_perp_realizability_check
-from thickrep import fields, repcore, serialize
+from thickrep import fields, repcore, serialize, verify
 
 
 def write_rep(tmp_path, name, field, mats, mode=GROUP, label=""):
@@ -555,7 +558,7 @@ def test_main_dispatches_through_module_attribute(monkeypatch):
 
     calls = []
     assert main(["rnumber", "--n", "3", "--m", "1"]) == 0
-    monkeypatch.setattr(cli, "cmd_rnumber", lambda args: calls.append(args.n) or 0)
+    monkeypatch.setattr(cli, "cmd_rnumber", lambda args: calls.append(args.n) or ({}, None))
     assert main(["rnumber", "--n", "4", "--m", "2"]) == 0
     assert main(["rnumber", "--n", "5", "--m", "2"]) == 0
     assert calls == [4, 5]
@@ -673,3 +676,62 @@ def test_entry_points_print_their_results(tmp_path, capsys):
     out = run("characters", "plethysm", "--kind", "sym2", "--n", "3", "--m", "2")
     assert out["components"] == 1
 
+
+
+@pytest.mark.parametrize("verdict, code", [
+    (repcore.THICK, 0), (repcore.NOT_THICK, 1), (repcore.UNKNOWN, 2),
+    (repcore.YES, 0), (repcore.NO, 1), ("Realizable", 0), ("NotRealizable", 1),
+    (verify.VERIFIED, 0), (verify.REFUTED, 1), (verify.ERROR, 1), (None, 0),
+])
+def test_every_verdict_maps_to_its_contract_code(monkeypatch, capsys, verdict, code):
+    # main alone turns a handler's verdict into the exit code
+    import thickrep.cli as cli
+
+    monkeypatch.setattr(cli, "cmd_recheck", lambda args: ({"v": verdict}, verdict))
+    assert main(["recheck", "--certificate", "unread.json"]) == code
+    assert json.loads(capsys.readouterr().out) == {"v": verdict}
+
+
+HELP_OPTIONS = {
+    "check": {"--caps", "--json-out", "--m", "--method", "--mode", "--rep", "--seed"},
+    "construct": {"--a", "--alphas", "--b", "--betas", "--ell", "--family", "--field",
+                  "--json-out", "--m", "--n", "--seed"},
+    "exterior": {"--field", "--input", "--json-out", "--m", "--n", "--seed"},
+    "characters": {"--a", "--b", "--json-out", "--kind", "--m", "--n", "--partition"},
+    "symplectic": {"--field", "--json-out", "--m", "--n", "--seed", "--trials"},
+    "rnumber": {"--json-out", "--m", "--n"},
+    "recheck": {"--certificate", "--json-out"},
+    "verify": {"--caps", "--cert-dir", "--filter", "--jobs", "--json-out", "--seed"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_OPTIONS))
+def test_help_lists_each_commands_options(capsys, command):
+    # the shared flags are declared once, and every command keeps its set
+    assert main([command, "--help"]) == 0
+    listed = set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", capsys.readouterr().out))
+    assert listed == HELP_OPTIONS[command] | {"-h", "--help"}
+
+
+def test_a_label_that_is_not_a_string_exits_3(tmp_path, capsys):
+    path = tmp_path / "rep.json"
+    data = serialize.representation_to_json(
+        Representation(QQ, 2, GROUP, [Matrix.from_ints(QQ, [[1, 0], [0, 2]])])
+    )
+    argv = ["check", "--rep", str(path), "--mode", "thick", "--method", "criterion",
+            "--m", "1"]
+    for label in (5, [1], {"a": 1}):
+        path.write_text(json.dumps(dict(data, label=label)))
+        assert main(argv) == 3, label
+        err = capsys.readouterr().err
+        assert "label must be a string" in err and "Traceback" not in err
+    # an absent or null label is the empty one, and diag(1, 2) is not thick
+    for rep in (dict(data, label=None), {k: v for k, v in data.items() if k != "label"}):
+        path.write_text(json.dumps(rep))
+        assert main(argv) == 1
+        assert json.loads(capsys.readouterr().out)["verdict"] == "NotThick"
+    lie = serialize.representation_to_json(
+        Representation(QQ, 4, LIE, lie_generators("sp", 2, QQ))
+    )
+    path.write_text(json.dumps(dict(lie, label=3)))
+    assert main(argv[:-1] + ["2"]) == 3

@@ -645,3 +645,14 @@ def test_large_quadratic_extension_builds_fast():
     assert time.perf_counter() - t0 < 1.0
     s = f.mul((0, 1), (0, 1))[0]  # x^2 = s, a quadratic nonresidue
     assert pow(s, (p - 1) // 2, p) == p - 1
+
+
+def test_rational_sort_key_matches_the_fraction_built_key():
+    # the key reads numerator and denominator off the element; the key of
+    # Fraction(a), which it replaces, is the oracle
+    rng = random.Random(7)
+    values = [Fraction(rng.randint(-50, 50), rng.randint(1, 12)) for _ in range(500)]
+    values += [Fraction(-3), Fraction(0), Fraction(4, 2), Fraction(-7, 7), -2, 0, 5]
+    oracle = lambda a: (Fraction(a).numerator, Fraction(a).denominator)  # noqa: E731
+    assert [QQ.sort_key(a) for a in values] == [oracle(a) for a in values]
+    assert sorted(values, key=QQ.sort_key) == sorted(values, key=oracle)

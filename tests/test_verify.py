@@ -1,4 +1,4 @@
-from thickrep import verify
+from thickrep import serialize, verify
 from thickrep.repcore import Caps
 from thickrep.verify import ERROR, SKIPPED, VERIFIED, run_item, run_suite
 
@@ -37,3 +37,24 @@ def test_crashing_item_reports_error(monkeypatch):
         details = suite.items[1].details
         assert details["error"] == "KeyError" and "boom" in details["message"]
         assert suite.overall == ERROR
+
+
+def test_the_process_pool_returns_the_serial_certificates(monkeypatch):
+    # block-rep and so-split each emit a certificate, so both cross the pool
+    registry = [(iid, fn) for iid, fn in verify.REGISTRY
+                if iid in ("block-rep-f13", "so-split-examples")]
+    assert len(registry) == 2
+    monkeypatch.setattr(verify, "REGISTRY", registry)
+
+    def outcome(jobs):
+        suite = run_suite(jobs=jobs)
+        return suite.overall, [
+            (item.item_id, item.status, item.details,
+             [(name, serialize.dumps(payload)) for name, payload in item.certificates])
+            for item in suite.items
+        ]
+
+    serial = outcome(1)
+    assert serial[0] == VERIFIED
+    assert [len(item[3]) for item in serial[1]] == [1, 1]
+    assert outcome(2) == serial
