@@ -18,12 +18,13 @@ from .repcore import (
     Caps,
     GROUP,
     LIE,
+    Decision,
     Representation,
-    ThicknessReport,
     absolute_irreducibility,
     all_submodules,
     burnside_dim,
     commutant,
+    decide_m_dense,
     exterior_rep,
     is_invariant,
     is_m_dense,

@@ -345,7 +345,7 @@ def plethysm_component_count(kind: str, n: int, m: int) -> int:
     if kind not in ("sym2", "wedge2"):
         raise ScaleExceeded("unknown kind %r" % (kind,))
     if n > 4 or m > 6 or n < 1 or m < 0:
-        raise ScaleExceeded("desk scale is n <= 4, m <= 6")
+        raise ScaleExceeded("desk scale is 1 <= n <= 4, 0 <= m <= 6")
     if kind == "sym2":
         monos = [
             tuple((1 if t == i else 0) + (1 if t == j else 0) for t in range(n))

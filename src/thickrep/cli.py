@@ -34,9 +34,7 @@ from .repcore import (
     NOT_THICK,
     THICK,
     YES,
-    absolute_irreducibility,
-    exterior_rep,
-    is_m_dense,
+    decide_m_dense,
     is_m_thick_criterion,
     is_m_thick_definition,
     r_number_bounds,
@@ -95,31 +93,23 @@ def _emit(report, json_out):
 def cmd_check(args):
     rep = serialize.representation_from_json(_load_json(args.rep))
     caps = Caps.default(args.caps)
-    report = {"property": args.mode, "m": args.m, "label": rep.label}
+    report = {"property": args.mode, "m": args.m, "label": rep.label,
+              "method": args.method, "mode": rep.mode}
     if args.mode == "thick":
         if args.method == "burnside":
             raise ThickRepError("burnside decides denseness, not thickness")
         if args.method == "definition":
-            tr = is_m_thick_definition(rep, args.m, caps)
+            decision = is_m_thick_definition(rep, args.m, caps)
         else:
-            tr = is_m_thick_criterion(rep, args.m, caps, seed=args.seed)
-        report.update(serialize.thickness_report_to_json(rep, tr))
-        return report, tr.verdict
-    if args.method == "criterion":
-        raise ThickRepError("the pair criterion decides thickness only")
-    absolute = args.method == "burnside"
-    m = args.m if args.mode == "dense" else 1
-    if absolute and 0 < m < rep.dim:
-        # the route that decided: "norton", "submodule" (finite fields),
-        # "commutant" or "closure"
-        decision = absolute_irreducibility(exterior_rep(rep, m))
-        report.update({"verdict": decision.verdict, "route": decision.route})
+            decision = is_m_thick_criterion(rep, args.m, caps, seed=args.seed)
     else:
-        report["verdict"] = is_m_dense(rep, m, absolute=absolute, caps=caps)
-        if absolute:
-            report["route"] = "trivial"  # Lambda^0 and Lambda^n are lines
-    report["absolute"] = absolute
-    return report, report["verdict"]
+        if args.method == "criterion":
+            raise ThickRepError("the pair criterion decides thickness only")
+        report["absolute"] = args.method == "burnside"
+        m = args.m if args.mode == "dense" else 1
+        decision = decide_m_dense(rep, m, report["absolute"], caps)
+    report.update(serialize.decision_to_json(rep, decision))
+    return report, decision.verdict
 
 
 def cmd_construct(args):
@@ -252,8 +242,7 @@ def cmd_verify(args):
             paths = []
             for name, payload in item.certificates:
                 path = os.path.join(args.cert_dir, "%s.json" % name)
-                with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(serialize.dumps(payload))
+                _emit(payload, path)
                 paths.append(path)
             if paths:
                 cert_paths[item.item_id] = paths

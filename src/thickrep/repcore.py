@@ -16,7 +16,7 @@ import json
 import operator
 import os
 import random
-from dataclasses import InitVar, dataclass, field as dc_field, fields
+from dataclasses import InitVar, dataclass, field as dc_field, fields, replace
 from math import comb
 
 from .errors import (
@@ -240,42 +240,37 @@ def burnside_dim(r: Representation) -> int:
 
 
 @dataclass(frozen=True)
-class AbsoluteIrreducibility:
-    """Is the rep absolutely irreducible: the verdict, the route that decided
-    and its witness.  "norton" (YES): Norton's proof from `_norton`,
-    (theta's coefficients, lambda) over a finite field and
-    (p, coefficients, lambda) over Q; "submodule" (NO, finite fields only):
-    a proper invariant subspace; "commutant" (NO): a non-scalar matrix
-    commuting with every generator; "closure" (YES or NO): the dimension of
-    the generated algebra."""
+class Decision:
+    """The outcome of every decider: its verdict, the route that decided
+    ("trivial" for Lambda^0 and Lambda^n), that route's witness as
+    `certificate` (a NotThickCertificate on NotThick; each decider names
+    the others), its counters and, when undecided, the reason.  Norton's
+    are memoised and shared, so no caller may change a decision's log."""
 
     verdict: str
     route: str
-    witness: object
+    certificate: object = None
+    log: dict = dc_field(default_factory=dict)
+    reason: str = ""
 
 
-def absolute_irreducibility(r: Representation) -> AbsoluteIrreducibility:
+def absolute_irreducibility(r: Representation) -> Decision:
     """Decide absolute irreducibility with a witness either way, by one
-    ladder on every field.
-
-    First Norton's test (`_norton`): over a finite field it runs on `r`
-    itself and answers YES or NO, over Q it runs on the reduction mod p
-    and answers YES only, and on a field too large for `check_scan` it
-    answers nothing.  Then the commutant, since the commutant of M_N is
-    the scalars (Schur), so one non-scalar commuting matrix proves NO;
-    then the exact algebra closure."""
+    ladder on every field.  First Norton's test (`_norton`): route "norton"
+    (YES, its proof) or, over a finite field, "submodule" (NO, a proper
+    invariant subspace).  Then "commutant" (NO, a non-scalar commuting
+    matrix), since the commutant of M_N is the scalars (Schur); then
+    "closure" (the dimension of the algebra, closed exactly)."""
     outcome = _norton(r)
     if outcome:
-        verdict, witness = outcome
-        route = "norton" if verdict == YES else "submodule"
-        return AbsoluteIrreducibility(verdict, route, witness)
+        return outcome
     cdim, cbasis = commutant(r)
     if cdim > 1:
         ident = Matrix.identity(r.field, r.dim)
         witness = next(b for b in cbasis if b != ident.scale(b.rows[0][0]))
-        return AbsoluteIrreducibility(NO, "commutant", witness)
+        return Decision(NO, "commutant", witness)
     dim = _algebra_closure_dim(r.field, r.generators, r.dim)
-    return AbsoluteIrreducibility(YES if dim == r.dim ** 2 else NO, "closure", dim)
+    return Decision(YES if dim == r.dim ** 2 else NO, "closure", dim)
 
 
 def _orbits(points, moves, cap=None):
@@ -346,14 +341,15 @@ def _norton_irreducible(r: Representation):
     U^perp then contains the transposed line.  The same holds over every
     extension field, so the module is absolutely irreducible.
 
-    Returns (YES, (theta's coefficients, lambda)) when the test succeeds;
-    (NO, W) with W a proper invariant subspace when a spin is proper: the
-    spin of an eigenvector, or the annihilator of the transposed line's
-    spin, which the transposed generators leave invariant; and None when no
-    theta among the fixed number of tries has a one-dimensional
-    eigenspace.  Irreducible modules that are not absolutely irreducible
-    always end in None, since their eigenspaces over the field have
-    dimension divisible by the degree of the splitting extension.
+    Returns the Decision (YES, "norton", (theta's coefficients, lambda))
+    when the test succeeds; (NO, "submodule", W) with W a proper invariant
+    subspace when a spin is proper: the spin of an eigenvector, or the
+    annihilator of the transposed line's spin, which the transposed
+    generators leave invariant; and None when no theta among the fixed
+    number of tries has a one-dimensional eigenspace.  Irreducible modules
+    that are not absolutely irreducible always end in None, since their
+    eigenspaces over the field have dimension divisible by the degree of
+    the splitting extension.
     """
     f = r.field
     n = r.dim
@@ -375,12 +371,14 @@ def _norton_irreducible(r: Representation):
             null = kernel(shifted)
             w = spin(r, null.basis_vectors()[:1])
             if w.dim < n:
-                return NO, w
+                return Decision(NO, "submodule", w)
             if null.dim != 1:
                 continue
             w = _span_closure(f, n, kernel(shifted.transpose()).basis_vectors(),
                               [g.transpose().apply for g in gens])
-            return (YES, (coeffs, lam)) if w.dim == n else (NO, w.to_subspace().annihilator())
+            if w.dim == n:
+                return Decision(YES, "norton", (coeffs, lam))
+            return Decision(NO, "submodule", w.to_subspace().annihilator())
     return None
 
 
@@ -391,17 +389,17 @@ def _norton(r: Representation):
     Over a finite field it is `_norton_irreducible(r)`, and None when the
     field has more elements than `check_scan` lets the eigenvalue search
     walk.  Over Q it runs on the reduction mod the first of
-    `_REDUCTION_PRIMES` that divides no denominator, and gives
-    (YES, (p, theta's coefficients, lambda)) or None.  The test's
-    one-dimensional eigenspace proves the reduction absolutely irreducible
-    over F_p, so the reduced words span all n^2 dimensions of M_n(F_p).
-    Words with entries in Z_(p) that are independent mod p are independent
-    over Q, so the algebra over Q has dimension n^2 as well.  The reduction
-    is built in LIE mode, because a group generator may be singular mod p
-    and spinning needs only the matrices.  None over Q means no proof:
-    every candidate prime divides a denominator, or the test does not
-    answer YES; a submodule of the reduction says nothing about `r`, which
-    may not split over Q."""
+    `_REDUCTION_PRIMES` that divides no denominator, and gives the
+    Decision (YES, "norton", (p, theta's coefficients, lambda)) or None.
+    The test's one-dimensional eigenspace proves the reduction absolutely
+    irreducible over F_p, so the reduced words span all n^2 dimensions of
+    M_n(F_p).  Words with entries in Z_(p) that are independent mod p are
+    independent over Q, so the algebra over Q has dimension n^2 as well.
+    The reduction is built in LIE mode, because a group generator may be
+    singular mod p and spinning needs only the matrices.  None over Q
+    means no proof: every candidate prime divides a denominator, or the
+    test does not answer YES; a submodule of the reduction says nothing
+    about `r`, which may not split over Q."""
     return _memoised(r, ("norton",), _norton_outcome, r)
 
 
@@ -416,7 +414,8 @@ def _norton_outcome(r: Representation):
     reduced = [Matrix(F, [[x.numerator * pow(x.denominator, -1, p) % p for x in row]
                           for row in g.rows]) for g in r.generators]
     outcome = _norton_irreducible(Representation(F, r.dim, LIE, reduced))
-    return (YES, (p, *outcome[1])) if outcome and outcome[0] == YES else None
+    if outcome and outcome.verdict == YES:
+        return Decision(YES, "norton", (p, *outcome.certificate))
 
 
 def all_submodules(r: Representation, caps: Caps | None = None):
@@ -452,7 +451,7 @@ def _submodule_lattice(r: Representation, caps: Caps):
     npts = projective_count(f.order, n)
     if npts > caps.submodule_points_cap:
         raise CapExceeded("projective point count %d exceeds cap" % npts)
-    if caps.lattice_cap >= 2 and (n == 1 or (_norton(r) or (NO,))[0] == YES):
+    if caps.lattice_cap >= 2 and (n == 1 or getattr(_norton(r), "verdict", NO) == YES):
         return [Subspace.zero(f, n), Subspace.full(f, n)]
     return _enumerate_submodules(r, caps)
 
@@ -651,39 +650,43 @@ def restrict_to_invariant(r: Representation, w: Subspace) -> Representation:
     return Representation(f, w.dim, r.mode, gens, label=(r.label or "rep") + "_restr")
 
 
-def is_m_dense(r: Representation, m: int, absolute: bool = True,
-               caps: Caps | None = None) -> str:
-    """Is Lambda^m of the representation irreducible?  "Yes" / "No" / "Unknown".
-
-    Absolute mode asks `absolute_irreducibility` of Lambda^m (over any
-    field).  Non-absolute mode is exact over finite fields: after the
-    projective-point cap check, Norton's test (`_norton`) decides with a
-    witness either way, and only when it finds none does the complete
-    submodule lattice decide.  Over the rationals an absolutely
-    irreducible Lambda^m still certifies "Yes" and anything else is
-    "Unknown".
-    """
+def decide_m_dense(r: Representation, m: int, absolute: bool = True,
+                   caps: Caps | None = None) -> Decision:
+    """Is Lambda^m of the representation irreducible?  "Yes" / "No" /
+    "Unknown", decided by `absolute_irreducibility` of Lambda^m in absolute
+    mode.  Non-absolute mode is exact over finite fields: after the
+    projective-point cap check, Norton's test decides with a witness
+    either way, and only when it finds none does the route "lattice", the
+    complete submodule lattice, with a smallest proper submodule as the
+    witness of No.  Over Q an absolutely irreducible Lambda^m still
+    certifies "Yes" and anything else is "Unknown"."""
     n = r.dim
     if m < 0 or m > n:
         raise BadM("m=%d out of range" % m)
     if m == 0 or m == n:
-        return YES
+        return Decision(YES, "trivial")
     caps = caps or Caps.default()
     ext = exterior_rep(r, m)
-    if absolute:
-        return absolute_irreducibility(ext).verdict
-    if r.field.finite:
+    if r.field.finite and not absolute:
         if projective_count(r.field.order, ext.dim) > caps.submodule_points_cap:
-            return UNKNOWN
-        outcome = _norton(ext)
-        if outcome:
-            return outcome[0]
+            return Decision(UNKNOWN, "lattice", reason="projective point count exceeds cap")
+        if _norton(ext):
+            return absolute_irreducibility(ext)  # Norton's memoised decision
         try:
             subs = all_submodules(ext, caps)
-        except CapExceeded:
-            return UNKNOWN
-        return YES if len(subs) == 2 else NO
-    return YES if absolute_irreducibility(ext).verdict == YES else UNKNOWN
+        except CapExceeded as e:
+            return Decision(UNKNOWN, "lattice", reason=str(e))
+        return Decision(YES, "lattice") if len(subs) == 2 else Decision(NO, "lattice", subs[1])
+    decision = absolute_irreducibility(ext)
+    if absolute or decision.verdict == YES:
+        return decision
+    return replace(decision, verdict=UNKNOWN, reason="not absolutely irreducible over Q")
+
+
+def is_m_dense(r: Representation, m: int, absolute: bool = True,
+               caps: Caps | None = None) -> str:
+    """The verdict of `decide_m_dense`: "Yes" / "No" / "Unknown"."""
+    return decide_m_dense(r, m, absolute, caps).verdict
 
 
 # thickness machinery
@@ -703,17 +706,6 @@ class NotThickCertificate:
     witness1: tuple  # m vectors in k^n
     witness2: tuple  # n-m vectors in k^n
     pair: tuple | None = None  # (V1, V2) subspace pair for definition refutations
-
-
-@dataclass
-class ThicknessReport:
-    m: int
-    verdict: str
-    method: str
-    mode: str
-    certificate: NotThickCertificate | None = None
-    log: dict = dc_field(default_factory=dict)
-    reason: str = ""
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -798,7 +790,7 @@ def _subspace_permutations(r: Representation, points, position):
 
 
 def is_m_thick_definition(r: Representation, m: int,
-                          caps: Caps | None = None) -> ThicknessReport:
+                          caps: Caps | None = None) -> Decision:
     """Decide m-thickness over a finite field straight from the definition:
     every (V1, V2) pair must admit a group element with rho(g)V1 + V2 = V.
 
@@ -816,7 +808,7 @@ def is_m_thick_definition(r: Representation, m: int,
     refutes when the AND of these over the orbit is nonzero; its lowest bit
     is the first such complement.  Both verdicts carry the same log
     counters, and `pairs_checked` counts the pairs that a test of one
-    complement at a time would make.
+    complement at a time would make.  The route is "orbits".
     """
     caps = caps or Caps.default()
     if r.mode != GROUP:
@@ -828,8 +820,7 @@ def is_m_thick_definition(r: Representation, m: int,
     if m < 0 or m > n:
         raise BadM("m=%d out of range" % m)
     if m == 0 or m == n:
-        return ThicknessReport(m=m, verdict=THICK, method="definition", mode=r.mode,
-                               log={"trivial": True})
+        return Decision(THICK, "trivial", log={"trivial": True})
     q = f.order
     n1 = gaussian_binomial(n, m, q)
     n2 = gaussian_binomial(n, n - m, q)
@@ -856,12 +847,10 @@ def is_m_thick_definition(r: Representation, m: int,
             j = (common & -common).bit_length() - 1
             log["pairs_checked"] += j + 1
             v1 = min((subspaces[i] for i in orbit), key=Subspace.key)
-            return ThicknessReport(
-                m=m, verdict=NOT_THICK, method="definition", mode=r.mode,
-                certificate=_certificate_from_pair(r, m, v1, complements[j]), log=log,
-            )
+            return Decision(NOT_THICK, "orbits",
+                            _certificate_from_pair(r, m, v1, complements[j]), log)
         log["pairs_checked"] += n2
-    return ThicknessReport(m=m, verdict=THICK, method="definition", mode=r.mode, log=log)
+    return Decision(THICK, "orbits", log=log)
 
 
 def _certificate_from_pair(r, m, v1: Subspace, v2: Subspace) -> NotThickCertificate:
@@ -883,7 +872,7 @@ def _certificate_from_pair(r, m, v1: Subspace, v2: Subspace) -> NotThickCertific
 
 
 def is_m_thick_criterion(r: Representation, m: int, caps: Caps | None = None,
-                         seed: int = 0) -> ThicknessReport:
+                         seed: int = 0) -> Decision:
     """Decide m-thickness via invariant realizable subspace pairs: the
     representation fails to be m-thick exactly when some invariant
     W1 <= Lambda^m and its perp W2 are both realizable.
@@ -901,17 +890,16 @@ def is_m_thick_criterion(r: Representation, m: int, caps: Caps | None = None,
     with at most `candidate_cap` m-subspaces.  W1 = 0 is not realizable
     and the perp of W1 = Lambda^m is 0, so neither pair can refute or stay
     undecided: both are skipped before any search or perp, and
-    log["pairs_tested"] counts the candidates left.
+    log["pairs_tested"] counts the candidates left.  The source is the
+    route, "lattice", "isotypic" or "spin", also in the log.
     """
     caps = caps or Caps.default()
     f = r.field
     n = r.dim
     if m < 0 or m > n:
         raise BadM("m=%d out of range" % m)
-    report = ThicknessReport(m=m, verdict=THICK, method="criterion", mode=r.mode)
     if m == 0 or m == n:
-        report.log = {"trivial": True}
-        return report
+        return Decision(THICK, "trivial", log={"trivial": True})
     ext = exterior_rep(r, m)
 
     subs = None
@@ -923,13 +911,13 @@ def is_m_thick_criterion(r: Representation, m: int, caps: Caps | None = None,
     else:
         subs, route = _isotypic_sums(ext, caps, seed), "isotypic"
     if subs is not None:
-        report.log = {"route": route, "submodules": len(subs), "pairs_tested": 0}
+        log = {"route": route, "submodules": len(subs), "pairs_tested": 0}
         candidates = ((w1, None) for w1 in subs)
         complete = True
     else:
         route = "spin"
-        report.log = {"route": route, "candidates": 0, "pairs_tested": 0}
-        candidates = _spin_candidates(r, ext, m, caps, seed, report.log)
+        log = {"route": route, "candidates": 0, "pairs_tested": 0}
+        candidates = _spin_candidates(r, ext, m, caps, seed, log)
         complete = f.finite and gaussian_binomial(n, m, f.order) <= caps.candidate_cap
 
     def search(w, k):
@@ -940,7 +928,7 @@ def is_m_thick_criterion(r: Representation, m: int, caps: Caps | None = None,
     for w1, witness1 in candidates:
         if w1.dim in (0, ext.dim):
             continue
-        report.log["pairs_tested"] += 1
+        log["pairs_tested"] += 1
         if witness1 is None:
             r1 = search(w1, m)
             if r1.status == "NotRealizable":
@@ -949,22 +937,20 @@ def is_m_thick_criterion(r: Representation, m: int, caps: Caps | None = None,
         w2 = perp(w1, n, m)
         r2 = search(w2, n - m)
         if witness1 is not None and r2.status == "Realizable":
-            report.verdict = NOT_THICK
-            report.certificate = NotThickCertificate(
+            return Decision(NOT_THICK, route, NotThickCertificate(
                 field=f, n=n, m=m, w1=w1, w2=w2,
                 witness1=tuple(witness1), witness2=tuple(r2.witness_vectors),
-            )
-            return report
+            ), log)
         if r2.status != "NotRealizable":
             unresolved += 1
+    reason = ""
     if not complete:
-        report.verdict, report.reason = UNKNOWN, "candidate search not exhaustive"
+        reason = "candidate search not exhaustive"
     elif unresolved:
-        report.verdict = UNKNOWN
-        report.reason = "%d %s with undecided realizability" % (
+        reason = "%d %s with undecided realizability" % (
             unresolved, "perps" if route == "spin" else "invariant pairs"
         )
-    return report
+    return Decision(UNKNOWN if reason else THICK, route, log=log, reason=reason)
 
 
 def _isotypic_sums(ext: Representation, caps: Caps, seed: int):

@@ -10,14 +10,14 @@ from __future__ import annotations
 import json
 
 from .errors import MalformedInput, ThickRepError
-from .fields import field_from_json, field_to_json
+from .fields import GF, field_from_json, field_to_json
 from .linalg import Matrix, Subspace
 from .repcore import (
     GROUP,
     LIE,
+    Decision,
     NotThickCertificate,
     Representation,
-    ThicknessReport,
 )
 
 
@@ -150,17 +150,38 @@ def certificate_from_json(data):
     return rep, cert
 
 
-def thickness_report_to_json(r: Representation, report: ThicknessReport):
+def _norton_to_json(r: Representation, proof):
+    """Norton's theta coefficients and lambda; over Q in F_p, after `prime` p."""
+    *prime, coeffs, lam = proof
+    field = GF(*prime) if prime else r.field
+    return dict(zip(["prime"], prime), theta=[field.format(c) for c in coeffs],
+                eigenvalue=field.format(lam))
+
+
+# the JSON form of each route's witness, other than a refutation certificate
+_WITNESS_TO_JSON = {
+    "norton": _norton_to_json,
+    "submodule": lambda r, w: subspace_to_json(w),
+    "lattice": lambda r, w: subspace_to_json(w),
+    "commutant": lambda r, a: matrix_to_json(a),
+    "closure": lambda r, dim: dim,
+}
+
+
+def decision_to_json(r: Representation, decision: Decision):
+    """A decision on `r` with its field scope and any reason; a refutation
+    certificate under `certificate`, any other witness under `witness`."""
     out = {
-        "m": report.m,
-        "verdict": report.verdict,
-        "method": report.method,
-        "mode": report.mode,
+        "verdict": decision.verdict,
+        "route": decision.route,
         "field_scope": field_to_json(r.field),
-        "log": report.log,
+        "log": decision.log,
     }
-    if report.reason:
-        out["reason"] = report.reason
-    if report.certificate is not None:
-        out["certificate"] = certificate_to_json(r, report.certificate)
+    if decision.reason:
+        out["reason"] = decision.reason
+    cert = decision.certificate
+    if isinstance(cert, NotThickCertificate):
+        out["certificate"] = certificate_to_json(r, cert)
+    elif cert is not None:
+        out["witness"] = _WITNESS_TO_JSON[decision.route](r, cert)
     return out

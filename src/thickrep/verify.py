@@ -13,7 +13,7 @@ import time
 import traceback
 from dataclasses import astuple, dataclass, field as dc_field
 
-from .errors import CapExceeded
+from .errors import CapExceeded, ThickRepError
 from .fields import GF, QQ
 from .linalg import Matrix, Subspace, random_independent, random_invertible, rank_of_rows
 from .exterior import (
@@ -73,7 +73,6 @@ from . import serialize
 VERIFIED = "Verified"
 REFUTED = "Refuted"
 SKIPPED = "Skipped"
-UNKNOWN = "Unknown"
 ERROR = "Error"
 
 
@@ -503,8 +502,13 @@ def run_item(item_id, seed=0, caps=None) -> ItemResult:
 
 
 def run_suite(filter_substring="", seed=0, caps=None, jobs=1) -> SuiteReport:
+    """Run the items whose id contains `filter_substring`; ThickRepError
+    when there is none.  The overall result is the first of Error,
+    Refuted, Verified and Skipped that some item has."""
     caps = caps or Caps.default()
     ids = [iid for iid, _ in REGISTRY if filter_substring in iid]
+    if not ids:
+        raise ThickRepError("no verification item matches filter %r" % filter_substring)
     if jobs > 1:
         import concurrent.futures as cf
 
@@ -513,10 +517,6 @@ def run_suite(filter_substring="", seed=0, caps=None, jobs=1) -> SuiteReport:
             results = [futures[iid].result() for iid in ids]
     else:
         results = [run_item(iid, seed, caps) for iid in ids]
-    if any(r.status == ERROR for r in results):
-        overall = ERROR
-    elif all(r.status == VERIFIED for r in results if r.status != SKIPPED):
-        overall = VERIFIED
-    else:
-        overall = REFUTED
+    statuses = {r.status for r in results}
+    overall = next(s for s in (ERROR, REFUTED, VERIFIED, SKIPPED) if s in statuses)
     return SuiteReport(results, overall)

@@ -1,17 +1,29 @@
+import collections
 import json
 import os
 import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from thickrep.cli import main
+from thickrep.errors import ThickRepError
 from thickrep.fields import GF, QQ
 from thickrep.linalg import Matrix
 from thickrep.constructions import companion_pair, lie_generators
 from thickrep.repcore import GROUP, LIE, Representation
 from thickrep.symplectic import SymplecticSpace, ker_perp_realizability_check
 from thickrep import fields, repcore, serialize, verify
+
+from test_repcore import (
+    _agreement_reps,
+    _check_commutant_witness,
+    _check_norton_proof,
+    _check_norton_witness,
+    _check_submodule_witness,
+    _decider_cases,
+)
 
 
 def write_rep(tmp_path, name, field, mats, mode=GROUP, label=""):
@@ -162,6 +174,10 @@ def test_characters_refuse_non_partitions_exit_3(capsys):
         for bad in ("1,3", "1,2", "0"):
             assert main(["characters", op, "--partition", bad]) == 3, (op, bad)
             assert "Traceback" not in capsys.readouterr().err
+    # plethysm counts are refused outside 1 <= n <= 4, 0 <= m <= 6, and the
+    # message names both bounds
+    assert main(["characters", "plethysm", "--n", "0"]) == 3
+    assert "error: desk scale is 1 <= n <= 4, 0 <= m <= 6" in capsys.readouterr().err
 
 
 def test_construct_block_over_q(capsys):
@@ -518,37 +534,182 @@ def test_burnside_without_reduction_prime(tmp_path, capsys, monkeypatch):
     assert code == 0 and out["verdict"] == "Yes"
 
 
+def _check_witness(rep, m, out):
+    """Recheck the witness of a `dense` or `irreducible` report on Lambda^m
+    of `rep` with the witness checks of the repcore tests."""
+    ext = repcore.exterior_rep(rep, m)
+    route, witness = out["route"], out.get("witness")
+    if route == "norton":
+        p = witness.get("prime")
+        F = GF(p) if p else rep.field
+        proof = ([F.parse(c) for c in witness["theta"]], F.parse(witness["eigenvalue"]))
+        if p:
+            _check_norton_witness(ext, (p, *proof))
+        else:
+            _check_norton_proof(F, list(ext.generators), *proof)
+    elif route in ("submodule", "lattice") and witness is not None:
+        _check_submodule_witness(ext, serialize.subspace_from_json(rep.field, witness))
+    elif route == "commutant":
+        _check_commutant_witness(ext, serialize.matrix_from_json(rep.field, witness))
+    elif route == "closure":
+        assert witness == repcore.burnside_dim(ext)
+    else:
+        assert witness is None, route
+
+
 def test_check_burnside_reports_its_route(tmp_path, capsys):
     # the verdict and exit code are is_m_dense's; the route says which
     # proof decided: Norton mod p, a non-scalar commuting matrix (the
     # quarter turn, and Lambda^2 of so4 and of a companion pair), the exact
     # closure (upper triangular: scalar commutant, algebra of dimension 3),
-    # or none for Lambda^n
+    # or none for Lambda^n.  The non-absolute method reports its route too:
+    # Norton's submodule of the F2 Jordan block, the lattice of a module
+    # that is irreducible over F2 but not absolutely, a proper submodule
+    # from the lattice of Lambda^2 of a reducible F2 module, and over Q an
+    # Unknown whose commuting matrix shows Lambda^2 of so4 not absolutely
+    # irreducible.  Every witness rechecks.
     rot = Representation(QQ, 2, GROUP, [Matrix.from_ints(QQ, [[0, -1], [1, 0]])])
     upper = Representation(QQ, 2, GROUP, [Matrix.from_ints(QQ, g) for g in
                                           ([[1, 1], [0, 1]], [[2, 0], [0, 1]])])
     so4 = Representation(QQ, 4, LIE, lie_generators("so_split", 4), "so4")
     pair = companion_pair(QQ, 4, Fraction(2), Fraction(3)).rep
+    jordan = Representation(GF(2), 2, GROUP, [Matrix.from_ints(GF(2), [[1, 1], [0, 1]])])
+    inert = Representation(GF(2), 2, GROUP, [Matrix.from_ints(GF(2), [[0, 1], [1, 1]])])
+    split = Representation(GF(2), 4, GROUP, [Matrix.from_ints(GF(2), [
+        [0, 0, 1, 0], [1, 0, 1, 1], [0, 0, 1, 1], [1, 1, 1, 1]])])
     cases = [
-        (rot, "irreducible", 1, "commutant"),
-        (upper, "irreducible", 1, "closure"),
-        (pair, "irreducible", 1, "norton"),
-        (pair, "dense", 2, "commutant"),
-        (so4, "dense", 2, "commutant"),
-        (so4, "dense", 4, "trivial"),
+        (rot, "irreducible", 1, "burnside", "commutant"),
+        (upper, "irreducible", 1, "burnside", "closure"),
+        (pair, "irreducible", 1, "burnside", "norton"),
+        (pair, "dense", 2, "burnside", "commutant"),
+        (so4, "dense", 2, "burnside", "commutant"),
+        (so4, "dense", 4, "burnside", "trivial"),
+        (jordan, "irreducible", 1, "definition", "submodule"),
+        (inert, "irreducible", 1, "definition", "lattice"),
+        (inert, "irreducible", 1, "burnside", "commutant"),
+        (split, "dense", 2, "definition", "lattice"),
+        (so4, "dense", 2, "definition", "commutant"),
     ]
-    for i, (rep, mode, m, route) in enumerate(cases):
+    verdicts = []
+    for i, (rep, mode, m, method, route) in enumerate(cases):
         path = tmp_path / ("rep%d.json" % i)
         path.write_text(serialize.dumps(serialize.representation_to_json(rep)))
         code = main(["check", "--rep", str(path), "--mode", mode, "--m", str(m),
-                     "--method", "burnside"])
+                     "--method", method])
         out = json.loads(capsys.readouterr().out)
-        verdict = repcore.is_m_dense(rep, m)
-        assert (out["verdict"], out["route"], out["absolute"]) == (verdict, route, True)
-        assert code == {"Yes": 0, "No": 1}[verdict]
-    # the non-absolute method reports no route
-    main(["check", "--rep", str(path), "--mode", "dense", "--m", "2"])
-    assert "route" not in json.loads(capsys.readouterr().out)
+        absolute = method == "burnside"
+        verdict = repcore.is_m_dense(rep, m, absolute=absolute)
+        assert (out["verdict"], out["route"], out["absolute"]) == (verdict, route, absolute)
+        assert code == {"Yes": 0, "No": 1, "Unknown": 2}[verdict]
+        assert ("reason" in out) == (verdict == "Unknown")
+        _check_witness(rep, m, out)
+        verdicts.append(verdict)
+    assert verdicts[6:] == ["No", "Yes", "No", "No", "Unknown"]
+
+
+def _thickness_report_to_json(r, m, method, decision):
+    """The thickness report as `serialize` wrote it before `Decision`: the
+    oracle for a `thick` report of `check`."""
+    out = {
+        "m": m,
+        "verdict": decision.verdict,
+        "method": method,
+        "mode": r.mode,
+        "field_scope": fields.field_to_json(r.field),
+        "log": decision.log,
+    }
+    if decision.reason:
+        out["reason"] = decision.reason
+    if decision.certificate is not None:
+        out["certificate"] = serialize.certificate_to_json(r, decision.certificate)
+    return out
+
+
+def _old_check_report(rep, mode, method, m):
+    """The report of `check` as it was built before `Decision`: the thick
+    branch through the old serializer, the dense and irreducible branches
+    from `is_m_dense` and, for burnside, the route of
+    `absolute_irreducibility`."""
+    caps = repcore.Caps.default()
+    report = {"property": mode, "m": m, "label": rep.label}
+    if mode == "thick":
+        if method == "burnside":
+            raise ThickRepError("burnside decides denseness, not thickness")
+        if method == "definition":
+            tr = repcore.is_m_thick_definition(rep, m, caps)
+        else:
+            tr = repcore.is_m_thick_criterion(rep, m, caps, seed=0)
+        report.update(_thickness_report_to_json(rep, m, method, tr))
+        return report
+    if method == "criterion":
+        raise ThickRepError("the pair criterion decides thickness only")
+    absolute = method == "burnside"
+    m = m if mode == "dense" else 1
+    if absolute and 0 < m < rep.dim:
+        decision = repcore.absolute_irreducibility(repcore.exterior_rep(rep, m))
+        report.update({"verdict": decision.verdict, "route": decision.route})
+    else:
+        report["verdict"] = repcore.is_m_dense(rep, m, absolute=absolute, caps=caps)
+        if absolute:
+            report["route"] = "trivial"
+    report["absolute"] = absolute
+    return report
+
+
+# the keys `check` added to each report when every decider came to return
+# a Decision
+_ADDED_KEYS = {
+    "thick": {"route"},
+    "dense": {"route", "witness", "method", "mode", "field_scope", "log", "reason"},
+}
+_ADDED_KEYS["irreducible"] = _ADDED_KEYS["dense"]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ThickRepError as e:
+        return type(e).__name__, str(e)
+
+
+def test_check_reports_match_the_old_reports_without_the_added_keys(tmp_path):
+    # every mode and method at m = 1..3, on the modules of at most five
+    # dimensions among the absolute-irreducibility cases and on the F2 and
+    # F3 agreement reps, with every denseness witness rechecked; Lambda^3
+    # of the six-dimensional q-exact modules alone takes minutes on the
+    # absolute ladder
+    import thickrep.cli as cli
+
+    reps = [r for modules in _decider_cases().values() for r in modules if r.dim <= 5]
+    reps += _agreement_reps(5)
+    routes, errors = set(), collections.Counter()
+    for i, rep in enumerate(reps):
+        path = tmp_path / ("rep%d.json" % i)
+        path.write_text(serialize.dumps(serialize.representation_to_json(rep)))
+        for mode in ("thick", "dense", "irreducible"):
+            for method in ("definition", "criterion", "burnside"):
+                for m in (1, 2, 3):
+                    args = SimpleNamespace(rep=str(path), caps="", seed=0, mode=mode,
+                                           method=method, m=m)
+                    new = _outcome(lambda: cli.cmd_check(args)[0])
+                    old = _outcome(_old_check_report, rep, mode, method, m)
+                    if isinstance(old, dict):
+                        kept = {k: v for k, v in new.items()
+                                if k in old or k not in _ADDED_KEYS[mode]}
+                        assert serialize.dumps(kept) == serialize.dumps(old), (i, mode, method, m)
+                        routes.add((mode == "thick", new["route"]))
+                        if mode != "thick":
+                            _check_witness(rep, m if mode == "dense" else 1, new)
+                    else:
+                        assert new == old
+                        errors[old[0]] += 1
+    # every thickness route is met, and every denseness route but the
+    # lattice, which `test_check_burnside_reports_its_route` meets
+    assert {route for thick, route in routes if thick} == {
+        "orbits", "lattice", "isotypic", "spin", "trivial"}
+    assert {route for thick, route in routes if not thick} == {
+        "norton", "submodule", "commutant", "closure", "trivial"}
+    assert set(errors) == {"ThickRepError", "WrongField", "PreconditionFailed", "BadM"}
 
 
 def test_main_dispatches_through_module_attribute(monkeypatch):

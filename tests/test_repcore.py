@@ -45,8 +45,8 @@ from thickrep.repcore import (
     UNKNOWN,
     YES,
     NO,
+    Decision,
     Representation,
-    ThicknessReport,
     absolute_irreducibility,
     all_submodules,
     burnside_dim,
@@ -289,11 +289,11 @@ def test_absolute_irreducibility_agrees_with_exact_closure_and_its_witness_check
             assert decision.verdict == (YES if exact == r.dim ** 2 else NO)
             counts[decision.route, decision.verdict] += 1
             if decision.route == "norton":
-                _check_norton_witness(r, decision.witness)
+                _check_norton_witness(r, decision.certificate)
             elif decision.route == "commutant":
-                _check_commutant_witness(r, decision.witness)
+                _check_commutant_witness(r, decision.certificate)
             else:
-                assert decision.route == "closure" and decision.witness == exact
+                assert decision.route == "closure" and decision.certificate == exact
     # 74 modules: Norton proves 68, a commuting matrix refutes 6
     assert routes["q-exact"] == {("norton", YES): 68, ("commutant", NO): 6}
     assert routes["lie-and-pairs"][("closure", NO)] == 0
@@ -302,7 +302,7 @@ def test_absolute_irreducibility_agrees_with_exact_closure_and_its_witness_check
     # a scalar commutant, an algebra of dimension 3: only the closure refutes
     assert routes["upper-triangular"] == {("closure", NO): 1}
     assert commutant(group_rep(QQ, UPPER_TRIANGULAR))[0] == 1
-    assert absolute_irreducibility(group_rep(QQ, UPPER_TRIANGULAR)).witness == 3
+    assert absolute_irreducibility(group_rep(QQ, UPPER_TRIANGULAR)).certificate == 3
 
 
 def test_absolute_irreducibility_over_a_finite_field_is_the_closure():
@@ -325,13 +325,13 @@ def test_absolute_irreducibility_over_a_finite_field_is_the_closure():
         assert decision.verdict == (YES if closure == r.dim ** 2 else NO)
         routes[decision.route, decision.verdict] += 1
         if decision.route == "norton":
-            _check_norton_proof(r.field, list(r.generators), *decision.witness)
+            _check_norton_proof(r.field, list(r.generators), *decision.certificate)
         elif decision.route == "submodule":
-            _check_submodule_witness(r, decision.witness)
+            _check_submodule_witness(r, decision.certificate)
         elif decision.route == "commutant":
-            _check_commutant_witness(r, decision.witness)
+            _check_commutant_witness(r, decision.certificate)
         else:
-            assert decision.route == "closure" and decision.witness == closure
+            assert decision.route == "closure" and decision.certificate == closure
     assert routes[("norton", YES)] > 0 and routes[("submodule", NO)] > 0
     assert routes[("commutant", NO)] == 2 and routes[("closure", NO)] == 1
 
@@ -360,15 +360,16 @@ def test_norton_outcomes_are_sound():
                 for m in range(1, n):
                     ext = exterior_rep(r, m)
                     outcome = _norton_irreducible(ext)
-                    outcomes[outcome and outcome[0]] += 1
+                    outcomes[outcome and outcome.verdict] += 1
                     if outcome is None:
                         continue
                     closure = repcore._algebra_closure_dim(field, ext.generators, ext.dim)
-                    if outcome[0] == YES:
-                        assert closure == ext.dim ** 2
-                        _check_norton_proof(field, list(ext.generators), *outcome[1])
+                    if outcome.verdict == YES:
+                        assert (outcome.route, closure) == ("norton", ext.dim ** 2)
+                        _check_norton_proof(field, list(ext.generators), *outcome.certificate)
                     else:
-                        w = outcome[1]
+                        assert outcome.route == "submodule"
+                        w = outcome.certificate
                         _check_submodule_witness(ext, w)
                         # the brute force takes seconds past a few hundred
                         # points; the orbit enumeration is checked against it
@@ -649,12 +650,9 @@ def _definition_by_rank_scan(r, m):
             v2rows = v2.mat.rows
             if not any(rank_of_rows(f, rows + v2rows, n) == n for rows in orbit_rows):
                 v1 = min(orbit, key=Subspace.key)
-                return ThicknessReport(
-                    m=m, verdict=NOT_THICK, method="definition", mode=r.mode,
-                    certificate=repcore._certificate_from_pair(r, m, v1, v2),
-                    log=log,
-                )
-    return ThicknessReport(m=m, verdict=THICK, method="definition", mode=r.mode, log=log)
+                return Decision(NOT_THICK, "orbits",
+                                repcore._certificate_from_pair(r, m, v1, v2), log)
+    return Decision(THICK, "orbits", log=log)
 
 
 def _masks_of(f, n, subspaces):
@@ -690,11 +688,9 @@ def _definition_by_masks(r, m):
             log["pairs_checked"] += 1
             if all(mask1 & mask2 for mask1 in orbit_masks):
                 v1 = min((subspaces[i] for i in orbit), key=Subspace.key)
-                return ThicknessReport(
-                    m=m, verdict=NOT_THICK, method="definition", mode=r.mode,
-                    certificate=repcore._certificate_from_pair(r, m, v1, v2), log=log,
-                )
-    return ThicknessReport(m=m, verdict=THICK, method="definition", mode=r.mode, log=log)
+                return Decision(NOT_THICK, "orbits",
+                                repcore._certificate_from_pair(r, m, v1, v2), log)
+    return Decision(THICK, "orbits", log=log)
 
 
 def _plucker_permutations(r, m):
@@ -804,9 +800,10 @@ def _definition_cases():
 
 
 def _assert_same_definition_report(r, m, new, old):
-    """Equal verdicts, whole logs and certificates (as JSON where the field
+    """Equal verdicts, routes, whole logs and certificates (as JSON where the field
     has one)."""
-    assert (new.verdict, new.log) == (old.verdict, old.log), (r.field, r.dim, m)
+    assert (new.verdict, new.route, new.log) == (old.verdict, old.route, old.log), \
+        (r.field, r.dim, m)
     if new.certificate is None:
         assert old.certificate is None
     elif r.field == GF(2, 2):  # no JSON form: compare the fields
@@ -862,8 +859,8 @@ def test_one_point_action_per_rep(monkeypatch):
     assert len(calls) == 1 and len(lattice) > 2
     # the memo never changes an answer
     fresh = group_rep(GF(3), gens)
-    assert [serialize.dumps(serialize.thickness_report_to_json(rep, x)) for x in reports] == [
-        serialize.dumps(serialize.thickness_report_to_json(fresh, is_m_thick_definition(fresh, m)))
+    assert [serialize.dumps(serialize.decision_to_json(rep, x)) for x in reports] == [
+        serialize.dumps(serialize.decision_to_json(fresh, is_m_thick_definition(fresh, m)))
         for m in (1, 2, 3)
     ]
     assert all_submodules(fresh) == lattice
@@ -1032,7 +1029,7 @@ def _lattice_against_oracle(r):
     assert all_submodules(r) == subs
     assert _enumerate_submodules(r, Caps()) == subs
     outcome = _norton_irreducible(r)
-    assert (outcome is not None and outcome[0] == YES) == (burnside_dim(r) == r.dim ** 2)
+    assert (outcome is not None and outcome.verdict == YES) == (burnside_dim(r) == r.dim ** 2)
     return subs
 
 
@@ -1642,9 +1639,9 @@ def test_memoised_verdicts_match_a_fresh_rep_per_call():
         expect.append(all_submodules(fresh(), caps))
         got = _decide_like_the_benchmark(rep, caps)
         for a, b in zip(got, expect):
-            if isinstance(a, ThicknessReport):
-                assert serialize.dumps(serialize.thickness_report_to_json(rep, a)) == \
-                    serialize.dumps(serialize.thickness_report_to_json(rep, b))
+            if isinstance(a, Decision):
+                assert serialize.dumps(serialize.decision_to_json(rep, a)) == \
+                    serialize.dumps(serialize.decision_to_json(rep, b))
                 if a.certificate is not None:
                     assert verify_not_thick_certificate(rep, a.certificate)
             else:

@@ -1,4 +1,7 @@
+import json
+
 from thickrep import serialize, verify
+from thickrep.cli import main
 from thickrep.repcore import Caps
 from thickrep.verify import ERROR, SKIPPED, VERIFIED, run_item, run_suite
 
@@ -58,3 +61,21 @@ def test_the_process_pool_returns_the_serial_certificates(monkeypatch):
     assert serial[0] == VERIFIED
     assert [len(item[3]) for item in serial[1]] == [1, 1]
     assert outcome(2) == serial
+
+
+def test_a_filter_that_selects_no_item_exits_3(capsys):
+    assert main(["verify", "--filter", "zzz"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: no verification item matches filter 'zzz'" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_a_suite_whose_every_item_is_skipped_exits_2(capsys):
+    caps = '{"group_cap": 1, "pair_cap": 1}'
+    assert main(["verify", "--filter", "wedge2-gl4", "--caps", caps]) == 2
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
+    assert out["overall"] == SKIPPED
+    assert [item["status"] for item in out["items"]] == [SKIPPED]
+    assert "Traceback" not in captured.err
