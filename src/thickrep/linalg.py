@@ -316,10 +316,18 @@ class Subspace:
         return all(self.contains_vector(v) for v in other.mat.rows)
 
     def sum(self, other: "Subspace"):
+        """The span of both.  The larger operand's canonical basis seeds the
+        elimination, so only the smaller one's rows are inserted, and the
+        larger operand itself comes back when they add nothing.  The RREF of
+        a span is unique, so this is the canonical basis of the sum."""
         self._check(other)
-        return Subspace.from_vectors(
-            self.field, self.ambient, self.mat.rows + other.mat.rows
-        )
+        big, small = (self, other) if self.dim >= other.dim else (other, self)
+        basis = RowBasis.of(big)
+        for v in small.mat.rows:
+            if basis.dim == self.ambient:
+                break
+            basis.insert(v)
+        return big if basis.dim == big.dim else basis.to_subspace()
 
     def annihilator(self) -> "Subspace":
         """{f in k^n : <f, v> = 0 for all v in the subspace}."""
@@ -335,10 +343,7 @@ class Subspace:
         self._check(other)
         if self.dim + other.dim != self.ambient:
             return False
-        return (
-            rank_of_rows(self.field, self.mat.rows + other.mat.rows, self.ambient)
-            == self.ambient
-        )
+        return self.sum(other).dim == self.ambient
 
     def coordinates(self, v):
         """Coordinates of v in the RREF basis; requires membership."""
@@ -369,6 +374,16 @@ class RowBasis:
         for v in rows:
             if basis.insert(v) and len(basis.rows) == ncols:
                 break
+        return basis
+
+    @classmethod
+    def of(cls, subspace: Subspace):
+        """A basis seeded with a subspace's canonical rows and pivots: they
+        are a finished elimination, so nothing is inserted.  Later inserts
+        grow this basis, never the subspace."""
+        basis = cls(subspace.field, subspace.ambient)
+        basis.rows = list(subspace.mat.rows)
+        basis.pivots = list(subspace.pivots)
         return basis
 
     @property

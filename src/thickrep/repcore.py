@@ -513,17 +513,24 @@ def _join_closure(bottom: Subspace, parts, cap: int):
     sorted: the smallest set that holds `bottom` and is closed under sums
     with each part.  It adds one part C at a time: when L contains 0 and
     is closed under sums, L u {X + C : X in L} is the closure of L u {C}.
-    Raises CapExceeded as soon as it has more than `cap` elements."""
-    lattice = {bottom.mat.rows: bottom}
+    Raises CapExceeded as soon as it has more than `cap` elements.
+
+    Each element is stored under its `Subspace.key`, computed once: the
+    dict hashes that tuple of ints in C and the final sort reads it.  A sum
+    that returns X itself (C lies in X) is already stored, and one that
+    returns C itself reuses C's key."""
+    lattice = {bottom.key(): bottom}
     for c in parts:
-        if c.mat.rows in lattice:
+        c_key = c.key()
+        if c_key in lattice:
             continue
         for x in list(lattice.values()):
             s = x.sum(c)
-            lattice.setdefault(s.mat.rows, s)  # one hash of the basis per sum
-            if len(lattice) > cap:
-                raise CapExceeded("submodule lattice exceeded cap")
-    return sorted(lattice.values(), key=Subspace.key)
+            if s is not x:
+                lattice.setdefault(c_key if s is c else s.key(), s)
+                if len(lattice) > cap:
+                    raise CapExceeded("submodule lattice exceeded cap")
+    return [lattice[key] for key in sorted(lattice)]
 
 
 def _is_diagonal(m: Matrix) -> bool:

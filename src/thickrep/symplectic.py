@@ -4,7 +4,13 @@ Lagrangian complements, isotropic transversals, and the non-realizability
 evidence for the perp of a contraction kernel.
 
 Constructions derived from normal-form recipes are always post-validated;
-the code never trusts displayed index ranges.
+the code never trusts displayed index ranges.  Each returned subspace is
+validated once, against the contract of the function that returns it: the
+normal basis by its Gram matrix and by the containment and count of its
+shape in w, the complement as a Lagrangian with L + w = V, the transversal
+as an isotropic i-space with U + w = V.  A subspace's canonical basis is a
+finished elimination, so it seeds the later ones (`RowBasis.of`,
+`Subspace.sum`) and is never reduced again.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ from .linalg import (
     kernel,
     kernel_of_rows,
     random_independent,
-    rank_of_rows,
     solve_rows,
 )
 from .exterior import (
@@ -202,7 +207,10 @@ def symplectic_normal_basis(sp: SymplecticSpace, w: Subspace):
 def _validate_normal_basis(sp, basis, w, k, l):
     """Check the Gram matrix and the shape of w.  omega(u, u) = 0 and
     omega(v, u) = -omega(u, v) hold exactly by its formula, so the pairs
-    i < j decide the whole Gram matrix."""
+    i < j decide the whole Gram matrix.  A Gram matrix that passes is
+    invertible, so the basis is independent, and the shape's vectors,
+    distinct members of it when 0 <= k <= n - l <= n, span w exactly when
+    each lies in w and there are w.dim of them."""
     f = sp.field
     n = sp.n
     for i, u in enumerate(basis):
@@ -211,22 +219,25 @@ def _validate_normal_basis(sp, basis, w, k, l):
             if f.dot(row, basis[j]) != (f.one if j == i + n else f.cmp_zero):
                 raise ConstructionError("normal basis fails the form conditions")
     shape = basis[:k] + basis[k : n - l] + basis[n : n + k]
-    span = Subspace.from_vectors(f, 2 * n, shape)
-    if span != w:
+    if not (0 <= k <= n - l <= n and len(shape) == w.dim
+            and all(w.contains_vector(v) for v in shape)):
         raise ConstructionError("normal basis does not exhibit the subspace shape")
 
 
-def lagrangian_complement(sp: SymplecticSpace, w: Subspace) -> Subspace:
-    """A Lagrangian L with L + w = V, for codim(w) <= n."""
+def _lagrangian(sp: SymplecticSpace, w: Subspace) -> Subspace:
+    """The Lagrangian built from a normal basis of w's first n canonical
+    rows (all of w when dim w <= n), unchecked: `lagrangian_complement`
+    checks it, and `isotropic_transversal` checks what it takes from it."""
     f = sp.field
     n = sp.n
     N = sp.dim
     codim = N - w.dim
     if codim > n:
         raise CodimTooLarge("codim %d exceeds %d" % (codim, n))
-    # shrinking w to codimension exactly n only strengthens L + w0 = V
+    # shrinking w to codimension exactly n only strengthens L + w0 = V; a
+    # subset of RREF rows is already RREF, so w0 needs no elimination
     if w.dim > n:
-        w0 = Subspace.from_vectors(f, N, w.basis_vectors()[:n])
+        w0 = Subspace(f, N, Matrix(f, w.basis_vectors()[:n]), w.pivots[:n])
     else:
         w0 = w
     basis, k, l = symplectic_normal_basis(sp, w0)
@@ -236,10 +247,15 @@ def lagrangian_complement(sp: SymplecticSpace, w: Subspace) -> Subspace:
     # v_(n-k+i) + v_(n+i) and v_(2n-k+i) + v_i for i = 1..k
     gens += [f.axpy(v[n - k + i], minus_one, v[n + i]) for i in range(k)]
     gens += [f.axpy(v[2 * n - k + i], minus_one, v[i]) for i in range(k)]
-    L = Subspace.from_vectors(f, N, gens)
-    if L.dim != n or not is_isotropic(sp, L):
+    return Subspace.from_vectors(f, N, gens)
+
+
+def lagrangian_complement(sp: SymplecticSpace, w: Subspace) -> Subspace:
+    """A Lagrangian L with L + w = V, for codim(w) <= n."""
+    L = _lagrangian(sp, w)
+    if L.dim != sp.n or not is_isotropic(sp, L):
         raise ConstructionError("complement is not Lagrangian")
-    if rank_of_rows(f, L.basis_vectors() + w.basis_vectors(), N) != N:
+    if w.sum(L).dim != sp.dim:
         raise ConstructionError("Lagrangian does not complement the subspace")
     return L
 
@@ -248,23 +264,25 @@ def isotropic_transversal(sp: SymplecticSpace, w: Subspace, i: int) -> Subspace:
     """An isotropic subspace U of dimension i with U intersect w = 0,
     for w of codimension exactly i <= n.
 
-    U is spanned by the rows of a Lagrangian complement L that are
+    U is spanned by the rows of the Lagrangian L of `_lagrangian` that are
     independent modulo w.  For S in L the modular law gives
     (span S + w) meet L = span S + (L meet w), so these are the rows that
-    are independent modulo L meet w, with one elimination and no
-    intersection."""
+    are independent modulo L meet w, with one elimination seeded with w's
+    canonical basis and no intersection.  U itself is checked against this
+    contract, so L is not checked on the way."""
     f = sp.field
     N = sp.dim
     if N - w.dim != i:
         raise CodimMismatch("subspace has codim %d, not %d" % (N - w.dim, i))
     if i == 0:
         return Subspace.zero(f, N)
-    L = lagrangian_complement(sp, w)
-    added = RowBasis.spanning(f, N, w.basis_vectors())
+    L = _lagrangian(sp, w)
+    added = RowBasis.of(w)
     U = Subspace.from_vectors(f, N, [row for row in L.basis_vectors() if added.insert(row)])
     if U.dim != i or not is_isotropic(sp, U):
         raise ConstructionError("transversal is not an isotropic i-space")
-    if rank_of_rows(f, U.basis_vectors() + w.basis_vectors(), N) != N:
+    # a second elimination of U's rows against w, not a read of `added`
+    if w.sum(U).dim != N:
         raise ConstructionError("transversal meets the subspace")
     return U
 

@@ -425,3 +425,70 @@ def test_random_independent_matches_rank_loop():
     rng = random.Random(0)
     assert len(random_independent(GF(2), 4, 4, rng, max_draws=2)) <= 2
     assert random_independent(GF(2), 2, 1, rng, span=[(1, 0), (0, 1)], max_draws=9) == []
+
+
+def _seeded_pairs(field, n, rng):
+    """Pairs of subspaces of k^n: zero, full, equal, nested and
+    complementary pairs, and two independent random draws."""
+    zero, full = Subspace.zero(field, n), Subspace.full(field, n)
+    a = Subspace.from_vectors(field, n, random_independent(field, n, rng.randint(0, n), rng))
+    b = Subspace.from_vectors(field, n, random_independent(field, n, rng.randint(0, n), rng))
+    # a part of a's rows spans a subspace of a; rows drawn independent of a
+    # span a complement of it
+    inner = Subspace.from_vectors(field, n, a.basis_vectors()[: a.dim // 2])
+    comp = Subspace.from_vectors(
+        field, n, random_independent(field, n, n - a.dim, rng, span=a.basis_vectors()))
+    same = Subspace.from_vectors(field, n, a.basis_vectors()[::-1])
+    return [(zero, a), (full, a), (zero, zero), (full, full), (a, same), (a, inner),
+            (a, comp), (a, b), (zero, full)]
+
+
+SUM_FIELDS = [GF(2), GF(3), GF(2, 2), GF(5), QQ]
+
+
+@pytest.mark.parametrize("field", SUM_FIELDS, ids=repr)
+def test_seeded_sum_matches_the_eliminated_span(field):
+    # the sum seeded from the larger canonical basis is the RREF of all the
+    # rows eliminated from scratch, pivots included, in either order
+    rng = random.Random(41 + (field.order if field.finite else 0))
+    for n in range(0, 6):
+        for _ in range(6):
+            for a, b in _seeded_pairs(field, n, rng):
+                oracle = Subspace.from_vectors(field, n, a.basis_vectors() + b.basis_vectors())
+                for s in (a.sum(b), b.sum(a)):
+                    assert s == oracle and s.pivots == oracle.pivots
+                full_rank = rank_of_rows(field, a.basis_vectors() + b.basis_vectors(), n) == n
+                assert a.direct_sum_is_ambient(b) == (a.dim + b.dim == n and full_rank)
+
+
+@pytest.mark.parametrize("field", SUM_FIELDS, ids=repr)
+def test_sum_that_adds_nothing_is_the_other_operand(field):
+    # for y inside x, x + y is x itself; y + x is x, or y when the two are
+    # equal, since the left operand seeds a tie in dimension
+    rng = random.Random(43 + (field.order if field.finite else 0))
+    for n in range(0, 6):
+        for _ in range(6):
+            a = Subspace.from_vectors(
+                field, n, random_independent(field, n, rng.randint(0, n), rng))
+            inner = Subspace.from_vectors(field, n, a.basis_vectors()[: a.dim // 2])
+            same = Subspace.from_vectors(field, n, a.basis_vectors()[::-1])
+            full = Subspace.full(field, n)
+            for x, y in ((a, Subspace.zero(field, n)), (full, a), (a, inner), (a, same)):
+                assert x.sum(y) is x
+                assert y.sum(x) is (y if y.dim == x.dim else x)
+
+
+@pytest.mark.parametrize("field", SUM_FIELDS, ids=repr)
+def test_row_basis_of_a_subspace_is_a_copy(field):
+    rng = random.Random(47 + (field.order if field.finite else 0))
+    for n in range(1, 6):
+        for d in range(n):
+            s = Subspace.from_vectors(field, n, random_independent(field, n, d, rng))
+            rows, pivots = s.mat.rows, s.pivots
+            basis = RowBasis.of(s)
+            assert basis.to_subspace() == s and tuple(basis.pivots) == s.pivots
+            # a vector outside s grows the basis and leaves s as it was
+            v = random_independent(field, n, 1, rng, span=rows)[0]
+            assert basis.insert(v) and basis.dim == d + 1
+            assert s.mat.rows == rows and s.pivots == pivots and s.dim == d
+            assert basis.to_subspace() == Subspace.from_vectors(field, n, rows + (v,))

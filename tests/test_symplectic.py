@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from thickrep import symplectic
 from thickrep.errors import (
     CodimMismatch,
     CodimTooLarge,
@@ -522,3 +523,212 @@ def test_half_gram_validation_agrees_with_the_whole_gram_matrix(field):
                     assert not fast
                 elif b is basis:
                     assert fast
+
+
+# The checks as they were before canonical bases seeded the eliminations:
+# the shape eliminated again and compared with w, L + w and U + w ranked
+# from scratch, w's leading rows eliminated again, and the Lagrangian that
+# a transversal is built from checked as `lagrangian_complement` checks it.
+# Kept as the oracles that the seeded checks must match value for value.
+
+
+def _reference_shape_holds(sp, basis, w, k, l):
+    n = sp.n
+    shape = basis[:k] + basis[k : n - l] + basis[n : n + k]
+    return Subspace.from_vectors(sp.field, 2 * n, shape) == w
+
+
+def _reference_spans_with(sp, x, w):
+    """x + w is the whole space, by the rank of both row sets together."""
+    return rank_of_rows(sp.field, x.basis_vectors() + w.basis_vectors(), sp.dim) == sp.dim
+
+
+def _reference_leading_rows(sp, w):
+    if w.dim > sp.n:
+        return Subspace.from_vectors(sp.field, sp.dim, w.basis_vectors()[: sp.n])
+    return w
+
+
+def _reference_complement_checks(sp, L, w):
+    return L.dim == sp.n and _reference_is_isotropic(sp, L) and _reference_spans_with(sp, L, w)
+
+
+@pytest.mark.parametrize("field", NORMAL_FORM_FIELDS, ids=repr)
+def test_seeded_checks_match_the_reference_checks(field, monkeypatch):
+    real = symplectic.symplectic_normal_basis
+    seen = []
+    monkeypatch.setattr(symplectic, "symplectic_normal_basis",
+                        lambda sp, w0: seen.append(w0) or real(sp, w0))
+    for n in (1, 2, 3, 4):
+        sp = SymplecticSpace(n, field)
+        subspaces = list(_seeded_subspaces(field, n))
+        for w, other in zip(subspaces, subspaces[1:] + subspaces[:1]):
+            # the shape check, where the Gram matrix holds: a normal basis
+            # of w against w and against another subspace, and one of the
+            # other subspace against w
+            basis, k, l = real(sp, w)
+            other_basis, ok, ol = real(sp, other)
+            for b, kk, ll, target in ((basis, k, l, w), (basis, k, l, other),
+                                      (other_basis, ok, ol, w)):
+                assert _validates(_validate_normal_basis, sp, b, target, kk, ll) == \
+                    _reference_shape_holds(sp, b, target, kk, ll)
+            # w0 is w's leading rows, pivots included; the Lagrangian a
+            # transversal is built from passes the complement's checks
+            seen.clear()
+            L = symplectic._lagrangian(sp, w)
+            w0 = _reference_leading_rows(sp, w)
+            assert seen == [w0] and seen[0].pivots == w0.pivots
+            assert _reference_complement_checks(sp, L, w)
+            assert L == lagrangian_complement(sp, w)
+            U = isotropic_transversal(sp, w, 2 * n - w.dim)
+            for x in (L, U, other, w, Subspace.zero(field, 2 * n)):
+                assert (w.sum(x).dim == 2 * n) == _reference_spans_with(sp, x, w)
+
+
+# Seeded mutants: each breaks one step of a construction and must be
+# refused by the check that guards that step's contract.
+
+
+@pytest.mark.parametrize("field", NORMAL_FORM_FIELDS, ids=repr)
+def test_mutant_shape_vector_outside_w_is_refused(field, monkeypatch):
+    # validate a normal basis of another subspace of the same shape: the
+    # Gram matrix holds and the count is right, so containment must refuse
+    real = symplectic._validate_normal_basis
+    fired = 0
+    for n in (1, 2, 3):
+        sp = SymplecticSpace(n, field)
+        normal = [(w, symplectic_normal_basis(sp, w))
+                  for w in _seeded_subspaces(field, n, per_dim=3)]
+        for w, (_, k, l) in normal:
+            others = [b for x, (b, kk, ll) in normal if (kk, ll) == (k, l) and x != w]
+            if not others:
+                continue
+            monkeypatch.setattr(symplectic, "_validate_normal_basis",
+                                lambda sp_, basis_, w_, k_, l_: real(sp_, others[0], w_, k_, l_))
+            with pytest.raises(ConstructionError, match="subspace shape"):
+                symplectic_normal_basis(sp, w)
+            monkeypatch.setattr(symplectic, "_validate_normal_basis", real)
+            fired += 1
+    assert fired
+
+
+class _MisseededRowBasis(RowBasis):
+    """A RowBasis whose `of` seeds with the subspace `wrong` instead of the
+    one it is given, so a transversal keeps the rows of L independent
+    modulo `wrong`, whether or not they meet w."""
+
+    wrong = None
+
+    @classmethod
+    def of(cls, subspace):
+        return RowBasis.of(cls.wrong)
+
+
+def _reference_picks(L, x):
+    """The span of the rows of L independent modulo x, eliminated afresh."""
+    f, N = L.field, L.ambient
+    added = RowBasis.spanning(f, N, x.basis_vectors())
+    return Subspace.from_vectors(f, N, [row for row in L.basis_vectors() if added.insert(row)])
+
+
+def _transversal_outcome(sp, w, i, expect):
+    """Run `isotropic_transversal` and require what the reference checks
+    say of the expected span: the message of the check that refuses it,
+    or the span itself; returns the message or None."""
+    if expect.dim != i or not _reference_is_isotropic(sp, expect):
+        message = "not an isotropic"
+    elif not _reference_spans_with(sp, expect, w):
+        message = "meets the subspace"
+    else:
+        assert isotropic_transversal(sp, w, i) == expect
+        return None
+    with pytest.raises(ConstructionError, match=message):
+        isotropic_transversal(sp, w, i)
+    return message
+
+
+def test_mutant_transversal_meeting_w_is_refused(monkeypatch):
+    # seed the picks with another subspace of w's dimension: over small
+    # fields some of the transversals they span meet w
+    monkeypatch.setattr(symplectic, "RowBasis", _MisseededRowBasis)
+    fired = 0
+    for field in NORMAL_FORM_FIELDS:
+        for n in (2, 3):
+            sp = SymplecticSpace(n, field)
+            subspaces = list(_seeded_subspaces(field, n, per_dim=5))
+            for w, other in zip(subspaces, subspaces[1:] + subspaces[:1]):
+                i = 2 * n - w.dim
+                if not i or other.dim != w.dim:
+                    continue
+                monkeypatch.setattr(_MisseededRowBasis, "wrong", other)
+                expect = _reference_picks(symplectic._lagrangian(sp, w), other)
+                fired += _transversal_outcome(sp, w, i, expect) == "meets the subspace"
+    assert fired
+
+
+def test_mutant_non_isotropic_transversal_is_refused(monkeypatch):
+    # build the transversal from an n-space whose first two canonical rows
+    # e_1 and e_2 + e_(n+1) pair to 1: the picks are independent modulo w,
+    # so only the isotropy check can refuse them
+    fired = 0
+    for field in NORMAL_FORM_FIELDS:
+        for n in (2, 3):
+            sp = SymplecticSpace(n, field)
+            e = Matrix.identity(field, 2 * n).rows
+            partner = field.axpy(e[1], field.neg(field.one), e[n])
+            x = Subspace.from_vectors(field, 2 * n, [e[0], partner] + list(e[2:n]))
+            monkeypatch.setattr(symplectic, "_lagrangian", lambda sp_, w_: x)
+            for w in _seeded_subspaces(field, n, per_dim=5):
+                i = 2 * n - w.dim
+                if i:
+                    expect = _reference_picks(x, w)
+                    fired += (_transversal_outcome(sp, w, i, expect) == "not an isotropic"
+                              and expect.dim == i)
+    assert fired
+
+
+@pytest.mark.parametrize("field", NORMAL_FORM_FIELDS, ids=repr)
+def test_mutant_w0_outside_w_is_refused(field, monkeypatch):
+    # build the complement from another subspace's leading rows: the result
+    # L' is Lagrangian, so only the check L + w = V can refuse it.  It
+    # must refuse every w that holds a row of L'
+    real = symplectic.symplectic_normal_basis
+    rng = random.Random(11)
+    fired = 0
+    for n in (1, 2, 3):
+        sp = SymplecticSpace(n, field)
+        subspaces = list(_seeded_subspaces(field, n, per_dim=5))
+        for w, other in zip(subspaces, subspaces[1:] + subspaces[:1]):
+            L_other = symplectic._lagrangian(sp, other)
+            row = L_other.basis_vectors()[0]
+            meeting = Subspace.from_vectors(field, 2 * n, [row] + random_independent(
+                field, 2 * n, w.dim - 1, rng, span=[row]))
+            monkeypatch.setattr(symplectic, "symplectic_normal_basis",
+                                lambda sp_, w0: real(sp_, _reference_leading_rows(sp_, other)))
+            for target in (w, meeting):
+                if _reference_spans_with(sp, L_other, target):
+                    assert lagrangian_complement(sp, target) == L_other
+                else:
+                    with pytest.raises(ConstructionError, match="does not complement"):
+                        lagrangian_complement(sp, target)
+                    fired += 1
+            monkeypatch.setattr(symplectic, "symplectic_normal_basis", real)
+    assert fired
+
+
+@pytest.mark.parametrize("field", NORMAL_FORM_FIELDS, ids=repr)
+def test_mutant_non_lagrangian_complement_is_refused(field, monkeypatch):
+    for n in (1, 2, 3):
+        sp = SymplecticSpace(n, field)
+        units = Matrix.identity(field, 2 * n).rows
+        # all of V, and for n >= 2 an n-space holding the hyperbolic pair
+        # e_1, e_(n+1)
+        bad = [Subspace.full(field, 2 * n)]
+        if n >= 2:
+            bad.append(Subspace.from_vectors(
+                field, 2 * n, [units[0], units[n]] + list(units[1 : n - 1])))
+        for x in bad:
+            monkeypatch.setattr(symplectic, "_lagrangian", lambda sp_, w_: x)
+            for w in _seeded_subspaces(field, n, per_dim=2):
+                with pytest.raises(ConstructionError, match="not Lagrangian"):
+                    lagrangian_complement(sp, w)
