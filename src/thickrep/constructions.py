@@ -1,7 +1,8 @@
 """Factories for the explicit representation families and distinguished
 subspaces used throughout the package, each with built-in self-verification:
-every returned invariant subspace is re-checked for invariance and
-realizability before it leaves the factory.
+every returned wedge span is built by `_wedge_span`, which re-checks its
+dimension, its realizability and, given the representation, its invariance
+before it leaves the factory.
 """
 
 from __future__ import annotations
@@ -39,26 +40,27 @@ def _block_cycle(field, blocks) -> Matrix:
     m = blocks[0].nrows
     n = ell * m
     entries = [[field.zero] * n for _ in range(n)]
-    for i in range(m):
-        for j in range(m):
-            entries[i][(ell - 1) * m + j] = blocks[-1].rows[i][j]
-    for t in range(1, ell):
+    for t in range(ell):
+        col = (t - 1) % ell * m
         for i in range(m):
-            for j in range(m):
-                entries[t * m + i][(t - 1) * m + j] = blocks[t - 1].rows[i][j]
+            entries[t * m + i][col : col + m] = blocks[t - 1].rows[i]
     return Matrix(field, entries)
 
 
-def _check_window_subspace(rep, w: Subspace, m: int, witness_subset):
-    ext = exterior_rep(rep, m)
-    if not is_invariant(ext, w):
-        raise ConstructionError("window subspace is not invariant")
-    probe = WedgeVector.basis_element(rep.field, rep.dim, witness_subset)
-    if not w.contains_vector(probe.coords):
-        raise ConstructionError("window subspace lost its decomposable witness")
-    ok, _ = is_decomposable(probe)
-    if not ok:
-        raise ConstructionError("window witness is not decomposable")
+def _wedge_span(field, n: int, subsets, dim: int, rep=None) -> Subspace:
+    """The span of the basis wedges e_S of Lambda^m k^n, S in `subsets`,
+    checked to have dimension `dim`, a decomposable first wedge and, given
+    `rep`, to be invariant under its m-th exterior power."""
+    wedges = [WedgeVector.basis_element(field, n, s) for s in subsets]
+    m = wedges[0].m
+    w = Subspace.from_vectors(field, comb(n, m), [x.coords for x in wedges])
+    if w.dim != dim:
+        raise ConstructionError("wedge span has dim %d, not %d" % (w.dim, dim))
+    if not is_decomposable(wedges[0])[0]:
+        raise ConstructionError("first wedge of the span is not decomposable")
+    if rep is not None and not is_invariant(exterior_rep(rep, m), w):
+        raise ConstructionError("wedge span is not invariant")
+    return w
 
 
 @dataclass
@@ -81,15 +83,8 @@ def companion_pair(field, n: int, a, b) -> CompanionPairResult:
     roots_available = has_all_nth_roots(field, a, n) and has_all_nth_roots(field, b, n)
     windows = {}
     for m in range(1, n):
-        vecs = []
-        for i in range(n):
-            subset = tuple(sorted((i + t) % n + 1 for t in range(m)))
-            vecs.append(WedgeVector.basis_element(field, n, subset).coords)
-        w = Subspace.from_vectors(field, comb(n, m), vecs)
-        if w.dim != n:
-            raise ConstructionError("window subspace has dim %d != %d" % (w.dim, n))
-        _check_window_subspace(rep, w, m, tuple(range(1, m + 1)))
-        windows[m] = w
+        cyclic = [tuple(sorted((i + t) % n + 1 for t in range(m))) for i in range(n)]
+        windows[m] = _wedge_span(field, n, cyclic, n, rep)
     return CompanionPairResult(rep, windows, roots_available)
 
 
@@ -118,16 +113,12 @@ class BlockRepSpec:
             raise PreconditionFailed("alphas must be nonzero")
         if f.char and self.ell % f.char == 0:
             raise PreconditionFailed("field characteristic divides ell")
-        roots = []
+        # distinct alphas cannot share a root: xi^ell is xi's own alpha
         for a in self.alphas:
-            rs = f.nth_roots(a, self.ell)
-            if len(rs) != self.ell:
+            if len(f.nth_roots(a, self.ell)) != self.ell:
                 raise PreconditionFailed(
                     "alpha %s lacks %d distinct ell-th roots" % (f.format(a), self.ell)
                 )
-            roots.extend(rs)
-        if len(set(roots)) != self.n:
-            raise PreconditionFailed("eigenvalues of the shift generator collide")
         if self.b_ell.nrows != self.m or not self.b_ell.is_invertible():
             raise PreconditionFailed("b_ell must be an invertible %dx%d matrix" % (self.m, self.m))
 
@@ -153,67 +144,32 @@ def block_rep(spec: BlockRepSpec) -> BlockRepResult:
     B = _block_cycle(f, [ident] * (ell - 1) + [spec.b_ell])
     rep = Representation(f, n, GROUP, [A, B], label="block_%dx%d" % (ell, m))
 
-    # W: wedge of each block
-    wvecs = []
-    for t in range(ell):
-        subset = tuple(range(t * m + 1, (t + 1) * m + 1))
-        wvecs.append(WedgeVector.basis_element(f, n, subset).coords)
-    w = Subspace.from_vectors(f, comb(n, m), wvecs)
-    if w.dim != ell:
-        raise ConstructionError("block wedge subspace has wrong dimension")
-    if not is_invariant(exterior_rep(rep, m), w):
-        raise ConstructionError("block wedge subspace is not invariant")
-
-    # Y: one basis index from each block
-    yvecs = []
-    for picks in itertools.product(range(m), repeat=ell):
-        subset = tuple(t * m + p + 1 for t, p in enumerate(picks))
-        yvecs.append(WedgeVector.basis_element(f, n, subset).coords)
-    y = Subspace.from_vectors(f, comb(n, ell), yvecs)
-    if y.dim != m**ell:
-        raise ConstructionError("cross-block subspace has wrong dimension")
-    if not is_invariant(exterior_rep(rep, ell), y):
-        raise ConstructionError("cross-block subspace is not invariant")
-
-    cramer_checked, cramer_nonzero = _cramer_coefficients_nonzero(spec, A, B)
+    # W: the wedge of each block; Y: one basis index from each block
+    blocks = [tuple(range(t * m + 1, (t + 1) * m + 1)) for t in range(ell)]
+    w = _wedge_span(f, n, blocks, ell, rep)
+    y = _wedge_span(f, n, itertools.product(*blocks), m**ell, rep)
+    cramer_checked, cramer_nonzero = _cramer_coefficients_nonzero(spec)
     return BlockRepResult(rep, w, y, spec, cramer_checked, cramer_nonzero)
 
 
-def _cramer_coefficients_nonzero(spec: BlockRepSpec, A: Matrix, B: Matrix):
+def _cramer_coefficients_nonzero(spec: BlockRepSpec):
     """Expand each shift-generator eigenvector in the eigenbasis of the
     second generator and test every coefficient against zero.  Skipped
-    (checked=False) when b_ell does not split with distinct roots carrying
-    full ell-th root sets disjoint from the shift eigenvalues."""
+    (checked=False) when `block_eigenvectors` finds no full eigenbasis for
+    b_ell, or when the two generators share an eigenvalue."""
     f = spec.field
-    roots_b = poly_roots(charpoly(spec.b_ell))
-    if len(roots_b) != spec.m or any(mult != 1 for _, mult in roots_b):
+    ident = [Matrix.identity(f, spec.m)] * (spec.ell - 1)
+    try:
+        b_pairs = block_eigenvectors(ident + [spec.b_ell])
+    except PreconditionFailed:
         return False, False
-    betas = [r for r, _ in roots_b]
-    if set(betas) & set(spec.alphas):
+    a_pairs = block_eigenvectors(ident + [Matrix.diagonal(f, spec.alphas)])
+    if {xi for xi, _ in a_pairs} & {eta for eta, _ in b_pairs}:
         return False, False
-    xis = set()
-    for a in spec.alphas:
-        xis.update(f.nth_roots(a, spec.ell))
-    etas = set()
-    for b in betas:
-        rs = f.nth_roots(b, spec.ell)
-        if len(rs) != spec.ell:
-            return False, False
-        etas.update(rs)
-    if xis & etas:
-        return False, False
-    ident = Matrix.identity(f, spec.m)
-    a_pairs = block_eigenvectors([ident] * (spec.ell - 1) + [Matrix.diagonal(f, spec.alphas)])
-    b_pairs = block_eigenvectors([ident] * (spec.ell - 1) + [spec.b_ell])
     wmat = Matrix(f, [list(v) for _, v in a_pairs]).transpose()
     wpmat = Matrix(f, [list(v) for _, v in b_pairs]).transpose()
     coeffs = wpmat.inverse() * wmat
-    nonzero = all(
-        coeffs.rows[i][j] != f.zero
-        for i in range(spec.n)
-        for j in range(spec.n)
-    )
-    return True, nonzero
+    return True, all(x != f.zero for row in coeffs.rows for x in row)
 
 
 def suggest_block_field(ell: int, m: int) -> PrimeField:
@@ -266,7 +222,6 @@ def build_block_rep(ell: int, m: int, field=None, alphas=None, betas=None,
             "no irreducible block representation: beta %s %s" % (field.format(b), problem)
         )
     rng = random.Random(seed)
-    n = ell * m
     last_error = None
     for _ in range(_BLOCK_REP_TRIES):
         p = random_invertible(field, m, rng)
@@ -355,6 +310,7 @@ def generic_diagonalizable(field, v, avoid, seed: int = 0):
     avoid = set(avoid)
     rng = random.Random(seed)
     if f.finite:
+        check_scan(f)
         pool = [x for x in f.nonzero_elements() if x not in avoid]
         if len(pool) < n:
             raise FieldTooSmall(
@@ -399,13 +355,7 @@ def e1_wedge_subspace(field, n: int) -> Subspace:
     """The (n-1)-dimensional subspace e_1 ^ k^n of Lambda^2 k^n."""
     if n < 4:
         raise BadN("n must be at least 4")
-    vecs = [
-        WedgeVector.basis_element(field, n, (1, j)).coords for j in range(2, n + 1)
-    ]
-    w = Subspace.from_vectors(field, comb(n, 2), vecs)
-    if w.dim != n - 1:
-        raise ConstructionError("e1 wedge subspace has dim %d, not %d" % (w.dim, n - 1))
-    return w
+    return _wedge_span(field, n, [(1, j) for j in range(2, n + 1)], n - 1)
 
 
 def symplectic_form_matrix(field, n: int) -> Matrix:

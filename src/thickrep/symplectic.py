@@ -278,7 +278,10 @@ def isotropic_transversal(sp: SymplecticSpace, w: Subspace, i: int) -> Subspace:
         return Subspace.zero(f, N)
     L = _lagrangian(sp, w)
     added = RowBasis.of(w)
-    U = Subspace.from_vectors(f, N, [row for row in L.basis_vectors() if added.insert(row)])
+    picks = [t for t, row in enumerate(L.basis_vectors()) if added.insert(row)]
+    # a subset of L's canonical rows is already RREF, so U needs no elimination
+    U = Subspace(f, N, Matrix(f, [L.basis_vectors()[t] for t in picks]),
+                 tuple(L.pivots[t] for t in picks))
     if U.dim != i or not is_isotropic(sp, U):
         raise ConstructionError("transversal is not an isotropic i-space")
     # a second elimination of U's rows against w, not a read of `added`
@@ -317,6 +320,9 @@ def ker_perp_realizability_check(
     """
     if not 1 < m <= sp.n:
         raise PreconditionFailed("need 1 < m <= n")
+    if trials < 1:
+        # with no trial the pairing prong would pass on no evidence
+        raise PreconditionFailed("need at least one trial, got %d" % trials)
     f = sp.field
     N = sp.dim
     report = KerPerpReport(n=sp.n, m=m, trials=trials)

@@ -8,10 +8,11 @@ from types import SimpleNamespace
 import pytest
 
 from thickrep.cli import main
-from thickrep.errors import ThickRepError
+from thickrep.errors import PreconditionFailed, ThickRepError
 from thickrep.fields import GF, QQ
 from thickrep.linalg import Matrix
 from thickrep.constructions import companion_pair, lie_generators
+from thickrep.exterior import WedgeVector, wedge_of_vectors
 from thickrep.repcore import GROUP, LIE, Representation
 from thickrep.symplectic import SymplecticSpace, ker_perp_realizability_check
 from thickrep import fields, repcore, serialize, verify
@@ -141,6 +142,36 @@ def test_exterior_ops(tmp_path, capsys):
                  "--input", str(wedge_path)])
     capsys.readouterr()
     assert code == 1
+
+    # e1 ^ (e2 + 2 e3) is decomposable, and its witness wedges back to it
+    wedge_path.write_text(json.dumps({"1,2": "1", "1,3": "2"}))
+    code = main(["exterior", "decomposable", "--field", "Q", "--n", "4", "--m", "2",
+                 "--input", str(wedge_path)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0 and out["decomposable"] is True
+    wedge = wedge_of_vectors(QQ, 4, [[Fraction(x) for x in v] for v in out["witness"]])
+    given = WedgeVector.from_sparse(QQ, 4, 2, {"1,2": "1", "1,3": "2"})
+    scale = wedge.coords[0]
+    assert scale != 0 and wedge.coords == tuple(scale * x for x in given.coords)
+
+
+def test_field_given_as_a_json_spec(capsys):
+    assert main(["construct", "e1wedge", "--field", '{"kind": "Fp", "p": 5}',
+                 "--n", "4"]) == 0
+    spec_out = capsys.readouterr().out
+    assert main(["construct", "e1wedge", "--field", "F5", "--n", "4"]) == 0
+    assert spec_out == capsys.readouterr().out
+
+
+def test_ker_perp_without_a_trial_exits_3(capsys):
+    # with no trial the pairing prong would pass on no evidence, and over Q
+    # at m = n the scan prong does not run either
+    for trials in ("0", "-3"):
+        assert main(["symplectic", "ker-perp", "--field", "Q", "--n", "3", "--m", "3",
+                     "--trials", trials]) == 3, trials
+        assert "at least one trial" in capsys.readouterr().err
+    with pytest.raises(PreconditionFailed):
+        ker_perp_realizability_check(SymplecticSpace(3, QQ), 3, trials=0)
 
 
 def test_exterior_realizable_decides_a_rational_line(tmp_path, capsys):

@@ -3,7 +3,13 @@ import time
 
 import pytest
 
-from thickrep.errors import BadN, FieldTooSmall, PreconditionFailed, ScaleExceeded
+from thickrep.errors import (
+    BadN,
+    ConstructionError,
+    FieldTooSmall,
+    PreconditionFailed,
+    ScaleExceeded,
+)
 from thickrep.fields import GF, QQ
 from thickrep.linalg import Matrix, Subspace
 from thickrep.exterior import WedgeVector, is_decomposable
@@ -18,6 +24,7 @@ from thickrep.repcore import (
 )
 from thickrep.constructions import (
     BlockRepSpec,
+    _wedge_span,
     block_eigenvectors,
     block_rep,
     build_block_rep,
@@ -73,6 +80,8 @@ def test_constructions_refuse_scans_of_a_large_field():
         lambda: build_block_rep(2, 2, field),
         lambda: build_block_rep(2, 2, field, alphas=(1, 4), betas=(9, 16)),
         lambda: BlockRepSpec(2, 2, (1, 4), Matrix.identity(field, 2), field),
+        # the eigenvalue pool lists the field: refused just past the bound
+        lambda: generic_diagonalizable(GF(1_000_003), (1, 1), {1}, seed=3),
     ):
         with pytest.raises(ScaleExceeded):
             build()
@@ -131,6 +140,32 @@ def test_block_spec_validation():
         BlockRepSpec(1, 2, (1,), Matrix.identity(F13, 1), F13)
 
 
+def test_cramer_check_skips_without_a_full_or_disjoint_eigenbasis():
+    # b_ell = 1 has no two distinct eigenvalues, and b_ell = diag(alphas)
+    # shares every eigenvalue of the shift generator
+    F13 = GF(13)
+    for b_ell in (Matrix.identity(F13, 2), Matrix.diagonal(F13, (1, 4))):
+        res = block_rep(BlockRepSpec(2, 2, (1, 4), b_ell, F13))
+        assert (res.cramer_checked, res.cramer_nonzero) == (False, False)
+        assert res.w.dim == 2 and res.y.dim == 4
+
+
+def test_wedge_span_checks_its_dimension_and_invariance():
+    F5 = GF(5)
+    w = _wedge_span(F5, 4, [(1, 2), (3, 4)], 2)
+    assert w == Subspace.from_vectors(F5, 6, [
+        WedgeVector.basis_element(F5, 4, s).coords for s in ((1, 2), (3, 4))
+    ])
+    with pytest.raises(ConstructionError):
+        _wedge_span(F5, 4, [(1, 2), (1, 2)], 2)
+    # one cyclic window wedge alone is moved by the companion shift
+    pair = companion_pair(F5, 4, 2, 3)
+    with pytest.raises(ConstructionError):
+        _wedge_span(F5, 4, [(1, 2)], 1, pair.rep)
+    windows = _wedge_span(F5, 4, [(1, 2), (2, 3), (3, 4), (1, 4)], 4, pair.rep)
+    assert windows == pair.windows[2]
+
+
 def test_block_eigenvectors_scalar_case():
     F5 = GF(5)
     blocks = [Matrix(F5, [[1]]), Matrix(F5, [[4]])]
@@ -174,15 +209,6 @@ def test_generic_diagonalizable_spin_full():
 def test_generic_diagonalizable_restricted_pool():
     _, _, betas = generic_diagonalizable(GF(5), (1, 0), {1, 2}, seed=0)
     assert set(betas) == {3, 4}
-
-
-def test_generic_diagonalizable_past_the_element_scan_bound():
-    # a prime just over the scan bound still draws its eigenvalues
-    f = GF(1_000_003)
-    g, basis, betas = generic_diagonalizable(f, (1, 1), {1}, seed=3)
-    assert len(set(betas)) == 2 and 1 not in betas
-    for b, v in zip(betas, basis):
-        assert g.apply(v) == tuple(f.mul(b, x) for x in v)
 
 
 def test_generic_diagonalizable_field_too_small():

@@ -1210,6 +1210,14 @@ def test_is_m_dense_finite_non_absolute():
     assert is_m_dense(r, 1, absolute=False) == "Yes"
     red = group_rep(GF(2), [[[1, 1], [0, 1]]])
     assert is_m_dense(red, 1, absolute=False) == "No"
+    # the quarter turn is irreducible over F3 but not absolutely (x^2 + 1
+    # splits over F9), so Norton proves nothing and the lattice decides;
+    # a lattice cap of 1 stops it before the second submodule
+    quarter = group_rep(GF(3), [ROT])
+    assert is_m_dense(quarter, 1, absolute=False) == "Yes"
+    capped = repcore.decide_m_dense(quarter, 1, absolute=False, caps=Caps(lattice_cap=1))
+    assert (capped.verdict, capped.route, capped.certificate) == (UNKNOWN, "lattice", None)
+    assert "cap" in capped.reason
 
 
 def test_gaussian_binomial():
