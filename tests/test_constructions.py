@@ -211,6 +211,18 @@ def test_generic_diagonalizable_restricted_pool():
     assert set(betas) == {3, 4}
 
 
+def test_generic_diagonalizable_past_the_element_scan_bound():
+    # the largest prime under the scan bound still draws its eigenvalues;
+    # the first prime over it is refused before its pool is listed
+    f = GF(999_983)
+    g, basis, betas = generic_diagonalizable(f, (1, 1), {1}, seed=3)
+    assert len(set(betas)) == 2 and 1 not in betas
+    for b, v in zip(betas, basis):
+        assert g.apply(v) == tuple(f.mul(b, x) for x in v)
+    with pytest.raises(ScaleExceeded):
+        generic_diagonalizable(GF(1_000_003), (1, 1), {1}, seed=3)
+
+
 def test_generic_diagonalizable_field_too_small():
     with pytest.raises(FieldTooSmall):
         generic_diagonalizable(GF(3), (1, 0, 1), {1}, seed=0)
