@@ -7,9 +7,10 @@ before it leaves the factory.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from math import comb
 
 from .errors import (
@@ -90,13 +91,15 @@ def companion_pair(field, n: int, a, b) -> CompanionPairResult:
 
 @dataclass
 class BlockRepSpec:
-    """Parameters for the two-generator block construction on k^(ell*m)."""
+    """Parameters for the two-generator block construction on k^(ell*m),
+    with the eigenpairs of the shift generator, which the alphas alone fix."""
 
     ell: int
     m: int
     alphas: tuple
     b_ell: Matrix
     field: object
+    alpha_pairs: list = dc_field(init=False, repr=False, compare=False)
 
     @property
     def n(self):
@@ -119,8 +122,21 @@ class BlockRepSpec:
                 raise PreconditionFailed(
                     "alpha %s lacks %d distinct ell-th roots" % (f.format(a), self.ell)
                 )
+        self._check_b_ell()
+        ident = [Matrix.identity(f, self.m)] * (self.ell - 1)
+        self.alpha_pairs = block_eigenvectors(ident + [Matrix.diagonal(f, self.alphas)])
+
+    def _check_b_ell(self):
         if self.b_ell.nrows != self.m or not self.b_ell.is_invertible():
             raise PreconditionFailed("b_ell must be an invertible %dx%d matrix" % (self.m, self.m))
+
+    def _with_b_ell(self, b_ell) -> "BlockRepSpec":
+        """This spec with another b_ell, of which only b_ell is checked: the
+        alpha checks and eigenpairs do not depend on it."""
+        spec = copy.copy(self)
+        spec.b_ell = b_ell
+        spec._check_b_ell()
+        return spec
 
 
 @dataclass
@@ -163,7 +179,7 @@ def _cramer_coefficients_nonzero(spec: BlockRepSpec):
         b_pairs = block_eigenvectors(ident + [spec.b_ell])
     except PreconditionFailed:
         return False, False
-    a_pairs = block_eigenvectors(ident + [Matrix.diagonal(f, spec.alphas)])
+    a_pairs = spec.alpha_pairs
     if {xi for xi, _ in a_pairs} & {eta for eta, _ in b_pairs}:
         return False, False
     wmat = Matrix(f, [list(v) for _, v in a_pairs]).transpose()
@@ -223,11 +239,16 @@ def build_block_rep(ell: int, m: int, field=None, alphas=None, betas=None,
         )
     rng = random.Random(seed)
     last_error = None
+    spec = None
+    diag = Matrix.diagonal(field, betas)
     for _ in range(_BLOCK_REP_TRIES):
         p = random_invertible(field, m, rng)
-        b_ell = p * Matrix.diagonal(field, betas) * p.inverse()
+        b_ell = p * diag * p.inverse()
         try:
-            spec = BlockRepSpec(ell, m, alphas, b_ell, field)
+            # only b_ell depends on the draw, so the first valid spec's alpha
+            # checks and eigenpairs serve every later draw
+            spec = (BlockRepSpec(ell, m, alphas, b_ell, field) if spec is None
+                    else spec._with_b_ell(b_ell))
             result = block_rep(spec)
         except (PreconditionFailed, ConstructionError) as e:
             last_error = e

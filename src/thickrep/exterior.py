@@ -53,6 +53,13 @@ def faces(n: int, k: int):
     )
 
 
+@lru_cache(maxsize=None)
+def minor_pairs(n: int):
+    """The 0-based index pairs (k, l), k < l, of the colex 2-subsets of
+    {1..n}: coordinate r of u ^ v is u[k]*v[l] - u[l]*v[k] for the r-th."""
+    return tuple((k, l) for (k, _), (l, _) in faces(n, 2))
+
+
 def _laplace_step(f, table, v, w):
     """Coordinates of v ^ w in Lambda^k, for v in k^n and w in Lambda^(k-1),
     where `table` is faces(n, k): the Laplace expansion along v."""
@@ -164,8 +171,10 @@ def wedge_of_vectors(field, n, vectors) -> WedgeVector:
             raise DimensionMismatch("vector of length %d in k^%d" % (len(v), n))
     if m > n:
         raise DimensionMismatch("cannot wedge %d vectors in k^%d" % (m, n))
-    coords = vectors[-1] if vectors else [field.one]
-    for k in range(2, m + 1):
+    if m < 2:
+        return WedgeVector(field, n, m, vectors[0] if vectors else [field.one])
+    coords = field.minors2(vectors[m - 2], vectors[m - 1], minor_pairs(n))
+    for k in range(3, m + 1):
         coords = _laplace_step(field, faces(n, k), vectors[m - k], coords)
     return WedgeVector(field, n, m, coords)
 
@@ -174,8 +183,8 @@ def compound(a: Matrix, m: int) -> Matrix:
     """The matrix of Lambda^m a on the colex basis; entries are m-minors.
 
     Row S is the wedge of the rows of a indexed by S, so at level k it is
-    a_(min S) ^ (row S minus min S at level k - 1).  Level 2 writes out
-    its 2x2 minors directly."""
+    a_(min S) ^ (row S minus min S at level k - 1).  Level 2 is one
+    `minors2` per pair of rows."""
     if not a.is_square():
         raise BadM("compound of a non-square matrix")
     n = a.nrows
@@ -186,13 +195,9 @@ def compound(a: Matrix, m: int) -> Matrix:
         return Matrix.identity(f, 1)
     if m == 1:
         return a
-    mul, sub = f.mul, f.sub
-    pairs = [(k, l) for (k, _), (l, _) in faces(n, 2)]
+    minors2, pairs = f.minors2, minor_pairs(n)
     rows = a.rows
-    level = [
-        [sub(mul(ri[k], rj[l]), mul(ri[l], rj[k])) for k, l in pairs]
-        for ri, rj in ((rows[i], rows[j]) for i, j in pairs)
-    ]
+    level = [minors2(rows[i], rows[j], pairs) for i, j in pairs]
     for k in range(3, m + 1):
         table = faces(n, k)
         level = [

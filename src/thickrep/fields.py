@@ -5,9 +5,11 @@ Python objects (`fractions.Fraction` for the rationals, canonical residues
 in ``[0, p)`` for a prime field).  All operations are exact.
 
 Besides scalar ``add``/``sub``/``mul``/``neg``/``inv``/``div`` every field
-has the three row operations that all elimination in the package runs on:
-``dot(u, v)``, ``axpy(w, t, row)`` = w - t*row and ``scale(c, row)``, each
-returning canonical values.  The elimination loops test entries with
+has the row operations that all elimination and every minor in the package
+run on: ``dot(u, v)``, ``axpy(w, t, row)`` = w - t*row, ``scale(c, row)``
+and ``minors2(u, v, pairs)``, the coordinates u[k]*v[l] - u[l]*v[k] of
+u ^ v, each returning canonical values; ``row_key(row)`` is a row's sort
+key.  The elimination loops test entries with
 ``x != cmp_zero``: ``cmp_zero`` is ``zero`` itself except over Q, where it is
 the int 0, because a ``Fraction`` compared with an int takes the fast path of
 ``Fraction.__eq__`` and one compared with ``Fraction(0)`` runs an
@@ -155,6 +157,22 @@ class Rationals:
             for x in row
         ]
 
+    def minors2(self, u, v, pairs):
+        zero = self.zero
+        out = []
+        for k, l in pairs:
+            a, b, c, d = u[k], v[l], u[l], v[k]
+            n1 = a.numerator * b.numerator
+            n2 = c.numerator * d.numerator
+            if n1 or n2:
+                # a*b - c*d = (n1*d2 - n2*d1) / (d1*d2)
+                d1 = a.denominator * b.denominator
+                d2 = c.denominator * d.denominator
+                out.append(Fraction(n1 * d2 - n2 * d1, d1 * d2))
+            else:
+                out.append(zero)
+        return out
+
     def from_int(self, i):
         return Fraction(i)
 
@@ -162,6 +180,9 @@ class Rationals:
         # canonical order: by (numerator, denominator) of the element, a
         # normalized Fraction or an int
         return (a.numerator, a.denominator)
+
+    def row_key(self, row):
+        return tuple([(a.numerator, a.denominator) for a in row])
 
     def format(self, a) -> str:
         return str(Fraction(a))
@@ -266,6 +287,10 @@ class PrimeField:
         p = self.p
         return [(c * x) % p for x in row]
 
+    def minors2(self, u, v, pairs):
+        p = self.p
+        return [(u[k] * v[l] - u[l] * v[k]) % p for k, l in pairs]
+
     def from_int(self, i):
         return i % self.p
 
@@ -278,6 +303,10 @@ class PrimeField:
 
     def sort_key(self, a):
         return a
+
+    def row_key(self, row):
+        # residues already sort, so a row tuple is its own key
+        return row
 
     def format(self, a) -> str:
         return str(a % self.p)
@@ -396,6 +425,10 @@ class ExtensionField:
         mul = self.mul
         return [mul(c, x) for x in row]
 
+    def minors2(self, u, v, pairs):
+        sub, mul = self.sub, self.mul
+        return [sub(mul(u[k], v[l]), mul(u[l], v[k])) for k, l in pairs]
+
     def from_int(self, i):
         return tuple([i % self.p] + [0] * (self.k - 1))
 
@@ -410,6 +443,10 @@ class ExtensionField:
 
     def sort_key(self, a):
         return a
+
+    def row_key(self, row):
+        # coefficient tuples already sort, so a row tuple is its own key
+        return row
 
     def format(self, a) -> str:
         return ",".join(str(x) for x in a)

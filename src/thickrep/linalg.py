@@ -296,12 +296,9 @@ class Subspace:
         return "Subspace(dim %d of k^%d)" % (self.dim, self.ambient)
 
     def key(self):
-        """Deterministic sort key: (dim, canonical basis entries)."""
-        f = self.field
-        return (
-            self.dim,
-            tuple(tuple(f.sort_key(x) for x in row) for row in self.mat.rows),
-        )
+        """Deterministic sort key: (dim, the field's key of each canonical
+        row)."""
+        return (self.dim, tuple(map(self.field.row_key, self.mat.rows)))
 
     def contains_vector(self, v):
         if len(v) != self.ambient:
@@ -356,23 +353,36 @@ class Subspace:
 
 
 class RowBasis:
-    """Incrementally maintained reduced row-echelon basis of a row span: the
-    one echelon routine behind every RREF, rank and subspace here."""
+    """Incrementally maintained row-echelon basis of a row span: the one
+    echelon routine behind every RREF, rank and subspace here.
 
-    __slots__ = ("field", "ncols", "rows", "pivots")
+    `insert` keeps the rows in echelon form, each with a leading one at its
+    pivot, which is all that reducing a new row against them needs.  A new
+    pivot is not cleared from the rows above it; it is recorded as dirty.
+    The first read of `rows` back-substitutes the dirty pivots once, giving
+    the reduced form, so readers of `dim` alone do not pay for that step.
+
+    Only a dirty pivot column can fill in: reducing a row against
+    unreduced rows may make its entry there nonzero, an axpy a reduced
+    basis would not need.  A row that adds nothing shows that redundant
+    rows are arriving, so the insert after it back-substitutes first."""
+
+    __slots__ = ("field", "ncols", "_rows", "pivots", "_dirty", "_due")
 
     def __init__(self, field, ncols):
         self.field = field
         self.ncols = ncols
-        self.rows = []
+        self._rows = []
         self.pivots = []
+        self._dirty = []  # pivots not yet cleared from the rows above them
+        self._due = False  # the last insert added nothing to a dirty basis
 
     @classmethod
     def spanning(cls, field, ncols, rows):
         """The basis of the span of rows; stops once it is all of k^ncols."""
         basis = cls(field, ncols)
         for v in rows:
-            if basis.insert(v) and len(basis.rows) == ncols:
+            if basis.insert(v) and len(basis._rows) == ncols:
                 break
         return basis
 
@@ -382,20 +392,47 @@ class RowBasis:
         are a finished elimination, so nothing is inserted.  Later inserts
         grow this basis, never the subspace."""
         basis = cls(subspace.field, subspace.ambient)
-        basis.rows = list(subspace.mat.rows)
+        basis._rows = list(subspace.mat.rows)
         basis.pivots = list(subspace.pivots)
         return basis
 
     @property
     def dim(self):
-        return len(self.rows)
+        return len(self._rows)
+
+    @property
+    def rows(self):
+        """The reduced row-echelon rows."""
+        if self._dirty:
+            self._back_substitute()
+        return self._rows
+
+    def _back_substitute(self):
+        """Clear each dirty pivot from the rows above it, largest first: the
+        row of a pivot is then clear of every larger dirty pivot, so its
+        multiples put no nonzero back into those columns."""
+        cmp_zero, axpy = self.field.cmp_zero, self.field.axpy
+        rows, pivots = self._rows, self.pivots
+        for pc in sorted(self._dirty, reverse=True):
+            k = bisect(pivots, pc) - 1
+            row = rows[k]
+            for i in range(k):
+                t = rows[i][pc]
+                if t != cmp_zero:
+                    rows[i] = axpy(rows[i], t, row)
+        self._dirty = []
+        self._due = False
 
     def insert(self, v) -> bool:
         """Add v to the span; returns True when the dimension grows."""
+        if self._due:
+            self._back_substitute()
         f = self.field
         cmp_zero, axpy = f.cmp_zero, f.axpy
-        rows, pivots = self.rows, self.pivots
+        rows, pivots = self._rows, self.pivots
         w = v
+        # in pivot order: each row is zero left of its pivot, so clearing
+        # one pivot of w leaves the ones cleared before it at zero
         for row, pc in zip(rows, pivots):
             t = w[pc]
             if t != cmp_zero:
@@ -406,17 +443,16 @@ class RowBasis:
                 break
             pc += 1
         else:
+            self._due = bool(self._dirty)
             return False
         # a fresh list either way: the caller keeps v
         w = f.scale(f.inv(x), w) if x != f.one else list(w)
-        # eliminate the new pivot from the existing rows
-        for k, row in enumerate(rows):
-            t = row[pc]
-            if t != cmp_zero:
-                rows[k] = axpy(row, t, w)
         at = bisect(pivots, pc)
         rows.insert(at, w)
         pivots.insert(at, pc)
+        # only a row with a smaller pivot can be nonzero in column pc
+        if at:
+            self._dirty.append(pc)
         return True
 
     def to_subspace(self) -> Subspace:

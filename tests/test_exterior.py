@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -26,6 +27,7 @@ from thickrep.exterior import (
     field_tuples,
     is_decomposable,
     merge_sign,
+    minor_pairs,
     perp,
     projective_coefficients,
     projective_count,
@@ -498,6 +500,43 @@ def test_exterior_maps_match_determinant_oracles():
             sp = SymplecticSpace(half, field)
             for m in range(2, sp.dim + 1):
                 assert contraction_matrix(sp, m).rows == _contraction_oracle(sp, m).rows
+
+
+def _minors2_oracle(field, u, v, pairs):
+    """The 2x2 minors as `compound` wrote them out before `minors2`: the
+    field's own mul and sub, entry by entry."""
+    mul, sub = field.mul, field.sub
+    return [sub(mul(u[k], v[l]), mul(u[l], v[k])) for k, l in pairs]
+
+
+def _compound2_oracle(a):
+    pairs = [(k, l) for (k, _), (l, _) in faces(a.nrows, 2)]
+    rows = a.rows
+    return Matrix(a.field, [_minors2_oracle(a.field, rows[i], rows[j], pairs)
+                            for i, j in pairs])
+
+
+def test_level_two_minors_match_the_mul_sub_oracle():
+    rng = random.Random(29)
+    for field in (GF(2), GF(3), GF(2, 2), GF(5), GF(3, 2), QQ):
+        for n in range(2, 7):
+            pairs = minor_pairs(n)
+            assert list(pairs) == [(k, l) for (k, _), (l, _) in faces(n, 2)]
+            mats = _oracle_matrices(field, n, rng)
+            if field is QQ:
+                mats.append(Matrix(field, [
+                    [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(n)]
+                    for _ in range(n)
+                ]))
+            for a in mats:
+                assert compound(a, 2) == _compound2_oracle(a)
+                u, v = a.rows[0], a.rows[-1]
+                assert field.minors2(u, v, pairs) == _minors2_oracle(field, u, v, pairs)
+                # one pair only, and pairs with k > l, are minors too
+                swapped = [(l, k) for k, l in pairs[:3]]
+                assert field.minors2(u, v, swapped) == _minors2_oracle(field, u, v, swapped)
+                assert wedge_of_vectors(field, n, a.rows[:2]).coords == tuple(
+                    _minors2_oracle(field, a.rows[0], a.rows[1], pairs))
 
 
 def test_faces_agree_with_wedge_product():

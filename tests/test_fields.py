@@ -550,8 +550,24 @@ def test_row_kernel_matches_elementwise_definitions():
                     field.sub(x, field.mul(t, y)) for x, y in zip(u, v)
                 ]
                 assert field.scale(t, v) == [field.mul(t, x) for x in v]
-                outputs = [field.dot(u, v)] + field.axpy(u, t, v) + field.scale(t, v)
+                pairs = list(itertools.permutations(range(n), 2))
+                minors = field.minors2(u, v, pairs)
+                assert minors == [
+                    field.sub(field.mul(u[k], v[l]), field.mul(u[l], v[k])) for k, l in pairs
+                ]
+                outputs = [field.dot(u, v)] + field.axpy(u, t, v) + field.scale(t, v) + minors
                 assert all(_canonical(field, x) for x in outputs)
+            # a row's key is the tuple of its entries' keys
+            assert field.row_key(tuple(u)) == tuple(field.sort_key(x) for x in u)
+
+
+def test_fields_define_the_same_row_operations():
+    # one code path for field arithmetic: every field class defines each row
+    # operation itself, so no caller needs a per-field branch
+    ops = {"dot", "axpy", "scale", "minors2", "row_key"}
+    for cls in (QQ.__class__, PrimeField, ExtensionField):
+        assert ops <= set(vars(cls)), cls.__name__
+        assert all(callable(vars(cls)[op]) for op in ops), cls.__name__
 
 
 def test_rational_dot_of_empty_rows_is_a_fraction():

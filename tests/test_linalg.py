@@ -1,4 +1,6 @@
+import copy
 import random
+from bisect import bisect
 from fractions import Fraction
 
 import pytest
@@ -21,6 +23,7 @@ from thickrep.linalg import (
     subspace_algebra,
     unit_vector,
 )
+from thickrep.repcore import _span_closure
 
 
 def M(field, rows):
@@ -492,3 +495,167 @@ def test_row_basis_of_a_subspace_is_a_copy(field):
             assert basis.insert(v) and basis.dim == d + 1
             assert s.mat.rows == rows and s.pivots == pivots and s.dim == d
             assert basis.to_subspace() == Subspace.from_vectors(field, n, rows + (v,))
+
+
+class _EagerRowBasis:
+    """The eager insert that `RowBasis` replaced: each new pivot is
+    eliminated from the earlier rows at once, so the rows are always in
+    reduced row-echelon form.  The oracle for the rows read off a
+    `RowBasis` that reduces them once, on read."""
+
+    def __init__(self, field, ncols, rows=(), pivots=()):
+        self.field, self.ncols = field, ncols
+        self.rows, self.pivots = list(rows), list(pivots)
+
+    def insert(self, v):
+        f = self.field
+        cmp_zero, axpy = f.cmp_zero, f.axpy
+        rows, pivots = self.rows, self.pivots
+        w = v
+        for row, pc in zip(rows, pivots):
+            t = w[pc]
+            if t != cmp_zero:
+                w = axpy(w, t, row)
+        pc = 0
+        for x in w:
+            if x != cmp_zero:
+                break
+            pc += 1
+        else:
+            return False
+        w = f.scale(f.inv(x), w) if x != f.one else list(w)
+        for k, row in enumerate(rows):
+            t = row[pc]
+            if t != cmp_zero:
+                rows[k] = axpy(row, t, w)
+        at = bisect(pivots, pc)
+        rows.insert(at, w)
+        pivots.insert(at, pc)
+        return True
+
+
+def _seeded_row(field, n, rows, rng):
+    """A random row, a sparse one, or a combination of the given rows."""
+    kind = rng.randrange(3)
+    if kind == 2 and rows:
+        v = [field.zero] * n
+        for row in rng.sample(rows, rng.randint(1, len(rows))):
+            v = field.axpy(v, field.random(rng), row)
+        return tuple(v)
+    p = 0.3 if kind == 1 else 1.0
+    entry = (lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 6))) if field is QQ \
+        else (lambda: field.random(rng))
+    return tuple(entry() if rng.random() < p else field.zero for _ in range(n))
+
+
+def _check_reads_match_the_eager_basis(field, seed):
+    """Insert, read, insert, read: after every insert the dimension and
+    pivots, and at every read the rows, equal the eager oracle's; half the
+    bases start from a subspace's canonical rows."""
+    rng = random.Random(seed)
+    for n in range(1, 7):
+        for _ in range(6):
+            seed_rows = [_seeded_row(field, n, [], rng) for _ in range(rng.randint(0, n))]
+            if rng.random() < 0.5:
+                s = Subspace.from_vectors(field, n, seed_rows)
+                lazy = RowBasis.of(s)
+                eager = _EagerRowBasis(field, n, s.mat.rows, s.pivots)
+            else:
+                lazy, eager = RowBasis(field, n), _EagerRowBasis(field, n)
+            inserted = []
+            for _ in range(2 * n + 2):
+                v = _seeded_row(field, n, inserted, rng)
+                inserted.append(v)
+                assert lazy.insert(v) == eager.insert(v)
+                assert lazy.dim == len(eager.rows) and lazy.pivots == eager.pivots
+                if rng.random() < 0.4:
+                    assert [tuple(r) for r in lazy.rows] == [tuple(r) for r in eager.rows]
+            assert lazy.to_subspace().mat == Matrix(field, eager.rows)
+            assert lazy.to_subspace() == Subspace.from_vectors(
+                field, n, [tuple(r) for r in eager.rows] + inserted)
+
+
+@pytest.mark.parametrize("field", SUM_FIELDS, ids=repr)
+def test_rows_read_between_inserts_match_the_eager_basis(field):
+    _check_reads_match_the_eager_basis(field, 53 + (field.order if field.finite else 0))
+
+
+@pytest.mark.parametrize("field", SUM_FIELDS, ids=repr)
+def test_mutant_that_skips_the_back_substitution_is_caught(field, monkeypatch):
+    # with no back-substitution the rows read stay echelon but unreduced
+    monkeypatch.setattr(RowBasis, "_back_substitute", lambda self: None)
+    with pytest.raises(AssertionError):
+        _check_reads_match_the_eager_basis(field, 53 + (field.order if field.finite else 0))
+
+
+def _counting(field):
+    """A copy of the field whose `axpy` counts its calls in `axpys`."""
+    cls = type(field)
+
+    def axpy(self, w, t, row):
+        self.axpys += 1
+        return cls.axpy(self, w, t, row)
+
+    counting = copy.copy(field)
+    counting.__class__ = type("Counting" + cls.__name__, (cls,), {"axpy": axpy})
+    counting.axpys = 0
+    return counting
+
+
+def _unit_upper_rows(f, n, rng):
+    """Unit upper-triangular rows with random entries above the diagonal
+    and a one at (0, 1): inserted in order, no row needs an axpy to be
+    reduced, but the basis they span needs back-substitution."""
+    rows = [[f.zero] * i + [f.one] + [f.random(rng) for _ in range(n - i - 1)]
+            for i in range(n)]
+    rows[0][1] = f.one
+    return rows
+
+
+@pytest.mark.parametrize("field", SUM_FIELDS, ids=repr)
+def test_rank_only_readers_never_back_substitute(field):
+    # an eager insert would clear each new pivot from the rows above it,
+    # so any axpy before the first read here is back-substitution
+    rng = random.Random(59 + (field.order if field.finite else 0))
+    f = _counting(field)
+    for n in range(3, 7):
+        rows = _unit_upper_rows(f, n, rng)
+        for part in (rows, rows[:-1]):
+            d = len(part)
+            assert rank_of_rows(f, part, n) == d
+            assert Matrix(f, part).rank() == d
+            assert Matrix(f, part).is_invertible() == (d == n)
+            basis = _span_closure(f, n, part, [])
+            assert basis.dim == d
+            assert f.axpys == 0
+            # the first read reduces, once
+            reduced = [tuple(r) for r in basis.rows]
+            assert f.axpys > 0
+            count = f.axpys
+            assert [tuple(r) for r in basis.rows] == reduced and f.axpys == count
+            eager = _EagerRowBasis(field, n)
+            for r in part:
+                eager.insert(r)
+            assert reduced == [tuple(r) for r in eager.rows]
+            f.axpys = 0
+
+
+@pytest.mark.parametrize("field", SUM_FIELDS, ids=repr)
+def test_insert_after_a_redundant_row_reduces_first(field):
+    # a row that adds nothing leaves the basis unreduced, so a rank-only
+    # caller whose last row is redundant never reduces; the insert after
+    # it back-substitutes before it reduces its own row
+    rng = random.Random(61 + (field.order if field.finite else 0))
+    f = _counting(field)
+    for n in range(3, 7):
+        rows = _unit_upper_rows(f, n, rng)
+        basis = RowBasis.spanning(f, n + 1, [r + [f.zero] for r in rows])
+        assert not basis.insert(rows[0] + [f.zero]) and basis._dirty
+        assert not basis.insert(rows[1] + [f.zero]) and not basis._dirty
+        count = f.axpys
+        eager = _EagerRowBasis(field, n + 1)
+        for r in rows:
+            eager.insert(r + [f.zero])
+        assert [tuple(r) for r in basis.rows] == [tuple(r) for r in eager.rows]
+        assert f.axpys == count
+        f.axpys = 0
