@@ -8,6 +8,7 @@ lexicographic) order of partitions.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -54,18 +55,10 @@ def hook_dimension(lam) -> int:
 
 def class_size(mu) -> int:
     """Size of the conjugacy class of cycle type mu in S_d."""
-    d = sum(mu)
     z = 1
-    for part, count in _multiplicities(mu).items():
+    for part, count in Counter(mu).items():
         z *= part**count * factorial(count)
-    return factorial(d) // z
-
-
-def _multiplicities(mu):
-    out = {}
-    for part in mu:
-        out[part] = out.get(part, 0) + 1
-    return out
+    return factorial(sum(mu)) // z
 
 
 @lru_cache(maxsize=None)
@@ -80,20 +73,14 @@ def _mn_value(lam, mu) -> int:
     beta = [lam[i] + (ell - 1 - i) for i in range(ell)]
     bset = set(beta)
     total = 0
-    for i, b in enumerate(beta):
+    for b in beta:
         nb = b - t
         if nb < 0 or nb in bset:
             continue
         crossings = sum(1 for c in beta if nb < c < b)
-        newbeta = sorted((x for x in beta if x != b), reverse=True)
-        newbeta.append(nb)
-        newbeta.sort(reverse=True)
-        newlam = tuple(
-            x - (len(newbeta) - 1 - k) for k, x in enumerate(newbeta)
-        )
-        newlam = tuple(x for x in newlam if x > 0)
-        sign = -1 if crossings % 2 else 1
-        total += sign * _mn_value(newlam, rest)
+        newbeta = sorted([x for x in beta if x != b] + [nb], reverse=True)
+        newlam = tuple(x - (ell - 1 - k) for k, x in enumerate(newbeta) if x > ell - 1 - k)
+        total += (-1) ** crossings * _mn_value(newlam, rest)
     return total
 
 
@@ -149,11 +136,12 @@ def exterior_square_char(chi: ClassFunction) -> ClassFunction:
 
 
 def inner_product(f: ClassFunction, g: ClassFunction) -> Fraction:
-    d = f.d
+    if f.d != g.d:
+        raise ValueError("class functions of S_%d and S_%d" % (f.d, g.d))
     total = Fraction(0)
-    for mu in partitions(d):
-        total += class_size(mu) * Fraction(f.value_on(mu)) * Fraction(g.value_on(mu))
-    return total / factorial(d)
+    for mu, a, b in zip(partitions(f.d), f.values, g.values):
+        total += class_size(mu) * Fraction(a) * Fraction(b)
+    return total / factorial(f.d)
 
 
 def decompose(f: ClassFunction):
@@ -177,20 +165,24 @@ def decompose(f: ClassFunction):
     return out
 
 
-# two-variable exact Laurent polynomials as {(i, j): int}
+# polynomials in any number of variables as {exponent tuple: int}; the
+# exponents may be negative (Laurent polynomials)
 
 
-def _lp_mul(a: dict, b: dict) -> dict:
+def _poly_mul(a: dict, b: dict) -> dict:
     out = {}
-    for (i1, j1), c1 in a.items():
-        for (i2, j2), c2 in b.items():
-            key = (i1 + i2, j1 + j2)
-            out[key] = out.get(key, 0) + c1 * c2
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            key = tuple(x + y for x, y in zip(ka, kb))
+            out[key] = out.get(key, 0) + va * vb
     return {k: v for k, v in out.items() if v}
 
 
-def _lp_square_substitute(a: dict) -> dict:
-    return {(2 * i, 2 * j): c for (i, j), c in a.items()}
+def _poly_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, 0) + v
+    return {k: v for k, v in out.items() if v}
 
 
 def weight_char_2var(high: int, low: int) -> dict:
@@ -203,21 +195,21 @@ def weight_char_2var(high: int, low: int) -> dict:
 
 def gl2_wedge_identity(a: int, b: int, shift: int = 0) -> bool:
     """Exact check that the alternating square of the weight-(a+b, b)
-    character equals the predicted sum of weight characters.
+    character equals the predicted sum of weight characters.  The work is
+    quadratic in a, so a is refused (ScaleExceeded) beyond 64.
 
     `shift` displaces the summand index range; nonzero shifts are for
     verifying the detector is not vacuous.
     """
     if a < 0:
         raise BadN("a must be nonnegative")
+    if a > 64:
+        raise ScaleExceeded("desk scale is 0 <= a <= 64")
     ch = weight_char_2var(a + b, b)
-    lhs = _poly_sub(_lp_mul(ch, ch), _lp_square_substitute(ch))
-    half = {}
-    for k, v in lhs.items():
-        if v % 2:
-            return False
-        if v:
-            half[k] = v // 2
+    # ch(x, y)^2 - ch(x^2, y^2) is twice the alternating square
+    lhs = _poly_add(_poly_mul(ch, ch), {(2 * i, 2 * j): -c for (i, j), c in ch.items()})
+    if any(v % 2 for v in lhs.values()):
+        return False
     rhs = {}
     for k in range(1 + shift, (a + 1) // 2 + 1 + shift):
         high = 2 * a + 2 * b - 2 * k + 1
@@ -225,20 +217,21 @@ def gl2_wedge_identity(a: int, b: int, shift: int = 0) -> bool:
         if high < low:
             return False
         rhs = _poly_add(rhs, weight_char_2var(high, low))
-    return half == rhs
+    return {k: v // 2 for k, v in lhs.items()} == rhs
 
 
 def distinct_parts_coeffs(n: int):
     """Coefficients of prod_(i=1..n) (1 + x^i); for n >= 3 the documented
-    positivity margins are checked before returning."""
+    positivity margins are checked before returning.  The work is cubic in
+    n, so n is refused (ScaleExceeded) beyond 64."""
     if n < 1:
         raise BadN("n must be at least 1")
+    if n > 64:
+        raise ScaleExceeded("desk scale is 1 <= n <= 64")
     coeffs = [1]
     for i in range(1, n + 1):
-        new = coeffs + [0] * i
-        for j, c in enumerate(coeffs):
-            new[j + i] += c
-        coeffs = new
+        # (1 + x^i) p = p + x^i p
+        coeffs = [a + b for a, b in zip(coeffs + [0] * i, [0] * i + coeffs)]
     top = n * (n + 1) // 2
     if len(coeffs) != top + 1:
         raise ConstructionError("%d coefficients for degree %d" % (len(coeffs), top))
@@ -249,129 +242,49 @@ def distinct_parts_coeffs(n: int):
     return coeffs
 
 
-# n-variable polynomials as {exponent tuple: int}
-
-
-def _poly_mul_term(p: dict, mono: tuple, coeff: int) -> dict:
-    out = {}
-    for k, v in p.items():
-        key = tuple(a + b for a, b in zip(k, mono))
-        out[key] = out.get(key, 0) + v * coeff
-    return out
-
-
-def _poly_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, 0) + v
-    return {k: v for k, v in out.items() if v}
-
-
-def _poly_sub(a: dict, b: dict) -> dict:
-    return _poly_add(a, {k: -v for k, v in b.items()})
-
-
-def _elementary_in_monomials(monos, m: int, nvars: int) -> dict:
-    """e_m evaluated at the given list of monomials."""
-    zero = tuple([0] * nvars)
-    layers = [{zero: 1}] + [{} for _ in range(m)]
-    for mono in monos:
-        for t in range(min(m, len(monos)), 0, -1):
-            if layers[t - 1]:
-                layers[t] = _poly_add(layers[t], _poly_mul_term(layers[t - 1], mono, 1))
-    return layers[m]
-
-
-@lru_cache(maxsize=None)
-def schur_poly(lam: tuple, nvars: int) -> tuple:
-    """Schur polynomial as a tuple of (exponent, coeff), by summing over
-    semistandard tableaux with entries bounded by nvars."""
-    lam = tuple(x for x in lam if x > 0)
-    if not lam:
-        return ((tuple([0] * nvars), 1),)
-    if len(lam) > nvars:
-        return ()
-    counts = {}
-    for filling in _ssyt(lam, nvars):
-        expo = [0] * nvars
-        for row in filling:
-            for entry in row:
-                expo[entry - 1] += 1
-        key = tuple(expo)
-        counts[key] = counts.get(key, 0) + 1
-    return tuple(sorted(counts.items()))
-
-
-def _ssyt(lam, nvars):
-    """All semistandard tableaux of the shape: rows weakly increase,
-    columns strictly increase, entries in 1..nvars."""
-    rows = len(lam)
-
-    def fill(r, above):
-        if r == rows:
-            yield []
-            return
-        width = lam[r]
-
-        def fill_row(c, prev, row):
-            if c == width:
-                for rest in fill(r + 1, row):
-                    yield [tuple(row)] + rest
-                return
-            lo = prev
-            if above is not None and c < len(above):
-                lo = max(lo, above[c] + 1)
-            for val in range(lo, nvars + 1):
-                row.append(val)
-                yield from fill_row(c + 1, val, row)
-                row.pop()
-
-        yield from fill_row(0, 1, [])
-
-    for t in fill(0, None):
-        yield t
-
-
 def plethysm_component_count(kind: str, n: int, m: int) -> int:
     """Number of irreducible GL_n constituents of the m-th alternating power
     of the symmetric square (kind "sym2") or alternating square (kind
     "wedge2") of the standard n-dimensional space.
 
-    Computed from first principles: expand the exact character polynomial
-    and peel Schur polynomials greedily by lexicographic leading monomial.
-    Each peeled coefficient must be 1 (the decompositions in range are
-    multiplicity-free); anything else raises.
+    Computed from first principles by antisymmetrization: the character
+    f = e_m(weights) is symmetric, say f = sum_lam c_lam s_lam, and times
+    the Vandermonde a_delta = prod_(i<j) (x_i - x_j) it becomes
+    sum_lam c_lam a_(lam+delta).  Each a_(lam+delta) has exactly one
+    strictly decreasing exponent, lam + delta, with coefficient 1, so c_lam
+    is the coefficient of f * a_delta there.  Each must be 1 (the
+    decompositions in range are multiplicity-free); anything else raises.
     """
     if kind not in ("sym2", "wedge2"):
         raise ScaleExceeded("unknown kind %r" % (kind,))
     if n > 4 or m > 6 or n < 1 or m < 0:
         raise ScaleExceeded("desk scale is 1 <= n <= 4, 0 <= m <= 6")
-    if kind == "sym2":
-        monos = [
-            tuple((1 if t == i else 0) + (1 if t == j else 0) for t in range(n))
-            for i in range(n)
-            for j in range(i, n)
-        ]
-    else:
-        monos = [
-            tuple((1 if t == i else 0) + (1 if t == j else 0) for t in range(n))
-            for i in range(n)
-            for j in range(i + 1, n)
-        ]
-    if m > len(monos):
-        return 0
-    poly = _elementary_in_monomials(monos, m, n)
+    unit = [tuple(int(t == i) for t in range(n)) for i in range(n)]
+    # x_i x_j for i <= j (sym2) or i < j (wedge2)
+    first = 0 if kind == "sym2" else 1
+    weights = [
+        tuple(x + y for x, y in zip(unit[i], unit[j]))
+        for i in range(n)
+        for j in range(i + first, n)
+    ]
+    # layers[t] is e_t of the weights read so far
+    layers = [{(0,) * n: 1}] + [{} for _ in range(m)]
+    for w in weights:
+        for t in range(m, 0, -1):
+            layers[t] = _poly_add(layers[t], _poly_mul(layers[t - 1], {w: 1}))
+    vandermonde = {(0,) * n: 1}
+    for i in range(n):
+        for j in range(i + 1, n):
+            vandermonde = _poly_mul(vandermonde, {unit[i]: 1, unit[j]: -1})
+    delta = tuple(range(n - 1, -1, -1))
     count = 0
-    while poly:
-        lead = max(poly)
-        coeff = poly[lead]
-        lam = tuple(x for x in lead if x > 0)
-        if list(lead) != sorted(lead, reverse=True):
-            raise ScaleExceeded("leading monomial %r is not a partition" % (lead,))
+    for expo, coeff in _poly_mul(layers[m], vandermonde).items():
+        lam = tuple(e - d for e, d in zip(expo, delta))
+        if list(lam) != sorted(lam, reverse=True):
+            continue
         if coeff != 1:
             raise ScaleExceeded(
-                "unexpected multiplicity %d at %r" % (coeff, lam)
+                "unexpected multiplicity %d at %r" % (coeff, tuple(x for x in lam if x > 0))
             )
-        poly = _poly_sub(poly, dict(schur_poly(lam, n)))
         count += 1
     return count

@@ -1,8 +1,8 @@
 """Factories for the explicit representation families and distinguished
 subspaces used throughout the package, each with built-in self-verification:
 every returned wedge span is built by `_wedge_span`, which re-checks its
-dimension, its realizability and, given the representation, its invariance
-before it leaves the factory.
+dimension and, given the representation, its invariance before it leaves
+the factory.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .errors import (
 )
 from .fields import GF, PrimeField, QQ, _is_prime, check_scan, has_all_nth_roots, poly_roots
 from .linalg import Matrix, Subspace, charpoly, kernel, random_independent, random_invertible
-from .exterior import WedgeVector, is_decomposable
+from .exterior import WedgeVector
 from .repcore import (
     GROUP,
     YES,
@@ -50,15 +50,13 @@ def _block_cycle(field, blocks) -> Matrix:
 
 def _wedge_span(field, n: int, subsets, dim: int, rep=None) -> Subspace:
     """The span of the basis wedges e_S of Lambda^m k^n, S in `subsets`,
-    checked to have dimension `dim`, a decomposable first wedge and, given
-    `rep`, to be invariant under its m-th exterior power."""
+    checked to have dimension `dim` and, given `rep`, to be invariant under
+    its m-th exterior power."""
     wedges = [WedgeVector.basis_element(field, n, s) for s in subsets]
     m = wedges[0].m
     w = Subspace.from_vectors(field, comb(n, m), [x.coords for x in wedges])
     if w.dim != dim:
         raise ConstructionError("wedge span has dim %d, not %d" % (w.dim, dim))
-    if not is_decomposable(wedges[0])[0]:
-        raise ConstructionError("first wedge of the span is not decomposable")
     if rep is not None and not is_invariant(exterior_rep(rep, m), w):
         raise ConstructionError("wedge span is not invariant")
     return w

@@ -3,7 +3,7 @@ from math import factorial
 
 import pytest
 
-from thickrep.errors import NonIntegralMultiplicity
+from thickrep.errors import NonIntegralMultiplicity, ScaleExceeded
 from thickrep.characters import (
     ClassFunction,
     class_size,
@@ -131,6 +131,20 @@ def test_distinct_parts_coeffs():
     assert distinct_parts_coeffs(4) == [1, 1, 1, 2, 2, 2, 2, 2, 1, 1, 1]
 
 
+def test_distinct_parts_refused_past_the_desk_scale():
+    # the work is cubic in n; n = 65 still takes milliseconds, so without
+    # the bound this fails at once instead of stalling
+    assert len(distinct_parts_coeffs(64)) == 64 * 65 // 2 + 1
+    with pytest.raises(ScaleExceeded, match="1 <= n <= 64"):
+        distinct_parts_coeffs(65)
+
+
+def test_gl2_identity_refused_past_the_desk_scale():
+    assert gl2_wedge_identity(64, -5)
+    with pytest.raises(ScaleExceeded, match="0 <= a <= 64"):
+        gl2_wedge_identity(65, 0)
+
+
 def test_distinct_parts_symmetry():
     for n in range(3, 10):
         coeffs = distinct_parts_coeffs(n)
@@ -152,3 +166,94 @@ def test_plethysm_matches_generating_function():
             expect_wedge = wedge_coeffs[m] if m < len(wedge_coeffs) else 0
             assert plethysm_component_count("sym2", n, m) == expect_sym, (n, m)
             assert plethysm_component_count("wedge2", n, m) == expect_wedge, (n, m)
+
+
+# The reference count: expand e_m of the weight monomials and peel Schur
+# polynomials, each summed over its semistandard tableaux, greedily by the
+# lexicographically leading monomial.  It shares no code with the module's
+# antisymmetrization count.
+
+
+def _ref_add(a, b, sign=1):
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, 0) + sign * v
+    return {k: v for k, v in out.items() if v}
+
+
+def _ref_elementary(monos, m, nvars):
+    layers = [{(0,) * nvars: 1}] + [{} for _ in range(m)]
+    for mono in monos:
+        for t in range(m, 0, -1):
+            shifted = {tuple(a + b for a, b in zip(k, mono)): v
+                       for k, v in layers[t - 1].items()}
+            layers[t] = _ref_add(layers[t], shifted)
+    return layers[m]
+
+
+def _ssyt(lam, nvars):
+    """All semistandard tableaux of the shape: rows weakly increase,
+    columns strictly increase, entries in 1..nvars."""
+    rows = len(lam)
+
+    def fill(r, above):
+        if r == rows:
+            yield []
+            return
+        width = lam[r]
+
+        def fill_row(c, prev, row):
+            if c == width:
+                for rest in fill(r + 1, row):
+                    yield [tuple(row)] + rest
+                return
+            lo = prev
+            if above is not None and c < len(above):
+                lo = max(lo, above[c] + 1)
+            for val in range(lo, nvars + 1):
+                row.append(val)
+                yield from fill_row(c + 1, val, row)
+                row.pop()
+
+        yield from fill_row(0, 1, [])
+
+    yield from fill(0, None)
+
+
+def _schur_poly(lam, nvars):
+    if len(lam) > nvars:
+        return {}
+    counts = {}
+    for filling in _ssyt(lam, nvars):
+        expo = [0] * nvars
+        for row in filling:
+            for entry in row:
+                expo[entry - 1] += 1
+        counts[tuple(expo)] = counts.get(tuple(expo), 0) + 1
+    return counts
+
+
+def _peel_count(kind, n, m):
+    """(number of constituents, their multiplicities) by the greedy peel."""
+    first = 0 if kind == "sym2" else 1
+    monos = [tuple((t == i) + (t == j) for t in range(n))
+             for i in range(n) for j in range(i + first, n)]
+    poly = _ref_elementary(monos, m, n)
+    mults = []
+    while poly:
+        lead = max(poly)
+        assert list(lead) == sorted(lead, reverse=True), lead
+        mults.append(poly[lead])
+        lam = tuple(x for x in lead if x > 0)
+        schur = _schur_poly(lam, n)
+        poly = _ref_add(poly, {k: poly[lead] * v for k, v in schur.items()}, -1)
+    return len(mults), mults
+
+
+def test_plethysm_count_matches_the_schur_peel():
+    for kind in ("sym2", "wedge2"):
+        for n in range(1, 5):
+            for m in range(0, 7):
+                count, mults = _peel_count(kind, n, m)
+                assert set(mults) <= {1}, (kind, n, m, mults)
+                assert plethysm_component_count(kind, n, m) == count, (kind, n, m)

@@ -209,6 +209,11 @@ def test_characters_refuse_non_partitions_exit_3(capsys):
     # message names both bounds
     assert main(["characters", "plethysm", "--n", "0"]) == 3
     assert "error: desk scale is 1 <= n <= 4, 0 <= m <= 6" in capsys.readouterr().err
+    # so are the generating function past n = 64 and the gl2 identity past a = 64
+    assert main(["characters", "partitions", "--n", "65"]) == 3
+    assert "error: desk scale is 1 <= n <= 64" in capsys.readouterr().err
+    assert main(["characters", "gl2", "--a", "65"]) == 3
+    assert "error: desk scale is 0 <= a <= 64" in capsys.readouterr().err
 
 
 def test_construct_block_over_q(capsys):

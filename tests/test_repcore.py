@@ -455,6 +455,21 @@ def test_a_cap_below_the_summand_count_decides_no_summand(monkeypatch):
     assert split >= 2
 
 
+def test_a_summand_not_absolutely_irreducible_refuses_the_isotypic_route():
+    # E12 and diag(0, 1, 5) split Q^3 into the plane <e1, e2> and the line
+    # <e3>; the plane is indecomposable but holds the invariant line <e1>,
+    # so the sums of the two summands miss an invariant subspace and the
+    # criterion must take the spin route
+    r = Representation(QQ, 3, LIE, [M(QQ, [[0, 1, 0], [0, 0, 0], [0, 0, 0]]),
+                                    M(QQ, [[0, 0, 0], [0, 1, 0], [0, 0, 5]])])
+    assert commutant(r)[0] == 2
+    assert sorted(e.dim for e in isotypic_decomposition(r)) == [1, 2]
+    assert repcore._isotypic_sums(r, Caps(), 0) is None
+    assert r._memo[("isotypic", 0, "summands")] is False
+    decision = is_m_thick_criterion(r, 1)
+    assert (decision.verdict, decision.route) == (NOT_THICK, "spin")
+
+
 def test_the_commutant_is_solved_once_per_module_and_returned_fresh(monkeypatch):
     solved = _counted(monkeypatch, "_commutant_basis")
     modules = [group_rep(QQ, [ROT]), group_rep(QQ, UPPER_TRIANGULAR)]

@@ -3,7 +3,7 @@ import json
 from thickrep import serialize, verify
 from thickrep.cli import main
 from thickrep.repcore import Caps
-from thickrep.verify import ERROR, SKIPPED, VERIFIED, run_item, run_suite
+from thickrep.verify import ERROR, REFUTED, SKIPPED, VERIFIED, run_item, run_suite
 
 
 def test_agreement_samples_not_reused_across_caps(monkeypatch):
@@ -40,6 +40,24 @@ def test_crashing_item_reports_error(monkeypatch):
         details = suite.items[1].details
         assert details["error"] == "KeyError" and "boom" in details["message"]
         assert suite.overall == ERROR
+
+
+def _refuted(seed, caps):
+    details = {}
+    verify._check(True, details, "holds")
+    verify._check(False, details, "fails_on_purpose")
+    return details, []
+
+
+def test_a_failing_check_refutes_the_item_and_the_suite(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "REGISTRY", [("refuted-item", _refuted)])
+    suite = run_suite()
+    (item,) = suite.items
+    assert item.status == REFUTED
+    assert "fails_on_purpose" in item.details["failure"]
+    assert suite.overall == REFUTED
+    assert main(["verify"]) == 1
+    assert json.loads(capsys.readouterr().out)["overall"] == REFUTED
 
 
 def test_the_process_pool_returns_the_serial_certificates(monkeypatch):
