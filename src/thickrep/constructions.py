@@ -114,15 +114,21 @@ class BlockRepSpec:
             raise PreconditionFailed("alphas must be nonzero")
         if f.char and self.ell % f.char == 0:
             raise PreconditionFailed("field characteristic divides ell")
-        # distinct alphas cannot share a root: xi^ell is xi's own alpha
-        for a in self.alphas:
-            if len(f.nth_roots(a, self.ell)) != self.ell:
-                raise PreconditionFailed(
-                    "alpha %s lacks %d distinct ell-th roots" % (f.format(a), self.ell)
-                )
-        self._check_b_ell()
+        # the eigenvalues of the shift's corner product are the alphas, so
+        # `block_eigenvectors` searches each alpha's roots, once; distinct
+        # alphas cannot share a root: xi^ell is xi's own alpha
         ident = [Matrix.identity(f, self.m)] * (self.ell - 1)
-        self.alpha_pairs = block_eigenvectors(ident + [Matrix.diagonal(f, self.alphas)])
+        try:
+            self.alpha_pairs = block_eigenvectors(ident + [Matrix.diagonal(f, self.alphas)])
+        except PreconditionFailed as e:
+            # name the first alpha, in the given order, that lacks its roots
+            for a in self.alphas:
+                if not has_all_nth_roots(f, a, self.ell):
+                    raise PreconditionFailed(
+                        "alpha %s lacks %d distinct ell-th roots" % (f.format(a), self.ell)
+                    ) from e
+            raise
+        self._check_b_ell()
 
     def _check_b_ell(self):
         if self.b_ell.nrows != self.m or not self.b_ell.is_invertible():

@@ -750,16 +750,18 @@ def enumerate_subspaces(field, n: int, k: int):
 
 @functools.lru_cache(maxsize=16)
 def _pair_table(f, n: int, m: int):
-    """(m-subspaces, points, position, complements, through) for the
-    definition decider; it depends on (field, n, m) only.  Both lists of
-    subspaces come in `enumerate_subspaces` order.  The points of a subspace
-    are the indices of the projective points of k^n it contains, in
-    `projective_coefficients` order; position maps the mask of each
-    m-subspace (the int with its points' bits set) to its index, and
-    through[i] has bit j set when complement j contains point i.  With an
-    RREF basis b_1..b_m the points are b_i + sum_{j>i} c_j b_j, whose first
-    nonzero entry is already 1, so `projective_images` lists them at one
-    `axpy` each.  When n = 2m the complements are the m-subspaces."""
+    """(m-subspaces, points, frames, incident, complements, through) for
+    the definition decider; it depends on (field, n, m) only.  Both lists
+    of subspaces come in `enumerate_subspaces` order.  The points of a
+    subspace are the indices of the projective points of k^n it contains,
+    in `projective_coefficients` order.  With an RREF basis b_1..b_m the
+    points are b_i + sum_{j>i} c_j b_j, whose first nonzero entry is
+    already 1, so `projective_images` lists them at one `axpy` each; the
+    rows b_i are points themselves, and frames[k][i] is the index of row k
+    of subspace i.  incident[p] has bit i set when m-subspace i contains
+    point p, and through[p] has bit j set when complement j contains it.
+    When n = 2m the complements are the m-subspaces and through is
+    incident."""
     index = _point_index(f, n)
 
     def points_of(v):
@@ -767,33 +769,46 @@ def _pair_table(f, n: int, m: int):
 
     subspaces = tuple(enumerate_subspaces(f, n, m))
     points = tuple(map(points_of, subspaces))
-    position = {sum(1 << i for i in pts): i for i, pts in enumerate(points)}
+    frames = tuple(zip(*(map(index.__getitem__, v.mat.rows) for v in subspaces)))
+    incident = _incidence(len(index), len(points), points)
     if 2 * m == n:
-        complements, cpoints = subspaces, points
-    else:
-        complements = tuple(enumerate_subspaces(f, n, n - m))
-        cpoints = map(points_of, complements)
-    # one bytearray per point, converted once: an int |= would copy all
-    # n2 bits at every incidence
-    through = [bytearray((len(complements) + 7) // 8) for _ in index]
-    for j, pts in enumerate(cpoints):
+        return subspaces, points, frames, incident, subspaces, incident
+    complements = tuple(enumerate_subspaces(f, n, n - m))
+    through = _incidence(len(index), len(complements), map(points_of, complements))
+    return subspaces, points, frames, incident, complements, through
+
+
+def _incidence(npoints: int, nsets: int, point_lists):
+    """For each of `npoints` points, the int with bit j set when the j-th
+    of the `nsets` lists of `point_lists` holds that point.  One bytearray
+    per point is converted once: an int |= would copy every bit at each
+    incidence."""
+    rows = [bytearray((nsets + 7) // 8) for _ in range(npoints)]
+    for j, pts in enumerate(point_lists):
         byte, bit = j >> 3, 1 << (j & 7)
-        for i in pts:
-            through[i][byte] |= bit
-    through = tuple(int.from_bytes(b, "little") for b in through)
-    return subspaces, points, position, complements, through
+        for p in pts:
+            rows[p][byte] |= bit
+    return tuple(int.from_bytes(row, "little") for row in rows)
 
 
-def _subspace_permutations(r: Representation, points, position):
+def _subspace_permutations(r: Representation, frames, incident):
     """For each generator, the permutation of subspace indices it induces on
-    the subspaces of `_pair_table` with these `points` and `position`: it
-    permutes the points of k^n, and a subspace moves to the one whose mask
-    has the permuted bits of its points set."""
+    the subspaces of `_pair_table` with these `frames` and `incident`: it
+    permutes the points of k^n, and m independent points lie in exactly
+    one m-subspace, so subspace i moves to the lowest (and only) subspace
+    that contains the images of all its frame points."""
     _, perms = _point_action(r)
-    return [
-        [position[sum(map(bit.__getitem__, pts))] for pts in points]
-        for bit in ([1 << j for j in perm] for perm in perms)
-    ]
+    first, *rest = frames
+    moves = []
+    for perm in perms:
+        moved = [incident[p] for p in perm].__getitem__
+        common = map(moved, first)
+        for col in rest:
+            common = map(operator.and_, common, map(moved, col))
+        # c ^ (c - 1) has the bits up to the lowest set bit of c: no
+        # negative int, which & would first convert
+        moves.append([(c ^ (c - 1)).bit_length() - 1 for c in common])
+    return moves
 
 
 def is_m_thick_definition(r: Representation, m: int,
@@ -833,8 +848,8 @@ def is_m_thick_definition(r: Representation, m: int,
     n2 = gaussian_binomial(n, n - m, q)
     if n1 * n2 > caps.pair_cap:
         raise CapExceeded("pair enumeration %d x %d exceeds cap" % (n1, n2))
-    subspaces, points, position, complements, through = _pair_table(f, n, m)
-    moves = _subspace_permutations(r, points, position)
+    subspaces, points, frames, incident, complements, through = _pair_table(f, n, m)
+    moves = _subspace_permutations(r, frames, incident)
     orbits = _orbits(range(n1), [p.__getitem__ for p in moves])
     log = {
         "m_subspaces": n1,

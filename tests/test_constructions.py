@@ -140,6 +140,24 @@ def test_block_spec_validation():
         BlockRepSpec(1, 2, (1,), Matrix.identity(F13, 1), F13)
 
 
+def test_block_spec_searches_each_alphas_roots_once(monkeypatch):
+    F13 = GF(13)
+    searched = []
+    search = type(F13).nth_roots
+
+    def counted(field, a, n):
+        searched.append(a)
+        return search(field, a, n)
+
+    monkeypatch.setattr(type(F13), "nth_roots", counted)
+    spec = BlockRepSpec(2, 2, (4, 1), Matrix.identity(F13, 2), F13)
+    assert sorted(searched) == [1, 4]
+    assert sorted(xi for xi, _ in spec.alpha_pairs) == [1, 2, 11, 12]
+    # neither 5 nor 2 is a square mod 13: the first alpha given is named
+    with pytest.raises(PreconditionFailed, match="^alpha 5 lacks 2 distinct ell-th roots$"):
+        BlockRepSpec(2, 2, (5, 2), Matrix.identity(F13, 2), F13)
+
+
 def test_cramer_check_skips_without_a_full_or_disjoint_eigenbasis():
     # b_ell = 1 has no two distinct eigenvalues, and b_ell = diag(alphas)
     # shares every eigenvalue of the shift generator

@@ -563,8 +563,10 @@ def test_group_closure_gl2_f2():
 # The definition decider itself, as it was before it moved subspaces by
 # index permutations and paired them by a bit test, is the oracle
 # `_definition_by_rank_scan`; the Plucker-point permutations that it used
-# between the two are the oracle `_plucker_permutations`.  The loop that
-# tested each orbit against one complement mask at a time, before the
+# between the two are the oracle `_plucker_permutations`, and the
+# point-mask sums looked up by mask that followed them, before subspaces
+# moved by their frames, are the oracle `_permutations_by_masks`.  The loop
+# that tested each orbit against one complement mask at a time, before the
 # running AND, is the oracle `_definition_by_masks`.
 
 
@@ -685,9 +687,9 @@ def _definition_by_masks(r, m):
     mask at a time: the first complement whose mask meets every mask of the
     orbit refutes."""
     f, n = r.field, r.dim
-    subspaces, points, position, complements, _ = _pair_table(f, n, m)
+    subspaces, _, _, _, complements, _ = _pair_table(f, n, m)
     masks, cmasks = _masks_of(f, n, subspaces), _masks_of(f, n, complements)
-    moves = _subspace_permutations(r, points, position)
+    moves = _permutations_by_masks(r, m)
     orbits = repcore._orbits(range(len(subspaces)), [p.__getitem__ for p in moves])
     log = {
         "m_subspaces": len(subspaces),
@@ -706,6 +708,19 @@ def _definition_by_masks(r, m):
                 return Decision(NOT_THICK, "orbits",
                                 repcore._certificate_from_pair(r, m, v1, v2), log)
     return Decision(THICK, "orbits", log=log)
+
+
+def _permutations_by_masks(r, m):
+    """Each generator as a permutation of the m-subspaces in
+    `enumerate_subspaces` order: V moves to the subspace whose mask has the
+    permuted bits of V's points set, looked up in a dict by mask."""
+    points = _pair_table(r.field, r.dim, m)[1]
+    position = {sum(1 << i for i in pts): i for i, pts in enumerate(points)}
+    _, perms = repcore._point_action(r)
+    return [
+        [position[sum(map(bit.__getitem__, pts))] for pts in points]
+        for bit in ([1 << j for j in perm] for perm in perms)
+    ]
 
 
 def _plucker_permutations(r, m):
@@ -882,23 +897,44 @@ def test_one_point_action_per_rep(monkeypatch):
 
 
 def test_subspace_permutations_match_plucker_oracle():
-    cases = [(r, (1, 2, 3)) for r in _agreement_reps(10)]
-    cases += [(r, (1, 2, 3)) for r in _random_reps(GF(2, 2), 4, 3, 44)]
-    cases += [(r, (1, 2, 3, 4)) for r in _random_reps(GF(2), 5, 3, 25)]
-    for r, ms in cases:
-        for m in ms:
-            _, points, position, _, _ = _pair_table(r.field, r.dim, m)
-            moves = _subspace_permutations(r, points, position)
-            assert moves == _plucker_permutations(r, m), (r.field, r.dim, m)
+    # every 1 <= m < n; n stops where the Plucker oracle's wedges get slow
+    cases = [(r, n) for n in (2, 3, 4, 5) for r in _random_reps(GF(2), n, 3, 20 + n)]
+    cases += [(r, n) for n in (2, 3, 4, 5) for r in _random_reps(GF(3), n, 3, 30 + n)]
+    cases += [(r, n) for n in (2, 3, 4) for r in _random_reps(GF(2, 2), n, 3, 40 + n)]
+    cases += [(r, n) for n in (2, 3, 4) for r in _random_reps(GF(5), n, 3, 50 + n)]
+    cases += [(r, n) for n in (2, 3) for r in _random_reps(GF(3, 2), n, 3, 90 + n)]
+    cases += [(r, 4) for r in _agreement_reps(10)]
+    for r, n in cases:
+        for m in range(1, n):
+            _, _, frames, incident, _, _ = _pair_table(r.field, n, m)
+            moves = _subspace_permutations(r, frames, incident)
+            assert moves == _plucker_permutations(r, m), (r.field, n, m)
+            assert moves == _permutations_by_masks(r, m), (r.field, n, m)
+
+
+def test_subspace_permutations_take_the_lowest_common_subspace():
+    # with one frame point per plane, many planes contain its image, and
+    # the plane chosen is the first of them
+    for f in (GF(2), GF(3)):
+        r = _random_reps(f, 4, 2, 7)[1]
+        _, points, frames, incident, _, _ = _pair_table(f, 4, 2)
+        _, perms = repcore._point_action(r)
+        moves = _subspace_permutations(r, frames[:1], incident)
+        assert moves == [
+            [min(j for j, pts in enumerate(points) if perm[p] in pts) for p in frames[0]]
+            for perm in perms
+        ]
+        assert any(len(set(move)) < len(move) for move in moves)
 
 
 def test_pair_table_through_is_the_complement_test():
     cases = [(GF(q), 4, (1, 2, 3)) for q in (2, 3, 5)]
-    cases += [(GF(2, 2), 4, (1, 2, 3)), (GF(2), 5, (2,))]
+    cases += [(GF(2, 2), 4, (1, 2, 3)), (GF(2), 5, (2,)), (GF(3, 2), 3, (1, 2))]
     for f, n, ms in cases:
         npoints = projective_count(f.order, n)
+        index = repcore._point_index(f, n)
         for m in ms:
-            subspaces, points, position, complements, through = _pair_table(f, n, m)
+            subspaces, points, frames, incident, complements, through = _pair_table(f, n, m)
             assert [v.mat.rows for v in subspaces] == [
                 v.mat.rows for v in enumerate_subspaces(f, n, m)
             ]
@@ -906,24 +942,35 @@ def test_pair_table_through_is_the_complement_test():
                 v.mat.rows for v in enumerate_subspaces(f, n, n - m)
             ]
             masks = _masks_of(f, n, subspaces)
-            assert len(position) == len(masks)
             for i, (pts, mask) in enumerate(zip(points, masks)):
-                assert position[mask] == i
                 assert mask == sum(1 << j for j in pts) < 1 << npoints
                 assert len(pts) == projective_count(f.order, m)
+            # incident is the subspace masks read by point
+            assert len(incident) == npoints
+            for p, row in enumerate(incident):
+                assert row == sum(1 << i for i, mask in enumerate(masks) if mask >> p & 1)
+            # frame k of subspace i is its k-th RREF row, and the frame
+            # points lie in subspace i alone
+            assert len(frames) == m
+            for i, v in enumerate(subspaces):
+                assert [col[i] for col in frames] == [index[row] for row in v.mat.rows]
+                common = -1
+                for col in frames:
+                    common &= incident[col[i]]
+                assert common == 1 << i
             # through is the complement masks read by point
             cmasks = _masks_of(f, n, complements)
             assert len(through) == npoints
-            for i, row in enumerate(through):
-                assert row == sum(1 << j for j, c in enumerate(cmasks) if c >> i & 1)
-            # every pair over F2 and F3, a grid of about 2000 over F4 and F5
+            for p, row in enumerate(through):
+                assert row == sum(1 << j for j, c in enumerate(cmasks) if c >> p & 1)
+            # every pair over F2 and F3, a grid of about 2000 over larger fields
             size = len(subspaces) * len(complements)
             step = 1 if f.order <= 3 else math.ceil((size / 2000) ** 0.5)
             outcomes = set()
             for v1, pts in zip(subspaces[::step], points[::step]):
                 meets = 0
-                for i in pts:
-                    meets |= through[i]
+                for p in pts:
+                    meets |= through[p]
                 for j in range(0, len(complements), step):
                     v2 = complements[j]
                     full = rank_of_rows(f, v1.mat.rows + v2.mat.rows, n) == n
