@@ -153,10 +153,12 @@ class BlockRepResult:
     cramer_nonzero: bool
 
 
-def block_rep(spec: BlockRepSpec) -> BlockRepResult:
+def block_rep(spec: BlockRepSpec, beta_roots=None) -> BlockRepResult:
     """The block construction: a block cyclic shift with diagonal corner, and
     a second generator carrying b_ell; returns the representation together
-    with its two distinguished invariant realizable subspaces."""
+    with its two distinguished invariant realizable subspaces.  `beta_roots`,
+    if given, maps eigenvalues of b_ell to their ell-th roots, searched
+    once by a caller that draws many b_ell with the same eigenvalues."""
     f = spec.field
     ell, m, n = spec.ell, spec.m, spec.n
     ident = Matrix.identity(f, m)
@@ -168,11 +170,11 @@ def block_rep(spec: BlockRepSpec) -> BlockRepResult:
     blocks = [tuple(range(t * m + 1, (t + 1) * m + 1)) for t in range(ell)]
     w = _wedge_span(f, n, blocks, ell, rep)
     y = _wedge_span(f, n, itertools.product(*blocks), m**ell, rep)
-    cramer_checked, cramer_nonzero = _cramer_coefficients_nonzero(spec)
+    cramer_checked, cramer_nonzero = _cramer_coefficients_nonzero(spec, beta_roots)
     return BlockRepResult(rep, w, y, spec, cramer_checked, cramer_nonzero)
 
 
-def _cramer_coefficients_nonzero(spec: BlockRepSpec):
+def _cramer_coefficients_nonzero(spec: BlockRepSpec, beta_roots=None):
     """Expand each shift-generator eigenvector in the eigenbasis of the
     second generator and test every coefficient against zero.  Skipped
     (checked=False) when `block_eigenvectors` finds no full eigenbasis for
@@ -180,7 +182,7 @@ def _cramer_coefficients_nonzero(spec: BlockRepSpec):
     f = spec.field
     ident = [Matrix.identity(f, spec.m)] * (spec.ell - 1)
     try:
-        b_pairs = block_eigenvectors(ident + [spec.b_ell])
+        b_pairs = block_eigenvectors(ident + [spec.b_ell], beta_roots)
     except PreconditionFailed:
         return False, False
     a_pairs = spec.alpha_pairs
@@ -229,12 +231,14 @@ def build_block_rep(ell: int, m: int, field=None, alphas=None, betas=None,
             betas = tuple(x for x in powers if x not in taken)[:m]
     if len(set(betas)) != m:
         raise FieldTooSmall("not enough ell-th powers for distinct betas")
-    # the part of the Cramer check that no draw changes, with the same root
-    # search: b_ell has the betas as eigenvalues whatever the basis
+    # the part of the Cramer check that no draw changes, with the one root
+    # search of each beta: b_ell has the betas as eigenvalues whatever the
+    # basis, so every draw's eigenpairs take their roots from here
+    beta_roots = {b: field.nth_roots(b, ell) for b in betas if b not in alphas}
     for b in betas:
         if b in alphas:
             problem = "is also an alpha"
-        elif len(field.nth_roots(b, ell)) != ell:
+        elif len(beta_roots[b]) != ell:
             problem = "lacks %d distinct ell-th roots" % ell
         else:
             continue
@@ -253,7 +257,7 @@ def build_block_rep(ell: int, m: int, field=None, alphas=None, betas=None,
             # checks and eigenpairs serve every later draw
             spec = (BlockRepSpec(ell, m, alphas, b_ell, field) if spec is None
                     else spec._with_b_ell(b_ell))
-            result = block_rep(spec)
+            result = block_rep(spec, beta_roots)
         except (PreconditionFailed, ConstructionError) as e:
             last_error = e
             continue
@@ -267,14 +271,15 @@ def build_block_rep(ell: int, m: int, field=None, alphas=None, betas=None,
     )
 
 
-def block_eigenvectors(blocks):
+def block_eigenvectors(blocks, ell_roots=None):
     """All eigenpairs of the block cycle built from blocks[0..ell-1].
 
     With C the product of the blocks and alpha ranging over its eigenvalues,
     each ell-th root xi of alpha contributes the eigenvector whose block
     components are xi^(ell-1-t) times the partial products applied to the
-    alpha-eigenvector of C.  Each returned pair is verified by direct
-    matrix-vector multiplication.
+    alpha-eigenvector of C.  The ell-th roots of an eigenvalue are read from
+    `ell_roots` when it maps that eigenvalue, and searched otherwise.  Each
+    returned pair is verified by direct matrix-vector multiplication.
     """
     ell = len(blocks)
     if ell < 2:
@@ -295,7 +300,7 @@ def block_eigenvectors(blocks):
         if eig.dim != 1:
             raise PreconditionFailed("eigenvalue %s is not simple" % f.format(alpha))
         v = eig.basis_vectors()[0]
-        xs = f.nth_roots(alpha, ell)
+        xs = (ell_roots or {}).get(alpha) or f.nth_roots(alpha, ell)
         if len(xs) != ell:
             raise PreconditionFailed(
                 "eigenvalue %s lacks %d ell-th roots" % (f.format(alpha), ell)

@@ -2,16 +2,19 @@
 perp, decomposability and realizability.
 
 All of Lambda^m k^n is coordinatized on the colex-ordered m-subsets of
-{1..n}.  The signs of compounds, Plucker points, derivations, annihilators
-and contractions come from one table, `faces(n, k)`, through the Laplace
-step v ^ w; general products and the complement pairing take theirs from
-`merge_sign`.
+{1..n}.  The signs of compounds, Plucker points, derivations, the
+decomposability charts and contractions come from one table, `faces(n,
+k)`, through the Laplace step v ^ w; general products and the complement
+pairing take theirs from `merge_sign`.  Decomposability is read in the
+affine chart of the Grassmannian at the least nonzero Plucker coordinate,
+with no linear system (`is_decomposable`).
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -19,7 +22,6 @@ from math import comb
 from .errors import (
     AmbientMismatch,
     BadM,
-    ConstructionError,
     DegreeOverflow,
     DimensionMismatch,
     MalformedInput,
@@ -171,12 +173,20 @@ def wedge_of_vectors(field, n, vectors) -> WedgeVector:
             raise DimensionMismatch("vector of length %d in k^%d" % (len(v), n))
     if m > n:
         raise DimensionMismatch("cannot wedge %d vectors in k^%d" % (m, n))
+    return WedgeVector(field, n, m, _wedge_coords(field, n, vectors))
+
+
+def _wedge_coords(f, n, vectors):
+    """The colex coordinates of the wedge of m <= n vectors of length n, as
+    a list: the minors of the last two, then one Laplace step per vector
+    before them."""
+    m = len(vectors)
     if m < 2:
-        return WedgeVector(field, n, m, vectors[0] if vectors else [field.one])
-    coords = field.minors2(vectors[m - 2], vectors[m - 1], minor_pairs(n))
+        return list(vectors[0]) if vectors else [f.one]
+    coords = f.minors2(vectors[m - 2], vectors[m - 1], minor_pairs(n))
     for k in range(3, m + 1):
-        coords = _laplace_step(field, faces(n, k), vectors[m - k], coords)
-    return WedgeVector(field, n, m, coords)
+        coords = _laplace_step(f, faces(n, k), vectors[m - k], coords)
+    return coords
 
 
 def compound(a: Matrix, m: int) -> Matrix:
@@ -304,51 +314,61 @@ def perp(w: Subspace, n: int, m: int) -> Subspace:
     return kernel_of_rows(f, rows, cols)
 
 
-def annihilator_in_v(v: WedgeVector) -> Subspace:
-    """{x in k^n : x ^ v = 0}, the decomposability detector."""
-    f, n, m = v.field, v.n, v.m
-    # the matrix of x -> x ^ v: row U holds +-v[U minus j] in column j; it
-    # has no rows when m >= n, as Lambda^(m+1) = 0
-    entries = [[f.zero] * n for _ in range(comb(n, m + 1))]
-    for row, face in zip(entries, faces(n, m + 1)):
-        for t, (j, r) in enumerate(face):
-            row[j] = f.neg(v.coords[r]) if t % 2 else v.coords[r]
-    return kernel_of_rows(f, entries, n)
+@lru_cache(maxsize=None)
+def charts(n: int, m: int):
+    """The affine charts of the Grassmannian of m-planes in k^n, one per
+    m-subset S of {1..n}, in lexicographic order of S: (colex rank of S,
+    the 0-based columns of S, and for each j not in S the triple (j - 1,
+    t_j, the face of U = S + {j} in `faces(n, m + 1)`)), where t_j is the
+    0-based position of j in U."""
+    table = faces(n, m + 1)
+    out = []
+    for S in itertools.combinations(range(1, n + 1), m):
+        cofaces = []
+        for j in range(1, n + 1):
+            tj = bisect(S, j)
+            if not (tj and S[tj - 1] == j):
+                cofaces.append((j - 1, tj, table[subset_rank(S[:tj] + (j,) + S[tj:])]))
+        out.append((subset_rank(S), tuple(s - 1 for s in S), tuple(cofaces)))
+    return tuple(out)
 
 
 def is_decomposable(v: WedgeVector):
     """(decomposable?, witness vectors spanning the factor subspace).
 
-    A nonzero v is a wedge of m vectors iff its annihilator in k^n has
-    dimension exactly m; the annihilator basis is the witness.  The zero
-    vector reports False.
+    The test is the affine chart of the Grassmannian at S, the
+    lexicographically first m-subset with v_S != 0.  Row i of the chart
+    matrix A has 1 at s_i, 0 at the rest of S, and at each j not in S the
+    coordinate v_(U minus s_i) / v_S, U = S + {j}, with the sign
+    (-1)^(t_i + t_j + 1) of the 0-based positions of s_i and j in U;
+    `faces(n, m + 1)` supplies that rank and sign.  If v is a wedge, S is
+    the pivot set of its factor subspace (the least nonzero Plucker
+    coordinate), so A is that subspace's RREF and its minors are v / v_S;
+    conversely A's rows wedge to v / v_S only if v is decomposable.  So v is
+    decomposable exactly when the wedge of A's rows equals v / v_S, and then
+    those rows, the canonical basis of the factor subspace, are the
+    witness.  The zero vector reports False.
     """
-    if v.is_zero():
+    f, n, m, coords = v.field, v.n, v.m, v.coords
+    cmp_zero = f.cmp_zero
+    for r, cols, cofaces in charts(n, m):
+        if coords[r] != cmp_zero:
+            break
+    else:
         return False, None
-    ann = annihilator_in_v(v)
-    if ann.dim != v.m:
+    xi = f.scale(f.inv(coords[r]), coords)
+    zero, neg = f.zero, f.neg
+    rows = [[zero] * n for _ in range(m)]
+    for row, s in zip(rows, cols):
+        row[s] = f.one
+    for j, tj, face in cofaces:
+        for i, row in enumerate(rows):
+            ti = i + (i >= tj)
+            c = xi[face[ti][1]]
+            row[j] = c if (ti + tj) % 2 else neg(c)
+    if _wedge_coords(f, n, rows) != xi:
         return False, None
-    witness = list(ann.basis_vectors())
-    if v.m > 0:
-        w = wedge_of_vectors(v.field, v.n, witness)
-        if not _proportional(v, w):
-            raise ConstructionError("annihilator witness failed to reproduce v")
-    return True, witness
-
-
-def _proportional(a: WedgeVector, b: WedgeVector) -> bool:
-    f = a.field
-    ratio = None
-    for x, y in zip(a.coords, b.coords):
-        if (x == f.zero) != (y == f.zero):
-            return False
-        if x != f.zero:
-            r = f.div(x, y)
-            if ratio is None:
-                ratio = r
-            elif r != ratio:
-                return False
-    return True
+    return True, [tuple(row) for row in rows]
 
 
 def projective_count(q: int, dim: int) -> int:

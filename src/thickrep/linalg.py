@@ -232,19 +232,32 @@ def kernel(m: Matrix) -> "Subspace":
 def kernel_of_rows(field, rows, ncols) -> "Subspace":
     """Null space {x in k^ncols : <row, x> = 0 for every row}, as a canonical
     subspace; a system is its rows plus its number of unknowns, so no rows
-    give all of k^ncols."""
-    basis = RowBasis.spanning(field, ncols, rows)
-    pivset = set(basis.pivots)
+    give all of k^ncols.
+
+    One elimination, of the rows with their columns reversed.  A reduced
+    row is then zero right of its pivot q (in the natural order) and at
+    every other pivot, so the null vector of a free column c, with 1 at c,
+    0 at the other free columns and -row_q[c] at each pivot q, is nonzero
+    only at c and at pivots q > c.  Taken in order of c these vectors are
+    already the kernel's RREF, with the free columns as its pivots."""
+    basis = RowBasis.spanning(field, ncols, (row[::-1] for row in rows))
+    if basis.dim == ncols:
+        return Subspace.zero(field, ncols)
+    last = ncols - 1
+    # each reversed reduced row with its pivot in the natural order
+    pivoted = [(last - pc, row) for row, pc in zip(basis.rows, basis.pivots)]
+    pivset = {q for q, _ in pivoted}
+    free = [c for c in range(ncols) if c not in pivset]
+    zero, one, neg = field.zero, field.one, field.neg
     vectors = []
-    for fc in range(ncols):
-        if fc in pivset:
-            continue
-        v = [field.zero] * ncols
-        v[fc] = field.one
-        for row, pc in zip(basis.rows, basis.pivots):
-            v[pc] = field.neg(row[fc])
+    for c in free:
+        v = [zero] * ncols
+        v[c] = one
+        for q, row in pivoted:
+            if q > c:
+                v[q] = neg(row[last - c])
         vectors.append(v)
-    return Subspace.from_vectors(field, ncols, vectors)
+    return Subspace(field, ncols, Matrix(field, vectors), tuple(free))
 
 
 class Subspace:

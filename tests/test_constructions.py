@@ -158,6 +158,28 @@ def test_block_spec_searches_each_alphas_roots_once(monkeypatch):
         BlockRepSpec(2, 2, (5, 2), Matrix.identity(F13, 2), F13)
 
 
+def test_build_block_rep_searches_each_betas_roots_once(monkeypatch):
+    # every draw's b_ell has the betas as eigenvalues, so the Cramer check
+    # of each draw reads their roots from the one search up front
+    F13 = GF(13)
+    searched = []
+    search = type(F13).nth_roots
+
+    def counted(field, a, n):
+        searched.append(a)
+        return search(field, a, n)
+
+    monkeypatch.setattr(type(F13), "nth_roots", counted)
+    res = build_block_rep(2, 2, F13, alphas=(1, 4), betas=(3, 9), seed=123)
+    assert sorted(searched) == [1, 3, 4, 9]
+    assert res.cramer_checked and res.cramer_nonzero
+    # a map that lacks an eigenvalue leaves it to the search
+    searched.clear()
+    pairs = block_eigenvectors([Matrix.identity(F13, 2), res.spec.b_ell], {3: [4, 9]})
+    assert searched == [9]
+    assert pairs == block_eigenvectors([Matrix.identity(F13, 2), res.spec.b_ell])
+
+
 def test_cramer_check_skips_without_a_full_or_disjoint_eigenbasis():
     # b_ell = 1 has no two distinct eigenvalues, and b_ell = diag(alphas)
     # shares every eigenvalue of the shift generator

@@ -13,12 +13,13 @@ from thickrep.linalg import (
     Subspace,
     det_rows,
     kernel,
+    kernel_of_rows,
     random_invertible,
     unit_vector,
 )
 from thickrep.exterior import (
     WedgeVector,
-    annihilator_in_v,
+    charts,
     colex_subsets,
     complement_sign_row,
     compound,
@@ -187,10 +188,10 @@ def test_perp_of_zero_and_annihilator_past_the_top_are_the_whole_space():
                 z = Subspace.zero(field, comb(n, m))
                 assert perp(z, n, m) == Subspace.full(field, comb(n, n - m))
             top = WedgeVector(field, n, n, [field.from_int(3)])
-            assert annihilator_in_v(top) == Subspace.full(field, n)
+            assert _annihilator_in_v(top) == Subspace.full(field, n)
             assert is_decomposable(top)[0]
             past = WedgeVector.zero(field, n, n + 1)
-            assert annihilator_in_v(past) == Subspace.full(field, n)
+            assert _annihilator_in_v(past) == Subspace.full(field, n)
 
 
 def test_perp_perfection_random():
@@ -258,6 +259,139 @@ def test_decomposable_roundtrip_random():
             assert Subspace.from_vectors(field, n, wit) == Subspace.from_vectors(
                 field, n, vecs
             )
+
+
+def _annihilator_in_v(v):
+    """{x in k^n : x ^ v = 0}: the kernel of the C(n, m+1) x n matrix of
+    x -> x ^ v, whose row U holds +-v[U minus j] in column j; it has no rows
+    when m >= n, as Lambda^(m+1) = 0."""
+    f, n, m = v.field, v.n, v.m
+    entries = [[f.zero] * n for _ in range(comb(n, m + 1))]
+    for row, face in zip(entries, faces(n, m + 1)):
+        for t, (j, r) in enumerate(face):
+            row[j] = f.neg(v.coords[r]) if t % 2 else v.coords[r]
+    return kernel_of_rows(f, entries, n)
+
+
+def _proportional(a, b):
+    f = a.field
+    ratio = None
+    for x, y in zip(a.coords, b.coords):
+        if (x == f.zero) != (y == f.zero):
+            return False
+        if x != f.zero:
+            r = f.div(x, y)
+            if ratio is None:
+                ratio = r
+            elif r != ratio:
+                return False
+    return True
+
+
+def _is_decomposable_oracle(v):
+    """Decomposability by the annihilator: a nonzero v is a wedge of m
+    vectors iff {x : x ^ v = 0} has dimension m, and that kernel's
+    canonical basis is the witness."""
+    if v.is_zero():
+        return False, None
+    ann = _annihilator_in_v(v)
+    if ann.dim != v.m:
+        return False, None
+    witness = list(ann.basis_vectors())
+    if v.m > 0:
+        assert _proportional(v, wedge_of_vectors(v.field, v.n, witness))
+    return True, witness
+
+
+def _decomposability_inputs(field, n, m, rng):
+    """A random vector, a wedge, a sparse vector whose lexicographically
+    first coordinates are zero, a wedge of vectors with zero leading
+    columns, and a wedge with one coordinate perturbed."""
+    N = comb(n, m)
+    rand = lambda: [field.random(rng) for _ in range(N)]
+    vecs = lambda lead: [[field.zero] * lead + [field.random(rng) for _ in range(n - lead)]
+                         for _ in range(m)]
+    wedge = list(wedge_of_vectors(field, n, vecs(0)).coords)
+    sparse = [x if rng.random() < 0.3 else field.zero for x in rand()]
+    for r, _, _ in charts(n, m)[:N // 2]:
+        sparse[r] = field.zero
+    lead = rng.randint(0, n - m)
+    late = list(wedge_of_vectors(field, n, vecs(lead)).coords)
+    perturbed = list(wedge)
+    if N:
+        k = rng.randrange(N)
+        perturbed[k] = field.add(perturbed[k], field.one)
+    return [WedgeVector(field, n, m, c) for c in (rand(), wedge, sparse, late, perturbed)]
+
+
+def _assert_same_decomposability(v):
+    ok, wit = is_decomposable(v)
+    want_ok, want = _is_decomposable_oracle(v)
+    label = (v.field.kind, v.n, v.m, v.coords)
+    assert ok == want_ok, label
+    if not ok:
+        assert wit is None, label
+        return
+    assert type(wit) is list and wit == want, label
+    assert [type(row) for row in wit] == [type(row) for row in want], label
+    assert [type(x) for row in wit for x in row] == \
+        [type(x) for row in want for x in row], label
+    span = Subspace.from_vectors(v.field, v.n, wit)
+    assert span.pivots == _annihilator_in_v(v).pivots, label
+    assert span.mat.rows == tuple(wit), label
+
+
+def test_is_decomposable_matches_the_annihilator_oracle():
+    # value, witness rows, pivots and element types (Fraction over Q)
+    rng = random.Random(32)
+    for field in (GF(2), GF(3), GF(2, 2), GF(5), GF(3, 2), QQ):
+        for n in range(1, 7):
+            for m in range(n + 1):
+                for _ in range(8):
+                    for v in _decomposability_inputs(field, n, m, rng):
+                        _assert_same_decomposability(v)
+    for field, n, m in ((QQ, 10, 3), (GF(7), 8, 2)):
+        for _ in range(2):
+            for v in _decomposability_inputs(field, n, m, rng):
+                _assert_same_decomposability(v)
+
+
+def test_decomposability_witness_is_the_rref_of_the_factor_subspace():
+    # the chart sits at the least nonzero Plucker coordinate, the pivot set
+    # {2, 4} here, so the witness is the RREF whatever basis was wedged
+    f = GF(5)
+    v = wedge_of_vectors(f, 4, [(0, 1, 2, 3), (0, 3, 1, 0)])
+    ok, wit = is_decomposable(v)
+    assert ok and wit == [(0, 1, 2, 0), (0, 0, 0, 1)]
+    # the pivot set is below every nonzero coordinate entry by entry, so it
+    # is also the colex-first one: a wedge's chart is the same in both orders
+    rng = random.Random(4)
+    for n in range(1, 7):
+        for m in range(n + 1):
+            for _ in range(10):
+                p = wedge_of_vectors(f, n, [
+                    [f.random(rng) if rng.random() < 0.4 else 0 for _ in range(n)]
+                    for _ in range(m)])
+                nonzero = [S for S, c in zip(colex_subsets(n, m), p.coords) if c]
+                assert not nonzero or nonzero[0] == min(nonzero)
+
+
+def test_charts_list_every_subset_in_lexicographic_order():
+    for n in range(7):
+        for m in range(n + 1):
+            table = charts(n, m)
+            assert charts(n, m) is table
+            assert [r for r, _, _ in table] == [
+                subset_rank(S) for S in sorted(colex_subsets(n, m))]
+            for r, cols, cofaces in table:
+                S = colex_subsets(n, m)[r]
+                assert cols == tuple(s - 1 for s in S)
+                assert [j for j, _, _ in cofaces] == [
+                    j - 1 for j in range(1, n + 1) if j not in S]
+                for j, tj, face in cofaces:
+                    U = tuple(sorted(S + (j + 1,)))
+                    assert U.index(j + 1) == tj
+                    assert face == faces(n, m + 1)[subset_rank(U)]
 
 
 def test_projective_enumeration_count():
@@ -495,7 +629,7 @@ def test_exterior_maps_match_determinant_oracles():
                     assert p == _wedge_oracle(field, n, a.rows[:m])
                     coords = [field.random(rng) for _ in range(comb(n, m))]
                     for v in (p, WedgeVector(field, n, m, coords)):
-                        assert annihilator_in_v(v) == _annihilator_oracle(v)
+                        assert _annihilator_in_v(v) == _annihilator_oracle(v)
         for half in (1, 2, 3):
             sp = SymplecticSpace(half, field)
             for m in range(2, sp.dim + 1):

@@ -190,6 +190,80 @@ def test_kernel_of_rows_matches_kernel_of_its_matrix():
                            for r in rows for v in k.basis_vectors())
 
 
+def _kernel_two_eliminations(field, rows, ncols):
+    """The kernel by a natural-order elimination: one null vector per free
+    column, which is not yet reduced at the pivots left of it, and a second
+    elimination (`Subspace.from_vectors`) to make the basis canonical."""
+    basis = RowBasis.spanning(field, ncols, rows)
+    pivset = set(basis.pivots)
+    vectors = []
+    for fc in range(ncols):
+        if fc in pivset:
+            continue
+        v = [field.zero] * ncols
+        v[fc] = field.one
+        for row, pc in zip(basis.rows, basis.pivots):
+            v[pc] = field.neg(row[fc])
+        vectors.append(v)
+    return Subspace.from_vectors(field, ncols, vectors)
+
+
+def _kernel_systems(field, ncols, rng):
+    """0 to ncols + 1 random rows, repeated rows, sparse rows, zero rows and
+    a full-rank system."""
+    rand = lambda: [field.random(rng) for _ in range(ncols)]
+    sparse = lambda: [x if rng.random() < 0.3 else field.zero for x in rand()]
+    some = [rand() for _ in range(rng.randint(1, 3))]
+    systems = [[rand() for _ in range(k)] for k in range(ncols + 2)]
+    systems += [
+        [rng.choice(some) for _ in range(rng.randint(1, ncols + 1))],
+        [sparse() for _ in range(rng.randint(1, ncols + 1))],
+        [[field.zero] * ncols for _ in range(2)],
+    ]
+    if ncols:
+        systems.append(random_invertible(field, ncols, rng).rows)
+    return systems
+
+
+def test_kernel_of_rows_matches_the_two_elimination_oracle():
+    # rows, pivots and element types (Fraction over Q) agree
+    rng = random.Random(32)
+    for field in (GF(2), GF(3), GF(2, 2), GF(5), GF(3, 2), QQ):
+        for ncols in range(7):
+            for _ in range(20):
+                for rows in _kernel_systems(field, ncols, rng):
+                    k = kernel_of_rows(field, rows, ncols)
+                    want = _kernel_two_eliminations(field, rows, ncols)
+                    label = (field.kind, ncols, rows)
+                    assert k.mat.rows == want.mat.rows, label
+                    assert k.pivots == want.pivots, label
+                    assert k.ambient == want.ambient == ncols, label
+                    assert [type(x) for row in k.mat.rows for x in row] == \
+                        [type(x) for row in want.mat.rows for x in row], label
+                    if field is QQ:
+                        assert all(type(x) is Fraction
+                                   for row in k.mat.rows for x in row), label
+
+
+def test_kernel_of_rows_at_full_rank_reads_no_rows(monkeypatch):
+    # a full-rank system has the zero kernel, known from the rank alone
+    read = []
+    rows_of = RowBasis.rows
+
+    def counted(basis):
+        read.append(basis.dim)
+        return rows_of.fget(basis)
+
+    monkeypatch.setattr(RowBasis, "rows", property(counted))
+    rng = random.Random(5)
+    for field in (GF(3), QQ):
+        rows = random_invertible(field, 4, rng).rows
+        assert kernel_of_rows(field, rows, 4) == Subspace.zero(field, 4)
+    assert read == []
+    kernel_of_rows(GF(3), [(1, 2, 0, 0)], 4)
+    assert read == [1]
+
+
 def test_solve_rows_keeps_its_width():
     for field in (QQ, GF(2), GF(5)):
         one, zero = field.one, field.zero
