@@ -294,9 +294,10 @@ def block_eigenvectors(blocks, ell_roots=None):
     if len(roots) != m or any(mult != 1 for _, mult in roots):
         raise PreconditionFailed("product matrix lacks %d distinct eigenvalues" % m)
     X = _block_cycle(f, blocks)
+    ident = Matrix.identity(f, m)
     pairs = []
-    for alpha, _ in sorted(roots, key=lambda rm: f.sort_key(rm[0])):
-        eig = kernel(C - Matrix.identity(f, m).scale(alpha))
+    for alpha, _ in roots:
+        eig = kernel(C - ident.scale(alpha))
         if eig.dim != 1:
             raise PreconditionFailed("eigenvalue %s is not simple" % f.format(alpha))
         v = eig.basis_vectors()[0]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect
 
-from .errors import AmbientMismatch, DivisionByZero, NotSquare
+from .errors import AmbientMismatch, DimensionMismatch, DivisionByZero, NotSquare
 from .fields import Poly
 
 
@@ -70,29 +70,25 @@ class Matrix:
         return "Matrix[%s]" % body
 
     def __mul__(self, other):
+        if self.ncols != other.nrows:
+            raise DimensionMismatch("%dx%d times %dx%d" % (
+                self.nrows, self.ncols, other.nrows, other.ncols))
         dot = self.field.dot
         cols = list(zip(*other.rows))
         return Matrix(self.field, [[dot(row, col) for col in cols] for row in self.rows])
 
     def __add__(self, other):
-        f = self.field
-        return Matrix(
-            f,
-            [
-                [f.add(a, b) for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)
-            ],
-        )
+        return self._entrywise(self.field.add, other)
 
     def __sub__(self, other):
-        f = self.field
-        return Matrix(
-            f,
-            [
-                [f.sub(a, b) for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)
-            ],
-        )
+        return self._entrywise(self.field.sub, other)
+
+    def _entrywise(self, op, other):
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise DimensionMismatch("%dx%d and %dx%d matrices" % (
+                self.nrows, self.ncols, other.nrows, other.ncols))
+        return Matrix(self.field, [[op(a, b) for a, b in zip(r1, r2)]
+                                   for r1, r2 in zip(self.rows, other.rows)])
 
     def scale(self, c):
         f = self.field

@@ -220,14 +220,9 @@ _REDUCTION_PRIMES = (101, 103, 107, 109, 113)
 def _reduction_prime(gens):
     """The first of `_REDUCTION_PRIMES` that divides no denominator of a
     generator entry, or None when each divides one."""
-    den = 1
-    for g in gens:
-        for row in g.rows:
-            for x in row:
-                d = x.denominator
-                if den % d:
-                    den *= d
-    return next((p for p in _REDUCTION_PRIMES if den % p), None)
+    return next((p for p in _REDUCTION_PRIMES
+                 if all(x.denominator % p for g in gens for row in g.rows for x in row)),
+                None)
 
 
 def burnside_dim(r: Representation) -> int:
@@ -323,6 +318,14 @@ def group_closure(r: Representation, cap: int):
     return [Matrix(r.field, a) for a in _orbits([ident.rows], moves, cap)[0]]
 
 
+def _combination(f, coeffs, mats):
+    """The matrix sum of coeffs[k] * mats[k], one `dot` per entry."""
+    return Matrix(f, [
+        [f.dot(coeffs, entries) for entries in zip(*rows)]
+        for rows in zip(*(m.rows for m in mats))
+    ])
+
+
 _NORTON_SEED = 1984
 _NORTON_TRIES = 8
 
@@ -361,11 +364,7 @@ def _norton_irreducible(r: Representation):
     rng = random.Random(_NORTON_SEED)
     for _ in range(_NORTON_TRIES):
         coeffs = tuple(f.random(rng) for _ in words)
-        # theta = sum of coeffs[k] * words[k], entry by entry
-        theta = Matrix(f, [
-            [f.dot(coeffs, entries) for entries in zip(*rows)]
-            for rows in zip(*(w.rows for w in words))
-        ])
+        theta = _combination(f, coeffs, words)
         for lam, _ in poly_roots(charpoly(theta)):
             shifted = theta - ident.scale(lam)
             null = kernel(shifted)
@@ -602,40 +601,39 @@ _ISOTYPIC_TRIES = 8
 def isotypic_decomposition(r: Representation, seed: int = 0):
     """Eigenspace decomposition from a random commutant element.
 
-    Succeeds when the commutant is commutative and one of `_ISOTYPIC_TRIES`
-    seeded random elements has a completely split charpoly whose distinct
-    roots count the commutant dimension; the eigenspaces are then the
-    unique invariant summands of a multiplicity-free module.  Returns None
-    otherwise.
+    Each of `_ISOTYPIC_TRIES` seeded tries draws E from the commutant C,
+    of dimension c.  The try succeeds when E has c distinct eigenvalues in
+    the field and their eigenspaces E_1..E_c sum to the whole module; they
+    are then its unique invariant summands.  Proof: each E_i is a submodule,
+    since E commutes with the action, so the c projections onto them are
+    independent idempotents of C.  As dim C = c, C is their span, so C is
+    k^c: commutative, with End(E_i) = k and Hom(E_i, E_j) = 0 for i != j.
+    The module is multiplicity-free and E diagonalizable, and no other
+    check is needed.  (The count alone forces the sum: the generalized
+    eigenspaces and the part where the charpoly does not split are
+    submodules with an identity each in C; the sum is kept as the split's
+    witness.)  A commutant that is not commutative passes no try; a draw
+    that does not commute with the first basis matrix shows this at once,
+    and the search returns None.  Returns None when no try succeeds.
     """
     f = r.field
     n = r.dim
     cdim, cbasis = commutant(r)
-    if cdim == 1:
-        return [Subspace.full(f, n)]
-    for i in range(cdim):
-        for j in range(i + 1, cdim):
-            if cbasis[i] * cbasis[j] != cbasis[j] * cbasis[i]:
-                return None
+    if cdim <= 1:
+        # the zero module (c = 0) has no summand
+        return [Subspace.full(f, n)] if cdim else []
+    ident = Matrix.identity(f, n)
     rng = random.Random(seed)
     for _ in range(_ISOTYPIC_TRIES):
-        elem = Matrix.zero(f, n, n)
-        for b in cbasis:
-            elem = elem + b.scale(f.random(rng))
-        cp = charpoly(elem)
-        roots = poly_roots(cp)
-        # the charpoly must split, with one root per commutant dimension
-        if sum(mult for _, mult in roots) != cp.degree or len(roots) != cdim:
+        elem = _combination(f, [f.random(rng) for _ in cbasis], cbasis)
+        if elem * cbasis[0] != cbasis[0] * elem:
+            return None
+        roots = poly_roots(charpoly(elem))
+        if len(roots) != cdim:
             continue
-        eig = []
-        ok = True
-        for a, mult in roots:
-            space = kernel(elem - Matrix.identity(f, n).scale(a))
-            if space.dim != mult:
-                ok = False
-                break
-            eig.append(space)
-        if ok and sum(e.dim for e in eig) == n:
+        eig = [kernel(elem - ident.scale(a)) for a, _ in roots]
+        # the split's witness: the eigenspaces fill the module
+        if sum(e.dim for e in eig) == n:
             return sorted(eig, key=Subspace.key)
     return None
 

@@ -512,7 +512,9 @@ def run_suite(filter_substring="", seed=0, caps=None, jobs=1) -> SuiteReport:
     if jobs > 1:
         import concurrent.futures as cf
 
-        with cf.ProcessPoolExecutor(max_workers=jobs) as pool:
+        # under the fork start method the pool starts all its workers at
+        # the first submit, so it asks for no more than there are items
+        with cf.ProcessPoolExecutor(max_workers=min(jobs, len(ids))) as pool:
             futures = {iid: pool.submit(run_item, iid, seed, caps) for iid in ids}
             results = [futures[iid].result() for iid in ids]
     else:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from thickrep.errors import AmbientMismatch, DivisionByZero, NotSquare
+from thickrep.errors import AmbientMismatch, DimensionMismatch, DivisionByZero, NotSquare
 from thickrep.fields import GF, QQ, Poly, Rationals
 from thickrep.linalg import (
     Matrix,
@@ -335,6 +335,25 @@ def test_dimension_formula_random():
             a = Subspace.from_vectors(field, n, va)
             b = Subspace.from_vectors(field, n, vb)
             assert a.dim + b.dim == a.sum(b).dim + a.intersect(b).dim
+
+
+def test_matrix_arithmetic_refuses_mismatched_shapes():
+    # zip would truncate: [[1, 2]] * [[1, 2]] read as [1 2] and
+    # [[1, 2]] + [[1, 2, 3]] as [2 4]
+    F = GF(5)
+    row, wide = M(F, [[1, 2]]), M(F, [[1, 2, 3]])
+    for a, b in ((row, row), (wide, M(F, [[1, 2], [3, 4]]))):
+        with pytest.raises(DimensionMismatch):
+            a * b
+    for a, b in ((row, wide), (row, row.transpose()), (Matrix.identity(F, 2), row)):
+        with pytest.raises(DimensionMismatch):
+            a + b
+        with pytest.raises(DimensionMismatch):
+            a - b
+    assert row * row.transpose() == M(F, [[0]])
+    assert row + row == M(F, [[2, 4]]) and wide - wide == Matrix.zero(F, 1, 3)
+    empty = Matrix.zero(F, 0, 0)
+    assert empty * empty == empty + empty == empty - empty == empty
 
 
 def test_charpoly_f2():

@@ -12,10 +12,11 @@ from types import SimpleNamespace
 import pytest
 
 from thickrep.errors import CapExceeded, PreconditionFailed
-from thickrep.fields import GF, QQ
+from thickrep.fields import GF, QQ, poly_roots
 from thickrep.linalg import (
     Matrix,
     Subspace,
+    charpoly,
     kernel,
     random_invertible,
     rank_of_rows,
@@ -1252,6 +1253,119 @@ def test_isotypic_two_blocks():
     r = Representation(QQ, 2, GROUP, [a])
     dec = isotypic_decomposition(r)
     assert dec is not None and sorted(e.dim for e in dec) == [1, 1]
+
+
+def _isotypic_decomposition_oracle(r, seed=0):
+    """The decomposition with every check spelled out: the commutant is
+    commutative by all pairwise products, and a seeded element's charpoly
+    splits into one root per commutant dimension, each eigenspace of the
+    root's multiplicity."""
+    f = r.field
+    n = r.dim
+    cdim, cbasis = commutant(r)
+    if cdim == 1:
+        return [Subspace.full(f, n)]
+    for i in range(cdim):
+        for j in range(i + 1, cdim):
+            if cbasis[i] * cbasis[j] != cbasis[j] * cbasis[i]:
+                return None
+    rng = random.Random(seed)
+    for _ in range(repcore._ISOTYPIC_TRIES):
+        elem = Matrix.zero(f, n, n)
+        for b in cbasis:
+            elem = elem + b.scale(f.random(rng))
+        cp = charpoly(elem)
+        roots = poly_roots(cp)
+        if sum(mult for _, mult in roots) != cp.degree or len(roots) != cdim:
+            continue
+        eig = []
+        ok = True
+        for a, mult in roots:
+            space = kernel(elem - Matrix.identity(f, n).scale(a))
+            if space.dim != mult:
+                ok = False
+                break
+            eig.append(space)
+        if ok and sum(e.dim for e in eig) == n:
+            return sorted(eig, key=Subspace.key)
+    return None
+
+
+def _block_diagonal(field, blocks):
+    n = sum(b.nrows for b in blocks)
+    rows, at = [], 0
+    for b in blocks:
+        rows += [[field.zero] * at + list(row) + [field.zero] * (n - at - b.nrows)
+                 for row in b.rows]
+        at += b.nrows
+    return Matrix(field, rows)
+
+
+def _isotypic_modules():
+    """The split Lie reps over Q, F5, F7 and F11 with every Lambda^m, and
+    seeded two-generator block-diagonal group reps over Q, F3, F5 and F7
+    with distinct or repeated blocks, with their Lambda^2."""
+    modules = []
+    for field in (QQ, GF(5), GF(7), GF(11)):
+        for family, n in (("so_split", 4), ("so_split", 5), ("sp", 2), ("sl", 3), ("sl", 4)):
+            gens = lie_generators(family, n, field)
+            r = Representation(field, gens[0].nrows, LIE, gens)
+            modules += [exterior_rep(r, m) for m in range(1, r.dim)]
+    rng = random.Random(33)
+    for field in (QQ, GF(3), GF(5), GF(7)):
+        for sizes in ((1, 1), (1, 2), (2, 2), (1, 1, 2), (1, 3)):
+            for repeated in (False, True):
+                gens = []
+                for _ in range(2):
+                    blocks = [random_invertible(field, k, rng) for k in sizes]
+                    if repeated and sizes[0] == sizes[1]:
+                        blocks[1] = blocks[0]
+                    gens.append(_block_diagonal(field, blocks))
+                r = Representation(field, gens[0].nrows, GROUP, gens)
+                modules += [r, exterior_rep(r, 2)]
+    return modules
+
+
+def test_isotypic_decomposition_matches_the_oracle():
+    modules = [r for rs in _decider_cases().values() for r in rs] + _isotypic_modules()
+    # the zero module has an empty commutant and no summand
+    modules.append(Representation(QQ, 0, GROUP, [Matrix(QQ, [])]))
+    outcomes = collections.Counter()
+    for r in modules:
+        for seed in (0, 1):
+            dec = isotypic_decomposition(r, seed)
+            assert dec == _isotypic_decomposition_oracle(r, seed)
+            outcomes[commutant(r)[0] > 1, dec is not None] += 1
+    # both verdicts occur on modules with a commutant past the scalars
+    assert outcomes[True, True] > 50 and outcomes[True, False] > 50, outcomes
+
+
+def test_a_commutant_that_does_not_commute_is_refused_before_any_charpoly(monkeypatch):
+    # 2.I on Q^2 commutes with all of M_2; the first draw does not commute
+    # with the first basis matrix, which ends the search with no charpoly
+    calls = collections.Counter()
+
+    def counted(m):
+        calls["charpoly"] += 1
+        return charpoly(m)
+
+    monkeypatch.setattr(repcore, "charpoly", counted)
+    for seed in (0, 1):
+        assert isotypic_decomposition(group_rep(QQ, [[[2, 0], [0, 2]]]), seed) is None
+    assert calls["charpoly"] == 0
+
+
+def test_a_try_with_a_repeated_eigenvalue_fails_and_the_next_splits():
+    # diag(1, 2) over F3: the commutant is the diagonal matrices (c = 2),
+    # and the first seed-0 draw is the identity, one eigenvalue whose
+    # eigenspace is the whole module; the second draw splits it into lines
+    F = GF(3)
+    r = group_rep(F, [[[1, 0], [0, 2]]])
+    rng = random.Random(0)
+    first = [F.random(rng) for _ in range(2)]
+    assert commutant(r)[0] == 2 and first[0] == first[1]
+    lines = [Subspace.from_vectors(F, 2, [unit_vector(F, 2, i)]) for i in (0, 1)]
+    assert isotypic_decomposition(r, 0) == sorted(lines, key=Subspace.key)
 
 
 def test_restrict_to_invariant():

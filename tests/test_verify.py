@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 
 from thickrep import serialize, verify
@@ -97,3 +98,44 @@ def test_a_suite_whose_every_item_is_skipped_exits_2(capsys):
     assert out["overall"] == SKIPPED
     assert [item["status"] for item in out["items"]] == [SKIPPED]
     assert "Traceback" not in captured.err
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records the worker count it is
+    opened with and runs each submitted call at once, starting no process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def _holds(seed, caps):
+    details = {}
+    verify._check(True, details, "holds")
+    return details, []
+
+
+def test_the_process_pool_opens_no_more_workers_than_items(monkeypatch):
+    # the pool starts all its workers at the first submit, so --jobs 64 on
+    # three items must ask for three
+    monkeypatch.setattr(verify, "REGISTRY", [(iid, _holds) for iid in "abc"])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    for jobs in (2, 3, 64):
+        suite = run_suite(jobs=jobs)
+        assert suite.overall == VERIFIED and len(suite.items) == 3
+    assert _InlinePool.sizes == [2, 3, 3]
+    assert run_suite(filter_substring="b", jobs=64).overall == VERIFIED
+    assert _InlinePool.sizes == [2, 3, 3, 1]
