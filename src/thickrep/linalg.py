@@ -15,11 +15,16 @@ from .fields import Poly
 
 
 class Matrix:
-    __slots__ = ("field", "rows")
+    """A matrix over `field`, stored as a tuple of row tuples.  The column
+    count is read off the first row; a matrix with no rows takes it from
+    `ncols`, so a 0 x k matrix keeps its shape."""
 
-    def __init__(self, field, rows):
+    __slots__ = ("field", "rows", "ncols")
+
+    def __init__(self, field, rows, ncols=0):
         self.field = field
-        self.rows = tuple(tuple(r) for r in rows)
+        self.rows = rows = tuple(map(tuple, rows))
+        self.ncols = len(rows[0]) if rows else ncols
 
     @classmethod
     def identity(cls, field, n):
@@ -29,7 +34,7 @@ class Matrix:
     @classmethod
     def zero(cls, field, nrows, ncols):
         z = field.zero
-        return cls(field, [[z] * ncols for _ in range(nrows)])
+        return cls(field, [[z] * ncols for _ in range(nrows)], ncols)
 
     @classmethod
     def diagonal(cls, field, entries):
@@ -45,10 +50,6 @@ class Matrix:
     @property
     def nrows(self):
         return len(self.rows)
-
-    @property
-    def ncols(self):
-        return len(self.rows[0]) if self.rows else 0
 
     def is_square(self):
         return self.nrows == self.ncols
@@ -74,8 +75,9 @@ class Matrix:
             raise DimensionMismatch("%dx%d times %dx%d" % (
                 self.nrows, self.ncols, other.nrows, other.ncols))
         dot = self.field.dot
-        cols = list(zip(*other.rows))
-        return Matrix(self.field, [[dot(row, col) for col in cols] for row in self.rows])
+        cols = other._columns()
+        return Matrix(self.field, [[dot(row, col) for col in cols] for row in self.rows],
+                      other.ncols)
 
     def __add__(self, other):
         return self._entrywise(self.field.add, other)
@@ -88,14 +90,18 @@ class Matrix:
             raise DimensionMismatch("%dx%d and %dx%d matrices" % (
                 self.nrows, self.ncols, other.nrows, other.ncols))
         return Matrix(self.field, [[op(a, b) for a, b in zip(r1, r2)]
-                                   for r1, r2 in zip(self.rows, other.rows)])
+                                   for r1, r2 in zip(self.rows, other.rows)], self.ncols)
 
     def scale(self, c):
         f = self.field
-        return Matrix(f, [f.scale(c, r) for r in self.rows])
+        return Matrix(f, [f.scale(c, r) for r in self.rows], self.ncols)
+
+    def _columns(self):
+        """The columns as tuples; a matrix with no rows has ncols empty ones."""
+        return list(zip(*self.rows)) if self.rows else [()] * self.ncols
 
     def transpose(self):
-        return Matrix(self.field, list(zip(*self.rows)))
+        return Matrix(self.field, self._columns(), self.nrows)
 
     def trace(self):
         f = self.field
@@ -133,7 +139,7 @@ def rref(m: Matrix):
     """Reduced row-echelon form; returns (rref matrix, rank, pivot columns)."""
     basis = RowBasis.spanning(m.field, m.ncols, m.rows)
     zero_rows = [[m.field.zero] * m.ncols] * (m.nrows - basis.dim)
-    return Matrix(m.field, basis.rows + zero_rows), basis.dim, tuple(basis.pivots)
+    return Matrix(m.field, basis.rows + zero_rows, m.ncols), basis.dim, tuple(basis.pivots)
 
 
 def rank_of_rows(field, rows, ncols):
@@ -277,7 +283,7 @@ class Subspace:
 
     @classmethod
     def zero(cls, field, ambient):
-        return cls(field, ambient, Matrix(field, []), ())
+        return cls(field, ambient, Matrix(field, (), ambient), ())
 
     @classmethod
     def full(cls, field, ambient):
@@ -466,7 +472,8 @@ class RowBasis:
 
     def to_subspace(self) -> Subspace:
         return Subspace(
-            self.field, self.ncols, Matrix(self.field, self.rows), tuple(self.pivots)
+            self.field, self.ncols, Matrix(self.field, self.rows, self.ncols),
+            tuple(self.pivots)
         )
 
 

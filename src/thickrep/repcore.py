@@ -66,8 +66,9 @@ NO = "No"
 class Caps:
     """Budgets for the complete decision procedures; THICKREP_CAPS (a JSON
     object in the environment) overrides individual fields.  `lattice_cap`
-    bounds every lattice the criterion walks: the submodule lattice over a
-    finite field and the isotypic sums over Q."""
+    bounds every lattice the criterion walks: the elements a walk of the
+    submodule lattice knows over a finite field, so a refutation found
+    before the cap still decides, and the isotypic sums over Q."""
 
     group_cap: int = 100_000
     points_cap: int = DEFAULT_POINTS_CAP
@@ -141,7 +142,10 @@ class Representation:
 
 def _memoised(r: Representation, key, build, *args):
     """`r._memo[key]`, stored from `build(*args)` on the first call; the one
-    writer of the memo.  A raised error is not memoised."""
+    writer of the memo.  A raised error is not memoised.  A memoised walk
+    (`_Replay`) is stored before it is read: a reader resumes it where the
+    last one stopped, and an error it raised is raised again on every later
+    read."""
     if key not in r._memo:
         r._memo[key] = build(*args)
     return r._memo[key]
@@ -423,36 +427,109 @@ def all_submodules(r: Representation, caps: Caps | None = None):
     projective point count exceeds `submodule_points_cap` or the lattice
     has more than `lattice_cap` elements.
 
-    A line is irreducible and needs no search.  Otherwise, after the
-    projective-point cap check, Norton's test (`_norton`, memoised on `r`)
-    tries to prove the module irreducible and then returns [0, V] at once.
-    It falls through to `_enumerate_submodules` when it finds a proper
-    invariant subspace (the module is reducible), when none of its fixed
-    number of seeded tries finds a one-dimensional eigenspace, which always
-    happens for irreducible modules that are not absolutely irreducible,
-    or when the field is too large for its eigenvalue search.
-
-    The lattice is memoised on `r`, keyed on the two caps it reads; each
-    call returns a fresh list, and a raised error is not memoised.
+    It reads to the end the walk of `_submodule_walk`, memoised on `r` and
+    keyed on the two caps it reads, which the criterion and non-absolute
+    denseness read only as far as they need.  Each call returns a fresh
+    list; an error the walk raised is raised again on every call.
     """
-    caps = caps or Caps.default()
+    return list(_lattice(r, caps or Caps.default()))
+
+
+def _lattice(r: Representation, caps: Caps):
+    """The memoised `_Replay` of `_submodule_walk(r, caps)`."""
     key = ("lattice", caps.submodule_points_cap, caps.lattice_cap)
-    return list(_memoised(r, key, _submodule_lattice, r, caps))
+    return _memoised(r, key, _Replay, _submodule_walk, r, caps)
 
 
-def _submodule_lattice(r: Representation, caps: Caps):
+class _Replay:
+    """The items of the generator `walk(*args)`, read by any number of
+    readers: each item is drawn once, when a reader first needs it, and
+    kept, so a reader that stops leaves the rest undrawn and the next one
+    resumes there.  A finished walk replays as its plain list.  An error the
+    generator raised is kept and raised again to every later reader at the
+    same place: a generator that raised is finished, and must not read as
+    the end of its items."""
+
+    __slots__ = ("_items", "_source", "_error")
+
+    def __init__(self, walk, *args):
+        self._items = []
+        self._source = walk(*args)
+        self._error = None
+
+    def __iter__(self):
+        if self._source is None and self._error is None:
+            return iter(self._items)
+        return self._resume()
+
+    def _resume(self):
+        items = self._items
+        i = 0
+        while True:
+            while i < len(items):
+                yield items[i]
+                i += 1
+            if self._error is not None:
+                raise self._error.with_traceback(None)
+            if self._source is None:
+                return
+            try:
+                items.append(next(self._source))
+            except StopIteration:
+                self._source = None
+            except BaseException as e:
+                self._source, self._error = None, e
+                raise
+
+
+def _submodule_walk(r: Representation, caps: Caps):
+    """The submodule lattice in key order, one dimension at a time, as a
+    generator, so a reader pays only for the prefix it reads.
+
+    A module of dimension 0 or 1 is answered at once after the
+    projective-point cap check.  Otherwise e_1, the first projective point,
+    is spun.  Only when its spin is all of k^n can Norton's test
+    (`_norton`, memoised on `r`) prove the module irreducible, and a YES
+    gives [0, V]; a proper spin already proves the module reducible, where
+    the test could only answer NO.  Under a `lattice_cap` below 2 neither
+    shortcut is taken.
+
+    Every submodule is a finite sum of cyclic ones, spin(v).  One spin per
+    projective G-orbit finds them all in group mode: the generated group G
+    lies in GL_n(F_q), so it is finite and each g^-1 is a power of g.  For
+    g in G and c != 0, spin(v) is invariant and contains c.g.v, and
+    v = c^-1.g^-1.(c.g.v) lies in spin(c.g.v); so the two spins are equal.
+    The orbits of `_orbits` are walked on the indices that `_point_action`
+    gives the points.  Lie generators need not be invertible, so in Lie
+    mode there are no moves and every point is its own orbit.
+    `_cyclic_levels` spins them level by level and `_join_closure` sums
+    them.
+    """
     f = r.field
     if not f.finite:
         raise WrongField("all_submodules requires a finite field")
     n = r.dim
+    bottom = Subspace.zero(f, n)
     if n == 0:
-        return [Subspace.zero(f, 0)]
+        yield bottom
+        return
     npts = projective_count(f.order, n)
     if npts > caps.submodule_points_cap:
         raise CapExceeded("projective point count %d exceeds cap" % npts)
-    if caps.lattice_cap >= 2 and (n == 1 or getattr(_norton(r), "verdict", NO) == YES):
-        return [Subspace.zero(f, n), Subspace.full(f, n)]
-    return _enumerate_submodules(r, caps)
+    if caps.lattice_cap >= 2 and n == 1:
+        yield bottom
+        yield Subspace.full(f, n)
+        return
+    first = spin(r, [unit_vector(f, n, 0)])
+    if (caps.lattice_cap >= 2 and first.dim == n
+            and getattr(_norton(r), "verdict", NO) == YES):
+        yield bottom
+        yield first
+        return
+    index, perms = _point_action(r) if r.mode == GROUP else (_point_index(f, n), ())
+    orbits = _orbits(range(len(index)), [p.__getitem__ for p in perms])
+    yield from _join_closure(bottom, _cyclic_levels(r, list(index), orbits, first),
+                             caps.lattice_cap)
 
 
 @functools.lru_cache(maxsize=16)
@@ -478,58 +555,98 @@ def _point_action(r: Representation):
     return _memoised(r, ("point_action",), _point_permutations, r.field, r.dim, r.generators)
 
 
-def _enumerate_submodules(r: Representation, caps: Caps):
-    """The lattice as the join-closure of the cyclic submodules.
-
-    Every submodule is a finite sum of cyclic ones, spin(v).  One spin per
-    projective G-orbit finds them all in group mode: the generated group G
-    lies in GL_n(F_q), so it is finite and each g^-1 is a power of g.  For
-    g in G and c != 0, spin(v) is invariant and contains c.g.v, and
-    v = c^-1.g^-1.(c.g.v) lies in spin(c.g.v); so the two spins are equal.
-    So only the first point of each orbit of `_orbits` on the canonical
-    projective points is spun, and the orbits are walked on the indices
-    that `_point_action` gives the points.  Lie generators need not be
-    invertible, so in Lie mode there are no moves and every point is its
-    own orbit.
-
-    Their join closure (`_join_closure`) is the lattice; CapExceeded comes
-    as soon as it has more than `lattice_cap` elements.
-    """
-    f = r.field
-    n = r.dim
-    index, perms = _point_action(r) if r.mode == GROUP else (_point_index(f, n), ())
-    points = list(index)
-    cyclic = {}
-    for orbit in _orbits(range(len(points)), [p.__getitem__ for p in perms]):
-        w = spin(r, [points[orbit[0]]])
-        cyclic.setdefault(w.mat.rows, w)
-    parts = sorted(cyclic.values(), key=Subspace.key)
-    return _join_closure(Subspace.zero(f, n), parts, caps.lattice_cap)
+def _cyclic_levels(r: Representation, points, orbits, first):
+    """For d = 1, ..., n - 1 the cyclic submodules of dimension d in key
+    order, spinning only what level d can need.  spin(p) is invariant, so
+    the orbit of p lies among its (q^d - 1)/(q - 1) projective points: a
+    cyclic submodule of dimension d is the spin of an orbit of at most that
+    many points.  So level d spins the first point of each orbit of at most
+    that size not spun before, smallest orbits first; `first` is the spin
+    of points[0], the first point of the first orbit."""
+    q = r.field.order
+    spun = [{} for _ in range(r.dim + 1)]  # by dim: canonical rows -> spin
+    todo = iter(sorted(orbits, key=len))
+    orbit = next(todo, None)
+    for d in range(1, r.dim):
+        bound = (q ** d - 1) // (q - 1)
+        while orbit is not None and len(orbit) <= bound:
+            w = first if orbit[0] == 0 else spin(r, [points[orbit[0]]])
+            spun[w.dim].setdefault(w.mat.rows, w)
+            orbit = next(todo, None)
+        yield sorted(spun[d].values(), key=Subspace.key)
 
 
-def _join_closure(bottom: Subspace, parts, cap: int):
-    """The subspaces that are sums of some of `parts`, bottom included,
-    sorted: the smallest set that holds `bottom` and is closed under sums
-    with each part.  It adds one part C at a time: when L contains 0 and
-    is closed under sums, L u {X + C : X in L} is the closure of L u {C}.
-    Raises CapExceeded as soon as it has more than `cap` elements.
+def _join_closure(bottom: Subspace, levels, cap: int):
+    """The sums of some of the parts that `levels` lists, bottom included, as
+    a generator in key order.  `levels` yields the parts of dimension d
+    for d = 1, ..., n - 1, one level at a time as the walk needs it, and
+    the parts sum to k^n, which comes last.  The submodule walk gives each
+    level in key order, so its generators come in the order in which the
+    whole-lattice closure added them.
+    Raises CapExceeded as soon as more than `cap` elements are known.
 
-    Each element is stored under its `Subspace.key`, computed once: the
-    dict hashes that tuple of ints in C and the final sort reads it.  A sum
-    that returns X itself (C lies in X) is already stored, and one that
-    returns C itself reuses C's key."""
-    lattice = {bottom.key(): bottom}
-    for c in parts:
-        c_key = c.key()
-        if c_key in lattice:
-            continue
-        for x in list(lattice.values()):
-            s = x.sum(c)
-            if s is not x:
-                lattice.setdefault(c_key if s is c else s.key(), s)
-                if len(lattice) > cap:
-                    raise CapExceeded("submodule lattice exceeded cap")
-    return [lattice[key] for key in sorted(lattice)]
+    A part not already known becomes the next generator g_i.  Each element
+    keeps its birth, the least i for which some sum with g_i gives it; it
+    is then a sum of g_1, ..., g_i.  It is summed with the generators born
+    after it alone: y + g_i only when birth(y) < i.  These are the sums of
+    the one-part-at-a-time closure (when L contains 0 and is closed under
+    sums, L u {X + C : X in L} is the closure of L u {C}), less those with 0
+    and those landing in the top level.
+
+    Level d is complete once its own parts are in: a join-irreducible
+    element is a part, and any other is x + g with x and g proper in it, so
+    every sum landing in dimension d comes from lower levels.  So level d
+    is: (1) each element of dimension d - 1 summed with the generators
+    after its birth; (2) each new part of dimension d made a generator and
+    summed with every element below level d, all born before it; (3) the
+    elements of dimension d, yielded.  Births are final by then, since an
+    element is only ever made at or below its own level.
+
+    Each element is stored under its `Subspace.key`, computed once per new
+    sum: a tuple of ints that hashes in C, which the sort reads too.  A sum
+    that returns an operand itself is already stored."""
+    n = bottom.ambient
+    walked = [[bottom, 0]]  # the entries of the levels yielded
+    known = {bottom.key(): walked[0]}  # key -> [subspace, birth]
+    by_dim = [[] for _ in range(n + 1)]  # keys of the known elements
+    gens = []
+
+    def note(s, i, key):
+        entry = known.get(key)
+        if entry is None:
+            known[key] = [s, i]
+            by_dim[s.dim].append(key)
+            if len(known) > cap:
+                raise CapExceeded("submodule lattice exceeded cap")
+        elif i < entry[1]:
+            entry[1] = i
+
+    yield bottom
+    below = 0  # walked[below:] is the level under the current one
+    for d, parts in enumerate(levels, 1):
+        for y, birth in walked[below:]:
+            for i in range(birth, len(gens)):
+                s = y.sum(gens[i])
+                if s is not y and s is not gens[i]:
+                    note(s, i + 1, s.key())
+        for c in parts:
+            key = c.key()
+            if key in known:
+                continue
+            gens.append(c)
+            note(c, len(gens), key)
+            for x, _ in walked[1:]:
+                s = x.sum(c)
+                if s is not c:
+                    note(s, len(gens), s.key())
+        below = len(walked)
+        walked += [known[key] for key in sorted(by_dim[d])]
+        for entry in walked[below:]:
+            yield entry[0]
+    if not by_dim[n]:
+        top = Subspace.full(bottom.field, n)
+        note(top, len(gens) + 1, top.key())
+    yield known[by_dim[n][0]][0]
 
 
 def _is_diagonal(m: Matrix) -> bool:
@@ -661,10 +778,11 @@ def decide_m_dense(r: Representation, m: int, absolute: bool = True,
     "Unknown", decided by `absolute_irreducibility` of Lambda^m in absolute
     mode.  Non-absolute mode is exact over finite fields: after the
     projective-point cap check, Norton's test decides with a witness
-    either way, and only when it finds none does the route "lattice", the
-    complete submodule lattice, with a smallest proper submodule as the
-    witness of No.  Over Q an absolutely irreducible Lambda^m still
-    certifies "Yes" and anything else is "Unknown"."""
+    either way, and only when it finds none does the route "lattice": the
+    first two elements of the submodule walk, 0 and a smallest nonzero
+    submodule, which is the witness of No unless it is Lambda^m.  Over Q
+    an absolutely irreducible Lambda^m still certifies "Yes" and anything
+    else is "Unknown"."""
     n = r.dim
     if m < 0 or m > n:
         raise BadM("m=%d out of range" % m)
@@ -678,10 +796,10 @@ def decide_m_dense(r: Representation, m: int, absolute: bool = True,
         if _norton(ext):
             return absolute_irreducibility(ext)  # Norton's memoised decision
         try:
-            subs = all_submodules(ext, caps)
+            _, least = itertools.islice(_lattice(ext, caps), 2)
         except CapExceeded as e:
             return Decision(UNKNOWN, "lattice", reason=str(e))
-        return Decision(YES, "lattice") if len(subs) == 2 else Decision(NO, "lattice", subs[1])
+        return Decision(YES, "lattice") if least.dim == ext.dim else Decision(NO, "lattice", least)
     decision = absolute_irreducibility(ext)
     if absolute or decision.verdict == YES:
         return decision
@@ -912,6 +1030,14 @@ def is_m_thick_criterion(r: Representation, m: int, caps: Caps | None = None,
     undecided: both are skipped before any search or perp, and
     log["pairs_tested"] counts the candidates left.  The source is the
     route, "lattice", "isotypic" or "spin", also in the log.
+
+    The lattice is read from the memoised walk of `_submodule_walk` in key
+    order, and the test stops at the first refuting pair, so most of a
+    reducible module's lattice is never built.  log["submodules"] counts
+    the elements read, as log["candidates"] does on the spin route: the
+    whole lattice for Thick and Unknown.  `lattice_cap` bounds the elements
+    the walk knows, so a refutation found before the cap decides on the
+    lattice route, and only a walk stopped by the cap goes on to the spins.
     """
     caps = caps or Caps.default()
     f = r.field
@@ -922,55 +1048,61 @@ def is_m_thick_criterion(r: Representation, m: int, caps: Caps | None = None,
         return Decision(THICK, "trivial", log={"trivial": True})
     ext = exterior_rep(r, m)
 
-    subs = None
-    if f.finite:
-        try:
-            subs, route = all_submodules(ext, caps), "lattice"
-        except CapExceeded:
-            pass
-    else:
-        subs, route = _isotypic_sums(ext, caps, seed), "isotypic"
-    if subs is not None:
-        log = {"route": route, "submodules": len(subs), "pairs_tested": 0}
-        candidates = ((w1, None) for w1 in subs)
-        complete = True
-    else:
-        route = "spin"
-        log = {"route": route, "candidates": 0, "pairs_tested": 0}
-        candidates = _spin_candidates(r, ext, m, caps, seed, log)
-        complete = f.finite and gaussian_binomial(n, m, f.order) <= caps.candidate_cap
-
     def search(w, k):
         return realizable_search(w, n, k, points_cap=caps.points_cap, seed=seed,
                                  rational_trials=caps.rational_trials)
 
-    unresolved = 0
-    for w1, witness1 in candidates:
-        if w1.dim in (0, ext.dim):
-            continue
-        log["pairs_tested"] += 1
-        if witness1 is None:
-            r1 = search(w1, m)
-            if r1.status == "NotRealizable":
+    def decide(candidates, route, log, complete):
+        unresolved = 0
+        for w1, witness1 in candidates:
+            if w1.dim in (0, ext.dim):
                 continue
-            witness1 = r1.witness_vectors
-        w2 = perp(w1, n, m)
-        r2 = search(w2, n - m)
-        if witness1 is not None and r2.status == "Realizable":
-            return Decision(NOT_THICK, route, NotThickCertificate(
-                field=f, n=n, m=m, w1=w1, w2=w2,
-                witness1=tuple(witness1), witness2=tuple(r2.witness_vectors),
-            ), log)
-        if r2.status != "NotRealizable":
-            unresolved += 1
-    reason = ""
-    if not complete:
-        reason = "candidate search not exhaustive"
-    elif unresolved:
-        reason = "%d %s with undecided realizability" % (
-            unresolved, "perps" if route == "spin" else "invariant pairs"
-        )
-    return Decision(UNKNOWN if reason else THICK, route, log=log, reason=reason)
+            log["pairs_tested"] += 1
+            if witness1 is None:
+                r1 = search(w1, m)
+                if r1.status == "NotRealizable":
+                    continue
+                witness1 = r1.witness_vectors
+            w2 = perp(w1, n, m)
+            r2 = search(w2, n - m)
+            if witness1 is not None and r2.status == "Realizable":
+                return Decision(NOT_THICK, route, NotThickCertificate(
+                    field=f, n=n, m=m, w1=w1, w2=w2,
+                    witness1=tuple(witness1), witness2=tuple(r2.witness_vectors),
+                ), log)
+            if r2.status != "NotRealizable":
+                unresolved += 1
+        reason = ""
+        if not complete:
+            reason = "candidate search not exhaustive"
+        elif unresolved:
+            reason = "%d %s with undecided realizability" % (
+                unresolved, "perps" if route == "spin" else "invariant pairs"
+            )
+        return Decision(UNKNOWN if reason else THICK, route, log=log, reason=reason)
+
+    if f.finite:
+        subs, route = _lattice(ext, caps), "lattice"
+    else:
+        subs, route = _isotypic_sums(ext, caps, seed), "isotypic"
+    if subs is not None:
+        log = {"route": route, "submodules": 0, "pairs_tested": 0}
+        # only the walk raises CapExceeded; the pair test does not
+        try:
+            return decide(_walked(subs, log), route, log, True)
+        except CapExceeded:
+            pass
+    log = {"route": "spin", "candidates": 0, "pairs_tested": 0}
+    complete = f.finite and gaussian_binomial(n, m, f.order) <= caps.candidate_cap
+    return decide(_spin_candidates(r, ext, m, caps, seed, log), "spin", log, complete)
+
+
+def _walked(subs, log):
+    """(W1, None) for each W1 of `subs`, counted into log["submodules"]
+    as it is read."""
+    for w1 in subs:
+        log["submodules"] += 1
+        yield w1, None
 
 
 def _isotypic_sums(ext: Representation, caps: Caps, seed: int):
@@ -999,7 +1131,8 @@ def _isotypic_sums(ext: Representation, caps: Caps, seed: int):
     if not _memoised(ext, ("isotypic", seed, "summands"), _summands_absolutely_irreducible,
                      ext, dec):
         return None
-    return _join_closure(bottom, dec, caps.lattice_cap)
+    levels = ([e for e in dec if e.dim == d] for d in range(1, ext.dim))
+    return list(_join_closure(bottom, levels, caps.lattice_cap))
 
 
 def _summands_absolutely_irreducible(ext: Representation, dec) -> bool:

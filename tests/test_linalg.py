@@ -356,6 +356,32 @@ def test_matrix_arithmetic_refuses_mismatched_shapes():
     assert empty * empty == empty + empty == empty - empty == empty
 
 
+def test_a_matrix_with_no_rows_keeps_its_column_count():
+    F = GF(5)
+    empty = Matrix.zero(F, 0, 3)
+    assert (empty.nrows, empty.ncols) == (0, 3)
+    # the shape checks see rowless operands, and the zero subspace of k^n
+    # holds a 0 x n matrix
+    with pytest.raises(DimensionMismatch):
+        empty + Matrix.zero(F, 0, 2)
+    with pytest.raises(DimensionMismatch):
+        Matrix.zero(F, 2, 2) * empty
+    assert Subspace.zero(F, 4).mat.ncols == 4
+
+
+def test_a_product_through_no_columns_is_the_zero_matrix_of_its_shape():
+    F = GF(5)
+    product = Matrix.zero(F, 2, 0) * Matrix.zero(F, 0, 3)
+    assert (product.nrows, product.ncols, product) == (2, 3, Matrix.zero(F, 2, 3))
+
+
+def test_the_transpose_of_a_matrix_with_no_columns_has_no_rows():
+    F = GF(5)
+    flat = Matrix.zero(F, 2, 0).transpose()
+    assert (flat.nrows, flat.ncols) == (0, 2)
+    assert (flat.transpose().nrows, flat.transpose().ncols) == (2, 0)
+
+
 def test_charpoly_f2():
     p = charpoly(M(GF(2), [[0, 1], [1, 1]]))
     assert p == Poly.from_ints(GF(2), [1, 1, 1])

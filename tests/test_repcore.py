@@ -34,7 +34,6 @@ from thickrep.exterior import (
 )
 from thickrep import linalg, repcore, serialize
 from thickrep.repcore import (
-    _enumerate_submodules,
     _norton_irreducible,
     _pair_table,
     _subspace_permutations,
@@ -378,7 +377,7 @@ def test_norton_outcomes_are_sound():
                         if projective_count(field.order, ext.dim) <= 400:
                             lattice = _brute_force_lattice(ext)
                         else:
-                            lattice = _enumerate_submodules(ext, Caps())
+                            lattice = _lattice_oracle(ext, Caps())
                         assert len(lattice) > 2 and w in lattice
     assert outcomes[YES] > 10 and outcomes[NO] > 10, outcomes
 
@@ -623,15 +622,17 @@ def _subspace_orbits_by_claiming(r, m):
     return orbits
 
 
-def _spun_points_by_marking(r):
+def _orbits_by_marking(r):
+    """(first point, size) of each projective orbit, in the order of the
+    first points, by applying each generator to each point."""
     f = r.field
     zero, one = f.zero, f.one
     done = set()
-    spun = []
+    orbits = []
     for v in projective_coefficients(f, r.dim):
         if v in done:
             continue
-        spun.append(v)
+        before = len(done)
         orbit = [v]
         while orbit:
             u = orbit.pop()
@@ -643,7 +644,19 @@ def _spun_points_by_marking(r):
                 if x not in done:
                     done.add(x)
                     orbit.append(x)
-    return spun
+        orbits.append((v, len(done) - before))
+    return orbits
+
+
+def _walk_spins_by_marking(r):
+    """The points a full walk of a module that Norton's test does not
+    decide spins: e_1, then the first point of each other orbit of at most
+    (q^(n-1) - 1)/(q - 1) points, smallest orbits first."""
+    q, n = r.field.order, r.dim
+    e1 = unit_vector(r.field, n, 0)
+    orbits = sorted(_orbits_by_marking(r), key=lambda orbit: orbit[1])
+    return [e1] + [v for v, size in orbits
+                   if v != e1 and size <= (q ** (n - 1) - 1) // (q - 1)]
 
 
 def _definition_by_rank_scan(r, m):
@@ -1083,14 +1096,44 @@ def _brute_force_lattice(r):
     return sorted(subs.values(), key=Subspace.key)
 
 
+def _lattice_oracle(r, caps):
+    """The lattice as the join closure of every cyclic submodule, built
+    whole: spin the first point of each projective orbit, then add the
+    spins one at a time in key order, each summed with every element
+    before it (when L contains 0 and is closed under sums, L u {X + C :
+    X in L} is the closure of L u {C}).  Raises CapExceeded as soon as it
+    has more than `lattice_cap` elements."""
+    f, n = r.field, r.dim
+    index, perms = (repcore._point_action(r) if r.mode == GROUP
+                    else (repcore._point_index(f, n), ()))
+    points = list(index)
+    cyclic = {}
+    for orbit in repcore._orbits(range(len(points)), [p.__getitem__ for p in perms]):
+        w = spin(r, [points[orbit[0]]])
+        cyclic.setdefault(w.mat.rows, w)
+    bottom = Subspace.zero(f, n)
+    lattice = {bottom.key(): bottom}
+    for c in sorted(cyclic.values(), key=Subspace.key):
+        c_key = c.key()
+        if c_key in lattice:
+            continue
+        for x in list(lattice.values()):
+            s = x.sum(c)
+            if s is not x:
+                lattice.setdefault(c_key if s is c else s.key(), s)
+                if len(lattice) > caps.lattice_cap:
+                    raise CapExceeded("submodule lattice exceeded cap")
+    return [lattice[key] for key in sorted(lattice)]
+
+
 def _lattice_against_oracle(r):
-    """Check all_submodules and its enumeration fallback against the
+    """Check all_submodules and the whole-lattice oracle against the
     brute-force lattice, and check that Norton's test proves exactly the
     absolutely irreducible modules (its fixed seed decides every module
     used below).  Returns the lattice."""
     subs = _brute_force_lattice(r)
     assert all_submodules(r) == subs
-    assert _enumerate_submodules(r, Caps()) == subs
+    assert _lattice_oracle(r, Caps()) == subs
     outcome = _norton_irreducible(r)
     assert (outcome is not None and outcome.verdict == YES) == (burnside_dim(r) == r.dim ** 2)
     return subs
@@ -1136,11 +1179,8 @@ def test_all_submodules_not_absolutely_irreducible_falls_through():
     assert [s.dim for s in _lattice_against_oracle(r)] == [0, 2]
 
 
-def test_submodules_one_spin_per_projective_orbit(monkeypatch):
-    # diag(1, 1, 2, 2) over F5: every submodule is U + W with U, W inside the
-    # two eigenplanes, so 8 * 8 = 64 of them; a point with both parts
-    # nonzero has a projective orbit of size 4, the order of 2 in F5*
-    r = group_rep(GF(5), [DIAG_1122])
+def _counted_spins(monkeypatch):
+    """Wrap `repcore.spin` so that it records its seeds; returns the list."""
     spins = []
 
     def counting_spin(rep, seeds):
@@ -1148,14 +1188,23 @@ def test_submodules_one_spin_per_projective_orbit(monkeypatch):
         return spin(rep, seeds)
 
     monkeypatch.setattr(repcore, "spin", counting_spin)
-    subs = _enumerate_submodules(r, Caps())
-    # 6 + 6 points inside the eigenplanes, 144 / 4 mixed orbits
+    return spins
+
+
+def test_submodules_one_spin_per_projective_orbit(monkeypatch):
+    # diag(1, 1, 2, 2) over F5: every submodule is U + W with U, W inside the
+    # two eigenplanes, so 8 * 8 = 64 of them; a point with both parts
+    # nonzero has a projective orbit of size 4, the order of 2 in F5*
+    r = group_rep(GF(5), [DIAG_1122])
+    spins = _counted_spins(monkeypatch)
+    subs = all_submodules(r)
+    # 6 + 6 points inside the eigenplanes, 144 / 4 mixed orbits, all of at
+    # most 31 = (5^3 - 1)/4 points
     assert len(spins) == 48 < projective_count(5, 4) == 156
-    assert [v for seeds in spins for v in seeds] == _spun_points_by_marking(r)
+    assert [v for seeds in spins for v in seeds] == _walk_spins_by_marking(r)
     monkeypatch.undo()
     assert len(subs) == 64
     assert subs == _brute_force_lattice(r)
-    assert all_submodules(r) == subs
 
 
 def test_submodules_spin_the_points_of_orbit_marking(monkeypatch):
@@ -1164,17 +1213,20 @@ def test_submodules_spin_the_points_of_orbit_marking(monkeypatch):
     reps += _random_reps(GF(5), 3, 3, 53) + _random_reps(F4, 3, 3, 43)
     reps += [exterior_rep(r, 2) for r in _random_reps(F4, 3, 2, 42)]
     reps.append(group_rep(GF(5), [DIAG_1122]))
-    spins = []
-
-    def counting_spin(rep, seeds):
-        spins.append(seeds)
-        return spin(rep, seeds)
-
-    monkeypatch.setattr(repcore, "spin", counting_spin)
+    for r in reps:
+        repcore._norton(r)  # its own spins are not the walk's
+    spins = _counted_spins(monkeypatch)
+    walked = collections.Counter()
     for r in reps:
         spins.clear()
-        _enumerate_submodules(r, Caps())
-        assert [v for seeds in spins for v in seeds] == _spun_points_by_marking(r)
+        subs = all_submodules(r)
+        spun = [v for seeds in spins for v in seeds]
+        decided = getattr(repcore._norton(r), "verdict", NO) == YES
+        # an absolutely irreducible module spins e_1 alone
+        assert spun == ([unit_vector(r.field, r.dim, 0)] if decided
+                        else _walk_spins_by_marking(r))
+        walked[len(subs) > 2, decided] += 1
+    assert walked[True, False] and walked[False, True] and walked[False, False], walked
 
 
 def test_submodules_lattice_cap_is_exact():
@@ -1186,6 +1238,140 @@ def test_submodules_lattice_cap_is_exact():
         assert len(all_submodules(r, Caps(lattice_cap=size))) == size
         with pytest.raises(CapExceeded):
             all_submodules(r, Caps(lattice_cap=size - 1))
+
+
+def _walk_modules():
+    """Seeded modules over F2, F3, GF(4), F5 and F7, in group and Lie mode:
+    random, block-triangular and repeated-eigenvalue ones with Lambda^2 of
+    the first two in dimension 4 over F2 and F3, and irreducible modules
+    that are not absolutely irreducible."""
+    rng = random.Random(3434)
+    modules = []
+    for field in (GF(2), GF(3), GF(2, 2), GF(5), GF(7)):
+        units = [x for x in field.elements() if x != field.zero]
+        for n in (2, 3, 4):
+            if field.order ** n > 2401:
+                continue
+            k = rng.randrange(1, n)
+            p = random_invertible(field, n, rng)
+            a, b = rng.sample(units, 2) if len(units) > 1 else units * 2
+            repeated = p * Matrix.diagonal(field, [a] * k + [b] * (n - k)) * p.inverse()
+            square = Matrix(field, [[field.random(rng) for _ in range(n)] for _ in range(n)])
+            reps = [
+                Representation(field, n, GROUP, [random_invertible(field, n, rng)
+                                                 for _ in range(2)]),
+                Representation(field, n, GROUP, [_block_triangular(field, n, k, rng)
+                                                 for _ in range(2)]),
+                Representation(field, n, GROUP, [repeated]),
+                Representation(field, n, LIE, [square]),
+                Representation(field, n, LIE, [repeated, _block_triangular(field, n, k, rng)]),
+            ]
+            modules += reps
+            if n == 4 and field.order <= 3:
+                modules += [exterior_rep(r, 2) for r in reps[:2]]
+    # x^2 + x + 1 over F2, x^2 + 1 over F3 and F7, x^2 - 2 over F5 and
+    # x^4 + x + 1 over F2 are irreducible: each companion matrix acts
+    # irreducibly, and absolutely irreducibly on no module past a line
+    modules += [group_rep(GF(2), [[[0, 1], [1, 1]]]), group_rep(GF(3), [ROT]),
+                group_rep(GF(7), [ROT]), group_rep(GF(5), [[[0, 2], [1, 0]]]),
+                group_rep(GF(2), [[[0, 0, 0, 1], [1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]]])]
+    return modules
+
+
+def test_the_walk_matches_the_whole_lattice_oracle(monkeypatch):
+    # the same lattice in the same order, or CapExceeded on both sides,
+    # under three caps; with the default caps the walk never sums more
+    sums = collections.Counter()
+    side = []
+    original = Subspace.sum
+
+    def counting_sum(self, other):
+        sums[side[-1]] += 1
+        return original(self, other)
+
+    monkeypatch.setattr(Subspace, "sum", counting_sum)
+    sizes = collections.Counter()
+    fewer = 0
+    for r in _walk_modules():
+        for caps in (Caps(), Caps(lattice_cap=3), Caps(lattice_cap=1)):
+            fresh = Representation(r.field, r.dim, r.mode, r.generators, _lifted=True)
+            sums.clear()
+            side.append("oracle")
+            try:
+                expect = _lattice_oracle(fresh, caps)
+            except CapExceeded:
+                expect = "cap"
+            side.append("walk")
+            try:
+                got = all_submodules(fresh, caps)
+            except CapExceeded:
+                got = "cap"
+            assert got == expect, (r.field, r.dim, r.mode, caps.lattice_cap)
+            if caps == Caps():
+                assert sums["walk"] <= sums["oracle"], (r.field, r.dim, r.mode)
+                fewer += sums["walk"] < sums["oracle"]
+                sizes[r.mode, len(got) == 2] += 1
+    assert fewer and all(sizes[mode, irr] for mode in (GROUP, LIE) for irr in (True, False)), sizes
+
+
+def test_the_walk_reads_only_the_prefix_it_needs(monkeypatch):
+    # diag(1, 1, 2, 2) over F5: its first line <e1> is a refuting W1 for
+    # m = 1, found at the first level; the rest of its 64 submodules is not
+    # built until all_submodules asks for it, and no orbit is spun twice
+    r = group_rep(GF(5), [DIAG_1122])
+    spins = _counted_spins(monkeypatch)
+    report = is_m_thick_criterion(r, 1)
+    assert (report.verdict, report.log) == (
+        NOT_THICK, {"route": "lattice", "submodules": 2, "pairs_tested": 1})
+    # level 1 spins only the orbits of one point: the 12 eigenplane points
+    assert len(spins) == 12
+    assert len(all_submodules(r)) == 64
+    spun = [v for seeds in spins for v in seeds]
+    assert spun == _walk_spins_by_marking(r)
+    # a second criterion call replays the memoised walk and spins nothing
+    spins.clear()
+    assert is_m_thick_criterion(r, 1) == report
+    assert spins == []
+    # without Norton's witness, non-absolute denseness reads two elements
+    monkeypatch.setattr(repcore, "_norton", lambda rep: None)
+    dense = repcore.decide_m_dense(group_rep(GF(5), [DIAG_1122]), 1, absolute=False)
+    assert (dense.verdict, dense.route) == (NO, "lattice")
+    assert len(spins) == 12
+    assert dense.certificate == all_submodules(r)[1]
+    # the cap needs to hold only what is known by then: 0 and the 12 lines,
+    # not the 64 elements of the whole lattice
+    for cap, verdict in ((13, NO), (12, UNKNOWN)):
+        capped = repcore.decide_m_dense(group_rep(GF(5), [DIAG_1122]), 1, absolute=False,
+                                        caps=Caps(lattice_cap=cap))
+        assert (capped.verdict, capped.route) == (verdict, "lattice")
+
+
+def test_a_walk_that_raised_raises_again_on_every_read(monkeypatch):
+    # a spin that fails once ends the walk; every later read raises the
+    # same error, and none reads the dead walk as a short lattice
+    r = group_rep(GF(3), [DIAG_1122])
+    fresh = group_rep(GF(3), [DIAG_1122])
+    calls = []
+
+    def failing_spin(rep, seeds):
+        calls.append(seeds)
+        if len(calls) == 10:
+            raise RuntimeError("spin failed")
+        return spin(rep, seeds)
+
+    monkeypatch.setattr(repcore, "spin", failing_spin)
+    # the criterion stops at the first level, after the 8 eigenplane points
+    assert is_m_thick_criterion(r, 1).route == "lattice"
+    assert len(calls) == 8
+    with pytest.raises(RuntimeError):
+        all_submodules(r)
+    monkeypatch.undo()
+    for _ in range(2):
+        with pytest.raises(RuntimeError):
+            all_submodules(r)
+        with pytest.raises(RuntimeError):
+            list(repcore._lattice(r, Caps()))
+    assert len(all_submodules(fresh)) == 36  # 6 * 6: U + W, U and W in the eigenplanes
 
 
 def test_commutant_absolutely_irreducible():
@@ -1523,10 +1709,11 @@ def test_criterion_isotypic_route(family, n, verdict):
     gens = lie_generators(family, n)
     r = Representation(QQ, gens[0].nrows, LIE, gens)
     rep = is_m_thick_criterion(r, 2)
-    # both proper sums are tested for sp; so_split is refuted by the first
-    tested = 2 if verdict == THICK else 1
+    # both proper sums are tested for sp; so_split is refuted by the first,
+    # the second of its four sums walked
+    tested, walked = (2, 4) if verdict == THICK else (1, 2)
     assert (rep.verdict, rep.log, rep.reason) == (
-        verdict, {"route": "isotypic", "submodules": 4, "pairs_tested": tested}, ""
+        verdict, {"route": "isotypic", "submodules": walked, "pairs_tested": tested}, ""
     )
     assert (rep.certificate is not None) == (verdict == NOT_THICK)
     if rep.certificate is not None:
@@ -1617,23 +1804,39 @@ ORACLE_SETS = {  # name: (reps, caps common to the set)
 @pytest.mark.parametrize("caps", [{}, {"lattice_cap": 3}, {"lattice_cap": 1}])
 @pytest.mark.parametrize("name", sorted(ORACLE_SETS))
 def test_criterion_skip_matches_reference_loop(name, caps):
-    # skipping W1 = 0 and W1 = Lambda^m changes no verdict, reason,
-    # certificate or log key; the log only gains pairs_tested
+    # skipping W1 = 0 and W1 = Lambda^m and stopping the walk at the first
+    # refuting pair change no verdict.  On the reference's route they change
+    # no reason, certificate or log key, and `submodules`, the elements
+    # walked, is the whole lattice's but for a NotThick, where it may be
+    # less.  Under a small lattice cap the reference may take the spin route
+    # for a refutation that the walk finds within the cap on the lattice
+    # route; its certificate must recheck
     build, common = ORACLE_SETS[name]
     caps = Caps(**common, **caps)
-    verdicts = set()
+    verdicts = collections.Counter()
     for r in build():
         for m in range(1, r.dim):
             rep = is_m_thick_criterion(r, m, caps)
             verdict, reason, cert, log = _criterion_reference(r, m, caps)
+            assert rep.verdict == verdict
+            verdicts[verdict, rep.route == log["route"]] += 1
             tested = rep.log.pop("pairs_tested")
+            walked = rep.log.pop("submodules", None)
+            total = log.get("submodules", log.get("candidates"))
+            if rep.route != log["route"]:
+                assert caps.lattice_cap < Caps().lattice_cap
+                assert (rep.route, verdict, log["route"]) == ("lattice", NOT_THICK, "spin")
+                assert verify_not_thick_certificate(r, rep.certificate)
+                assert 0 < tested < walked <= caps.lattice_cap
+                continue
+            if walked is not None:
+                assert walked <= total if verdict == NOT_THICK else walked == total
+                rep.log["submodules"], total = total, walked
             assert (rep.verdict, rep.reason, rep.certificate, rep.log) == (
                 verdict, reason, cert, log
             )
-            total = log.get("submodules", log.get("candidates"))
             assert 0 <= tested <= total
-            verdicts.add(verdict)
-    assert len(verdicts) >= 2
+    assert len({verdict for verdict, _ in verdicts}) >= 2, verdicts
 
 
 def _so5():
@@ -1803,8 +2006,9 @@ def test_the_lattice_memo_keys_on_the_caps_it_reads():
                 size = "cap"
             route = is_m_thick_criterion(rep, 1, caps).log["route"]
             seen[caps.lattice_cap] = (size, route, is_m_dense(rep, 1, absolute=False, caps=caps))
-        # Norton's witness decides denseness inside the caps, with no lattice
-        assert seen == {3: ("cap", "spin", NO), 20_000: (4, "lattice", NO)}
+        # Norton's witness decides denseness inside the caps, with no
+        # lattice; the criterion's first line refutes within 3 elements
+        assert seen == {3: ("cap", "lattice", NO), 20_000: (4, "lattice", NO)}
 
 
 def test_memoised_verdicts_match_a_fresh_rep_per_call():
