@@ -19,6 +19,7 @@ from .errors import (
     ConstructionError,
     FieldTooSmall,
     PreconditionFailed,
+    ScaleExceeded,
 )
 from .fields import GF, PrimeField, QQ, _is_prime, check_scan, has_all_nth_roots, poly_roots
 from .linalg import Matrix, Subspace, charpoly, kernel, random_independent, random_invertible
@@ -48,10 +49,18 @@ def _block_cycle(field, blocks) -> Matrix:
     return Matrix(field, entries)
 
 
+# the invariance check lifts rep to Lambda^m, C(n, m)^2 minors per generator;
+# a companion pair over Q takes about 1 s at n = 9 and five times as long per
+# step of n (2-CPU Xeon), so a larger n is refused before the lift
+_LIFT_MAX_N = 9
+
+
 def _wedge_span(field, n: int, subsets, dim: int, rep=None) -> Subspace:
     """The span of the basis wedges e_S of Lambda^m k^n, S in `subsets`,
     checked to have dimension `dim` and, given `rep`, to be invariant under
     its m-th exterior power."""
+    if rep is not None and n > _LIFT_MAX_N:
+        raise ScaleExceeded("desk scale of the invariance check is n <= %d" % _LIFT_MAX_N)
     wedges = [WedgeVector.basis_element(field, n, s) for s in subsets]
     m = wedges[0].m
     w = Subspace.from_vectors(field, comb(n, m), [x.coords for x in wedges])
@@ -73,6 +82,8 @@ def companion_pair(field, n: int, a, b) -> CompanionPairResult:
     """Two cyclic-shift generators with corner entries a and b, plus for each
     0 < m < n the n-dimensional invariant window subspace spanned by the
     cyclic wedges e_i ^ e_(i+1) ^ ... ^ e_(i+m-1)."""
+    if n < 1:
+        raise BadN("n must be positive")
     if a == b or a == field.zero or b == field.zero:
         raise PreconditionFailed("a and b must be distinct and nonzero")
     one_blocks = [Matrix(field, [[field.one]])] * (n - 1)
@@ -85,6 +96,11 @@ def companion_pair(field, n: int, a, b) -> CompanionPairResult:
         cyclic = [tuple(sorted((i + t) % n + 1 for t in range(m))) for i in range(n)]
         windows[m] = _wedge_span(field, n, cyclic, n, rep)
     return CompanionPairResult(rep, windows, roots_available)
+
+
+def _check_block_sizes(ell: int, m: int):
+    if ell < 2 or m < 2:
+        raise PreconditionFailed("ell and m must be at least 2")
 
 
 @dataclass
@@ -106,8 +122,7 @@ class BlockRepSpec:
     def __post_init__(self):
         self.alphas = tuple(self.alphas)
         f = self.field
-        if self.ell < 2 or self.m < 2:
-            raise PreconditionFailed("ell and m must be at least 2")
+        _check_block_sizes(self.ell, self.m)
         if len(self.alphas) != self.m or len(set(self.alphas)) != self.m:
             raise PreconditionFailed("alphas must be %d distinct values" % self.m)
         if any(a == f.zero for a in self.alphas):
@@ -197,6 +212,7 @@ def _cramer_coefficients_nonzero(spec: BlockRepSpec, beta_roots=None):
 def suggest_block_field(ell: int, m: int) -> PrimeField:
     """Smallest prime field where the block construction has full root sets
     with headroom: ell divides p-1 and there are at least 2m+2 ell-th powers."""
+    _check_block_sizes(ell, m)
     p = 2
     while True:
         p += 1
@@ -217,6 +233,7 @@ def build_block_rep(ell: int, m: int, field=None, alphas=None, betas=None,
     irreducible, retrying the random basis of the second generator with
     fresh draws up to `_BLOCK_REP_TRIES` times.  Missing alphas or betas
     are the first ell-th powers of a finite field; over Q pass both."""
+    _check_block_sizes(ell, m)
     field = field or suggest_block_field(ell, m)
     if alphas is None or betas is None:
         # the ell-th powers with ell distinct roots, to choose from
@@ -447,80 +464,46 @@ def lie_generators(family: str, n: int, field=QQ):
         )
         return out
     if family == "sp":
-        half = n
-        size = 2 * half
-        J = symplectic_form_matrix(field, half)
-        out = []
-        # [[A, B], [C, -A^t]] with B, C symmetric
-        for i in range(half):
-            for j in range(half):
-                out.append(
-                    _basis_matrix(
-                        field, size,
-                        [((i, j), one), ((half + j, half + i), neg(one))],
-                    )
-                )
-        for i in range(half):
-            for j in range(i, half):
-                if i == j:
-                    out.append(_basis_matrix(field, size, [((i, half + i), one)]))
-                    out.append(_basis_matrix(field, size, [((half + i, i), one)]))
-                else:
-                    out.append(
-                        _basis_matrix(
-                            field, size, [((i, half + j), one), ((j, half + i), one)]
-                        )
-                    )
-                    out.append(
-                        _basis_matrix(
-                            field, size, [((half + i, j), one), ((half + j, i), one)]
-                        )
-                    )
-        _verify_form_compat(out, J)
-        if len(out) != half * (2 * half + 1):
+        # [[A, B], [C, -A^t]] with B, C symmetric, on the form e_i ^ e_(n+i)
+        pairs = [(i, j) for i in range(n) for j in range(n)]
+        pairs += [p for i in range(n) for j in range(i, n) for p in ((i, n + j), (n + i, j))]
+        out = _form_algebra(field, symplectic_form_matrix(field, n), pairs)
+        if len(out) != n * (2 * n + 1):
             raise ConstructionError("sp basis has %d elements" % len(out))
         return out
     if family == "so_split":
-        S = split_orthogonal_form_matrix(field, n)
         k = n // 2
-        out = []
-        for i in range(k):
-            for j in range(k):
-                out.append(
-                    _basis_matrix(
-                        field, n, [((i, j), one), ((k + j, k + i), neg(one))]
-                    )
-                )
-        for i in range(k):
-            for j in range(i + 1, k):
-                out.append(
-                    _basis_matrix(
-                        field, n, [((i, k + j), one), ((j, k + i), neg(one))]
-                    )
-                )
-                out.append(
-                    _basis_matrix(
-                        field, n, [((k + i, j), one), ((k + j, i), neg(one))]
-                    )
-                )
+        pairs = [(i, j) for i in range(k) for j in range(k)]
+        pairs += [p for i in range(k) for j in range(i + 1, k) for p in ((i, k + j), (k + i, j))]
         if n % 2:
-            last = n - 1
-            for i in range(k):
-                out.append(
-                    _basis_matrix(
-                        field, n, [((i, last), one), ((last, k + i), neg(one))]
-                    )
-                )
-                out.append(
-                    _basis_matrix(
-                        field, n, [((k + i, last), one), ((last, i), neg(one))]
-                    )
-                )
-        _verify_form_compat(out, S)
+            pairs += [p for i in range(k) for p in ((i, n - 1), (k + i, n - 1))]
+        out = _form_algebra(field, split_orthogonal_form_matrix(field, n), pairs)
         if len(out) != n * (n - 1) // 2:
             raise ConstructionError("so basis has %d elements" % len(out))
         return out
     raise BadFamily("unknown family %r" % (family,))
+
+
+def _form_algebra(field, form, pairs):
+    """E_ab + theta(E_ab) for each (a, b) in `pairs`, where theta(X) =
+    -F^-1 X^t F is the adjoint involution of the symmetric or alternating
+    form F; its fixed points are the algebra {X : X^t F + F X = 0}, so each
+    sum lies in it.  F is a signed permutation matrix, so F^-1 = F^t and
+    theta(E_ab) is the single entry -F[a][a'] F[b][b'] at (b', a'), with a'
+    the column of row a's nonzero entry.  When theta fixes E_ab, E_ab is
+    the generator."""
+    rows = form.rows
+    col = [next(j for j, x in enumerate(row) if x != field.zero) for row in rows]
+    out = []
+    for a, b in pairs:
+        entries = [[field.zero] * form.nrows for _ in rows]
+        entries[a][b] = field.one
+        c = field.neg(field.mul(rows[a][col[a]], rows[b][col[b]]))
+        if (col[b], col[a]) != (a, b) or c != field.one:
+            entries[col[b]][col[a]] = field.add(entries[col[b]][col[a]], c)
+        out.append(Matrix(field, entries))
+    _verify_form_compat(out, form)
+    return out
 
 
 def _verify_form_compat(mats, form):

@@ -102,6 +102,58 @@ def test_suggest_block_field():
     assert suggest_block_field(2, 2).p == 13
 
 
+@pytest.fixture
+def draws(monkeypatch):
+    """The arguments of every random basis the constructions draw."""
+    import thickrep.constructions as cons
+
+    calls = []
+    draw = cons.random_invertible
+    monkeypatch.setattr(cons, "random_invertible", lambda *a: calls.append(a) or draw(*a))
+    return calls
+
+
+def test_impossible_block_and_companion_sizes_are_refused_before_any_draw(draws):
+    # block sizes below 2 once divided by zero (ell = 0), searched primes
+    # forever (ell < 0) or drew every basis first (ell or m = 1); n = 0
+    # once reached the generator's shape check
+    t0 = time.perf_counter()
+    for ell, m in ((0, 2), (-1, 2), (1, 2), (2, 1), (2, 0)):
+        with pytest.raises(PreconditionFailed, match="^ell and m must be at least 2$"):
+            build_block_rep(ell, m)
+        with pytest.raises(PreconditionFailed):
+            build_block_rep(ell, m, GF(13), alphas=(1, 4), betas=(3, 9))
+        with pytest.raises(PreconditionFailed):
+            suggest_block_field(ell, m)
+    for n in (0, -1):
+        with pytest.raises(BadN):
+            companion_pair(QQ, n, QQ.from_int(2), QQ.from_int(3))
+    assert draws == []
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_invariance_checks_past_the_desk_scale_are_refused(draws):
+    # the lift to Lambda^m costs C(n, m)^2 minors per generator, so a rep
+    # on more than 9 dimensions is refused before it is lifted
+    F2 = GF(2)
+    lines = [(i,) for i in range(1, 11)]
+    shift = Matrix(F2, [[int(j == (i - 1) % 9) for j in range(9)] for i in range(9)])
+    assert _wedge_span(F2, 9, lines[:9], 9, Representation(F2, 9, GROUP, [shift])).dim == 9
+    wide = Representation(F2, 10, GROUP, [Matrix.identity(F2, 10)])
+    with pytest.raises(ScaleExceeded):
+        _wedge_span(F2, 10, lines, 10, wide)
+    # without a rep nothing is lifted, so any n is checked
+    assert e1_wedge_subspace(QQ, 12).dim == 11
+    t0 = time.perf_counter()
+    with pytest.raises(ScaleExceeded):
+        companion_pair(QQ, 10, QQ.from_int(2), QQ.from_int(3))
+    # a 5 x 2 block rep reaches the lift on its first draw and is not retried
+    with pytest.raises(ScaleExceeded):
+        build_block_rep(5, 2, GF(31), alphas=(1, 5), betas=(6, 25))
+    assert len(draws) == 1
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_block_rep_2x2_f13():
     F13 = GF(13)
     res = build_block_rep(2, 2, F13, alphas=(1, 4), betas=(3, 9), seed=0)
@@ -276,6 +328,64 @@ def test_e1_wedge_subspace():
         assert ok
     with pytest.raises(BadN):
         e1_wedge_subspace(QQ, 3)
+
+
+def _lie_generators_oracle(family, n, field):
+    """The sp and so_split bases written out entry by entry, each partner
+    entry signed by hand, as lie_generators built them before it derived
+    them from the forms' adjoint involutions."""
+    one, neg = field.one, field.neg
+
+    def basis(size, assign):
+        entries = [[field.zero] * size for _ in range(size)]
+        for (i, j), val in assign:
+            entries[i][j] = val
+        return Matrix(field, entries)
+
+    out = []
+    if family == "sp":
+        h = n
+        for i in range(h):
+            for j in range(h):
+                out.append(basis(2 * h, [((i, j), one), ((h + j, h + i), neg(one))]))
+        for i in range(h):
+            for j in range(i, h):
+                if i == j:
+                    out.append(basis(2 * h, [((i, h + i), one)]))
+                    out.append(basis(2 * h, [((h + i, i), one)]))
+                else:
+                    out.append(basis(2 * h, [((i, h + j), one), ((j, h + i), one)]))
+                    out.append(basis(2 * h, [((h + i, j), one), ((h + j, i), one)]))
+        return out
+    k = n // 2
+    for i in range(k):
+        for j in range(k):
+            out.append(basis(n, [((i, j), one), ((k + j, k + i), neg(one))]))
+    for i in range(k):
+        for j in range(i + 1, k):
+            out.append(basis(n, [((i, k + j), one), ((j, k + i), neg(one))]))
+            out.append(basis(n, [((k + i, j), one), ((k + j, i), neg(one))]))
+    if n % 2:
+        for i in range(k):
+            out.append(basis(n, [((i, n - 1), one), ((n - 1, k + i), neg(one))]))
+            out.append(basis(n, [((k + i, n - 1), one), ((n - 1, i), neg(one))]))
+    return out
+
+
+def test_lie_generators_match_the_written_out_bases():
+    # the same matrices in the same order, entry values and types alike,
+    # over prime fields of characteristic 2 to 11 and three proper
+    # extensions; F2 and GF(4), where -1 = 1, catch a doubled fixed entry
+    def entries(mats):
+        return [[[(type(x), x) for x in row] for row in g.rows] for g in mats]
+
+    fields = (QQ, GF(2), GF(3), GF(5), GF(7), GF(11), GF(2, 2), GF(3, 2), GF(5, 2))
+    sizes = [("sp", n) for n in range(1, 6)] + [("so_split", n) for n in range(1, 10)]
+    for field in fields:
+        for family, n in sizes:
+            got = lie_generators(family, n, field)
+            want = _lie_generators_oracle(family, n, field)
+            assert entries(got) == entries(want), (family, n, field)
 
 
 def test_lie_generators_sl2():
