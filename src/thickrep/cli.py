@@ -124,8 +124,8 @@ def cmd_construct(args):
             },
         }
     elif args.kind == "block":
-        alphas = tuple(field.parse(x) for x in args.alphas.split(","))
-        betas = tuple(field.parse(x) for x in args.betas.split(","))
+        alphas, betas = (None if arg is None else tuple(map(field.parse, arg.split(",")))
+                         for arg in (args.alphas, args.betas))
         res = build_block_rep(
             args.ell, args.m, field, alphas=alphas, betas=betas, seed=args.seed
         )
@@ -285,8 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", default="3")
     p.add_argument("--ell", type=int, default=2)
     p.add_argument("--m", type=int, default=2)
-    p.add_argument("--alphas", default="1,4")
-    p.add_argument("--betas", default="3,9")
+    p.add_argument("--alphas", help="comma-separated; chosen by the construction when absent")
+    p.add_argument("--betas", help="comma-separated; chosen by the construction when absent")
     p.add_argument("--family", default="sp")
 
     p = command("exterior", "exterior-algebra operations", field, seed)

@@ -66,9 +66,12 @@ NO = "No"
 class Caps:
     """Budgets for the complete decision procedures; THICKREP_CAPS (a JSON
     object in the environment) overrides individual fields.  `lattice_cap`
-    bounds every lattice the criterion walks: the elements a walk of the
-    submodule lattice knows over a finite field, so a refutation found
-    before the cap still decides, and the isotypic sums over Q."""
+    bounds the elements a walk of the submodule lattice knows over a finite
+    field, in `all_submodules` and non-absolute denseness, and the isotypic
+    sums of the criterion over Q.  The criterion over a finite field reads
+    `candidate_cap` and `submodule_points_cap`, which decide whether its
+    spins are exhaustive, and `pair_cap`, which bounds its orbit table as
+    it bounds the definition decider's."""
 
     group_cap: int = 100_000
     points_cap: int = DEFAULT_POINTS_CAP
@@ -142,10 +145,7 @@ class Representation:
 
 def _memoised(r: Representation, key, build, *args):
     """`r._memo[key]`, stored from `build(*args)` on the first call; the one
-    writer of the memo.  A raised error is not memoised.  A memoised walk
-    (`_Replay`) is stored before it is read: a reader resumes it where the
-    last one stopped, and an error it raised is raised again on every later
-    read."""
+    writer of the memo.  A raised error is not memoised."""
     if key not in r._memo:
         r._memo[key] = build(*args)
     return r._memo[key]
@@ -427,64 +427,24 @@ def all_submodules(r: Representation, caps: Caps | None = None):
     projective point count exceeds `submodule_points_cap` or the lattice
     has more than `lattice_cap` elements.
 
-    It reads to the end the walk of `_submodule_walk`, memoised on `r` and
-    keyed on the two caps it reads, which the criterion and non-absolute
-    denseness read only as far as they need.  Each call returns a fresh
-    list; an error the walk raised is raised again on every call.
+    The lattice is memoised on `r` as a tuple, keyed on the two caps the
+    walk reads; each call returns a fresh list.  A raised error is not
+    memoised, so the walk runs again, and raises again, on the next call.
     """
-    return list(_lattice(r, caps or Caps.default()))
+    caps = caps or Caps.default()
+    key = ("lattice", caps.submodule_points_cap, caps.lattice_cap)
+    return list(_memoised(r, key, _lattice, r, caps))
 
 
 def _lattice(r: Representation, caps: Caps):
-    """The memoised `_Replay` of `_submodule_walk(r, caps)`."""
-    key = ("lattice", caps.submodule_points_cap, caps.lattice_cap)
-    return _memoised(r, key, _Replay, _submodule_walk, r, caps)
-
-
-class _Replay:
-    """The items of the generator `walk(*args)`, read by any number of
-    readers: each item is drawn once, when a reader first needs it, and
-    kept, so a reader that stops leaves the rest undrawn and the next one
-    resumes there.  A finished walk replays as its plain list.  An error the
-    generator raised is kept and raised again to every later reader at the
-    same place: a generator that raised is finished, and must not read as
-    the end of its items."""
-
-    __slots__ = ("_items", "_source", "_error")
-
-    def __init__(self, walk, *args):
-        self._items = []
-        self._source = walk(*args)
-        self._error = None
-
-    def __iter__(self):
-        if self._source is None and self._error is None:
-            return iter(self._items)
-        return self._resume()
-
-    def _resume(self):
-        items = self._items
-        i = 0
-        while True:
-            while i < len(items):
-                yield items[i]
-                i += 1
-            if self._error is not None:
-                raise self._error.with_traceback(None)
-            if self._source is None:
-                return
-            try:
-                items.append(next(self._source))
-            except StopIteration:
-                self._source = None
-            except BaseException as e:
-                self._source, self._error = None, e
-                raise
+    """`_submodule_walk(r, caps)` read to the end, as a tuple."""
+    return tuple(_submodule_walk(r, caps))
 
 
 def _submodule_walk(r: Representation, caps: Caps):
     """The submodule lattice in key order, one dimension at a time, as a
-    generator, so a reader pays only for the prefix it reads.
+    generator, so a reader pays only for the prefix it reads: non-absolute
+    denseness reads two elements, and `all_submodules` all of them.
 
     A module of dimension 0 or 1 is answered at once after the
     projective-point cap check.  Otherwise e_1, the first projective point,
@@ -780,7 +740,8 @@ def decide_m_dense(r: Representation, m: int, absolute: bool = True,
     projective-point cap check, Norton's test decides with a witness
     either way, and only when it finds none does the route "lattice": the
     first two elements of the submodule walk, 0 and a smallest nonzero
-    submodule, which is the witness of No unless it is Lambda^m.  Over Q
+    submodule, which is the witness of No unless it is Lambda^m; the walk
+    is not memoised, so it stops there.  Over Q
     an absolutely irreducible Lambda^m still certifies "Yes" and anything
     else is "Unknown"."""
     n = r.dim
@@ -796,7 +757,7 @@ def decide_m_dense(r: Representation, m: int, absolute: bool = True,
         if _norton(ext):
             return absolute_irreducibility(ext)  # Norton's memoised decision
         try:
-            _, least = itertools.islice(_lattice(ext, caps), 2)
+            _, least = itertools.islice(_submodule_walk(ext, caps), 2)
         except CapExceeded as e:
             return Decision(UNKNOWN, "lattice", reason=str(e))
         return Decision(YES, "lattice") if least.dim == ext.dim else Decision(NO, "lattice", least)
@@ -927,6 +888,23 @@ def _subspace_permutations(r: Representation, frames, incident):
     return moves
 
 
+def _subspace_orbits(r: Representation, m: int):
+    """The orbits of the group generated by `r` on the m-subspaces of
+    `_pair_table(field, n, m)`, as lists of their indices (`_orbits` on the
+    moves of `_subspace_permutations`), memoised on `r` under
+    ("subspace_orbits", m): it reads the generators alone, no cap and no
+    seed.  Group mode only: the point action needs invertible
+    generators."""
+    return _memoised(r, ("subspace_orbits", m), _subspace_orbit_walk, r, m)
+
+
+def _subspace_orbit_walk(r: Representation, m: int):
+    """`_subspace_orbits(r, m)`, computed."""
+    subspaces, _, frames, incident, _, _ = _pair_table(r.field, r.dim, m)
+    moves = _subspace_permutations(r, frames, incident)
+    return _orbits(range(len(subspaces)), [p.__getitem__ for p in moves])
+
+
 def is_m_thick_definition(r: Representation, m: int,
                           caps: Caps | None = None) -> Decision:
     """Decide m-thickness over a finite field straight from the definition:
@@ -937,10 +915,9 @@ def is_m_thick_definition(r: Representation, m: int,
     generators; verdicts are identical to enumerating group elements and
     the group itself is never materialized.  A subspace is the list of the
     projective points of k^n it contains, from `_pair_table`, which is
-    built once per (field, n, m) after the pair cap check.  The generators'
-    permutations of the points are memoised on `r` (`_point_action`),
-    `_subspace_permutations` turns them into permutations of the subspace
-    indices, and the orbits are walked on those.  Since dim V1 + dim V2 = n,
+    built once per (field, n, m) after the pair cap check.  The orbits of
+    the subspace indices are memoised on `r` (`_subspace_orbits`), which
+    the criterion reads as well.  Since dim V1 + dim V2 = n,
     V1 + V2 = V exactly when V1 and V2 share no point.  So the complements
     that meet V1 are the OR of `through` over V1's points, and an orbit
     refutes when the AND of these over the orbit is nonzero; its lowest bit
@@ -964,9 +941,8 @@ def is_m_thick_definition(r: Representation, m: int,
     n2 = gaussian_binomial(n, n - m, q)
     if n1 * n2 > caps.pair_cap:
         raise CapExceeded("pair enumeration %d x %d exceeds cap" % (n1, n2))
-    subspaces, points, frames, incident, complements, through = _pair_table(f, n, m)
-    moves = _subspace_permutations(r, frames, incident)
-    orbits = _orbits(range(n1), [p.__getitem__ for p in moves])
+    subspaces, points, _, _, complements, through = _pair_table(f, n, m)
+    orbits = _subspace_orbits(r, m)
     log = {
         "m_subspaces": n1,
         "complement_subspaces": n2,
@@ -1015,29 +991,25 @@ def is_m_thick_criterion(r: Representation, m: int, caps: Caps | None = None,
     representation fails to be m-thick exactly when some invariant
     W1 <= Lambda^m and its perp W2 are both realizable.
 
-    One pair test runs over invariant W1 candidates from one of three
-    sources, in order of preference: the complete submodule lattice
-    (finite field, within caps), the isotypic sums of a multiplicity-free
-    module with absolutely irreducible summands (over Q, at most
-    `lattice_cap` sums), and the spins of wedges of m-subspaces V1, each
-    with V1 as its witness.  The first two list every invariant subspace.
-    The spins are complete for refutations: if any realizable invariant
-    pair exists, the spin of a decomposable witness of W1 is an invariant
-    realizable subspace whose perp contains W2, so some m-subspace V1
-    already exhibits the failure; they are exhausted over a finite field
-    with at most `candidate_cap` m-subspaces.  W1 = 0 is not realizable
-    and the perp of W1 = Lambda^m is 0, so neither pair can refute or stay
-    undecided: both are skipped before any search or perp, and
-    log["pairs_tested"] counts the candidates left.  The source is the
-    route, "lattice", "isotypic" or "spin", also in the log.
-
-    The lattice is read from the memoised walk of `_submodule_walk` in key
-    order, and the test stops at the first refuting pair, so most of a
-    reducible module's lattice is never built.  log["submodules"] counts
-    the elements read, as log["candidates"] does on the spin route: the
-    whole lattice for Thick and Unknown.  `lattice_cap` bounds the elements
-    the walk knows, so a refutation found before the cap decides on the
-    lattice route, and only a walk stopped by the cap goes on to the spins.
+    Over a finite field a Lambda^m that Norton's test (`_norton`) proves
+    irreducible is Thick on the route "dense": its only invariant
+    subspaces are 0 and Lambda^m, and neither can refute.  Otherwise one
+    pair test runs over invariant W1 candidates from one of two sources:
+    the isotypic sums of a multiplicity-free module with absolutely
+    irreducible summands (over Q, at most `lattice_cap` sums), which list
+    every invariant subspace, and the spins of wedges of m-subspaces V1,
+    each with V1 as its witness.  The spins are complete for refutations:
+    if any realizable invariant pair exists, the spin of a decomposable
+    witness of W1 is an invariant realizable subspace whose perp contains
+    W2, so some m-subspace V1 already exhibits the failure.  Over a finite
+    field they are exhausted when there are at most `candidate_cap`
+    m-subspaces, or when P(Lambda^m) has at most `submodule_points_cap`
+    points (`_spin_candidates`).  W1 = 0 is not realizable and the perp of
+    W1 = Lambda^m is 0, so neither pair can refute or stay undecided: both
+    are skipped before any search or perp, and log["pairs_tested"] counts
+    the candidates left.  The route, "dense", "isotypic" or "spin", is
+    also in the log, with log["submodules"] the isotypic sums read and
+    log["candidates"] the m-subspaces spun.
     """
     caps = caps or Caps.default()
     f = r.field
@@ -1082,19 +1054,19 @@ def is_m_thick_criterion(r: Representation, m: int, caps: Caps | None = None,
         return Decision(UNKNOWN if reason else THICK, route, log=log, reason=reason)
 
     if f.finite:
-        subs, route = _lattice(ext, caps), "lattice"
+        if getattr(_norton(ext), "verdict", NO) == YES:
+            return Decision(THICK, "dense", log={"route": "dense", "pairs_tested": 0})
+        q = f.order
+        complete = (gaussian_binomial(n, m, q) <= caps.candidate_cap
+                    or projective_count(q, ext.dim) <= caps.submodule_points_cap)
     else:
-        subs, route = _isotypic_sums(ext, caps, seed), "isotypic"
-    if subs is not None:
-        log = {"route": route, "submodules": 0, "pairs_tested": 0}
-        # only the walk raises CapExceeded; the pair test does not
-        try:
-            return decide(_walked(subs, log), route, log, True)
-        except CapExceeded:
-            pass
+        subs = _isotypic_sums(ext, caps, seed)
+        if subs is not None:
+            log = {"route": "isotypic", "submodules": 0, "pairs_tested": 0}
+            return decide(_walked(subs, log), "isotypic", log, True)
+        complete = False
     log = {"route": "spin", "candidates": 0, "pairs_tested": 0}
-    complete = f.finite and gaussian_binomial(n, m, f.order) <= caps.candidate_cap
-    return decide(_spin_candidates(r, ext, m, caps, seed, log), "spin", log, complete)
+    return decide(_spin_candidates(r, ext, m, caps, seed, log, complete), "spin", log, complete)
 
 
 def _walked(subs, log):
@@ -1142,21 +1114,42 @@ def _summands_absolutely_irreducible(ext: Representation, dec) -> bool:
                for e in dec)
 
 
-def _spin_candidates(r, ext, m, caps: Caps, seed: int, log: dict):
+def _spin_candidates(r, ext, m, caps: Caps, seed: int, log: dict, complete: bool):
     """(spin of wedge V1, basis of V1) for each m-subspace V1 whose spin is
-    new: every one over a finite field, the coordinate and seeded random
-    ones over the rationals.  Counts the subspaces into log["candidates"]
-    and stops past `candidate_cap`."""
+    new, each V1 counted into log["candidates"].
+
+    A `complete` search over a finite field spins one V1 per orbit of the
+    generated group G on the m-subspaces (`_subspace_orbits`), the first
+    in `enumerate_subspaces` order.  G is finite, so each g^-1 is a power
+    of g; g.wedge(V1) is a nonzero multiple of wedge(g.V1), so the two
+    spins contain each other and are equal.  The spin of V1 holds the
+    wedges of its whole orbit, distinct points of P(Lambda^m), so an orbit
+    of more points than a hyperplane of Lambda^m holds spins to all of
+    Lambda^m, which cannot refute: such orbits are not spun.  The orbits
+    need the table of
+    `_pair_table`, so they are walked only within `pair_cap`, the bound
+    the definition decider puts on that table.  Lie generators need not be
+    invertible, so in Lie mode, as past `pair_cap`, every m-subspace is
+    spun.  Any other search reads m-subspaces in `enumerate_subspaces`
+    order over a finite field, and the coordinate and seeded random ones
+    over the rationals, and stops past `candidate_cap`: no orbit is
+    computed where the caps admit no complete search."""
     f = r.field
     n = r.dim
-    if f.finite:
-        subspaces = enumerate_subspaces(f, n, m)
-    else:
+    if not f.finite:
         subspaces = _rational_candidate_subspaces(f, n, m, caps, seed)
+    elif complete and r.mode == GROUP and gaussian_binomial(n, m, f.order) ** 2 <= caps.pair_cap:
+        table = _pair_table(f, n, m)[0]
+        q = f.order
+        hyperplane = (q ** (ext.dim - 1) - 1) // (q - 1)
+        subspaces = (table[orbit[0]] for orbit in _subspace_orbits(r, m)
+                     if len(orbit) <= hyperplane)
+    else:
+        subspaces = enumerate_subspaces(f, n, m)
     seen = set()
     for v1 in subspaces:
         log["candidates"] += 1
-        if log["candidates"] > caps.candidate_cap:
+        if not complete and log["candidates"] > caps.candidate_cap:
             return
         basis = v1.basis_vectors()
         w1 = spin(ext, [wedge_of_vectors(f, n, basis).coords])

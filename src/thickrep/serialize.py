@@ -72,11 +72,15 @@ def representation_to_json(r: Representation):
 
 
 def representation_from_json(data) -> Representation:
-    """The rep of a JSON object; raises MalformedInput unless `dim` is an
-    integer, `generators` a list of dim x dim matrices and `label`, when
-    present and not null, a string."""
+    """The rep of a JSON object; raises MalformedInput, naming the first
+    missing key, unless it has a `field`, an integer `dim`, `generators` a
+    list of dim x dim matrices and `label`, when present and not null, a
+    string."""
     if not isinstance(data, dict):
         raise MalformedInput("a representation must be a JSON object")
+    for key in ("field", "dim", "generators"):
+        if key not in data:
+            raise MalformedInput("a representation needs the key %r" % key)
     field = field_from_json(data["field"])
     mode = data.get("mode", GROUP)
     if mode not in (GROUP, LIE):

@@ -11,7 +11,7 @@ from thickrep.cli import main
 from thickrep.errors import PreconditionFailed, ThickRepError
 from thickrep.fields import GF, QQ
 from thickrep.linalg import Matrix
-from thickrep.constructions import companion_pair, lie_generators
+from thickrep.constructions import build_block_rep, companion_pair, lie_generators
 from thickrep.exterior import WedgeVector, wedge_of_vectors
 from thickrep.repcore import GROUP, LIE, Representation
 from thickrep.symplectic import SymplecticSpace, ker_perp_realizability_check
@@ -217,13 +217,13 @@ def test_characters_refuse_non_partitions_exit_3(capsys):
 
 
 def test_construct_block_over_q(capsys):
-    # the default betas 3, 9 have no square roots over Q, so the Cramer
-    # check never runs and every try is refused; 9, 16 split
+    # over Q the construction chooses no alphas or betas, so both must be
+    # given; betas 9, 16 split
     assert main(["construct", "block"]) == 3
     captured = capsys.readouterr()
-    assert "no irreducible block representation" in captured.err
+    assert "alphas and betas are chosen over finite fields only" in captured.err
     assert "Traceback" not in captured.err
-    assert main(["construct", "block", "--betas", "9,16"]) == 0
+    assert main(["construct", "block", "--alphas", "1,4", "--betas", "9,16"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["representation"]["field"] == {"kind": "Q"}
     assert out["cramer_checked"] and out["cramer_nonzero"]
@@ -232,13 +232,23 @@ def test_construct_block_over_q(capsys):
 def test_construct_block_refuses_betas_without_roots_before_drawing(capsys):
     # beta 3 has no square root over Q whatever basis is drawn, so the
     # construction stops before its first try and names it
-    assert main(["construct", "block", "--field", "Q", "--betas", "3,9"]) == 3
+    assert main(["construct", "block", "--field", "Q", "--alphas", "1,4",
+                 "--betas", "3,9"]) == 3
     err = capsys.readouterr().err
     assert "beta 3 lacks 2 distinct ell-th roots" in err
     assert "None" not in err and "tries" not in err
     assert main(["construct", "block", "--field", "Q", "--alphas", "1,4",
                  "--betas", "4,9"]) == 3
     assert "beta 4 is also an alpha" in capsys.readouterr().err
+
+
+def test_construct_block_chooses_alphas_and_betas_like_the_library(capsys):
+    # with neither given, the construction picks the first cubes of F13
+    # with three cube roots, as build_block_rep does
+    assert main(["construct", "block", "--field", "F13", "--ell", "3", "--m", "2"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    expect = build_block_rep(3, 2, GF(13)).rep
+    assert out["representation"] == serialize.representation_to_json(expect)
 
 
 def test_thickness_report_names_its_field(tmp_path, capsys):
@@ -301,15 +311,17 @@ def test_check_caps_flag_yields_unknown_exit(tmp_path, capsys):
 def test_a_field_past_the_scan_limit_is_decided_within_the_caps(tmp_path, capsys,
                                                               monkeypatch):
     # Norton's eigenvalue search walks the field, so past the scan limit it
-    # proves nothing and the lattice decides within submodule_points_cap;
-    # raising that cap to admit the lattice used to end in ScaleExceeded
-    # (exit 3).  The limit is lowered below F7, whose plane has 8 points
+    # proves nothing and the lattice decides denseness within
+    # submodule_points_cap; raising that cap to admit the lattice used to
+    # end in ScaleExceeded (exit 3).  The criterion refutes from the spins
+    # of the 8 lines whatever that cap.  The limit is lowered below F7,
+    # whose plane has 8 points
     monkeypatch.setattr(fields, "DEFAULT_POINTS_CAP", 5)
     monkeypatch.setattr(repcore, "DEFAULT_POINTS_CAP", 5)
     path = write_rep(tmp_path, "shear.json", GF(7), [[[1, 1], [0, 1]]])
     report_path = tmp_path / "report.json"
     cert_path = tmp_path / "cert.json"
-    for points_cap, dense_code, route in ((7, 2, "spin"), (8, 1, "lattice")):
+    for points_cap, dense_code in ((7, 2), (8, 1)):
         caps = '{"submodule_points_cap": %d}' % points_cap
         assert main(["check", "--rep", path, "--mode", "irreducible",
                      "--method", "definition", "--caps", caps]) == dense_code
@@ -317,7 +329,7 @@ def test_a_field_past_the_scan_limit_is_decided_within_the_caps(tmp_path, capsys
                      "--method", "criterion", "--caps", caps,
                      "--json-out", str(report_path)])
         report = json.loads(report_path.read_text())
-        assert (code, report["verdict"], report["log"]["route"]) == (1, "NotThick", route)
+        assert (code, report["verdict"], report["log"]["route"]) == (1, "NotThick", "spin")
         cert_path.write_text(serialize.dumps(report["certificate"]))
         assert main(["recheck", "--certificate", str(cert_path)]) == 0
     assert "error" not in capsys.readouterr().err
@@ -478,6 +490,12 @@ def test_malformed_rep_structure_exit_3(tmp_path, capsys):
             fh.write(serialize.dumps(bad))
         assert main(["check", "--rep", path, "--mode", "thick", "--m", "1"]) == 3, bad
         assert "Traceback" not in capsys.readouterr().err
+    # a file without a field, such as `construct lie` output, names the key
+    for key in ("field", "dim", "generators"):
+        with open(path, "w") as fh:
+            fh.write(serialize.dumps({k: v for k, v in good.items() if k != key}))
+        assert main(["check", "--rep", path, "--mode", "thick", "--m", "1"]) == 3, key
+        assert capsys.readouterr().err == "error: a representation needs the key %r\n" % key
 
 
 def test_malformed_sparse_wedge_exit_3(tmp_path, capsys):
@@ -742,7 +760,7 @@ def test_check_reports_match_the_old_reports_without_the_added_keys(tmp_path):
     # every thickness route is met, and every denseness route but the
     # lattice, which `test_check_burnside_reports_its_route` meets
     assert {route for thick, route in routes if thick} == {
-        "orbits", "lattice", "isotypic", "spin", "trivial"}
+        "orbits", "dense", "isotypic", "spin", "trivial"}
     assert {route for thick, route in routes if not thick} == {
         "norton", "submodule", "commutant", "closure", "trivial"}
     assert set(errors) == {"ThickRepError", "WrongField", "PreconditionFailed", "BadM"}

@@ -22,7 +22,7 @@ from thickrep.linalg import (
     rank_of_rows,
     unit_vector,
 )
-from thickrep.constructions import companion_pair, lie_generators
+from thickrep.constructions import build_block_rep, companion_pair, lie_generators
 from thickrep.exterior import (
     is_decomposable,
     perp,
@@ -863,9 +863,12 @@ def test_definition_matches_rank_scan_oracle():
     for r, ms in _definition_cases():
         for m in ms:
             new, old = is_m_thick_definition(r, m), _definition_by_rank_scan(r, m)
-            # the memo holds the certificates' lifts and the point action,
-            # no subspace permutations or masks
-            assert all(key[0] == "exterior" or key == ("point_action",) for key in r._memo)
+            # the memo holds the certificates' lifts, the point action and
+            # the subspace orbits that the criterion reads too; no subspace
+            # permutations or masks
+            assert all(key[0] in ("exterior", "subspace_orbits") or key == ("point_action",)
+                       for key in r._memo)
+            assert (("subspace_orbits", m) in r._memo) == (new.route == "orbits")
             _assert_same_definition_report(r, m, new, old)
             verdicts.add((r.field, new.verdict))
     for field in (GF(2), GF(3), GF(2, 2), GF(5)):
@@ -1315,29 +1318,28 @@ def test_the_walk_matches_the_whole_lattice_oracle(monkeypatch):
 
 
 def test_the_walk_reads_only_the_prefix_it_needs(monkeypatch):
-    # diag(1, 1, 2, 2) over F5: its first line <e1> is a refuting W1 for
-    # m = 1, found at the first level; the rest of its 64 submodules is not
-    # built until all_submodules asks for it, and no orbit is spun twice
+    # diag(1, 1, 2, 2) over F5: the criterion refutes m = 1 from the spins
+    # of lines and reads no lattice.  Without Norton's witness, non-absolute
+    # denseness reads the first two elements of the walk, 0 and the line
+    # <e1>: level 1 spins only the orbits of one point, the 12 eigenplane
+    # points, and the rest of the 64 submodules is never built
     r = group_rep(GF(5), [DIAG_1122])
-    spins = _counted_spins(monkeypatch)
     report = is_m_thick_criterion(r, 1)
-    assert (report.verdict, report.log) == (
-        NOT_THICK, {"route": "lattice", "submodules": 2, "pairs_tested": 1})
-    # level 1 spins only the orbits of one point: the 12 eigenplane points
-    assert len(spins) == 12
-    assert len(all_submodules(r)) == 64
-    spun = [v for seeds in spins for v in seeds]
-    assert spun == _walk_spins_by_marking(r)
-    # a second criterion call replays the memoised walk and spins nothing
-    spins.clear()
-    assert is_m_thick_criterion(r, 1) == report
-    assert spins == []
-    # without Norton's witness, non-absolute denseness reads two elements
+    assert (report.verdict, report.route) == (NOT_THICK, "spin")
+    assert not any(key[0] == "lattice" for key in r._memo)
     monkeypatch.setattr(repcore, "_norton", lambda rep: None)
-    dense = repcore.decide_m_dense(group_rep(GF(5), [DIAG_1122]), 1, absolute=False)
+    spins = _counted_spins(monkeypatch)
+    dense = repcore.decide_m_dense(r, 1, absolute=False)
     assert (dense.verdict, dense.route) == (NO, "lattice")
     assert len(spins) == 12
-    assert dense.certificate == all_submodules(r)[1]
+    # that walk is not memoised; all_submodules walks the whole lattice,
+    # spinning no orbit twice, and a second call spins nothing
+    spins.clear()
+    lattice = all_submodules(r)
+    assert len(lattice) == 64 and dense.certificate == lattice[1]
+    assert [v for seeds in spins for v in seeds] == _walk_spins_by_marking(r)
+    spins.clear()
+    assert all_submodules(r) == lattice and spins == []
     # the cap needs to hold only what is known by then: 0 and the 12 lines,
     # not the 64 elements of the whole lattice
     for cap, verdict in ((13, NO), (12, UNKNOWN)):
@@ -1347,31 +1349,26 @@ def test_the_walk_reads_only_the_prefix_it_needs(monkeypatch):
 
 
 def test_a_walk_that_raised_raises_again_on_every_read(monkeypatch):
-    # a spin that fails once ends the walk; every later read raises the
-    # same error, and none reads the dead walk as a short lattice
+    # a spin that fails once ends the walk; the error is not memoised, so
+    # every later read walks again and raises again while the spin fails,
+    # and none reads the dead walk as a short lattice
     r = group_rep(GF(3), [DIAG_1122])
     fresh = group_rep(GF(3), [DIAG_1122])
     calls = []
 
     def failing_spin(rep, seeds):
         calls.append(seeds)
-        if len(calls) == 10:
+        if len(calls) >= 10:
             raise RuntimeError("spin failed")
         return spin(rep, seeds)
 
     monkeypatch.setattr(repcore, "spin", failing_spin)
-    # the criterion stops at the first level, after the 8 eigenplane points
-    assert is_m_thick_criterion(r, 1).route == "lattice"
-    assert len(calls) == 8
-    with pytest.raises(RuntimeError):
-        all_submodules(r)
-    monkeypatch.undo()
     for _ in range(2):
         with pytest.raises(RuntimeError):
             all_submodules(r)
-        with pytest.raises(RuntimeError):
-            list(repcore._lattice(r, Caps()))
-    assert len(all_submodules(fresh)) == 36  # 6 * 6: U + W, U and W in the eigenplanes
+        assert not any(key[0] == "lattice" for key in r._memo)
+    monkeypatch.undo()
+    assert len(all_submodules(r)) == len(all_submodules(fresh)) == 36  # 6 * 6: U + W
 
 
 def test_commutant_absolutely_irreducible():
@@ -1679,29 +1676,34 @@ def test_criterion_spin_route_witness_is_candidate_annihilator():
 
 
 CRITERION_ROUTES = [
-    ({}, THICK, {"route": "lattice", "submodules": 4, "pairs_tested": 2}, ""),
-    ({"points_cap": 2}, UNKNOWN, {"route": "lattice", "submodules": 4, "pairs_tested": 2},
-     "2 invariant pairs with undecided realizability"),
-    ({"submodule_points_cap": 3, "points_cap": 2}, UNKNOWN,
-     {"route": "spin", "candidates": 35, "pairs_tested": 1},
+    ({}, THICK, {"route": "spin", "candidates": 2, "pairs_tested": 1}, ""),
+    # past the candidate cap, P(Lambda^2) (63 points) is within the
+    # submodule points cap, so the orbit search is still complete
+    ({"candidate_cap": 20}, THICK, {"route": "spin", "candidates": 2, "pairs_tested": 1}, ""),
+    ({"points_cap": 2}, UNKNOWN, {"route": "spin", "candidates": 2, "pairs_tested": 1},
      "1 perps with undecided realizability"),
+    # past both caps the first 20 planes are spun, with no orbit computed
     ({"submodule_points_cap": 3, "candidate_cap": 20}, UNKNOWN,
      {"route": "spin", "candidates": 21, "pairs_tested": 1}, "candidate search not exhaustive"),
+    # within the candidate cap (35 planes) past the points cap
     ({"submodule_points_cap": 3}, THICK,
-     {"route": "spin", "candidates": 35, "pairs_tested": 1}, ""),
+     {"route": "spin", "candidates": 2, "pairs_tested": 1}, ""),
+    ({"lattice_cap": 1}, THICK, {"route": "spin", "candidates": 2, "pairs_tested": 1}, ""),
 ]
 
 
 @pytest.mark.parametrize("caps, verdict, log, reason", CRITERION_ROUTES)
 def test_criterion_routes_and_reasons(caps, verdict, log, reason):
-    # one rep over F2, m = 2: the lattice route, the spin route forced by a
-    # tiny submodule points cap, and each way either ends undecided
+    # one rep over F2, m = 2, whose Lambda^2 is reducible: the 35 planes
+    # fall into two orbits, one spin each, unless both caps rule out a
+    # complete search; the lattice cap is not read
     rng = random.Random(100)
     gens = [random_invertible(GF(2), 4, rng) for _ in range(2)]
     r = Representation(GF(2), 4, GROUP, gens)
     rep = is_m_thick_criterion(r, 2, Caps(**caps))
     assert (rep.verdict, rep.log, rep.reason) == (verdict, log, reason)
     assert rep.certificate is None
+    assert (("subspace_orbits", 2) in r._memo) == (reason != "candidate search not exhaustive")
 
 
 @pytest.mark.parametrize("family, n, verdict", [("sp", 2, THICK), ("so_split", 4, NOT_THICK)])
@@ -1723,26 +1725,42 @@ def test_criterion_isotypic_route(family, n, verdict):
 def _criterion_reference(r, m, caps, seed=0):
     """The criterion's pair loop as it was before W1 = 0 and W1 = Lambda^m
     were skipped: every candidate goes through `realizable_search` and
-    `perp`.  Returns (verdict, reason, certificate, log)."""
+    `perp`.  Over a finite field it spins every m-subspace, with no orbit
+    and no Norton test, and is complete in the two regimes in which the
+    criterion is: at most `candidate_cap` m-subspaces, or at most
+    `submodule_points_cap` points of P(Lambda^m).  Returns (verdict,
+    reason, certificate, log)."""
     f, n = r.field, r.dim
     ext = exterior_rep(r, m)
-    subs = None
-    if f.finite:
-        try:
-            subs, route = all_submodules(ext, caps), "lattice"
-        except CapExceeded:
-            pass
-    else:
-        subs, route = repcore._isotypic_sums(ext, caps, seed), "isotypic"
+    subs = None if f.finite else repcore._isotypic_sums(ext, caps, seed)
     if subs is not None:
+        route = "isotypic"
         log = {"route": route, "submodules": len(subs)}
         candidates = ((w1, None) for w1 in subs)
         complete = True
     else:
         route = "spin"
         log = {"route": route, "candidates": 0}
-        candidates = repcore._spin_candidates(r, ext, m, caps, seed, log)
-        complete = f.finite and gaussian_binomial(n, m, f.order) <= caps.candidate_cap
+        if f.finite:
+            complete = (gaussian_binomial(n, m, f.order) <= caps.candidate_cap
+                        or projective_count(f.order, ext.dim) <= caps.submodule_points_cap)
+            subspaces = enumerate_subspaces(f, n, m)
+        else:
+            complete = False
+            subspaces = repcore._rational_candidate_subspaces(f, n, m, caps, seed)
+
+        def every_spin():
+            seen = set()
+            for v1 in subspaces:
+                log["candidates"] += 1
+                if not complete and log["candidates"] > caps.candidate_cap:
+                    return
+                w1 = spin(ext, [wedge_of_vectors(f, n, v1.basis_vectors()).coords])
+                if w1 not in seen:
+                    seen.add(w1)
+                    yield w1, v1.basis_vectors()
+
+        candidates = every_spin()
 
     def search(w, k):
         return realizable_search(w, n, k, points_cap=caps.points_cap, seed=seed,
@@ -1804,13 +1822,15 @@ ORACLE_SETS = {  # name: (reps, caps common to the set)
 @pytest.mark.parametrize("caps", [{}, {"lattice_cap": 3}, {"lattice_cap": 1}])
 @pytest.mark.parametrize("name", sorted(ORACLE_SETS))
 def test_criterion_skip_matches_reference_loop(name, caps):
-    # skipping W1 = 0 and W1 = Lambda^m and stopping the walk at the first
-    # refuting pair change no verdict.  On the reference's route they change
-    # no reason, certificate or log key, and `submodules`, the elements
-    # walked, is the whole lattice's but for a NotThick, where it may be
-    # less.  Under a small lattice cap the reference may take the spin route
-    # for a refutation that the walk finds within the cap on the lattice
-    # route; its certificate must recheck
+    # skipping W1 = 0 and W1 = Lambda^m, Norton's test on Lambda^m and one
+    # spin per orbit of m-subspaces change no verdict.  On the spin and
+    # isotypic routes they change no reason, certificate or other log key:
+    # the first spin that refutes comes from the first m-subspace of its
+    # orbit, and `candidates` counts at most the m-subspaces.  `submodules`,
+    # the isotypic sums walked, is all of them but for a NotThick, where it
+    # may be less.  A dense Lambda^m is one the reference spins whole from
+    # every m-subspace.  Over a finite field the lattice cap changes no
+    # decision
     build, common = ORACLE_SETS[name]
     caps = Caps(**common, **caps)
     verdicts = collections.Counter()
@@ -1819,24 +1839,30 @@ def test_criterion_skip_matches_reference_loop(name, caps):
             rep = is_m_thick_criterion(r, m, caps)
             verdict, reason, cert, log = _criterion_reference(r, m, caps)
             assert rep.verdict == verdict
-            verdicts[verdict, rep.route == log["route"]] += 1
+            verdicts[verdict, rep.route] += 1
+            if r.field.finite:
+                assert rep == is_m_thick_criterion(r, m, Caps(**common))
+            if rep.route == "dense":
+                assert (rep.log, verdict, log["route"]) == (
+                    {"route": "dense", "pairs_tested": 0}, THICK, "spin")
+                assert reason == "" and log["candidates"] >= 1
+                continue
             tested = rep.log.pop("pairs_tested")
             walked = rep.log.pop("submodules", None)
             total = log.get("submodules", log.get("candidates"))
-            if rep.route != log["route"]:
-                assert caps.lattice_cap < Caps().lattice_cap
-                assert (rep.route, verdict, log["route"]) == ("lattice", NOT_THICK, "spin")
-                assert verify_not_thick_certificate(r, rep.certificate)
-                assert 0 < tested < walked <= caps.lattice_cap
-                continue
             if walked is not None:
                 assert walked <= total if verdict == NOT_THICK else walked == total
                 rep.log["submodules"], total = total, walked
+            else:
+                assert rep.log["candidates"] <= total
+                rep.log["candidates"] = total
             assert (rep.verdict, rep.reason, rep.certificate, rep.log) == (
                 verdict, reason, cert, log
             )
             assert 0 <= tested <= total
     assert len({verdict for verdict, _ in verdicts}) >= 2, verdicts
+    if name != "rationals":
+        assert {route for _, route in verdicts} == {"dense", "spin"}, verdicts
 
 
 def _so5():
@@ -1850,7 +1876,9 @@ def _irreducible_f3_dim4():
 
 @pytest.mark.parametrize("build, m", [(_so5, 1), (_irreducible_f3_dim4, 2)])
 def test_criterion_tests_no_pair_of_an_irreducible_lift(build, m, monkeypatch):
-    # the lattice of Lambda^m is {0, Lambda^m}: no realizability search, no perp
+    # the lattice of Lambda^m is {0, Lambda^m}: no realizability search, no
+    # perp.  Over Q the isotypic sums are those two; over F3 Norton's test
+    # proves Lambda^2 irreducible, and no m-subspace is spun
     calls = []
 
     def counting(fn):
@@ -1861,9 +1889,14 @@ def test_criterion_tests_no_pair_of_an_irreducible_lift(build, m, monkeypatch):
 
     for name in ("realizable_search", "perp"):
         monkeypatch.setattr(repcore, name, counting(getattr(repcore, name)))
-    rep = is_m_thick_criterion(build(), m)
-    assert rep.log["submodules"] == 2
-    assert (rep.verdict, rep.log["pairs_tested"], calls) == (THICK, 0, [])
+    r = build()
+    if r.field.finite:
+        log = {"route": "dense", "pairs_tested": 0}
+    else:
+        log = {"route": "isotypic", "submodules": 2, "pairs_tested": 0}
+    rep = is_m_thick_criterion(r, m)
+    assert (rep.verdict, rep.log, rep.certificate, calls) == (THICK, log, None, [])
+    assert ("subspace_orbits", m) not in r._memo
     # the counters see the calls of a reducible module's pair
     rep = is_m_thick_criterion(group_rep(GF(2), [[[1, 1], [0, 1]]]), 1)
     assert (rep.verdict, rep.log["pairs_tested"]) == (NOT_THICK, 1)
@@ -1881,6 +1914,92 @@ def test_criterion_definition_agreement_seeded():
                 a = is_m_thick_criterion(r, m)
                 b = is_m_thick_definition(r, m)
                 assert a.verdict == b.verdict, (q, m)
+
+
+def _criterion_oracle():
+    """tools/criterion_oracle.py, loaded as a module."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "tools" / "criterion_oracle.py"
+    spec = importlib.util.spec_from_file_location("_criterion_oracle", path)
+    oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle)
+    return oracle
+
+
+def test_criterion_agrees_with_the_definition_on_a_slice_of_gl4_f2():
+    # every 40th one-generator rep of GL4(F2); the whole group runs in CI
+    oracle = _criterion_oracle()
+    counts, bad = oracle.check(list(oracle.gl4_f2())[::40])
+    assert bad == []
+    assert counts == {(m, verdict, "spin"): count for m in (1, 2, 3)
+                      for verdict, count in ((NOT_THICK, 449), (THICK, 55))}
+
+
+@pytest.mark.parametrize("family, n, q", [("so_split", 5, 5), ("so_split", 6, 7)])
+def test_a_dense_wedge_is_thick_with_no_pair_tested(family, n, q, monkeypatch):
+    # Norton's test proves Lambda^2 irreducible, so no m-subspace is spun
+    # and no pair is tested; the spin route ended these undecided, past
+    # both caps
+    F = GF(q)
+    r = Representation(F, n, LIE, lie_generators(family, n, F))
+    assert gaussian_binomial(n, 2, q) > Caps().candidate_cap
+    assert projective_count(q, math.comb(n, 2)) > Caps().submodule_points_cap
+    monkeypatch.setattr(repcore, "enumerate_subspaces", None)
+    rep = is_m_thick_criterion(r, 2)
+    assert (rep.verdict, rep.route, rep.log, rep.certificate, rep.reason) == (
+        THICK, "dense", {"route": "dense", "pairs_tested": 0}, None, "")
+    assert repcore._norton(exterior_rep(r, 2)).verdict == YES
+
+
+def test_the_lattice_cap_changes_no_criterion_decision_over_a_finite_field():
+    caps = Caps(lattice_cap=1)
+    reps = _workload_reps("build_fp_random_dim4", 1)[:30] + _agreement_reps(5)
+    for r in reps:
+        fresh = Representation(r.field, r.dim, r.mode, r.generators)
+        for m in range(1, r.dim):
+            assert is_m_thick_criterion(r, m, caps) == is_m_thick_criterion(fresh, m)
+
+
+def test_the_block_rep_criterion_builds_no_orbit_table():
+    # F13, n = 4, m = 2: 31110 planes and 402234 points of P(Lambda^2), past
+    # both caps, so the first planes are spun and no table is built
+    F13 = GF(13)
+    r = build_block_rep(2, 2, F13, alphas=(1, 4), betas=(3, 9)).rep
+    before = _pair_table.cache_info()
+    rep = is_m_thick_criterion(r, 2)
+    assert (rep.verdict, rep.route) == (NOT_THICK, "spin")
+    assert rep.log == {"route": "spin", "candidates": 1, "pairs_tested": 1}
+    assert verify_not_thick_certificate(r, rep.certificate)
+    assert _pair_table.cache_info() == before
+    assert ("subspace_orbits", 2) not in r._memo
+
+
+def test_the_orbit_table_is_built_within_the_pair_cap_only():
+    # x^2 - 11 is irreducible over F1009, so the companion matrix acts
+    # irreducibly but not absolutely so, and Norton's test proves nothing.
+    # The 1010 lines are within the candidate cap, but 1010 x 1010 line
+    # pairs exceed the pair cap that bounds `_pair_table`: every line is
+    # spun, with no table built, unless the cap admits the table.  Then no
+    # line is spun: g fixes none, so each orbit holds two lines or more,
+    # and its spin holds them all, which only the plane does
+    F = GF(1009)
+    g = M(F, [[0, 11], [1, 0]])
+    for caps, candidates in ((Caps(), 1010), (Caps(pair_cap=1010 ** 2), 0)):
+        r = Representation(F, 2, GROUP, [g])
+        before = _pair_table.cache_info()
+        rep = is_m_thick_criterion(r, 1, caps)
+        assert (rep.verdict, rep.log) == (
+            THICK, {"route": "spin", "candidates": candidates, "pairs_tested": 0})
+        assert (_pair_table.cache_info() == before) == (candidates == 1010)
+
+
+def test_sp4_over_f7_is_thick_from_every_plane():
+    # 2850 planes exceed the candidate cap, but P(Lambda^2) has 19608 points,
+    # within the submodule points cap: in Lie mode every plane is spun
+    F7 = GF(7)
+    r = Representation(F7, 4, LIE, lie_generators("sp", 2, F7))
+    rep = is_m_thick_criterion(r, 2)
+    assert (rep.verdict, rep.log) == (THICK, {"route": "spin", "candidates": 2850,
+                                              "pairs_tested": 1})
 
 
 def test_duality_of_verdicts_seeded():
@@ -2007,8 +2126,9 @@ def test_the_lattice_memo_keys_on_the_caps_it_reads():
             route = is_m_thick_criterion(rep, 1, caps).log["route"]
             seen[caps.lattice_cap] = (size, route, is_m_dense(rep, 1, absolute=False, caps=caps))
         # Norton's witness decides denseness inside the caps, with no
-        # lattice; the criterion's first line refutes within 3 elements
-        assert seen == {3: ("cap", "lattice", NO), 20_000: (4, "lattice", NO)}
+        # lattice, and the criterion reads no lattice under either cap
+        assert seen == {3: ("cap", "spin", NO), 20_000: (4, "spin", NO)}
+        assert [key for key in rep._memo if key[0] == "lattice"] == [("lattice", 50_000, 20_000)]
 
 
 def test_memoised_verdicts_match_a_fresh_rep_per_call():
