@@ -5,10 +5,6 @@ class ThickRepError(Exception):
     pass
 
 
-class FieldMismatch(ThickRepError):
-    pass
-
-
 class DivisionByZero(ThickRepError, ZeroDivisionError):
     pass
 

@@ -20,23 +20,18 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import (
     BadScalar,
     DivisionByZero,
-    FieldMismatch,
     MalformedInput,
     NotMonic,
     ScaleExceeded,
     WrongField,
     ZeroInput,
 )
-
-# guard for monic-poly enumeration in trial-division factoring
-_ENUMERATION_CAP = 2_000_000
 
 # the most elements a scan over a finite field may walk; past it the scan
 # raises ScaleExceeded instead of stalling (also the default points cap of
@@ -526,49 +521,6 @@ def field_from_json(data: dict):
     raise WrongField("unknown field kind %r" % (kind,))
 
 
-@dataclass(frozen=True)
-class Scalar:
-    """A field element tagged with its field; the JSON-boundary type."""
-
-    field: object
-    value: object
-
-    def __str__(self):
-        return self.field.format(self.value)
-
-
-def scalar(field, v) -> Scalar:
-    if isinstance(v, Scalar):
-        if v.field != field:
-            raise FieldMismatch("scalar belongs to %r" % (v.field,))
-        return v
-    if isinstance(v, str):
-        return Scalar(field, field.parse(v))
-    return Scalar(field, field.from_int(v) if isinstance(v, int) else v)
-
-
-def scalar_arith(a: Scalar, b: Scalar, op: str) -> Scalar:
-    """Exact field arithmetic on tagged scalars; op in {add, sub, mul, div}."""
-    if a.field != b.field:
-        raise FieldMismatch("%r vs %r" % (a.field, b.field))
-    f = a.field
-    if op == "add":
-        return Scalar(f, f.add(a.value, b.value))
-    if op == "sub":
-        return Scalar(f, f.sub(a.value, b.value))
-    if op == "mul":
-        return Scalar(f, f.mul(a.value, b.value))
-    if op == "div":
-        if b.value == f.zero:
-            raise DivisionByZero("division by zero")
-        return Scalar(f, f.div(a.value, b.value))
-    raise ValueError("unknown op %r" % (op,))
-
-
-def nth_roots(a: Scalar, n: int):
-    return [Scalar(a.field, r) for r in a.field.nth_roots(a.value, n)]
-
-
 def has_all_nth_roots(field, a, n: int) -> bool:
     """Whether a != 0 has n distinct n-th roots in the field.
 
@@ -684,59 +636,6 @@ class Poly:
         return (self.degree, tuple(f.sort_key(c) for c in self.coeffs))
 
 
-def _monic_polys(field, degree):
-    """All monic polynomials of the given degree over a prime field."""
-    if field.p**degree > _ENUMERATION_CAP:
-        raise ScaleExceeded(
-            "enumeration of %d^%d monic polynomials" % (field.p, degree)
-        )
-    for tail in itertools.product(range(field.p), repeat=degree):
-        yield Poly(field, list(tail) + [1])
-
-
-def poly_factor_fp(f: Poly):
-    """Factor a monic polynomial over F_p into irreducibles.
-
-    Returns a list of (factor, multiplicity) with factors monic and sorted
-    by (degree, coefficients).  The linear factors come from `poly_roots`;
-    the rest by trial division in increasing degree: any divisor found is
-    automatically irreducible because all lower-degree factors were
-    already removed.
-    """
-    if not isinstance(f.field, PrimeField):
-        raise WrongField("factoring is implemented over prime fields")
-    if f.degree < 1:
-        raise NotMonic("degree >= 1 required")
-    if not f.is_monic():
-        raise NotMonic("leading coefficient must be 1")
-    field = f.field
-    factors = {}
-    rem = f
-    # the linear factors, each divided out as often as its root repeats
-    for r, mult in poly_roots(f):
-        factors[Poly.x_minus(field, r)] = mult
-        for _ in range(mult):
-            rem = rem.divmod(Poly.x_minus(field, r))[0]
-    d = 2
-    while 2 * d <= rem.degree:
-        # one full pass removes every irreducible factor of degree d
-        for cand in _monic_polys(field, d):
-            while True:
-                quo, r0 = rem.divmod(cand)
-                if r0.is_zero():
-                    factors.setdefault(cand, 0)
-                    factors[cand] += 1
-                    rem = quo
-                else:
-                    break
-            if 2 * d > rem.degree:
-                break
-        d += 1
-    if rem.degree >= 1:
-        factors.setdefault(rem.monic(), 0)
-        factors[rem.monic()] += 1
-    out = sorted(factors.items(), key=lambda kv: kv[0].sort_key())
-    return out
 
 
 def poly_roots(f: Poly):

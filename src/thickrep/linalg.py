@@ -489,19 +489,6 @@ def _reduce(field, rows, pivots, v):
     return w
 
 
-def subspace_algebra(a: Subspace, b: Subspace, op: str):
-    """Dispatcher: op in {sum, intersect, contains, direct_sum_is_ambient}."""
-    if op == "sum":
-        return a.sum(b)
-    if op == "intersect":
-        return a.intersect(b)
-    if op == "contains":
-        return a.contains(b)
-    if op == "direct_sum_is_ambient":
-        return a.direct_sum_is_ambient(b)
-    raise ValueError("unknown op %r" % (op,))
-
-
 def unit_vector(f, n, i):
     return tuple(f.one if j == i else f.zero for j in range(n))
 

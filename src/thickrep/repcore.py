@@ -66,9 +66,9 @@ NO = "No"
 class Caps:
     """Budgets for the complete decision procedures; THICKREP_CAPS (a JSON
     object in the environment) overrides individual fields.  `lattice_cap`
-    bounds the elements a walk of the submodule lattice knows over a finite
-    field, in `all_submodules` and non-absolute denseness, and the isotypic
-    sums of the criterion over Q.  The criterion over a finite field reads
+    bounds the elements of a submodule lattice: the lattice of
+    `all_submodules` over a finite field, and the isotypic sums of the
+    criterion over Q.  The criterion over a finite field reads
     `candidate_cap` and `submodule_points_cap`, which decide whether its
     spins are exhaustive, and `pair_cap`, which bounds its orbit table as
     it bounds the definition decider's."""
@@ -427,43 +427,28 @@ def all_submodules(r: Representation, caps: Caps | None = None):
     projective point count exceeds `submodule_points_cap` or the lattice
     has more than `lattice_cap` elements.
 
-    The lattice is memoised on `r` as a tuple, keyed on the two caps the
-    walk reads; each call returns a fresh list.  A raised error is not
-    memoised, so the walk runs again, and raises again, on the next call.
+    The lattice is memoised on `r` as a tuple, keyed on the two caps it
+    reads; each call returns a fresh list.  A raised error is not
+    memoised, so the lattice is built again, and raises again, on the next
+    call.
     """
     caps = caps or Caps.default()
     key = ("lattice", caps.submodule_points_cap, caps.lattice_cap)
-    return list(_memoised(r, key, _lattice, r, caps))
+    return list(_memoised(r, key, _submodule_lattice, r, caps))
 
 
-def _lattice(r: Representation, caps: Caps):
-    """`_submodule_walk(r, caps)` read to the end, as a tuple."""
-    return tuple(_submodule_walk(r, caps))
-
-
-def _submodule_walk(r: Representation, caps: Caps):
-    """The submodule lattice in key order, one dimension at a time, as a
-    generator, so a reader pays only for the prefix it reads: non-absolute
-    denseness reads two elements, and `all_submodules` all of them.
+def _submodule_lattice(r: Representation, caps: Caps):
+    """`all_submodules(r, caps)`, computed, as a tuple.
 
     A module of dimension 0 or 1 is answered at once after the
     projective-point cap check.  Otherwise e_1, the first projective point,
     is spun.  Only when its spin is all of k^n can Norton's test
     (`_norton`, memoised on `r`) prove the module irreducible, and a YES
-    gives [0, V]; a proper spin already proves the module reducible, where
+    gives (0, V); a proper spin already proves the module reducible, where
     the test could only answer NO.  Under a `lattice_cap` below 2 neither
-    shortcut is taken.
-
-    Every submodule is a finite sum of cyclic ones, spin(v).  One spin per
-    projective G-orbit finds them all in group mode: the generated group G
-    lies in GL_n(F_q), so it is finite and each g^-1 is a power of g.  For
-    g in G and c != 0, spin(v) is invariant and contains c.g.v, and
-    v = c^-1.g^-1.(c.g.v) lies in spin(c.g.v); so the two spins are equal.
-    The orbits of `_orbits` are walked on the indices that `_point_action`
-    gives the points.  Lie generators need not be invertible, so in Lie
-    mode there are no moves and every point is its own orbit.
-    `_cyclic_levels` spins them level by level and `_join_closure` sums
-    them.
+    shortcut is taken.  Every submodule is a finite sum of cyclic ones, so
+    the lattice is the `_join_closure` of V and of the spins of the points
+    of `_orbit_seeds`, with e_1's spin reused.
     """
     f = r.field
     if not f.finite:
@@ -471,25 +456,41 @@ def _submodule_walk(r: Representation, caps: Caps):
     n = r.dim
     bottom = Subspace.zero(f, n)
     if n == 0:
-        yield bottom
-        return
+        return (bottom,)
     npts = projective_count(f.order, n)
     if npts > caps.submodule_points_cap:
         raise CapExceeded("projective point count %d exceeds cap" % npts)
     if caps.lattice_cap >= 2 and n == 1:
-        yield bottom
-        yield Subspace.full(f, n)
-        return
-    first = spin(r, [unit_vector(f, n, 0)])
+        return bottom, Subspace.full(f, n)
+    e1 = unit_vector(f, n, 0)
+    first = spin(r, [e1])
     if (caps.lattice_cap >= 2 and first.dim == n
             and getattr(_norton(r), "verdict", NO) == YES):
-        yield bottom
-        yield first
-        return
+        return bottom, first
+    parts = [first if point == e1 else spin(r, [point]) for _, point in _orbit_seeds(r)]
+    return tuple(_join_closure(bottom, parts + [Subspace.full(f, n)], caps.lattice_cap))
+
+
+def _orbit_seeds(r: Representation):
+    """(orbit size, first point) for each projective G-orbit of at most as
+    many points as a hyperplane, smallest orbits first: their spins are
+    every cyclic submodule but k^n.
+
+    In group mode one spin per orbit finds them all: the generated group G
+    lies in GL_n(F_q), so it is finite and each g^-1 is a power of g.  For
+    g in G and c != 0, spin(v) is invariant and contains c.g.v, and
+    v = c^-1.g^-1.(c.g.v) lies in spin(c.g.v); so the two spins are equal.
+    A proper spin holds the orbit of its point among the points of a
+    hyperplane, so a larger orbit spins to k^n.  The orbits of `_orbits`
+    are walked on the indices that `_point_action` gives the points.  Lie
+    generators need not be invertible, so in Lie mode there are no moves
+    and every point is its own orbit."""
+    f, n = r.field, r.dim
     index, perms = _point_action(r) if r.mode == GROUP else (_point_index(f, n), ())
-    orbits = _orbits(range(len(index)), [p.__getitem__ for p in perms])
-    yield from _join_closure(bottom, _cyclic_levels(r, list(index), orbits, first),
-                             caps.lattice_cap)
+    points = list(index)
+    orbits = sorted(_orbits(range(len(points)), [p.__getitem__ for p in perms]), key=len)
+    hyperplane = projective_count(f.order, n - 1)
+    return [(len(o), points[o[0]]) for o in orbits if len(o) <= hyperplane]
 
 
 @functools.lru_cache(maxsize=16)
@@ -515,98 +516,29 @@ def _point_action(r: Representation):
     return _memoised(r, ("point_action",), _point_permutations, r.field, r.dim, r.generators)
 
 
-def _cyclic_levels(r: Representation, points, orbits, first):
-    """For d = 1, ..., n - 1 the cyclic submodules of dimension d in key
-    order, spinning only what level d can need.  spin(p) is invariant, so
-    the orbit of p lies among its (q^d - 1)/(q - 1) projective points: a
-    cyclic submodule of dimension d is the spin of an orbit of at most that
-    many points.  So level d spins the first point of each orbit of at most
-    that size not spun before, smallest orbits first; `first` is the spin
-    of points[0], the first point of the first orbit."""
-    q = r.field.order
-    spun = [{} for _ in range(r.dim + 1)]  # by dim: canonical rows -> spin
-    todo = iter(sorted(orbits, key=len))
-    orbit = next(todo, None)
-    for d in range(1, r.dim):
-        bound = (q ** d - 1) // (q - 1)
-        while orbit is not None and len(orbit) <= bound:
-            w = first if orbit[0] == 0 else spin(r, [points[orbit[0]]])
-            spun[w.dim].setdefault(w.mat.rows, w)
-            orbit = next(todo, None)
-        yield sorted(spun[d].values(), key=Subspace.key)
+def _join_closure(bottom: Subspace, parts, cap: int):
+    """Every sum of some of `parts`, bottom included, as a list in key
+    order.  The parts are added one at a time in key order, each summed
+    with every element known so far: when L contains 0 and is closed under
+    sums, L u {X + C : X in L} is the closure of L u {C}.  A part already
+    known adds nothing.  Raises CapExceeded as soon as more than `cap`
+    elements are known.
 
-
-def _join_closure(bottom: Subspace, levels, cap: int):
-    """The sums of some of the parts that `levels` lists, bottom included, as
-    a generator in key order.  `levels` yields the parts of dimension d
-    for d = 1, ..., n - 1, one level at a time as the walk needs it, and
-    the parts sum to k^n, which comes last.  The submodule walk gives each
-    level in key order, so its generators come in the order in which the
-    whole-lattice closure added them.
-    Raises CapExceeded as soon as more than `cap` elements are known.
-
-    A part not already known becomes the next generator g_i.  Each element
-    keeps its birth, the least i for which some sum with g_i gives it; it
-    is then a sum of g_1, ..., g_i.  It is summed with the generators born
-    after it alone: y + g_i only when birth(y) < i.  These are the sums of
-    the one-part-at-a-time closure (when L contains 0 and is closed under
-    sums, L u {X + C : X in L} is the closure of L u {C}), less those with 0
-    and those landing in the top level.
-
-    Level d is complete once its own parts are in: a join-irreducible
-    element is a part, and any other is x + g with x and g proper in it, so
-    every sum landing in dimension d comes from lower levels.  So level d
-    is: (1) each element of dimension d - 1 summed with the generators
-    after its birth; (2) each new part of dimension d made a generator and
-    summed with every element below level d, all born before it; (3) the
-    elements of dimension d, yielded.  Births are final by then, since an
-    element is only ever made at or below its own level.
-
-    Each element is stored under its `Subspace.key`, computed once per new
-    sum: a tuple of ints that hashes in C, which the sort reads too.  A sum
-    that returns an operand itself is already stored."""
-    n = bottom.ambient
-    walked = [[bottom, 0]]  # the entries of the levels yielded
-    known = {bottom.key(): walked[0]}  # key -> [subspace, birth]
-    by_dim = [[] for _ in range(n + 1)]  # keys of the known elements
-    gens = []
-
-    def note(s, i, key):
-        entry = known.get(key)
-        if entry is None:
-            known[key] = [s, i]
-            by_dim[s.dim].append(key)
-            if len(known) > cap:
-                raise CapExceeded("submodule lattice exceeded cap")
-        elif i < entry[1]:
-            entry[1] = i
-
-    yield bottom
-    below = 0  # walked[below:] is the level under the current one
-    for d, parts in enumerate(levels, 1):
-        for y, birth in walked[below:]:
-            for i in range(birth, len(gens)):
-                s = y.sum(gens[i])
-                if s is not y and s is not gens[i]:
-                    note(s, i + 1, s.key())
-        for c in parts:
-            key = c.key()
-            if key in known:
-                continue
-            gens.append(c)
-            note(c, len(gens), key)
-            for x, _ in walked[1:]:
-                s = x.sum(c)
-                if s is not c:
-                    note(s, len(gens), s.key())
-        below = len(walked)
-        walked += [known[key] for key in sorted(by_dim[d])]
-        for entry in walked[below:]:
-            yield entry[0]
-    if not by_dim[n]:
-        top = Subspace.full(bottom.field, n)
-        note(top, len(gens) + 1, top.key())
-    yield known[by_dim[n][0]][0]
+    Each element is stored under its `Subspace.key`, which the sort reads
+    too.  A sum that returns an operand itself needs no new key."""
+    known = {bottom.key(): bottom}
+    parts = {c.key(): c for c in parts}
+    for c_key in sorted(parts):
+        if c_key in known:
+            continue
+        c = parts[c_key]
+        for x in list(known.values()):
+            s = x.sum(c)
+            if s is not x:
+                known.setdefault(c_key if s is c else s.key(), s)
+                if len(known) > cap:
+                    raise CapExceeded("submodule lattice exceeded cap")
+    return [known[key] for key in sorted(known)]
 
 
 def _is_diagonal(m: Matrix) -> bool:
@@ -738,12 +670,15 @@ def decide_m_dense(r: Representation, m: int, absolute: bool = True,
     "Unknown", decided by `absolute_irreducibility` of Lambda^m in absolute
     mode.  Non-absolute mode is exact over finite fields: after the
     projective-point cap check, Norton's test decides with a witness
-    either way, and only when it finds none does the route "lattice": the
-    first two elements of the submodule walk, 0 and a smallest nonzero
-    submodule, which is the witness of No unless it is Lambda^m; the walk
-    is not memoised, so it stops there.  Over Q
-    an absolutely irreducible Lambda^m still certifies "Yes" and anything
-    else is "Unknown"."""
+    either way, and only when it finds none does the route "lattice" find
+    the least nonzero submodule by `Subspace.key`, the witness of No
+    unless it is Lambda^m.  That submodule is cyclic, so it is the least
+    spin of the points of `_orbit_seeds`, spun smallest orbits first until
+    the next orbit has more points than P(least): an orbit spinning to the
+    least submodule lies inside it.  log["spins"] counts the spins; no
+    lattice is built and `lattice_cap` is not read.  Over Q an absolutely
+    irreducible Lambda^m still certifies "Yes" and anything else is
+    "Unknown"."""
     n = r.dim
     if m < 0 or m > n:
         raise BadM("m=%d out of range" % m)
@@ -756,11 +691,15 @@ def decide_m_dense(r: Representation, m: int, absolute: bool = True,
             return Decision(UNKNOWN, "lattice", reason="projective point count exceeds cap")
         if _norton(ext):
             return absolute_irreducibility(ext)  # Norton's memoised decision
-        try:
-            _, least = itertools.islice(_submodule_walk(ext, caps), 2)
-        except CapExceeded as e:
-            return Decision(UNKNOWN, "lattice", reason=str(e))
-        return Decision(YES, "lattice") if least.dim == ext.dim else Decision(NO, "lattice", least)
+        least, spins = Subspace.full(r.field, ext.dim), 0
+        for size, point in _orbit_seeds(ext):
+            if size > projective_count(r.field.order, least.dim):
+                break
+            spins += 1
+            least = min(least, spin(ext, [point]), key=Subspace.key)
+        if least.dim == ext.dim:
+            return Decision(YES, "lattice", log={"spins": spins})
+        return Decision(NO, "lattice", least, {"spins": spins})
     decision = absolute_irreducibility(ext)
     if absolute or decision.verdict == YES:
         return decision
@@ -1103,8 +1042,7 @@ def _isotypic_sums(ext: Representation, caps: Caps, seed: int):
     if not _memoised(ext, ("isotypic", seed, "summands"), _summands_absolutely_irreducible,
                      ext, dec):
         return None
-    levels = ([e for e in dec if e.dim == d] for d in range(1, ext.dim))
-    return list(_join_closure(bottom, levels, caps.lattice_cap))
+    return _join_closure(bottom, dec, caps.lattice_cap)
 
 
 def _summands_absolutely_irreducible(ext: Representation, dec) -> bool:
@@ -1140,8 +1078,7 @@ def _spin_candidates(r, ext, m, caps: Caps, seed: int, log: dict, complete: bool
         subspaces = _rational_candidate_subspaces(f, n, m, caps, seed)
     elif complete and r.mode == GROUP and gaussian_binomial(n, m, f.order) ** 2 <= caps.pair_cap:
         table = _pair_table(f, n, m)[0]
-        q = f.order
-        hyperplane = (q ** (ext.dim - 1) - 1) // (q - 1)
+        hyperplane = projective_count(f.order, ext.dim - 1)
         subspaces = (table[orbit[0]] for orbit in _subspace_orbits(r, m)
                      if len(orbit) <= hyperplane)
     else:

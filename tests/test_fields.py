@@ -13,8 +13,6 @@ import pytest
 
 from thickrep.errors import (
     DivisionByZero,
-    FieldMismatch,
-    NotMonic,
     ScaleExceeded,
     WrongField,
     ZeroInput,
@@ -31,33 +29,26 @@ from thickrep.fields import (
     field_from_json,
     field_to_json,
     has_all_nth_roots,
-    nth_roots,
-    poly_factor_fp,
     poly_roots,
     rational_roots,
-    scalar,
-    scalar_arith,
 )
 
 
 def test_scalar_arith_rationals():
-    a = scalar(QQ, "2/3")
-    b = scalar(QQ, "1/6")
-    assert scalar_arith(a, b, "add") == scalar(QQ, "5/6")
+    assert QQ.add(QQ.parse("2/3"), QQ.parse("1/6")) == QQ.parse("5/6")
 
 
 def test_scalar_arith_prime_field():
     F5 = GF(5)
-    assert scalar_arith(scalar(F5, 3), scalar(F5, 4), "mul") == scalar(F5, 2)
+    assert F5.mul(F5.from_int(3), F5.from_int(4)) == F5.from_int(2)
     F7 = GF(7)
-    assert scalar_arith(scalar(F7, 1), scalar(F7, 3), "div") == scalar(F7, 5)
+    assert F7.div(F7.from_int(1), F7.from_int(3)) == F7.from_int(5)
 
 
 def test_scalar_arith_errors():
-    with pytest.raises(FieldMismatch):
-        scalar_arith(scalar(QQ, 1), scalar(GF(5), 1), "add")
-    with pytest.raises(DivisionByZero):
-        scalar_arith(scalar(GF(5), 1), scalar(GF(5), 0), "div")
+    for f in (QQ, GF(5)):
+        with pytest.raises(DivisionByZero):
+            f.div(f.one, f.zero)
 
 
 def test_cmp_zero_tests_like_zero():
@@ -84,74 +75,24 @@ def _poly(field, ints):
     return Poly.from_ints(field, ints)
 
 
-def test_factor_irreducible_quadratic_f2():
-    F2 = GF(2)
-    f = _poly(F2, [1, 1, 1])
-    assert poly_factor_fp(f) == [(f, 1)]
-
-
-def test_factor_split_quadratic_f5():
-    F5 = GF(5)
-    f = _poly(F5, [-1, 0, 1])  # x^2 - 1
-    facs = poly_factor_fp(f)
-    assert facs == [(_poly(F5, [1, 1]), 1), (_poly(F5, [4, 1]), 1)]
-    # multiply back
-    prod = _poly(F5, [1])
-    for g, mult in facs:
-        for _ in range(mult):
-            prod = prod * g
-    assert prod == f
-
-
-def test_factor_repeated_root():
-    F3 = GF(3)
-    f = _poly(F3, [0, 0, 0, 1])  # x^3
-    assert poly_factor_fp(f) == [(_poly(F3, [0, 1]), 3)]
-
-
-def test_factor_not_monic():
-    F3 = GF(3)
-    with pytest.raises(NotMonic):
-        poly_factor_fp(_poly(F3, [1, 2]))
-
-
-def test_factor_wrong_field():
-    with pytest.raises(WrongField):
-        poly_factor_fp(_poly(QQ, [1, 0, 1]))
-
-
-def test_factor_product_roundtrip_random():
-    rng = random.Random(20240)
-    for p in (2, 3, 5, 13):
-        F = GF(p)
-        for _ in range(20):
-            deg = rng.randint(1, 6)
-            coeffs = [rng.randrange(p) for _ in range(deg)] + [1]
-            f = Poly(F, coeffs)
-            facs = poly_factor_fp(f)
-            prod = _poly(F, [1])
-            for g, mult in facs:
-                assert g.is_monic()
-                if g.degree >= 2:
-                    assert all(g(x) != 0 for x in F.elements())
-                for _ in range(mult):
-                    prod = prod * g
-            assert prod == f
-
-
 def test_poly_roots_fp_match_linear_factors():
-    # oracle: the linear factors x - r of the factorization, in root order
+    # oracle: f is the product of the linear factors (x - r)^mult that
+    # poly_roots lists, in ascending order, and of a cofactor with no root
+    # in the field
     rng = random.Random(909)
     for p in (2, 3, 5, 13):
         F = GF(p)
         for _ in range(20):
             deg = rng.randint(1, 6)
             f = Poly(F, [rng.randrange(p) for _ in range(deg)] + [1])
-            linear = sorted(
-                (F.neg(g.coeffs[0]), mult)
-                for g, mult in poly_factor_fp(f) if g.degree == 1
-            )
-            assert poly_roots(f) == linear
+            roots = poly_roots(f)
+            assert [r for r, _ in roots] == sorted({r for r, _ in roots})
+            rest = f
+            for r, mult in roots:
+                for _ in range(mult):
+                    rest, rem = rest.divmod(Poly.x_minus(F, r))
+                    assert rem.is_zero()
+            assert all(rest(x) != F.zero for x in F.elements()), f
 
 
 def _roots_by_division(f, candidates):
@@ -202,14 +143,14 @@ def test_poly_roots_rootless_quartic_over_large_prime():
 
 def test_nth_roots_examples():
     F5 = GF(5)
-    assert nth_roots(scalar(F5, 4), 2) == [scalar(F5, 2), scalar(F5, 3)]
-    assert nth_roots(scalar(F5, 2), 2) == []
-    assert nth_roots(scalar(QQ, 8), 3) == [scalar(QQ, 2)]
+    assert F5.nth_roots(4, 2) == [2, 3]
+    assert F5.nth_roots(2, 2) == []
+    assert QQ.nth_roots(Fraction(8), 3) == [Fraction(2)]
 
 
 def test_nth_roots_zero_input():
     with pytest.raises(ZeroInput):
-        nth_roots(scalar(GF(5), 0), 2)
+        GF(5).nth_roots(0, 2)
 
 
 def test_nth_roots_count_matches_gcd():
@@ -257,22 +198,21 @@ def test_element_scans_of_large_fields_raise_scale_exceeded():
 
 
 def test_root_searches_of_a_huge_field_refuse_at_once():
-    # Norton's eigenvalue search and the linear factors of poly_factor_fp go
-    # through poly_roots, which refuses a field of 2**61 - 1 elements before
-    # walking it, while all_submodules answers a line with no search; a
-    # child process with a timeout turns a stall into a failure instead of
-    # a hang
+    # Norton's eigenvalue search goes through poly_roots, which refuses a
+    # field of 2**61 - 1 elements before walking it, while all_submodules
+    # answers a line with no search; a child process with a timeout turns
+    # a stall into a failure instead of a hang
     code = """
 import time
 from thickrep.errors import ScaleExceeded
-from thickrep.fields import GF, Poly, poly_factor_fp
+from thickrep.fields import GF, Poly, poly_roots
 from thickrep.linalg import Matrix, Subspace
 from thickrep.repcore import GROUP, Representation, _norton_irreducible, all_submodules
 p = 2**61 - 1
 F = GF(p)
 plane = Representation(F, 2, GROUP, [Matrix(F, [[p - 2, 1], [0, 3]])])
 for search in (lambda: _norton_irreducible(plane),
-               lambda: poly_factor_fp(Poly.from_ints(F, [-5, 1]))):
+               lambda: poly_roots(Poly.from_ints(F, [-5, 1]))):
     t0 = time.perf_counter()
     try:
         search()
@@ -444,8 +384,8 @@ def test_field_json_roundtrip():
 
 
 def test_scalar_formatting():
-    assert str(scalar(QQ, "3/2")) == "3/2"
-    assert str(scalar(GF(5), 9)) == "4"
+    assert QQ.format(QQ.parse("3/2")) == "3/2"
+    assert GF(5).format(GF(5).from_int(9)) == "4"
 
 
 def test_extension_field_basics():

@@ -20,7 +20,6 @@ from thickrep.linalg import (
     rank_of_rows,
     rref,
     solve_rows,
-    subspace_algebra,
     unit_vector,
 )
 from thickrep.repcore import _span_closure
@@ -297,15 +296,15 @@ def test_empty_systems_in_annihilator_and_intersect():
 def test_subspace_direct_sum():
     a = Subspace.from_vectors(QQ, 2, [unit_vector(QQ, 2, 0)])
     b = Subspace.from_vectors(QQ, 2, [unit_vector(QQ, 2, 1)])
-    assert subspace_algebra(a, b, "direct_sum_is_ambient") is True
-    assert subspace_algebra(a, a, "direct_sum_is_ambient") is False
+    assert a.direct_sum_is_ambient(b) is True
+    assert a.direct_sum_is_ambient(a) is False
 
 
 def test_subspace_sum_intersect():
     a = Subspace.from_vectors(QQ, 2, [(Fraction(1), Fraction(1))])
     b = Subspace.from_vectors(QQ, 2, [(Fraction(0), Fraction(1))])
-    assert subspace_algebra(a, b, "intersect").dim == 0
-    assert subspace_algebra(a, b, "sum") == Subspace.full(QQ, 2)
+    assert a.intersect(b).dim == 0
+    assert a.sum(b) == Subspace.full(QQ, 2)
 
 
 def test_subspace_contains():

@@ -1217,7 +1217,7 @@ def test_submodules_spin_the_points_of_orbit_marking(monkeypatch):
     reps += [exterior_rep(r, 2) for r in _random_reps(F4, 3, 2, 42)]
     reps.append(group_rep(GF(5), [DIAG_1122]))
     for r in reps:
-        repcore._norton(r)  # its own spins are not the walk's
+        repcore._norton(r)  # its own spins are not the lattice's
     spins = _counted_spins(monkeypatch)
     walked = collections.Counter()
     for r in reps:
@@ -1283,7 +1283,8 @@ def _walk_modules():
 
 def test_the_walk_matches_the_whole_lattice_oracle(monkeypatch):
     # the same lattice in the same order, or CapExceeded on both sides,
-    # under three caps; with the default caps the walk never sums more
+    # under three caps; with the default caps all_submodules never sums
+    # more
     sums = collections.Counter()
     side = []
     original = Subspace.sum
@@ -1320,9 +1321,9 @@ def test_the_walk_matches_the_whole_lattice_oracle(monkeypatch):
 def test_the_walk_reads_only_the_prefix_it_needs(monkeypatch):
     # diag(1, 1, 2, 2) over F5: the criterion refutes m = 1 from the spins
     # of lines and reads no lattice.  Without Norton's witness, non-absolute
-    # denseness reads the first two elements of the walk, 0 and the line
-    # <e1>: level 1 spins only the orbits of one point, the 12 eigenplane
-    # points, and the rest of the 64 submodules is never built
+    # denseness spins the orbits of one point, the 12 eigenplane points,
+    # and stops at the first orbit of 4 points, more than the one point of
+    # its least spin, the line <e1>; no lattice is built
     r = group_rep(GF(5), [DIAG_1122])
     report = is_m_thick_criterion(r, 1)
     assert (report.verdict, report.route) == (NOT_THICK, "spin")
@@ -1330,28 +1331,51 @@ def test_the_walk_reads_only_the_prefix_it_needs(monkeypatch):
     monkeypatch.setattr(repcore, "_norton", lambda rep: None)
     spins = _counted_spins(monkeypatch)
     dense = repcore.decide_m_dense(r, 1, absolute=False)
-    assert (dense.verdict, dense.route) == (NO, "lattice")
+    assert (dense.verdict, dense.route, dense.log) == (NO, "lattice", {"spins": 12})
     assert len(spins) == 12
-    # that walk is not memoised; all_submodules walks the whole lattice,
-    # spinning no orbit twice, and a second call spins nothing
+    assert not any(key[0] == "lattice" for key in r._memo)
+    # all_submodules builds the whole lattice, spinning no orbit twice,
+    # and a second call spins nothing
     spins.clear()
     lattice = all_submodules(r)
     assert len(lattice) == 64 and dense.certificate == lattice[1]
     assert [v for seeds in spins for v in seeds] == _walk_spins_by_marking(r)
     spins.clear()
     assert all_submodules(r) == lattice and spins == []
-    # the cap needs to hold only what is known by then: 0 and the 12 lines,
-    # not the 64 elements of the whole lattice
-    for cap, verdict in ((13, NO), (12, UNKNOWN)):
+    # denseness reads no lattice_cap: caps far below the 64 elements of the
+    # lattice leave its answer and its witness unchanged
+    for cap in (13, 12):
         capped = repcore.decide_m_dense(group_rep(GF(5), [DIAG_1122]), 1, absolute=False,
                                         caps=Caps(lattice_cap=cap))
-        assert (capped.verdict, capped.route) == (verdict, "lattice")
+        assert (capped.verdict, capped.route, capped.certificate) == (NO, "lattice", lattice[1])
+
+
+def test_denseness_witness_is_the_least_submodule_of_the_whole_lattice(monkeypatch):
+    # without Norton's test, non-absolute denseness answers from orbit
+    # spins alone: its witness is the least nonzero element of the
+    # brute-force lattice, or the answer is Yes when that lattice is {0, V}
+    monkeypatch.setattr(repcore, "_norton", lambda rep: None)
+    seen = collections.Counter()
+    for r in _walk_modules():
+        if r.field.order > 5:
+            continue
+        lattice = _brute_force_lattice(r)
+        dense = repcore.decide_m_dense(r, 1, absolute=False)
+        assert dense.route == "lattice" and dense.log["spins"] >= 0
+        if len(lattice) == 2:
+            assert (dense.verdict, dense.certificate) == (YES, None), (r.field, r.dim, r.mode)
+        else:
+            assert (dense.verdict, dense.certificate) == (NO, lattice[1]), (r.field, r.dim, r.mode)
+        seen[r.field.order, r.mode, dense.verdict] += 1
+    assert all(seen[q, mode, NO] for q in (2, 3, 4, 5) for mode in (GROUP, LIE)), seen
+    assert all(seen[q, GROUP, YES] for q in (2, 3, 4, 5)), seen
+    assert any(seen[q, LIE, YES] for q in (2, 3, 4, 5)), seen
 
 
 def test_a_walk_that_raised_raises_again_on_every_read(monkeypatch):
-    # a spin that fails once ends the walk; the error is not memoised, so
-    # every later read walks again and raises again while the spin fails,
-    # and none reads the dead walk as a short lattice
+    # a spin that fails once ends the build; the error is not memoised, so
+    # every later read builds again and raises again while the spin fails,
+    # and none reads the dead build as a short lattice
     r = group_rep(GF(3), [DIAG_1122])
     fresh = group_rep(GF(3), [DIAG_1122])
     calls = []
@@ -1570,13 +1594,15 @@ def test_is_m_dense_finite_non_absolute():
     red = group_rep(GF(2), [[[1, 1], [0, 1]]])
     assert is_m_dense(red, 1, absolute=False) == "No"
     # the quarter turn is irreducible over F3 but not absolutely (x^2 + 1
-    # splits over F9), so Norton proves nothing and the lattice decides;
-    # a lattice cap of 1 stops it before the second submodule
+    # splits over F9), so Norton proves nothing and the route "lattice"
+    # decides.  Its two projective orbits have two points each, more than a
+    # line, so no point is spun; it reads no lattice_cap, and a cap of 1
+    # leaves the answer Yes
     quarter = group_rep(GF(3), [ROT])
     assert is_m_dense(quarter, 1, absolute=False) == "Yes"
     capped = repcore.decide_m_dense(quarter, 1, absolute=False, caps=Caps(lattice_cap=1))
-    assert (capped.verdict, capped.route, capped.certificate) == (UNKNOWN, "lattice", None)
-    assert "cap" in capped.reason
+    assert (capped.verdict, capped.route, capped.certificate, capped.log, capped.reason) == (
+        YES, "lattice", None, {"spins": 0}, "")
 
 
 def test_gaussian_binomial():
