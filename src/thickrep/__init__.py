@@ -3,7 +3,7 @@ finite-dimensional representations, with realizable-subspace certificates.
 """
 
 from .fields import GF, QQ, Poly
-from .linalg import Matrix, Subspace, charpoly, det, kernel, rref
+from .linalg import Matrix, Subspace, charpoly, kernel, rref
 from .exterior import (
     WedgeVector,
     compound,
@@ -12,7 +12,6 @@ from .exterior import (
     perp,
     realizable_search,
     wedge_of_vectors,
-    wedge_product,
 )
 from .repcore import (
     Caps,

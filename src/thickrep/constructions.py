@@ -507,7 +507,23 @@ def _form_algebra(field, form, pairs):
 
 
 def _verify_form_compat(mats, form):
-    zero = Matrix.zero(form.field, form.nrows, form.ncols)
+    """Check X^t F + F X = 0 for each X, read off entry by entry: F has one
+    nonzero per row, at column c_i, and r_j is the row whose nonzero sits
+    in column j, so entry (i, j) is F[i][c_i] X[c_i][j] + F[r_j][j] X[r_j][i].
+    A term is nonzero only at a nonzero X[a][b], with a = c_i, b = j or
+    a = r_j, b = i, so the entries (r_a, b) and (b, c_a) of X's nonzeros are
+    the only ones that can fail."""
+    f, rows, n = form.field, form.rows, form.nrows
+    zero, dot = f.cmp_zero, f.dot
+    col = [next(j for j, x in enumerate(row) if x != zero) for row in rows]
+    if sorted(col) != list(range(n)) or sum(x != zero for row in rows for x in row) != n:
+        raise ConstructionError("the form is not a signed permutation matrix")
+    row_of = {c: i for i, c in enumerate(col)}
     for x in mats:
-        if x.transpose() * form + form * x != zero:
-            raise ConstructionError("generator violates the bilinear form")
+        xr = x.rows
+        nonzero = [(a, b) for a, row in enumerate(xr) for b, v in enumerate(row) if v != zero]
+        for a, b in nonzero:
+            for i, j in ((row_of[a], b), (b, col[a])):
+                c, r = col[i], row_of[j]
+                if dot((rows[i][c], rows[r][j]), (xr[c][j], xr[r][i])) != zero:
+                    raise ConstructionError("generator violates the bilinear form")

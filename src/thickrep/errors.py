@@ -49,10 +49,6 @@ class DimensionMismatch(ThickRepError):
     pass
 
 
-class DegreeOverflow(ThickRepError):
-    pass
-
-
 class CapExceeded(ThickRepError):
     pass
 

@@ -4,8 +4,10 @@ perp, decomposability and realizability.
 All of Lambda^m k^n is coordinatized on the colex-ordered m-subsets of
 {1..n}.  The signs of compounds, Plucker points, derivations, the
 decomposability charts and contractions come from one table, `faces(n,
-k)`, through the Laplace step v ^ w; general products and the complement
-pairing take theirs from `merge_sign`.  Decomposability is read in the
+k)`, through the Laplace step v ^ w; the complement pairing of `perp`
+takes its sign from one parity formula (`complement_sign_row`), and a
+product of wedges is the wedge of the vectors of both
+(`wedge_of_vectors`).  Decomposability is read in the
 affine chart of the Grassmannian at the least nonzero Plucker coordinate,
 with no linear system (`is_decomposable`).
 """
@@ -19,13 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .errors import (
-    AmbientMismatch,
-    BadM,
-    DegreeOverflow,
-    DimensionMismatch,
-    MalformedInput,
-)
+from .errors import AmbientMismatch, BadM, DimensionMismatch, MalformedInput
 from .fields import DEFAULT_POINTS_CAP, field_tuples
 from .linalg import Matrix, Subspace, kernel_of_rows, unit_vector
 
@@ -93,10 +89,6 @@ class WedgeVector:
         self.coords = coords
 
     @classmethod
-    def zero(cls, field, n, m):
-        return cls(field, n, m, [field.zero] * comb(n, m))
-
-    @classmethod
     def basis_element(cls, field, n, subset):
         m = len(subset)
         coords = [field.zero] * comb(n, m)
@@ -112,16 +104,6 @@ class WedgeVector:
         subs = colex_subsets(self.n, self.m)
         z = self.field.zero
         return [(subs[i], c) for i, c in enumerate(self.coords) if c != z]
-
-    def scale(self, c):
-        f = self.field
-        return WedgeVector(f, self.n, self.m, [f.mul(c, x) for x in self.coords])
-
-    def add(self, other):
-        f = self.field
-        return WedgeVector(
-            f, self.n, self.m, [f.add(a, b) for a, b in zip(self.coords, other.coords)]
-        )
 
     def __eq__(self, other):
         return (
@@ -246,49 +228,17 @@ def derivation(x: Matrix, m: int) -> Matrix:
     return Matrix(f, entries)
 
 
-def merge_sign(S, T) -> int:
-    """Sign of sorting the concatenation (S, T); 0 if they overlap."""
-    inv = 0
-    for s in S:
-        for t in T:
-            if s == t:
-                return 0
-            if s > t:
-                inv += 1
-    return -1 if inv % 2 else 1
-
-
-def wedge_product(x: WedgeVector, y: WedgeVector) -> WedgeVector:
-    """Bilinear wedge Lambda^i x Lambda^j -> Lambda^(i+j)."""
-    if x.n != y.n or x.field != y.field:
-        raise AmbientMismatch("wedge factors live in different spaces")
-    n = x.n
-    k = x.m + y.m
-    if k > n:
-        raise DegreeOverflow("wedge degree %d exceeds n=%d" % (k, n))
-    f = x.field
-    coords = [f.zero] * comb(n, k)
-    for S, cs in x.items():
-        for T, ct in y.items():
-            sg = merge_sign(S, T)
-            if sg == 0:
-                continue
-            term = f.mul(cs, ct)
-            if sg < 0:
-                term = f.neg(term)
-            r = subset_rank(sorted(S + T))
-            coords[r] = f.add(coords[r], term)
-    return WedgeVector(f, n, k, coords)
-
-
 @lru_cache(maxsize=None)
 def complement_sign_row(n: int, m: int):
-    """For each colex m-subset S: (rank of complement, sign of e_S ^ e_Sc)."""
+    """For each colex m-subset S: (rank of complement, sign of e_S ^ e_Sc).
+
+    Sorting (S, Sc) moves the i-th member s_i of S past the s_i - i
+    members of Sc below it, so the sign is (-1)^(sum(S) - m(m+1)/2)."""
     full = set(range(1, n + 1))
     out = []
     for S in colex_subsets(n, m):
         Sc = tuple(sorted(full - set(S)))
-        out.append((subset_rank(Sc), merge_sign(S, Sc)))
+        out.append((subset_rank(Sc), (-1) ** (sum(S) - m * (m + 1) // 2)))
     return tuple(out)
 
 

@@ -549,19 +549,12 @@ class Poly:
     def from_ints(cls, field, ints):
         return cls(field, [field.from_int(i) for i in ints])
 
-    @classmethod
-    def x_minus(cls, field, a):
-        return cls(field, [field.neg(a), field.one])
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1  # zero polynomial has degree -1
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == self.field.one
 
     def leading(self):
         return self.coeffs[-1]
@@ -630,12 +623,6 @@ class Poly:
             if c != self.field.zero:
                 terms.append("%s*x^%d" % (self.field.format(c), i))
         return "Poly(%s)" % " + ".join(terms)
-
-    def sort_key(self):
-        f = self.field
-        return (self.degree, tuple(f.sort_key(c) for c in self.coeffs))
-
-
 
 
 def poly_roots(f: Poly):

@@ -3,7 +3,10 @@
 Matrices are immutable (tuples of row tuples) and act on column vectors,
 so ``m.apply(v)`` is the usual matrix-vector product.  Subspaces are kept
 in canonical reduced row-echelon form; two subspaces are equal exactly
-when their canonical bases are identical.
+when their canonical bases are identical.  `RowBasis.insert` is the one
+elimination: every RREF, rank, kernel, solution, inverse and subspace
+here is built by it, and `charpoly` is division-free and eliminates
+nothing.
 """
 
 from __future__ import annotations
@@ -103,13 +106,6 @@ class Matrix:
     def transpose(self):
         return Matrix(self.field, self._columns(), self.nrows)
 
-    def trace(self):
-        f = self.field
-        t = f.zero
-        for i in range(self.nrows):
-            t = f.add(t, self.rows[i][i])
-        return t
-
     def apply(self, v):
         """Matrix times column vector."""
         dot = self.field.dot
@@ -145,42 +141,6 @@ def rref(m: Matrix):
 def rank_of_rows(field, rows, ncols):
     """Rank of a collection of row vectors, without building a Matrix."""
     return RowBasis.spanning(field, ncols, rows).dim
-
-
-def det(m: Matrix):
-    """Determinant of a square matrix."""
-    if not m.is_square():
-        raise NotSquare("determinant of a non-square matrix")
-    return det_rows(m.field, m.rows)
-
-
-def det_rows(f, rows):
-    """Determinant of a square matrix given as row sequences, by Gaussian
-    elimination."""
-    n = len(rows)
-    rows = [list(r) for r in rows]
-    cmp_zero = f.cmp_zero
-    sign_flip = False
-    acc = f.one
-    for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if rows[i][c] != cmp_zero:
-                pr = i
-                break
-        if pr is None:
-            return f.zero
-        if pr != c:
-            rows[c], rows[pr] = rows[pr], rows[c]
-            sign_flip = not sign_flip
-        piv = rows[c][c]
-        acc = f.mul(acc, piv)
-        inv = f.inv(piv)
-        for i in range(c + 1, n):
-            t = rows[i][c]
-            if t != cmp_zero:
-                rows[i] = f.axpy(rows[i], f.mul(t, inv), rows[c])
-    return f.neg(acc) if sign_flip else acc
 
 
 def charpoly(m: Matrix) -> Poly:
@@ -344,18 +304,6 @@ class Subspace:
     def annihilator(self) -> "Subspace":
         """{f in k^n : <f, v> = 0 for all v in the subspace}."""
         return kernel_of_rows(self.field, self.mat.rows, self.ambient)
-
-    def intersect(self, other: "Subspace"):
-        self._check(other)
-        a = self.annihilator()
-        b = other.annihilator()
-        return kernel_of_rows(self.field, a.mat.rows + b.mat.rows, self.ambient)
-
-    def direct_sum_is_ambient(self, other: "Subspace"):
-        self._check(other)
-        if self.dim + other.dim != self.ambient:
-            return False
-        return self.sum(other).dim == self.ambient
 
     def coordinates(self, v):
         """Coordinates of v in the RREF basis; requires membership."""

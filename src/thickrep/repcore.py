@@ -994,17 +994,17 @@ def is_m_thick_criterion(r: Representation, m: int, caps: Caps | None = None,
 
     if f.finite:
         if getattr(_norton(ext), "verdict", NO) == YES:
-            return Decision(THICK, "dense", log={"route": "dense", "pairs_tested": 0})
+            return Decision(THICK, "dense", log={"pairs_tested": 0})
         q = f.order
         complete = (gaussian_binomial(n, m, q) <= caps.candidate_cap
                     or projective_count(q, ext.dim) <= caps.submodule_points_cap)
     else:
         subs = _isotypic_sums(ext, caps, seed)
         if subs is not None:
-            log = {"route": "isotypic", "submodules": 0, "pairs_tested": 0}
+            log = {"submodules": 0, "pairs_tested": 0}
             return decide(_walked(subs, log), "isotypic", log, True)
         complete = False
-    log = {"route": "spin", "candidates": 0, "pairs_tested": 0}
+    log = {"candidates": 0, "pairs_tested": 0}
     return decide(_spin_candidates(r, ext, m, caps, seed, log, complete), "spin", log, complete)
 
 

@@ -120,11 +120,15 @@ def certificate_to_json(r: Representation, cert: NotThickCertificate):
 
 
 def certificate_from_json(data):
-    """Returns (representation, certificate); raises MalformedInput unless
-    `n` and `m` are integers, `generators`, `witness1` and `witness2` are
-    lists, and `pair`, when present, is a list of two subspaces."""
+    """Returns (representation, certificate); raises MalformedInput, naming
+    the first missing key, unless it has a `field`, integers `n` and `m`,
+    `generators`, `witness1` and `witness2` lists, subspaces `w1` and `w2`,
+    and `pair`, when present, a list of two subspaces."""
     if not isinstance(data, dict) or data.get("kind") != "not_thick_certificate":
         raise ThickRepError("not a thickness refutation certificate")
+    for key in ("field", "n", "m", "generators", "w1", "w2", "witness1", "witness2"):
+        if key not in data:
+            raise MalformedInput("a certificate needs the key %r" % key)
     field = field_from_json(data["field"])
     n, m = data["n"], data["m"]
     if type(n) is not int or type(m) is not int:

@@ -329,7 +329,7 @@ def test_a_field_past_the_scan_limit_is_decided_within_the_caps(tmp_path, capsys
                      "--method", "criterion", "--caps", caps,
                      "--json-out", str(report_path)])
         report = json.loads(report_path.read_text())
-        assert (code, report["verdict"], report["log"]["route"]) == (1, "NotThick", "spin")
+        assert (code, report["verdict"], report["route"]) == (1, "NotThick", "spin")
         cert_path.write_text(serialize.dumps(report["certificate"]))
         assert main(["recheck", "--certificate", str(cert_path)]) == 0
     assert "error" not in capsys.readouterr().err
@@ -431,6 +431,18 @@ def test_golden_certificates_recheck(capsys):
         path = os.path.join(GOLDEN, name)
         assert main(["recheck", "--certificate", path]) == 0, name
         assert json.loads(capsys.readouterr().out)["verifies"] is True
+
+
+def test_recheck_names_the_missing_key_of_a_certificate(tmp_path, capsys):
+    # each required key dropped from a copy of a golden certificate is
+    # named on stderr, with exit 3
+    with open(os.path.join(GOLDEN, "so4_wedge2_m2.json")) as fh:
+        good = json.load(fh)
+    path = tmp_path / "cert.json"
+    for key in ("field", "n", "m", "generators", "w1", "w2", "witness1", "witness2"):
+        path.write_text(serialize.dumps({k: v for k, v in good.items() if k != key}))
+        assert main(["recheck", "--certificate", str(path)]) == 3, key
+        assert capsys.readouterr().err == "error: a certificate needs the key %r\n" % key
 
 
 def test_recheck_checks_the_pair(tmp_path, capsys):

@@ -24,6 +24,7 @@ from thickrep.repcore import (
 )
 from thickrep.constructions import (
     BlockRepSpec,
+    _verify_form_compat,
     _wedge_span,
     block_eigenvectors,
     block_rep,
@@ -386,6 +387,46 @@ def test_lie_generators_match_the_written_out_bases():
             got = lie_generators(family, n, field)
             want = _lie_generators_oracle(family, n, field)
             assert entries(got) == entries(want), (family, n, field)
+
+
+def _dense_form_compat(x, form):
+    """X^t F + F X == 0 by two dense matrix products: the oracle for the
+    entry read-off of `_verify_form_compat`."""
+    return x.transpose() * form + form * x == Matrix.zero(form.field, form.nrows, form.ncols)
+
+
+def _read_off_form_compat(x, form):
+    try:
+        _verify_form_compat([x], form)
+    except ConstructionError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(2, 2)], ids=repr)
+def test_form_check_by_read_off_matches_the_dense_products(field):
+    # both checks accept every generator and agree on each generator with
+    # one entry changed by +1; most changes are refused, but not those that
+    # stay in the algebra, such as a diagonal entry of the block B of sp
+    refused = 0
+    forms = [("sp", n, symplectic_form_matrix(field, n)) for n in (1, 2)]
+    forms += [("so_split", n, split_orthogonal_form_matrix(field, n)) for n in (2, 3, 4, 5)]
+    for family, n, form in forms:
+        size = form.nrows
+        for x in lie_generators(family, n, field):
+            assert _dense_form_compat(x, form) and _read_off_form_compat(x, form)
+            for i in range(size):
+                for j in range(size):
+                    rows = [list(row) for row in x.rows]
+                    rows[i][j] = field.add(rows[i][j], field.one)
+                    y = Matrix(field, rows)
+                    dense = _dense_form_compat(y, form)
+                    assert _read_off_form_compat(y, form) == dense, (family, n, i, j)
+                    refused += not dense
+    assert refused > 0
+    # a form that is not a signed permutation is refused, not misread
+    with pytest.raises(ConstructionError):
+        _verify_form_compat([], Matrix(field, [[field.one, field.one], [field.zero, field.one]]))
 
 
 def test_lie_generators_sl2():

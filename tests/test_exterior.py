@@ -6,12 +6,11 @@ from math import comb
 
 import pytest
 
-from thickrep.errors import DegreeOverflow
+from thickrep.errors import DimensionMismatch
 from thickrep.fields import GF, QQ
 from thickrep.linalg import (
     Matrix,
     Subspace,
-    det_rows,
     kernel,
     kernel_of_rows,
     random_invertible,
@@ -27,7 +26,6 @@ from thickrep.exterior import (
     faces,
     field_tuples,
     is_decomposable,
-    merge_sign,
     minor_pairs,
     perp,
     projective_coefficients,
@@ -36,13 +34,24 @@ from thickrep.exterior import (
     realizable_search,
     subset_rank,
     wedge_of_vectors,
-    wedge_product,
 )
 from thickrep.symplectic import SymplecticSpace, contraction_matrix
+
+from test_linalg import inversion_parity, leibniz_det
 
 
 def e(n, i):
     return unit_vector(QQ, n, i - 1)
+
+
+def wedge(field, n, terms):
+    """The sum of c * e_S over the (S, c) of `terms`, built from its colex
+    coordinates."""
+    m = len(next(iter(terms)))
+    coords = [field.zero] * comb(n, m)
+    for S, c in terms.items():
+        coords[subset_rank(S)] = field.from_int(c)
+    return WedgeVector(field, n, m, coords)
 
 
 def test_colex_order_and_rank():
@@ -121,36 +130,27 @@ def test_compound_extremes():
     assert compound(a, 0) == Matrix.identity(QQ, 1)
 
 
+# the product of the wedges of two lists of vectors is the wedge of both
+# lists, one after the other
+
+
 def test_wedge_product_disjoint():
-    x = WedgeVector.basis_element(QQ, 4, (1, 2))
-    y = WedgeVector.basis_element(QQ, 4, (3, 4))
-    assert wedge_product(x, y) == WedgeVector.basis_element(QQ, 4, (1, 2, 3, 4))
+    x = wedge_of_vectors(QQ, 4, [e(4, 1), e(4, 2), e(4, 3), e(4, 4)])
+    assert x == WedgeVector.basis_element(QQ, 4, (1, 2, 3, 4))
 
 
 def test_wedge_product_sign():
-    x = WedgeVector.basis_element(QQ, 4, (1, 3))
-    y = WedgeVector.basis_element(QQ, 4, (2, 4))
-    assert wedge_product(x, y) == WedgeVector.basis_element(QQ, 4, (1, 2, 3, 4)).scale(
-        QQ.from_int(-1)
-    )
+    x = wedge_of_vectors(QQ, 4, [e(4, 1), e(4, 3), e(4, 2), e(4, 4)])
+    assert x == wedge(QQ, 4, {(1, 2, 3, 4): -1})
 
 
 def test_wedge_product_overlap_zero():
-    x = WedgeVector.basis_element(QQ, 4, (1, 2))
-    y = WedgeVector.basis_element(QQ, 4, (2, 3))
-    assert wedge_product(x, y).is_zero()
+    assert wedge_of_vectors(QQ, 4, [e(4, 1), e(4, 2), e(4, 2), e(4, 3)]).is_zero()
 
 
 def test_wedge_product_degree_overflow():
-    x = WedgeVector.basis_element(QQ, 4, (1, 2, 3))
-    with pytest.raises(DegreeOverflow):
-        wedge_product(x, x)
-
-
-def test_merge_sign():
-    assert merge_sign((1, 2), (3, 4)) == 1
-    assert merge_sign((1, 3), (2, 4)) == -1
-    assert merge_sign((1, 2), (2, 3)) == 0
+    with pytest.raises(DimensionMismatch):
+        wedge_of_vectors(QQ, 4, [e(4, 1), e(4, 2), e(4, 3)] * 2)
 
 
 def test_perp_single_wedge():
@@ -190,7 +190,7 @@ def test_perp_of_zero_and_annihilator_past_the_top_are_the_whole_space():
             top = WedgeVector(field, n, n, [field.from_int(3)])
             assert _annihilator_in_v(top) == Subspace.full(field, n)
             assert is_decomposable(top)[0]
-            past = WedgeVector.zero(field, n, n + 1)
+            past = WedgeVector(field, n, n + 1, [])
             assert _annihilator_in_v(past) == Subspace.full(field, n)
 
 
@@ -218,18 +218,14 @@ def test_is_decomposable_basis_wedge():
 
 
 def test_is_decomposable_sum_of_disjoint_wedges():
-    v = WedgeVector.basis_element(QQ, 4, (1, 2)).add(
-        WedgeVector.basis_element(QQ, 4, (3, 4))
-    )
+    v = wedge(QQ, 4, {(1, 2): 1, (3, 4): 1})
     ok, wit = is_decomposable(v)
     assert not ok and wit is None
 
 
 def test_is_decomposable_factorable_sum():
     # e1^e2 + e1^e3 = e1 ^ (e2 + e3)
-    v = WedgeVector.basis_element(QQ, 4, (1, 2)).add(
-        WedgeVector.basis_element(QQ, 4, (1, 3))
-    )
+    v = wedge(QQ, 4, {(1, 2): 1, (1, 3): 1})
     ok, wit = is_decomposable(v)
     assert ok
     span = Subspace.from_vectors(QQ, 4, wit)
@@ -237,7 +233,7 @@ def test_is_decomposable_factorable_sum():
 
 
 def test_is_decomposable_zero():
-    assert is_decomposable(WedgeVector.zero(QQ, 4, 2)) == (False, None)
+    assert is_decomposable(WedgeVector(QQ, 4, 2, [QQ.zero] * 6)) == (False, None)
 
 
 def test_decomposable_roundtrip_random():
@@ -447,9 +443,7 @@ def test_realizable_search_block_span():
 
 
 def test_realizable_search_not_realizable_f3():
-    v = WedgeVector.basis_element(GF(3), 4, (1, 2)).add(
-        WedgeVector.basis_element(GF(3), 4, (3, 4))
-    )
+    v = wedge(GF(3), 4, {(1, 2): 1, (3, 4): 1})
     w = Subspace.from_vectors(GF(3), 6, [v.coords])
     res = realizable_search(w, 4, 2)
     assert res.status == "NotRealizable"
@@ -466,14 +460,7 @@ def test_realizable_search_rational_never_notrealizable():
     # a(e12 + e34) + b(e13 - e24) has Pluecker form a^2 + b^2, so this plane
     # holds no nonzero decomposable vector over Q; the heuristic scan of a
     # plane cannot prove that and must say Unknown
-    basis = [
-        WedgeVector.basis_element(QQ, 4, (1, 2)).add(
-            WedgeVector.basis_element(QQ, 4, (3, 4))
-        ),
-        WedgeVector.basis_element(QQ, 4, (1, 3)).add(
-            WedgeVector.basis_element(QQ, 4, (2, 4)).scale(QQ.from_int(-1))
-        ),
-    ]
+    basis = [wedge(QQ, 4, {(1, 2): 1, (3, 4): 1}), wedge(QQ, 4, {(1, 3): 1, (2, 4): -1})]
     w = Subspace.from_vectors(QQ, 6, [v.coords for v in basis])
     res = realizable_search(w, 4, 2)
     assert res.status == "Unknown" and not res.exhaustive
@@ -530,18 +517,18 @@ def test_low_codim_spot_check_flags_only():
 
 
 def _compound_oracle(a, m):
-    """Every m-minor of a by its own `det_rows` elimination."""
+    """Every m-minor of a as a Leibniz determinant."""
     f = a.field
     subs = colex_subsets(a.nrows, m)
     return Matrix(f, [
-        [det_rows(f, [[a.rows[i - 1][j - 1] for j in T] for i in S]) for T in subs]
+        [leibniz_det(f, [[a.rows[i - 1][j - 1] for j in T] for i in S]) for T in subs]
         for S in subs
     ])
 
 
 def _wedge_oracle(field, n, vectors):
     coords = [
-        det_rows(field, [[v[s - 1] for v in vectors] for s in S])
+        leibniz_det(field, [[v[s - 1] for v in vectors] for s in S])
         for S in colex_subsets(n, len(vectors))
     ]
     return WedgeVector(field, n, len(vectors), coords)
@@ -673,14 +660,30 @@ def test_level_two_minors_match_the_mul_sub_oracle():
                     _minors2_oracle(field, a.rows[0], a.rows[1], pairs))
 
 
-def test_faces_agree_with_wedge_product():
-    for n in range(1, 7):
+def test_faces_match_inversion_parity():
+    # e_j ^ e_(U minus j) = (-1)^t e_U for the t-th face of U: the sign of
+    # sorting (j, U minus j), the parity of its inversions
+    for n in range(1, 9):
         for k in range(n + 1):
             lower = colex_subsets(n, k - 1)
             for U, face in zip(colex_subsets(n, k), faces(n, k)):
                 assert [j + 1 for j, _ in face] == list(U)
-                e_U = WedgeVector.basis_element(QQ, n, U)
                 for t, (j, r) in enumerate(face):
-                    e_j = WedgeVector.basis_element(QQ, n, (j + 1,))
-                    e_rest = WedgeVector.basis_element(QQ, n, lower[r])
-                    assert wedge_product(e_j, e_rest) == e_U.scale(QQ.from_int((-1) ** t))
+                    rest = lower[r]
+                    assert sorted((j + 1,) + rest) == list(U)
+                    assert (-1) ** t == inversion_parity((j + 1,) + rest)
+
+
+def test_complement_signs_match_inversion_parity():
+    # e_S ^ e_Sc is the sign of sorting (S, Sc) times e_(1..n), the parity
+    # of its inversions; the parity formula of `complement_sign_row`
+    # replaced a pairwise count of them
+    for n in range(1, 9):
+        for m in range(n + 1):
+            complements = colex_subsets(n, n - m)
+            row = complement_sign_row(n, m)
+            assert len(row) == comb(n, m)
+            for S, (crank, sign) in zip(colex_subsets(n, m), row):
+                Sc = complements[crank]
+                assert sorted(S + Sc) == list(range(1, n + 1))
+                assert sign == inversion_parity(S + Sc)

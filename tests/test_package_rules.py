@@ -5,12 +5,18 @@ them, so a local tier-1 run catches a violation as CI does."""
 
 import ast
 import pathlib
+import re
 
 import thickrep
 from thickrep import fields
 
 # the package these tests import, so a rule never passes on an empty tree
 PACKAGE = pathlib.Path(thickrep.__file__).parent
+# the checkout around it: README, the benchmark harness and the tools
+ROOT = PACKAGE.parents[1]
+README = ROOT / "README.md"
+# the tracer's tables of dotted names that it resolves in the package
+TRACED_TABLES = ("SPAN_LAYERS", "FIELD_CLASSES", "FIELD_OPS")
 
 
 def _trees():
@@ -45,13 +51,42 @@ def test_no_unused_import_in_the_package():
     assert not found, "\n".join(found)
 
 
-def test_no_unused_function_or_class_in_the_package():
-    # a module-level def or class must be named somewhere else in the
-    # package (a name, an attribute or an import, __init__.py included);
-    # cli dispatches its cmd_* handlers through globals()
-    trees = _trees()
+def _public_surface():
+    """The backquoted names in the list of README's *Public surface*
+    section: its paragraphs that open with "- "."""
+    text = README.read_text(encoding="utf-8")
+    start = text.find("\n## Public surface\n")
+    if start < 0:
+        return set()
+    end = text.find("\n## ", start + 1)
+    section = text[start:end if end >= 0 else len(text)]
+    return {name for block in section.split("\n\n") if block.startswith("- ")
+            for name in re.findall(r"`([A-Za-z_]\w*)`", block)}
+
+
+def _exports():
+    """The public names that __init__.py binds: what `import thickrep`
+    exports."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            names.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return {name for name in names if not name.startswith("_")}
+
+
+def _readers():
+    """Every name that code outside __init__.py reads: the package's other
+    modules, the benchmark harness and the tools.  A name, an attribute or
+    an import counts, and so does each part of a dotted name that the
+    harness's tracer resolves from its string tables."""
+    paths = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    paths += sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "tools").glob("*.py"))
     named = set()
-    for tree in trees.values():
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 named.add(node.id)
@@ -59,12 +94,46 @@ def test_no_unused_function_or_class_in_the_package():
                 named.add(node.attr)
             elif isinstance(node, ast.alias):
                 named.add(node.asname or node.name)
-    found = ["%s:%d: %s" % (path, node.lineno, node.name)
-             for path, tree in trees.items() for node in tree.body
-             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-             and node.name not in named
-             and not (path.name == "cli.py" and node.name.startswith("cmd_"))]
+            elif (isinstance(node, ast.Assign) and path.name == "tracing.py"
+                  and any(isinstance(t, ast.Name) and t.id in TRACED_TABLES
+                          for t in node.targets)):
+                named.update(part for elt in ast.walk(node.value)
+                             if isinstance(elt, ast.Constant) and isinstance(elt.value, str)
+                             for part in elt.value.split("."))
+    return named
+
+
+def test_no_unused_function_or_class_in_the_package():
+    # a module-level def or class, and a method that is not a dunder, must
+    # be read outside __init__.py: by another package module, the harness
+    # or a tool (tests do not count).  Exempt are the public surface that
+    # README states and the cmd_* handlers that cli dispatches through
+    # globals()
+    named = _readers() | _public_surface()
+    found = []
+    for path, tree in _trees().items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name not in named and not (
+                    path.name == "cli.py" and node.name.startswith("cmd_")):
+                found.append("%s:%d: %s" % (path, node.lineno, node.name))
+            if isinstance(node, ast.ClassDef):
+                found += ["%s:%d: %s.%s" % (path, m.lineno, node.name, m.name)
+                          for m in node.body
+                          if isinstance(m, ast.FunctionDef)
+                          and not (m.name.startswith("__") and m.name.endswith("__"))
+                          and m.name not in named]
     assert not found, "\n".join(found)
+
+
+def test_the_public_surface_in_readme_is_what_init_exports():
+    # README's *Public surface* lists exactly the names `import thickrep`
+    # exports, so neither drifts from the other
+    stated, exported = _public_surface(), _exports()
+    assert stated == exported, (
+        "stated, not exported: %s; exported, not stated: %s"
+        % (sorted(stated - exported), sorted(exported - stated)))
 
 
 def test_the_rep_memo_is_written_only_through_memoised():

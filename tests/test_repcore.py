@@ -18,6 +18,7 @@ from thickrep.linalg import (
     Subspace,
     charpoly,
     kernel,
+    kernel_of_rows,
     random_invertible,
     rank_of_rows,
     unit_vector,
@@ -90,7 +91,7 @@ def test_exterior_rep_lie_top_degree_is_trace():
     x = M(QQ, [[3, 5], [7, 11]])
     r = Representation(QQ, 2, LIE, [x])
     top = exterior_rep(r, 2)
-    assert top.generators[0] == Matrix(QQ, [[x.trace()]])
+    assert top.generators[0] == Matrix(QQ, [[x.rows[0][0] + x.rows[1][1]]])
 
 
 def test_exterior_rep_group_diag():
@@ -430,7 +431,7 @@ def test_a_second_criterion_pass_restricts_and_decides_no_summand(monkeypatch):
     second = [is_m_thick_criterion(r, m) for r in reps for m in range(1, r.dim)]
     assert sum(restricted.values()) == 0 and sum(ran.values()) == 0
     assert second == first
-    assert sum(report.log.get("route") == "isotypic" for report in first) > 0
+    assert sum(report.route == "isotypic" for report in first) > 0
 
 
 def test_a_cap_below_the_summand_count_decides_no_summand(monkeypatch):
@@ -544,9 +545,10 @@ def test_isotypic_sums_under_a_zero_cap_solve_no_commutant(monkeypatch):
     monkeypatch.setattr(repcore, "commutant", counted_commutant)
     reports = [is_m_thick_criterion(r, m, caps) for r in reps for m in range(1, r.dim)]
     assert calls == []
-    for rep, (verdict, reason, cert, log) in zip(reports, expected):
+    for rep, (verdict, reason, cert, route, log) in zip(reports, expected):
         rep.log.pop("pairs_tested")
-        assert (rep.verdict, rep.reason, rep.certificate, rep.log) == (verdict, reason, cert, log)
+        assert (rep.verdict, rep.reason, rep.certificate, rep.route, rep.log) == (
+            verdict, reason, cert, route, log)
 
 
 def test_group_closure_gl2_f2():
@@ -1073,7 +1075,9 @@ def test_all_submodules_invariant_and_closed():
             assert is_invariant(r, s)
             for t in subs:
                 assert s.sum(t).mat.rows in keys
-                assert s.intersect(t).mat.rows in keys
+                # the meet is the kernel of both annihilators' rows
+                rows = s.annihilator().mat.rows + t.annihilator().mat.rows
+                assert kernel_of_rows(GF(3), rows, 3).mat.rows in keys
 
 
 def _brute_force_lattice(r):
@@ -1691,7 +1695,7 @@ def test_criterion_spin_route_witness_is_candidate_annihilator():
         r = Representation(field, 4, GROUP, gens)
         for m in (1, 2, 3):
             rep = is_m_thick_criterion(r, m, caps)
-            assert rep.log["route"] == "spin"
+            assert rep.route == "spin"
             assert rep.verdict == NOT_THICK
             cert = rep.certificate
             ok, ann = is_decomposable(wedge_of_vectors(field, 4, cert.witness1))
@@ -1702,19 +1706,18 @@ def test_criterion_spin_route_witness_is_candidate_annihilator():
 
 
 CRITERION_ROUTES = [
-    ({}, THICK, {"route": "spin", "candidates": 2, "pairs_tested": 1}, ""),
+    ({}, THICK, {"candidates": 2, "pairs_tested": 1}, ""),
     # past the candidate cap, P(Lambda^2) (63 points) is within the
     # submodule points cap, so the orbit search is still complete
-    ({"candidate_cap": 20}, THICK, {"route": "spin", "candidates": 2, "pairs_tested": 1}, ""),
-    ({"points_cap": 2}, UNKNOWN, {"route": "spin", "candidates": 2, "pairs_tested": 1},
+    ({"candidate_cap": 20}, THICK, {"candidates": 2, "pairs_tested": 1}, ""),
+    ({"points_cap": 2}, UNKNOWN, {"candidates": 2, "pairs_tested": 1},
      "1 perps with undecided realizability"),
     # past both caps the first 20 planes are spun, with no orbit computed
     ({"submodule_points_cap": 3, "candidate_cap": 20}, UNKNOWN,
-     {"route": "spin", "candidates": 21, "pairs_tested": 1}, "candidate search not exhaustive"),
+     {"candidates": 21, "pairs_tested": 1}, "candidate search not exhaustive"),
     # within the candidate cap (35 planes) past the points cap
-    ({"submodule_points_cap": 3}, THICK,
-     {"route": "spin", "candidates": 2, "pairs_tested": 1}, ""),
-    ({"lattice_cap": 1}, THICK, {"route": "spin", "candidates": 2, "pairs_tested": 1}, ""),
+    ({"submodule_points_cap": 3}, THICK, {"candidates": 2, "pairs_tested": 1}, ""),
+    ({"lattice_cap": 1}, THICK, {"candidates": 2, "pairs_tested": 1}, ""),
 ]
 
 
@@ -1727,7 +1730,7 @@ def test_criterion_routes_and_reasons(caps, verdict, log, reason):
     gens = [random_invertible(GF(2), 4, rng) for _ in range(2)]
     r = Representation(GF(2), 4, GROUP, gens)
     rep = is_m_thick_criterion(r, 2, Caps(**caps))
-    assert (rep.verdict, rep.log, rep.reason) == (verdict, log, reason)
+    assert (rep.verdict, rep.route, rep.log, rep.reason) == (verdict, "spin", log, reason)
     assert rep.certificate is None
     assert (("subspace_orbits", 2) in r._memo) == (reason != "candidate search not exhaustive")
 
@@ -1740,8 +1743,8 @@ def test_criterion_isotypic_route(family, n, verdict):
     # both proper sums are tested for sp; so_split is refuted by the first,
     # the second of its four sums walked
     tested, walked = (2, 4) if verdict == THICK else (1, 2)
-    assert (rep.verdict, rep.log, rep.reason) == (
-        verdict, {"route": "isotypic", "submodules": walked, "pairs_tested": tested}, ""
+    assert (rep.verdict, rep.route, rep.log, rep.reason) == (
+        verdict, "isotypic", {"submodules": walked, "pairs_tested": tested}, ""
     )
     assert (rep.certificate is not None) == (verdict == NOT_THICK)
     if rep.certificate is not None:
@@ -1755,18 +1758,18 @@ def _criterion_reference(r, m, caps, seed=0):
     and no Norton test, and is complete in the two regimes in which the
     criterion is: at most `candidate_cap` m-subspaces, or at most
     `submodule_points_cap` points of P(Lambda^m).  Returns (verdict,
-    reason, certificate, log)."""
+    reason, certificate, route, log)."""
     f, n = r.field, r.dim
     ext = exterior_rep(r, m)
     subs = None if f.finite else repcore._isotypic_sums(ext, caps, seed)
     if subs is not None:
         route = "isotypic"
-        log = {"route": route, "submodules": len(subs)}
+        log = {"submodules": len(subs)}
         candidates = ((w1, None) for w1 in subs)
         complete = True
     else:
         route = "spin"
-        log = {"route": route, "candidates": 0}
+        log = {"candidates": 0}
         if f.finite:
             complete = (gaussian_binomial(n, m, f.order) <= caps.candidate_cap
                         or projective_count(f.order, ext.dim) <= caps.submodule_points_cap)
@@ -1806,16 +1809,16 @@ def _criterion_reference(r, m, caps, seed=0):
                 field=f, n=n, m=m, w1=w1, w2=w2,
                 witness1=tuple(witness1), witness2=tuple(r2.witness_vectors),
             )
-            return NOT_THICK, "", cert, log
+            return NOT_THICK, "", cert, route, log
         if r2.status != "NotRealizable":
             unresolved += 1
     if not complete:
-        return UNKNOWN, "candidate search not exhaustive", None, log
+        return UNKNOWN, "candidate search not exhaustive", None, route, log
     if unresolved:
         return UNKNOWN, "%d %s with undecided realizability" % (
             unresolved, "perps" if route == "spin" else "invariant pairs"
-        ), None, log
-    return THICK, "", None, log
+        ), None, route, log
+    return THICK, "", None, route, log
 
 
 def _q_reps():
@@ -1863,14 +1866,13 @@ def test_criterion_skip_matches_reference_loop(name, caps):
     for r in build():
         for m in range(1, r.dim):
             rep = is_m_thick_criterion(r, m, caps)
-            verdict, reason, cert, log = _criterion_reference(r, m, caps)
+            verdict, reason, cert, route, log = _criterion_reference(r, m, caps)
             assert rep.verdict == verdict
             verdicts[verdict, rep.route] += 1
             if r.field.finite:
                 assert rep == is_m_thick_criterion(r, m, Caps(**common))
             if rep.route == "dense":
-                assert (rep.log, verdict, log["route"]) == (
-                    {"route": "dense", "pairs_tested": 0}, THICK, "spin")
+                assert (rep.log, verdict, route) == ({"pairs_tested": 0}, THICK, "spin")
                 assert reason == "" and log["candidates"] >= 1
                 continue
             tested = rep.log.pop("pairs_tested")
@@ -1882,8 +1884,8 @@ def test_criterion_skip_matches_reference_loop(name, caps):
             else:
                 assert rep.log["candidates"] <= total
                 rep.log["candidates"] = total
-            assert (rep.verdict, rep.reason, rep.certificate, rep.log) == (
-                verdict, reason, cert, log
+            assert (rep.verdict, rep.reason, rep.certificate, rep.route, rep.log) == (
+                verdict, reason, cert, route, log
             )
             assert 0 <= tested <= total
     assert len({verdict for verdict, _ in verdicts}) >= 2, verdicts
@@ -1917,11 +1919,12 @@ def test_criterion_tests_no_pair_of_an_irreducible_lift(build, m, monkeypatch):
         monkeypatch.setattr(repcore, name, counting(getattr(repcore, name)))
     r = build()
     if r.field.finite:
-        log = {"route": "dense", "pairs_tested": 0}
+        route, log = "dense", {"pairs_tested": 0}
     else:
-        log = {"route": "isotypic", "submodules": 2, "pairs_tested": 0}
+        route, log = "isotypic", {"submodules": 2, "pairs_tested": 0}
     rep = is_m_thick_criterion(r, m)
-    assert (rep.verdict, rep.log, rep.certificate, calls) == (THICK, log, None, [])
+    assert (rep.verdict, rep.route, rep.log, rep.certificate, calls) == (
+        THICK, route, log, None, [])
     assert ("subspace_orbits", m) not in r._memo
     # the counters see the calls of a reducible module's pair
     rep = is_m_thick_criterion(group_rep(GF(2), [[[1, 1], [0, 1]]]), 1)
@@ -1972,7 +1975,7 @@ def test_a_dense_wedge_is_thick_with_no_pair_tested(family, n, q, monkeypatch):
     monkeypatch.setattr(repcore, "enumerate_subspaces", None)
     rep = is_m_thick_criterion(r, 2)
     assert (rep.verdict, rep.route, rep.log, rep.certificate, rep.reason) == (
-        THICK, "dense", {"route": "dense", "pairs_tested": 0}, None, "")
+        THICK, "dense", {"pairs_tested": 0}, None, "")
     assert repcore._norton(exterior_rep(r, 2)).verdict == YES
 
 
@@ -1993,7 +1996,7 @@ def test_the_block_rep_criterion_builds_no_orbit_table():
     before = _pair_table.cache_info()
     rep = is_m_thick_criterion(r, 2)
     assert (rep.verdict, rep.route) == (NOT_THICK, "spin")
-    assert rep.log == {"route": "spin", "candidates": 1, "pairs_tested": 1}
+    assert rep.log == {"candidates": 1, "pairs_tested": 1}
     assert verify_not_thick_certificate(r, rep.certificate)
     assert _pair_table.cache_info() == before
     assert ("subspace_orbits", 2) not in r._memo
@@ -2013,8 +2016,8 @@ def test_the_orbit_table_is_built_within_the_pair_cap_only():
         r = Representation(F, 2, GROUP, [g])
         before = _pair_table.cache_info()
         rep = is_m_thick_criterion(r, 1, caps)
-        assert (rep.verdict, rep.log) == (
-            THICK, {"route": "spin", "candidates": candidates, "pairs_tested": 0})
+        assert (rep.verdict, rep.route, rep.log) == (
+            THICK, "spin", {"candidates": candidates, "pairs_tested": 0})
         assert (_pair_table.cache_info() == before) == (candidates == 1010)
 
 
@@ -2024,8 +2027,8 @@ def test_sp4_over_f7_is_thick_from_every_plane():
     F7 = GF(7)
     r = Representation(F7, 4, LIE, lie_generators("sp", 2, F7))
     rep = is_m_thick_criterion(r, 2)
-    assert (rep.verdict, rep.log) == (THICK, {"route": "spin", "candidates": 2850,
-                                              "pairs_tested": 1})
+    assert (rep.verdict, rep.route, rep.log) == (THICK, "spin", {"candidates": 2850,
+                                                              "pairs_tested": 1})
 
 
 def test_duality_of_verdicts_seeded():
@@ -2149,7 +2152,7 @@ def test_the_lattice_memo_keys_on_the_caps_it_reads():
                 size = len(all_submodules(rep, caps))
             except CapExceeded:
                 size = "cap"
-            route = is_m_thick_criterion(rep, 1, caps).log["route"]
+            route = is_m_thick_criterion(rep, 1, caps).route
             seen[caps.lattice_cap] = (size, route, is_m_dense(rep, 1, absolute=False, caps=caps))
         # Norton's witness decides denseness inside the caps, with no
         # lattice, and the criterion reads no lattice under either cap
@@ -2235,7 +2238,7 @@ def test_a_repeated_summand_has_no_isotypic_decomposition():
     assert isotypic_decomposition(r) is None
     assert repcore._isotypic_sums(r, Caps(), 0) is None
     report = is_m_thick_criterion(r, 1, Caps(rational_trials=4))
-    assert report.log["route"] == "spin" and report.verdict == NOT_THICK
+    assert report.route == "spin" and report.verdict == NOT_THICK
 
 
 def test_the_criterion_is_trivial_at_the_ends():
@@ -2250,8 +2253,8 @@ def test_the_lattice_cap_bounds_the_isotypic_sums():
     # three sends the criterion to the spin route, where it cannot decide
     sp4 = Representation(QQ, 4, LIE, lie_generators("sp", 2))
     capped = is_m_thick_criterion(sp4, 2, Caps(lattice_cap=3, rational_trials=20))
-    assert (capped.log["route"], capped.verdict) == ("spin", UNKNOWN)
+    assert (capped.route, capped.verdict) == ("spin", UNKNOWN)
     exact = is_m_thick_criterion(sp4, 2, Caps(lattice_cap=4))
-    assert (exact.log["route"], exact.log["submodules"], exact.verdict) == (
+    assert (exact.route, exact.log["submodules"], exact.verdict) == (
         "isotypic", 4, THICK
     )

@@ -79,9 +79,8 @@ def test_r_number_bounds_symmetric():
 
 
 def test_wedge_vector_sparse_roundtrip():
-    v = WedgeVector.basis_element(QQ, 4, (1, 2)).add(
-        WedgeVector.basis_element(QQ, 4, (3, 4)).scale(QQ.from_int(-2))
-    )
+    # e1^e2 - 2 e3^e4 on the colex basis 12, 13, 23, 14, 24, 34
+    v = WedgeVector(QQ, 4, 2, [QQ.from_int(c) for c in (1, 0, 0, 0, 0, -2)])
     sparse = v.to_sparse()
     assert sparse == {"1,2": "1", "3,4": "-2"}
     assert WedgeVector.from_sparse(QQ, 4, 2, sparse) == v
